@@ -659,7 +659,8 @@ def oracle_sql() -> dict[str, str]:
         # double expression — NOT the stream-order-dependent corr()
         "docs_lang_corr": (
             r"WITH t AS (SELECT lang, n_chars AS x, "
-            r"len(regexp_extract_all(lower(text), '\w\w+')) AS y "
+            r"len(regexp_extract_all(lower(coalesce(text, '')), '\w\w+')) "
+            r"AS y "
             "FROM documents), "
             "m AS (SELECT lang, count(*) AS n, sum(x) AS sx, sum(y) AS sy, "
             "  sum(x * x) AS sxx, sum(y * y) AS syy, sum(x * y) AS sxy "
@@ -837,8 +838,8 @@ def oracle_sql() -> dict[str, str]:
         # (nab/B) / ((na/T) * (nb/T)) inside ln on both sides, rounded
         # to 6dp BEFORE the (pmi desc, bigram asc) total order
         "docs_pmi_bigrams": (
-            r"WITH arrs AS (SELECT regexp_extract_all(lower(text), "
-            r"'\w\w+') AS a FROM documents), "
+            r"WITH arrs AS (SELECT regexp_extract_all("
+            r"lower(coalesce(text, '')), '\w\w+') AS a FROM documents), "
             "uni AS (SELECT unnest(a) AS w FROM arrs), "
             "big AS (SELECT a[i] || ' ' || a[i+1] AS bg FROM arrs, "
             "  unnest(generate_series(1, greatest(len(a) - 1, 0))) "

@@ -1534,14 +1534,11 @@ def _host_pagerank_exchanged(edges_ds, n_iter: int, damping: float,
     addition order differs from the driver path's single scatter-add,
     so agreement is at the rounded 6-dp output (equivalence-tested),
     not the raw ulp."""
-    import shutil
-
     import numpy as np_
     import ray.data as rd
 
     from ..stages import exchange as ex
-    from .steps import (AGG_PARTIALS_DRIVER_LIMIT, _key_part,
-                        grouped_sum_by_key)
+    from .steps import AGG_PARTIALS_DRIVER_LIMIT, grouped_sum_by_key
 
     EDGE_SCHEMA = pa.schema([("src", pa.string()), ("dst", pa.string()),
                              ("w", pa.int64())])
@@ -1582,22 +1579,14 @@ def _host_pagerank_exchanged(edges_ds, n_iter: int, damping: float,
     if n == 0:
         return rd.from_arrow(OUT_SCHEMA.empty_table())
 
-    by_src = lambda b: _key_part(b, ["src"], num_parts)  # noqa: E731
-    by_host = lambda b: _key_part(b, ["host"], num_parts)  # noqa: E731
-    stages: list[str] = []
-
-    def _stage(prefix: str) -> str:
-        s = ex.make_stage(prefix)
-        stages.append(s)
-        return s
-
-    try:
-        edges_stage = _stage("nse_pr_edges_")
+    by_src = lambda b: ex.key_part(b, ["src"], num_parts)  # noqa: E731
+    by_host = lambda b: ex.key_part(b, ["host"], num_parts)  # noqa: E731
+    with (ex.stage("nse_pr_edges_") as edges_stage,
+          ex.stage("nse_pr_nodes_") as nodes_stage):
         ex.write_exchange(
             edges_ds.map_batches(lambda t: t.cast(EDGE_SCHEMA),
                                  batch_format="pyarrow"),
             edges_stage, by_src)
-        nodes_stage = _stage("nse_pr_nodes_")
         ex.write_exchange(
             nodes_ds.map_batches(lambda t: t.cast(NODE_SCHEMA),
                                  batch_format="pyarrow"),
@@ -1659,9 +1648,8 @@ def _host_pagerank_exchanged(edges_ds, n_iter: int, damping: float,
                     lambda df: pd.DataFrame(
                         {"s": [float(df.loc[df["dangling"], "pr"].sum())]}),
                     batch_format="pandas").take_all()))
-            rank_stage = ex.make_stage("nse_pr_rank_")
-            contrib_stage = ex.make_stage("nse_pr_contrib_")
-            try:
+            with (ex.stage("nse_pr_rank_") as rank_stage,
+                  ex.stage("nse_pr_contrib_") as contrib_stage):
                 ex.write_exchange(
                     rank_ds.map_batches(
                         lambda t: t.select(["host", "pr"]).cast(RANK_SCHEMA),
@@ -1688,18 +1676,12 @@ def _host_pagerank_exchanged(edges_ds, n_iter: int, damping: float,
                     lambda nt, ct: new_rank_part(nt, ct, dang),
                     FULL_SCHEMA, in_schemas=[NODE_SCHEMA, c_schema]
                 ).materialize()
-            finally:
-                shutil.rmtree(rank_stage, ignore_errors=True)
-                shutil.rmtree(contrib_stage, ignore_errors=True)
 
-        return rank_ds.map_batches(
-            lambda df: pd.DataFrame({
-                "host": df["host"].to_numpy(dtype=object),
-                "pagerank": df["pr"].round(6),
-            }), batch_format="pandas").materialize()
-    finally:
-        for s in stages:
-            shutil.rmtree(s, ignore_errors=True)
+    return rank_ds.map_batches(
+        lambda df: pd.DataFrame({
+            "host": df["host"].to_numpy(dtype=object),
+            "pagerank": df["pr"].round(6),
+        }), batch_format="pandas").materialize()
 
 
 # the (host, label) decorate table is host-cardinality-sized; beyond
@@ -1768,15 +1750,12 @@ def _host_components(sf_dir: str, num_parts: int = 32):
     label-co-partitioned through the exchange beyond
     ``HOSTLABEL_DRIVER_LIMIT`` (labels co-locate, so per-part min/size
     are exact global values), or as one driver groupby below it."""
-    import shutil
-
     import ray.data as rd
 
     from ..functions.hashing import _token_hashes
     from ..stages import exchange as ex
     from ..stages.pairs import label_components_exchanged
-    from .steps import (AGG_PARTIALS_DRIVER_LIMIT, _key_part,
-                        grouped_sum_by_key)
+    from .steps import AGG_PARTIALS_DRIVER_LIMIT, grouped_sum_by_key
 
     def edge_partial(df: pd.DataFrame) -> pd.DataFrame:
         ids = df["doc_id"].astype("int64")
@@ -1870,19 +1849,18 @@ def _host_components(sf_dir: str, num_parts: int = 32):
     node_schema = pa.schema([("node", pa.int64()), ("host", pa.string())])
     lab_schema = pa.schema([("node", pa.int64()), ("label", pa.int64())])
     hl_schema = pa.schema([("label", pa.int64()), ("host", pa.string())])
-    nodes_stage = ex.make_stage("nse_hc_nodes_")
-    lab_stage = ex.make_stage("nse_hc_lab_")
-    hl_stage = ex.make_stage("nse_hc_hl_")
-    try:
+    with (ex.stage("nse_hc_nodes_") as nodes_stage,
+          ex.stage("nse_hc_lab_") as lab_stage,
+          ex.stage("nse_hc_hl_") as hl_stage):
         ex.write_exchange(
             nodes.map_batches(
                 lambda b: b.select(["node", "host"]).cast(node_schema),
                 batch_format="pyarrow"),
-            nodes_stage, lambda b: _key_part(b, ["node"], num_parts))
+            nodes_stage, lambda b: ex.key_part(b, ["node"], num_parts))
         ex.write_exchange(
             labels.map_batches(lambda b: b.cast(lab_schema),
                                batch_format="pyarrow"),
-            lab_stage, lambda b: _key_part(b, ["node"], num_parts))
+            lab_stage, lambda b: ex.key_part(b, ["node"], num_parts))
 
         def decorate_part(nodes_t: pa.Table, lab_t: pa.Table) -> pa.Table:
             return pa.Table.from_pandas(
@@ -1894,7 +1872,7 @@ def _host_components(sf_dir: str, num_parts: int = 32):
                           in_schemas=[node_schema, lab_schema])
         # labels co-locate per part, so per-part min/size are exact
         ex.write_exchange(hl, hl_stage,
-                          lambda b: _key_part(b, ["label"], num_parts))
+                          lambda b: ex.key_part(b, ["label"], num_parts))
 
         def finish_part(hl_t: pa.Table) -> pa.Table:
             return pa.Table.from_pandas(finish(hl_t.to_pandas()),
@@ -1903,9 +1881,6 @@ def _host_components(sf_dir: str, num_parts: int = 32):
 
         return ex.map_parts(hl_stage, num_parts, finish_part,
                             out_schema).materialize()
-    finally:
-        for s in (nodes_stage, lab_stage, hl_stage):
-            shutil.rmtree(s, ignore_errors=True)
 
 
 def _docs_outlinks(sf_dir: str):
@@ -1925,16 +1900,16 @@ def _docs_outlinks(sf_dir: str):
                .map_batches(outlinks_frame, batch_format="pandas")
 
 
-def _write_warc_segments(sf_dir: str) -> str:
-    """Synthesize gzipped WARC/1.0 segments from the documents table —
-    one .warc.gz file per input batch, written DISTRIBUTED with
-    content-addressed names (task retries rewrite the same bytes;
-    distinct batches never collide, urls are unique). Returns the
-    scratch dir; callers own cleanup (try/finally rmtree). The scratch
-    is an exchange-visibility path (write tasks on ANY node must see
-    what read tasks read), so it comes from ``make_stage``
-    (NSE_EXCHANGE_ROOT on multi-node, asserted-single-node tmpfs
-    otherwise) — never a driver-local mkdtemp."""
+def _write_warc_segments(sf_dir: str, scratch: str) -> None:
+    """Synthesize gzipped WARC/1.0 segments from the documents table
+    into ``scratch`` — one .warc.gz file per input batch, written
+    DISTRIBUTED with content-addressed names (task retries rewrite the
+    same bytes; distinct batches never collide, urls are unique). The
+    scratch is an exchange-visibility path (write tasks on ANY node
+    must see what read tasks read), so callers take it from
+    ``exchange.stage`` (NSE_EXCHANGE_ROOT on multi-node,
+    asserted-single-node tmpfs otherwise) — never a driver-local
+    mkdtemp."""
     import hashlib
     import os
     from datetime import datetime, timedelta
@@ -1942,9 +1917,7 @@ def _write_warc_segments(sf_dir: str) -> str:
     import ray.data as rd
 
     from ..sources import warc as W
-    from ..stages import exchange as ex
 
-    scratch = ex.make_stage("nse_warc_")
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "text"])
 
@@ -1963,14 +1936,7 @@ def _write_warc_segments(sf_dir: str) -> str:
                      gzip_members=True)
         return pd.DataFrame({"n": [len(rows)]})
 
-    try:
-        docs.map_batches(write_part, batch_format="pandas").count()
-    except BaseException:
-        import shutil
-
-        shutil.rmtree(scratch, ignore_errors=True)
-        raise
-    return scratch
+    docs.map_batches(write_part, batch_format="pandas").count()
 
 
 def _warc_source_roundtrip(sf_dir: str):
@@ -1980,12 +1946,12 @@ def _warc_source_roundtrip(sf_dir: str):
     unit) and emit (url, warc_ts, n_chars). Oracled as pure SQL over
     documents, so the whole write->parse->read chain is
     value-verified."""
-    import shutil
-
     from ..sources import warc as W
+    from ..stages import exchange as ex
 
-    scratch = _write_warc_segments(sf_dir)
-    try:
+    with ex.stage("nse_warc_") as scratch:
+        _write_warc_segments(sf_dir, scratch)
+
         def project(df: pd.DataFrame) -> pd.DataFrame:
             return pd.DataFrame({
                 "url": df["url"].to_numpy(dtype=object),
@@ -1995,8 +1961,6 @@ def _warc_source_roundtrip(sf_dir: str):
 
         return W.read_warc(scratch).map_batches(
             project, batch_format="pandas").materialize()
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
 
 
 def _warc_extract_text(sf_dir: str):
@@ -2011,13 +1975,12 @@ def _warc_extract_text(sf_dir: str):
     exact ANSI SQL. Scale shape: same actor-pool contract as the
     flagship (state in ``__init__``, ``concurrency=(1, k)`` per the
     no-fixed-pool rule, Arrow batches throughout)."""
-    import shutil
-
     from ..sources import warc as W
+    from ..stages import exchange as ex
     from ..stages.extract import ExtractActor
 
-    scratch = _write_warc_segments(sf_dir)
-    try:
+    with ex.stage("nse_warc_") as scratch:
+        _write_warc_segments(sf_dir, scratch)
         pages = W.read_warc(scratch)
         out = pages.map_batches(
             ExtractActor,
@@ -2036,8 +1999,6 @@ def _warc_extract_text(sf_dir: str):
 
         return out.map_batches(
             project, batch_format="pyarrow").materialize()
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
 
 
 def _docs_outlinks_anchored(sf_dir: str):

@@ -204,12 +204,9 @@ def dedup_pages_partitioned(ds, num_parts: int = 64):
     the salting-equivalent for this associative (latest-wins) reduce,
     bounding per-part skew by the batch count rather than the raw
     duplicate count (verified by the 5,000-fetch hot-key test)."""
-    import shutil
-
     from ..stages import exchange as ex
 
-    stage = ex.make_stage("nse_dedup_pages_")
-    try:
+    with ex.stage("nse_dedup_pages_") as stage:
         combined = ds.map_batches(partial_dedup_batch, batch_format="pyarrow")
         ex.write_exchange(
             combined, stage,
@@ -218,12 +215,8 @@ def dedup_pages_partitioned(ds, num_parts: int = 64):
         schema = ds.schema()
         empty = pa.schema(
             [(n, t) for n, t in zip(schema.names, schema.types)])
-        # drain phase B into the object store before dropping the tmpfs
-        # stage (a lazy result would read deleted fragments)
         return ex.map_parts(stage, num_parts, dedup_part_group,
                             empty).materialize()
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
 
 
 def extract_pages(

@@ -322,17 +322,14 @@ def _docs_join_embeddings_exchanged(sf_dir: str, num_parts: int = 32):
     """Scale path: co-partition documents and the (vec_id, label)
     upstream side by id hash; the sorted-array inner join runs per
     part (keys co-locate, so per-part results equal the global join)."""
-    import shutil
-
     import ray.data as rd
 
     from ..stages import exchange as ex
 
-    docs_stage = ex.make_stage("nse_j1_docs_")
-    lab_stage = ex.make_stage("nse_j1_lab_")
     lab_schema = pa.schema([("vec_id", pa.int64()), ("label", pa.int32())])
     out_schema = _DOCS_SCHEMA.append(pa.field("label", pa.int32()))
-    try:
+    with (ex.stage("nse_j1_docs_") as docs_stage,
+          ex.stage("nse_j1_lab_") as lab_stage):
         _write_docs_exchange(sf_dir, ex, docs_stage, num_parts)
         ex.write_exchange(
             rd.read_parquet(f"{sf_dir}/embeddings.parquet",
@@ -359,9 +356,6 @@ def _docs_join_embeddings_exchanged(sf_dir: str, num_parts: int = 32):
         return ex.map_parts([docs_stage, lab_stage], num_parts, join_part,
                             out_schema,
                             in_schemas=[_DOCS_SCHEMA, lab_schema]).materialize()
-    finally:
-        for s in (docs_stage, lab_stage):
-            shutil.rmtree(s, ignore_errors=True)
 
 
 # -- M14/J3: change-detection anti-join -------------------------------------
@@ -401,16 +395,13 @@ def filter_unprocessed(sf_dir: str):
 def _filter_unprocessed_exchanged(sf_dir: str, num_parts: int = 32):
     """Scale path: co-partition documents and done-ids by id hash; the
     vectorized anti-join (np.isin invert) runs per part."""
-    import shutil
-
     import ray.data as rd
 
     from ..stages import exchange as ex
 
-    docs_stage = ex.make_stage("nse_fu_docs_")
-    done_stage = ex.make_stage("nse_fu_done_")
     done_schema = pa.schema([("vec_id", pa.int64())])
-    try:
+    with (ex.stage("nse_fu_docs_") as docs_stage,
+          ex.stage("nse_fu_done_") as done_stage):
         _write_docs_exchange(sf_dir, ex, docs_stage, num_parts)
 
         def done_ids(b: pa.Table) -> pa.Table:
@@ -433,9 +424,6 @@ def _filter_unprocessed_exchanged(sf_dir: str, num_parts: int = 32):
         return ex.map_parts([docs_stage, done_stage], num_parts, anti_part,
                             _DOCS_SCHEMA,
                             in_schemas=[_DOCS_SCHEMA, done_schema]).materialize()
-    finally:
-        for s in (docs_stage, done_stage):
-            shutil.rmtree(s, ignore_errors=True)
 
 
 # -- D1: exact dedup by content ---------------------------------------------
@@ -505,17 +493,13 @@ def dedup_exact(sf_dir: str):
 def _dedup_exact_exchanged(docs, partials_ds, num_parts: int = 32):
     """Scale path: content-hash partition exchange for the winner
     combine, doc_id partition exchange for the semi-join filter."""
-    import shutil
-
     from ..stages import exchange as ex
 
-    hash_stage = ex.make_stage("nse_dx_hash_")
-    win_stage = ex.make_stage("nse_dx_win_")
-    docs_stage = ex.make_stage("nse_dx_docs_")
     win_schema = pa.schema([("doc_id", pa.int64())])
     docs_schema = pa.schema([("doc_id", pa.int64()), ("n_chars", pa.int64())])
-    out_schema = docs_schema
-    try:
+    with (ex.stage("nse_dx_hash_") as hash_stage,
+          ex.stage("nse_dx_win_") as win_stage,
+          ex.stage("nse_dx_docs_") as docs_stage):
         ex.write_exchange(
             partials_ds, hash_stage,
             lambda b: ex.int_part([
@@ -544,11 +528,8 @@ def _dedup_exact_exchanged(docs, partials_ds, num_parts: int = 32):
             return docs_t.filter(pa.array(np.isin(ids, keep)))
 
         return ex.map_parts([docs_stage, win_stage], num_parts, semi_join,
-                            out_schema,
+                            docs_schema,
                             in_schemas=[docs_schema, win_schema]).materialize()
-    finally:
-        for s in (hash_stage, win_stage, docs_stage):
-            shutil.rmtree(s, ignore_errors=True)
 
 
 # -- Dataset.slice(ids) analog ----------------------------------------------
@@ -656,38 +637,18 @@ def _topk_combine(partials_ds, local_topk, driver_limit, num_parts=32):
     under row-union (true for 'k best under a total order, optionally
     per group'). Rows must carry a unique ``doc_id`` — the part key,
     and what keeps distinct batches' fragments distinct under the
-    content-addressed exchange (write_exchange CONTRACT). Returns the
-    exact merged top-k as a small pandas frame."""
-    import shutil
-
+    content-addressed exchange (write_exchange CONTRACT). A two-level
+    merge: ``combine_by_key`` on doc_id (per-part top-k beyond the
+    gate), then ``local_topk`` over the candidates on the driver.
+    Returns the exact merged top-k as a small pandas frame."""
     from ..stages import exchange as ex
 
-    if partials_ds.count() <= driver_limit:
-        pdf = partials_ds.to_pandas()
-        if pdf.empty:
-            sch = _arrow_schema_of(partials_ds)
-            return sch.empty_table().to_pandas()
-        return local_topk(pdf).reset_index(drop=True)
-
-    schema = _arrow_schema_of(partials_ds)
-    stage = ex.make_stage("nse_topk_")
-    try:
-        ex.write_exchange(
-            partials_ds.map_batches(
-                lambda b: b.select(schema.names).cast(schema),
-                batch_format="pyarrow"),
-            stage,
-            lambda b: ex.int_part(
-                [b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)],
-                num_parts))
-
-        def part_topk(t: pa.Table) -> pa.Table:
-            return pa.Table.from_pandas(local_topk(t.to_pandas()),
-                                        schema=schema, preserve_index=False)
-
-        cand = ex.map_parts(stage, num_parts, part_topk, schema).to_pandas()
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
+    partials_ds = partials_ds.materialize()
+    schema = ex.arrow_schema_of(partials_ds)
+    cand = ex.combine_by_key(partials_ds, ["doc_id"], local_topk, schema,
+                             driver_limit, num_parts).to_pandas()
+    if cand.empty:  # zero-row datasets drop their columns
+        return schema.empty_table().to_pandas()
     return local_topk(cand).reset_index(drop=True)
 
 
@@ -880,9 +841,6 @@ def docs_lang_quantiles(sf_dir: str, qs=(0.25, 0.5, 0.75, 0.95),
     ``write_exchange`` batch-uniqueness CONTRACT. Output
     (lang, q, value), one row per group per requested quantile."""
     import math
-    import shutil
-
-    import ray.data as rd
 
     from ..stages import exchange as ex
 
@@ -925,27 +883,8 @@ def docs_lang_quantiles(sf_dir: str, qs=(0.25, 0.5, 0.75, 0.95),
         _docs(sf_dir, ["doc_id", "lang", "n_chars"])
         .map_batches(partial, batch_format="pyarrow")
     )
-    if partials.count() <= driver_limit:
-        pdf = partials.to_pandas()
-        if pdf.empty:
-            return rd.from_arrow(out_schema.empty_table())
-        return rd.from_pandas(select(pdf))
-
-    stage = ex.make_stage("nse_gq_")
-    try:
-        ex.write_exchange(
-            partials, stage,
-            lambda b: _key_part(b, ["lang"], num_parts))
-
-        def part_select(t: pa.Table) -> pa.Table:
-            return pa.Table.from_pandas(
-                select(t.to_pandas()), schema=out_schema,
-                preserve_index=False)
-
-        return ex.map_parts(stage, num_parts, part_select,
-                            out_schema).materialize()
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
+    return ex.combine_by_key(partials, ["lang"], select, out_schema,
+                             driver_limit, num_parts)
 
 
 # -- Quantile-bucket assignment (two-phase stats -> broadcast) ---------------
@@ -997,14 +936,6 @@ TERMS_DRIVER_LIMIT = 5_000_000
 _TOP_TERMS_SCHEMA = pa.schema([("term", pa.string()), ("n", pa.int64())])
 
 
-def _term_part(terms: np.ndarray, num_parts: int) -> np.ndarray:
-    """Part id per term string. Within-run determinism is all that
-    partitioning needs, so the pandas 64-bit string hash is fine here
-    (unlike the pinned HLL golden, which owns its hash)."""
-    h = pd.util.hash_array(terms.astype(object))
-    return (h % np.uint64(num_parts)).astype(np.int64)
-
-
 def top_terms(sf_dir: str, k: int = 20):
     """Top-``k`` corpus terms by total occurrence count with a
     deterministic tie-break (count desc, term asc): per-batch tokenize
@@ -1017,6 +948,8 @@ def top_terms(sf_dir: str, k: int = 20):
     the global top-k is a subset of the per-part top-k union), and the
     driver merges ``num_parts * k`` rows. Output (term, n)."""
     import ray.data as rd
+
+    from ..stages import exchange as ex
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         toks = df["text"].fillna("").str.lower().str.findall(SK_TOKEN_RE)
@@ -1031,20 +964,20 @@ def top_terms(sf_dir: str, k: int = 20):
         out["b0"] = np.int64(df["doc_id"].min()) if len(df) else np.int64(0)
         return out
 
+    def topk(df: pd.DataFrame) -> pd.DataFrame:
+        return (df.groupby("term", sort=False)["n"].sum().reset_index()
+                .sort_values(["n", "term"], ascending=[False, True],
+                             kind="stable").head(k))
+
     partials_ds = (
         _docs(sf_dir, ["doc_id", "text"])
         .map_batches(partial, batch_format="pandas")
-        .materialize()
     )
-    if partials_ds.count() > TERMS_DRIVER_LIMIT:
-        return _top_terms_exchanged(partials_ds, k)
-    partials = partials_ds.to_pandas()
-    if partials.empty:
+    cand = ex.combine_by_key(partials_ds, ["term"], topk, _TOP_TERMS_SCHEMA,
+                             TERMS_DRIVER_LIMIT).to_pandas()
+    if cand.empty:
         return rd.from_arrow(_TOP_TERMS_SCHEMA.empty_table())
-    agg = partials.groupby("term", sort=False)["n"].sum().reset_index()
-    agg = agg.sort_values(["n", "term"], ascending=[False, True],
-                          kind="stable").head(k).reset_index(drop=True)
-    return rd.from_pandas(agg)
+    return rd.from_pandas(topk(cand).reset_index(drop=True))
 
 
 def docs_bm25(sf_dir: str, query_terms=("merge", "spark", "window"),
@@ -1500,45 +1433,6 @@ def docs_bpe_encode(sf_dir: str, n_merges: int = 20):
     return bpe_encode(_docs(sf_dir, ["doc_id", "text"]), merges)
 
 
-def _top_terms_exchanged(partials_ds, k: int, num_parts: int = 32):
-    """Scale path: term-hash partition exchange for the count combine;
-    per-part exact sums + local top-k, tiny driver merge."""
-    import shutil
-
-    import ray.data as rd
-
-    from ..stages import exchange as ex
-
-    stage = ex.make_stage("nse_tt_terms_")
-    in_schema = pa.schema([("term", pa.string()), ("n", pa.int64()),
-                           ("b0", pa.int64())])
-    try:
-        ex.write_exchange(
-            partials_ds.map_batches(lambda b: b.cast(in_schema),
-                                    batch_format="pyarrow"),
-            stage,
-            lambda b: _term_part(
-                b["term"].to_numpy(zero_copy_only=False), num_parts))
-
-        def part_topk(t: pa.Table) -> pa.Table:
-            df = t.to_pandas()
-            g = df.groupby("term", sort=False)["n"].sum().reset_index()
-            g = g.sort_values(["n", "term"], ascending=[False, True],
-                              kind="stable").head(k)
-            return pa.table({"term": pa.array(g["term"].to_numpy(dtype=object),
-                                              pa.string()),
-                             "n": pa.array(g["n"].to_numpy(), pa.int64())})
-
-        cand = ex.map_parts(stage, num_parts, part_topk,
-                            _TOP_TERMS_SCHEMA).to_pandas()
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
-    cand = cand.sort_values(["n", "term"], ascending=[False, True],
-                            kind="stable").head(k).reset_index(drop=True)
-    return rd.from_pandas(cand) if len(cand) else rd.from_arrow(
-        _TOP_TERMS_SCHEMA.empty_table())
-
-
 # -- Per-domain aggregation + domain-level filtering ------------------------
 
 # above this many partial (domain, counts) rows the stats combine
@@ -1581,47 +1475,6 @@ def _domain_partials(sf_dir: str):
             .materialize())
 
 
-def _key_part(batch: pa.Table, key_cols: list[str],
-              num_parts: int) -> np.ndarray:
-    """Part id from arbitrary-typed key columns: strings hash through
-    the pandas 64-bit string hash, fixed-width values (ints,
-    timestamps, floats) ride their bit patterns — all mixed through
-    ``exchange.int_part``, so equal multi-column keys always co-locate
-    within a run."""
-    from ..stages import exchange as ex
-
-    cols = []
-    for c in key_cols:
-        arr = batch[c].to_numpy(zero_copy_only=False)
-        if arr.dtype.kind in "iu":
-            cols.append(arr.astype(np.int64))
-        elif arr.dtype.kind == "f" and arr.dtype.itemsize == 8:
-            # -0.0 == 0.0 in a groupby but differs bitwise: normalize
-            # before viewing so equal keys always co-locate
-            cols.append(np.ascontiguousarray(arr + 0.0).view(np.int64))
-        elif arr.dtype.kind in "mM" and arr.dtype.itemsize == 8:
-            cols.append(np.ascontiguousarray(arr).view(np.int64))
-        else:
-            cols.append(pd.util.hash_array(arr.astype(object)))
-    return ex.int_part(cols, num_parts)
-
-
-def _arrow_schema_of(ds) -> pa.Schema:
-    """Arrow schema of a Dataset regardless of block format: arrow
-    blocks report a pa.Schema directly; pandas blocks report numpy
-    dtypes (object means string for every partial stream here)."""
-    base = ds.schema().base_schema
-    if isinstance(base, pa.Schema):
-        return base
-    fields = []
-    for name, dt in zip(base.names, base.types):
-        if getattr(dt, "kind", None) == "O":
-            fields.append((name, pa.string()))
-        else:
-            fields.append((name, pa.from_numpy_dtype(dt)))
-    return pa.schema(fields)
-
-
 def grouped_sum_by_key(partials_ds, key_col, sum_cols: list[str],
                        driver_limit: int, num_parts: int = 32):
     """Exact per-key sums over a stream of PARTIAL aggregate rows —
@@ -1636,14 +1489,12 @@ def grouped_sum_by_key(partials_ds, key_col, sum_cols: list[str],
     partial batches must carry a batch-unique ``b0`` int64 column
     (dropped here) so byte-identical partials from distinct batches
     survive the content-addressed exchange."""
-    import shutil
-
-    import ray.data as rd
-
     from ..stages import exchange as ex
 
     key_cols = [key_col] if isinstance(key_col, str) else list(key_col)
-    base = _arrow_schema_of(partials_ds)
+    partials_ds = partials_ds.select_columns(
+        key_cols + sum_cols + ["b0"]).materialize()
+    base = ex.arrow_schema_of(partials_ds)
     schema = pa.schema([base.field(c) for c in key_cols + sum_cols])
 
     def combine(df: pd.DataFrame) -> pd.DataFrame:
@@ -1652,31 +1503,8 @@ def grouped_sum_by_key(partials_ds, key_col, sum_cols: list[str],
         return (df.groupby(key_cols, sort=False, dropna=False)[sum_cols]
                 .sum().reset_index())
 
-    if partials_ds.count() <= driver_limit:
-        pdf = partials_ds.to_pandas()
-        if pdf.empty:
-            return rd.from_arrow(schema.empty_table())
-        return rd.from_pandas(combine(pdf))
-
-    stage = ex.make_stage("nse_gsum_")
-    in_schema = schema.append(pa.field("b0", pa.int64()))
-    try:
-        ex.write_exchange(
-            partials_ds.map_batches(
-                lambda b: b.select(in_schema.names).cast(in_schema),
-                batch_format="pyarrow"),
-            stage,
-            lambda b: _key_part(b, key_cols, num_parts))
-
-        def part_combine(t: pa.Table) -> pa.Table:
-            return pa.Table.from_pandas(combine(t.to_pandas()),
-                                        schema=schema,
-                                        preserve_index=False)
-
-        return ex.map_parts(stage, num_parts, part_combine,
-                            schema).materialize()
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
+    return ex.combine_by_key(partials_ds, key_cols, combine, schema,
+                             driver_limit, num_parts)
 
 
 # partial HLL register rows are key-cardinality x batches sized (one
@@ -1705,10 +1533,6 @@ def hll_distinct_by_key(pre_ds, key_col: str, val_col: str, id_col: str,
     ``write_exchange`` CONTRACT requires (two batches with identical
     per-key registers must not collapse to one fragment). Output
     (key_col, n_distinct_est), one row per key."""
-    import shutil
-
-    import ray.data as rd
-
     from ..stages import exchange as ex
     from ..stages.sketch import hll_estimate, hll_partial, splitmix64
 
@@ -1761,36 +1585,11 @@ def hll_distinct_by_key(pre_ds, key_col: str, val_col: str, id_col: str,
 
     partials = pre_ds.map_batches(
         partial, batch_format="pyarrow").materialize()
-    key_type = _arrow_schema_of(partials).field(key_col).type
+    key_type = ex.arrow_schema_of(partials).field(key_col).type
     out_schema = pa.schema([pa.field(key_col, key_type),
                             pa.field("n_distinct_est", pa.int64())])
-    if partials.count() <= driver_limit:
-        pdf = partials.to_pandas()
-        if pdf.empty:
-            return rd.from_arrow(out_schema.empty_table())
-        return rd.from_pandas(combine(pdf))
-
-    in_schema = pa.schema([pa.field(key_col, key_type),
-                           pa.field("regs", pa.binary()),
-                           pa.field("b0", pa.int64())])
-    stage = ex.make_stage("nse_hllk_")
-    try:
-        ex.write_exchange(
-            partials.map_batches(
-                lambda b: b.select(in_schema.names).cast(in_schema),
-                batch_format="pyarrow"),
-            stage,
-            lambda b: _key_part(b, [key_col], num_parts))
-
-        def part_combine(tab: pa.Table) -> pa.Table:
-            return pa.Table.from_pandas(combine(tab.to_pandas()),
-                                        schema=out_schema,
-                                        preserve_index=False)
-
-        return ex.map_parts(stage, num_parts, part_combine,
-                            out_schema).materialize()
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
+    return ex.combine_by_key(partials, [key_col], combine, out_schema,
+                             driver_limit, num_parts)
 
 
 def events_user_hll_hourly(sf_dir: str, p: int = 12):
@@ -1877,18 +1676,14 @@ def docs_domain_filter(sf_dir: str, min_docs: int = 5):
 def _domain_filter_exchanged(sf_dir: str, kept_ds, num_parts: int = 32):
     """Scale path: co-partition (doc_id, domain, n_chars) rows and kept
     domains by domain hash; exact string semi-join per part."""
-    import shutil
-
     from ..stages import exchange as ex
 
-    docs_stage = ex.make_stage("nse_domf_docs_")
-    kept_stage = ex.make_stage("nse_domf_kept_")
     docs_schema = pa.schema([("doc_id", pa.int64()), ("domain", pa.string()),
                              ("n_chars", pa.int64())])
     kept_schema = pa.schema([("domain", pa.string())])
-    by_domain = lambda b: _term_part(  # noqa: E731
-        b["domain"].to_numpy(zero_copy_only=False), num_parts)
-    try:
+    by_domain = lambda b: ex.key_part(b, ["domain"], num_parts)  # noqa: E731
+    with (ex.stage("nse_domf_docs_") as docs_stage,
+          ex.stage("nse_domf_kept_") as kept_stage):
         def with_domain(df: pd.DataFrame) -> pd.DataFrame:
             return pd.DataFrame({
                 "doc_id": df["doc_id"].astype("int64"),
@@ -1919,9 +1714,6 @@ def _domain_filter_exchanged(sf_dir: str, kept_ds, num_parts: int = 32):
         return ex.map_parts([docs_stage, kept_stage], num_parts, semi_join,
                             docs_schema,
                             in_schemas=[docs_schema, kept_schema]).materialize()
-    finally:
-        for s in (docs_stage, kept_stage):
-            shutil.rmtree(s, ignore_errors=True)
 
 
 # -- Domain-level boilerplate line removal (CCNet/RefinedWeb-style) ----------
@@ -2021,11 +1813,9 @@ def _bp_boilerplate_keys(line_counts, dom_counts, ratio_num: int,
     in the SQL oracle. Below ``DOMAIN_DRIVER_LIMIT`` domain rows the
     per-domain totals broadcast as sorted arrays; beyond, candidates
     and totals co-partition by domain hash and join per part."""
-    import shutil
-
     import ray
-    import ray.data as rd
 
+    from ..stages import exchange as ex
     from ..stages.broadcast import get_broadcast
 
     filtered = line_counts.map_batches(
@@ -2070,16 +1860,12 @@ def _bp_boilerplate_keys(line_counts, dom_counts, ratio_num: int,
 
         return filtered.map_batches(mark_b, batch_format="pandas")
 
-    from ..stages import exchange as ex
-
-    cand_stage = ex.make_stage("nse_bp_cand_")
-    dom_stage = ex.make_stage("nse_bp_dom_")
     cand_schema = pa.schema([("domain", pa.string()),
                              ("line_key", pa.int64()), ("n", pa.int64())])
     dom_schema = pa.schema([("domain", pa.string()), ("n_docs", pa.int64())])
-    by_domain = lambda b: _term_part(  # noqa: E731
-        b["domain"].to_numpy(zero_copy_only=False), num_parts)
-    try:
+    by_domain = lambda b: ex.key_part(b, ["domain"], num_parts)  # noqa: E731
+    with (ex.stage("nse_bp_cand_") as cand_stage,
+          ex.stage("nse_bp_dom_") as dom_stage):
         ex.write_exchange(
             filtered.map_batches(lambda b: b.select(cand_schema.names)
                                  .cast(cand_schema),
@@ -2103,9 +1889,6 @@ def _bp_boilerplate_keys(line_counts, dom_counts, ratio_num: int,
                             out_schema,
                             in_schemas=[cand_schema, dom_schema]
                             ).materialize()
-    finally:
-        for s in (cand_stage, dom_stage):
-            shutil.rmtree(s, ignore_errors=True)
 
 
 def _bp_strip_frame(df: pd.DataFrame,
@@ -2163,10 +1946,9 @@ def strip_boilerplate(ds, ratio_num: int = 1, ratio_den: int = 2,
     exchange (a pathological single domain lands in one part — the
     same documented skew assumption as ``docs_domain_cap``). Text
     never shuffles on the broadcast path."""
-    import shutil
-
     import ray
 
+    from ..stages import exchange as ex
     from ..stages.broadcast import get_broadcast
 
     ds = ds.materialize()
@@ -2191,10 +1973,6 @@ def strip_boilerplate(ds, ratio_num: int = 1, ratio_den: int = 2,
 
         return ds.map_batches(strip_b, batch_format="pandas")
 
-    from ..stages import exchange as ex
-
-    docs_stage = ex.make_stage("nse_bp_docs_")
-    keys_stage = ex.make_stage("nse_bp_keys_")
     docs_schema = pa.schema([("doc_id", pa.int64()),
                              ("domain", pa.string()),
                              ("text", pa.string())])
@@ -2204,9 +1982,9 @@ def strip_boilerplate(ds, ratio_num: int = 1, ratio_den: int = 2,
         ("doc_id", pa.int64()), ("domain", pa.string()),
         ("n_lines", pa.int64()), ("n_removed", pa.int64()),
         ("clean_text", pa.string())])
-    by_domain = lambda b: _term_part(  # noqa: E731
-        b["domain"].to_numpy(zero_copy_only=False), num_parts)
-    try:
+    by_domain = lambda b: ex.key_part(b, ["domain"], num_parts)  # noqa: E731
+    with (ex.stage("nse_bp_docs_") as docs_stage,
+          ex.stage("nse_bp_keys_") as keys_stage):
         ex.write_exchange(
             ds.map_batches(lambda b: b.select(docs_schema.names)
                            .cast(docs_schema), batch_format="pyarrow"),
@@ -2227,9 +2005,6 @@ def strip_boilerplate(ds, ratio_num: int = 1, ratio_den: int = 2,
                             strip_part, out_schema,
                             in_schemas=[docs_schema, keys_schema]
                             ).materialize()
-    finally:
-        for s in (docs_stage, keys_stage):
-            shutil.rmtree(s, ignore_errors=True)
 
 
 def docs_boilerplate_strip(sf_dir: str):
@@ -2319,10 +2094,7 @@ def docs_domain_percentile_filter(sf_dir: str, p: float = 0.5,
     ``PCTL_KEPT_BROADCAST_LIMIT``; beyond it docs + kept rows
     co-partition by domain hash and every part merges on exact
     (domain, v). Exact ANSI-SQL oracle."""
-    import shutil
-
     import ray
-    import ray.data as rd
 
     from ..stages import exchange as ex
     from ..stages.broadcast import get_broadcast
@@ -2344,33 +2116,10 @@ def docs_domain_percentile_filter(sf_dir: str, p: float = 0.5,
         return g
 
     docs = _docs(sf_dir, ["doc_id", "n_chars"])
-    partials_ds = docs.map_batches(partial,
-                                   batch_format="pandas").materialize()
-
-    if partials_ds.count() <= TERMS_DRIVER_LIMIT:
-        kept_ds = rd.from_arrow(pa.Table.from_pandas(
-            _pctl_kept_frame(partials_ds.to_pandas(), p),
-            schema=_PCTL_KEPT_SCHEMA, preserve_index=False))
-    else:
-        in_schema = _PCTL_KEPT_SCHEMA.remove(2).append(
-            pa.field("cnt", pa.int64())).append(pa.field("b0", pa.int64()))
-        stage = ex.make_stage("nse_pctl_")
-        try:
-            ex.write_exchange(
-                partials_ds.map_batches(
-                    lambda t: t.select(in_schema.names).cast(in_schema),
-                    batch_format="pyarrow"),
-                stage,
-                lambda t: _term_part(
-                    t["domain"].to_numpy(zero_copy_only=False), num_parts))
-            kept_ds = ex.map_parts(
-                stage, num_parts,
-                lambda t: pa.Table.from_pandas(
-                    _pctl_kept_frame(t.to_pandas(), p),
-                    schema=_PCTL_KEPT_SCHEMA, preserve_index=False),
-                _PCTL_KEPT_SCHEMA).materialize()
-        finally:
-            shutil.rmtree(stage, ignore_errors=True)
+    kept_ds = ex.combine_by_key(
+        docs.map_batches(partial, batch_format="pandas"), ["domain"],
+        lambda df: _pctl_kept_frame(df, p), _PCTL_KEPT_SCHEMA,
+        TERMS_DRIVER_LIMIT, num_parts)
 
     def doc_rows(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -2410,11 +2159,9 @@ def docs_domain_percentile_filter(sf_dir: str, p: float = 0.5,
     docs_schema = pa.schema([("doc_id", pa.int64()),
                              ("domain", pa.string()),
                              ("n_chars", pa.int64())])
-    d_stage = ex.make_stage("nse_pctl_docs_")
-    k_stage = ex.make_stage("nse_pctl_kept_")
-    by_dom = lambda t: _term_part(  # noqa: E731
-        t["domain"].to_numpy(zero_copy_only=False), num_parts)
-    try:
+    by_dom = lambda t: ex.key_part(t, ["domain"], num_parts)  # noqa: E731
+    with (ex.stage("nse_pctl_docs_") as d_stage,
+          ex.stage("nse_pctl_kept_") as k_stage):
         ex.write_exchange(
             docs.map_batches(doc_rows, batch_format="pandas")
                 .map_batches(lambda t: t.select(docs_schema.names)
@@ -2438,9 +2185,6 @@ def docs_domain_percentile_filter(sf_dir: str, p: float = 0.5,
                             out_schema,
                             in_schemas=[docs_schema, _PCTL_KEPT_SCHEMA]
                             ).materialize()
-    finally:
-        for s in (d_stage, k_stage):
-            shutil.rmtree(s, ignore_errors=True)
 
 
 # -- Dataset diff / reconciliation -------------------------------------------
@@ -2494,11 +2238,10 @@ def dataset_diff(a, b, key_col: str, val_cols: list[str],
     key hash through the exchange and every part diffs locally. A
     64-bit sig collision would mis-report one changed row as
     unchanged (the fingerprint64 argument — negligible)."""
-    import shutil
-
     import ray
     import ray.data as rd
 
+    from ..stages import exchange as ex
     from ..stages.broadcast import get_broadcast
 
     out_schema = pa.schema([("key", pa.int64()), ("status", pa.string())])
@@ -2592,14 +2335,11 @@ def dataset_diff(a, b, key_col: str, val_cols: list[str],
                                pa.string())}))
         return res.union(added_ds)
 
-    from ..stages import exchange as ex
-
-    a_stage = ex.make_stage("nse_diff_a_")
-    b_stage = ex.make_stage("nse_diff_b_")
     pair_schema = pa.schema([("key", pa.int64()), ("sig", pa.int64())])
     by_key = lambda t: ex.int_part(  # noqa: E731
         [t["key"].to_numpy(zero_copy_only=False)], num_parts)
-    try:
+    with (ex.stage("nse_diff_a_") as a_stage,
+          ex.stage("nse_diff_b_") as b_stage):
         for sds, stage in ((a_sigs, a_stage), (b_sigs, b_stage)):
             ex.write_exchange(
                 sds.map_batches(lambda t: t.select(pair_schema.names)
@@ -2616,9 +2356,6 @@ def dataset_diff(a, b, key_col: str, val_cols: list[str],
                             out_schema,
                             in_schemas=[pair_schema, pair_schema]
                             ).materialize()
-    finally:
-        for s in (a_stage, b_stage):
-            shutil.rmtree(s, ignore_errors=True)
 
 
 def docs_diff_planted(sf_dir: str):
@@ -2670,14 +2407,9 @@ def docs_domain_cap(sf_dir: str, cap: int = 3, num_parts: int = 32):
     exchange ~8 bytes/row at any corpus size. Per-part kernel is one
     factorize + lexsort + offset cumcount — no per-domain Python
     loop."""
-    import shutil
-
-    import ray.data as rd
-
     from ..stages import exchange as ex
 
     out_schema = pa.schema([("doc_id", pa.int64()), ("domain", pa.string())])
-    stage = ex.make_stage("nse_domcap_")
 
     def check_ids(b: pa.Table) -> pa.Table:
         ids = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -2688,9 +2420,10 @@ def docs_domain_cap(sf_dir: str, cap: int = 3, num_parts: int = 32):
     def by_domain(b: pa.Table) -> np.ndarray:
         dom = _plant_domains(
             pd.Series(b["doc_id"].to_numpy(zero_copy_only=False)))
-        return _term_part(dom.to_numpy(dtype=object), num_parts)
+        return ex.int_part([pd.util.hash_array(dom.to_numpy(dtype=object))],
+                           num_parts)
 
-    try:
+    with ex.stage("nse_domcap_") as stage:
         ex.write_exchange(
             _docs(sf_dir, ["doc_id"]).map_batches(
                 check_ids, batch_format="pyarrow"),
@@ -2715,8 +2448,6 @@ def docs_domain_cap(sf_dir: str, cap: int = 3, num_parts: int = 32):
 
         return ex.map_parts(stage, num_parts, keep_part,
                             out_schema).materialize()
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
 
 
 # -- Stratified deterministic sampling (per-group quotas) -------------------
@@ -2860,8 +2591,6 @@ def pack_shards(ds, key_col: str, weight_col: str, budget: int,
 
     Requires unique keys (ORDER BY would otherwise be ambiguous) and
     int64-representable cumulative weight."""
-    import shutil
-
     import ray
     import ray.data as rd
 
@@ -2884,9 +2613,8 @@ def pack_shards(ds, key_col: str, weight_col: str, budget: int,
         ids = b[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
         return (ids - gmin) // chunk
 
-    stage = ex.make_stage("nse_pack_")
     tot_schema = pa.schema([("min_key", pa.int64()), ("total", pa.int64())])
-    try:
+    with ex.stage("nse_pack_") as stage:
         ex.write_exchange(
             ds.map_batches(
                 lambda b: pa.table({
@@ -2928,8 +2656,6 @@ def pack_shards(ds, key_col: str, weight_col: str, budget: int,
 
         return ex.map_parts(stage, num_parts, assign, out_schema
                             ).materialize()
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
 
 
 def docs_pack_shards(sf_dir: str, budget: int = 20000):
@@ -2976,8 +2702,6 @@ def pack_sequences(ds, key_col: str = "doc_id", text_col: str = "text",
     over ~(part tokens / seq_len) groups each joining <= seq_len
     strings. Requires unique int64 keys (order would otherwise be
     ambiguous)."""
-    import shutil
-
     import ray
     import ray.data as rd
     from ray.data.aggregate import Max, Min
@@ -2999,14 +2723,13 @@ def pack_sequences(ds, key_col: str = "doc_id", text_col: str = "text",
         ids = b[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
         return (ids - gmin) // chunk
 
-    stage = ex.make_stage("nse_pseq_")
-    stage2 = ex.make_stage("nse_pseq2_")
     tot_schema = pa.schema([("min_key", pa.int64()), ("total", pa.int64())])
     frag_schema = pa.schema([
         ("seq_id", pa.int64()), ("pos", pa.int64()), ("n", pa.int64()),
         ("frag", pa.string()),
     ])
-    try:
+    with (ex.stage("nse_pseq_") as stage,
+          ex.stage("nse_pseq2_") as stage2):
         ex.write_exchange(
             ds.map_batches(
                 lambda b: pa.table({
@@ -3081,9 +2804,6 @@ def pack_sequences(ds, key_col: str = "doc_id", text_col: str = "text",
 
         return ex.map_parts(stage2, num_parts, stitch,
                             out_schema).materialize()
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
-        shutil.rmtree(stage2, ignore_errors=True)
 
 
 def docs_pack_sequences(sf_dir: str, seq_len: int = 32):
@@ -3113,8 +2833,6 @@ def global_rank(ds, key_col: str, tie_col: str, descending: bool = False,
     Requires int64 keys with ``|key| < 2^62`` (the descending negation
     must not overflow) and a unique ``tie_col`` for a deterministic
     total order. Output: (tie_col, key_col, rnk)."""
-    import shutil
-
     import ray
     import ray.data as rd
 
@@ -3150,9 +2868,8 @@ def global_rank(ds, key_col: str, tie_col: str, descending: bool = False,
         k = b["k"].to_numpy(zero_copy_only=False)
         return (k - gmin) // chunk
 
-    stage = ex.make_stage("nse_rank_")
     cnt_schema = pa.schema([("min_k", pa.int64()), ("n", pa.int64())])
-    try:
+    with ex.stage("nse_rank_") as stage:
         ex.write_exchange(kt, stage, by_range)
 
         def part_count(t: pa.Table) -> pa.Table:
@@ -3186,8 +2903,6 @@ def global_rank(ds, key_col: str, tie_col: str, descending: bool = False,
 
         return ex.map_parts(stage, num_parts, rank_part,
                             out_schema).materialize()
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
 
 
 def docs_rank_by_length(sf_dir: str):
@@ -3458,51 +3173,20 @@ def events_hourly_top(sf_dir: str, num_parts: int = 32):
     ``AGG_PARTIALS_DRIVER_LIMIT`` combined rows, an hour-hash
     partition exchange beyond it (hours co-locate, so per-part argmax
     is exact). Output (hour, event_type, n_events)."""
-    import shutil
-
-    import ray.data as rd
-
     from ..stages import exchange as ex
 
-    combined = events_hourly(sf_dir)
+    out_schema = pa.schema([
+        ("hour", pa.timestamp("us")), ("event_type", pa.string()),
+        ("n_events", pa.int64())])
 
     def argmax(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["n_events", "event_type"],
                             ascending=[False, True], kind="stable")
-        out = df.groupby("hour", sort=False).head(1)
-        return out[["hour", "event_type", "n_events"]].reset_index(
-            drop=True)
+        return df.groupby("hour", sort=False).head(1)
 
-    if combined.count() <= AGG_PARTIALS_DRIVER_LIMIT:
-        pdf = combined.to_pandas()
-        if pdf.empty:
-            return rd.from_arrow(pa.schema([
-                ("hour", pa.timestamp("us")),
-                ("event_type", pa.string()),
-                ("n_events", pa.int64())]).empty_table())
-        return rd.from_pandas(argmax(pdf))
-
-    stage = ex.make_stage("nse_htop_")
-    out_schema = pa.schema([
-        ("hour", pa.timestamp("us")), ("event_type", pa.string()),
-        ("n_events", pa.int64())])
-    try:
-        ex.write_exchange(
-            combined.map_batches(
-                lambda b: b.select(["hour", "event_type", "n_events"]),
-                batch_format="pyarrow"),
-            stage,
-            lambda b: _key_part(b, ["hour"], num_parts))
-
-        def part_argmax(t: pa.Table) -> pa.Table:
-            return pa.Table.from_pandas(
-                argmax(t.to_pandas()), schema=out_schema,
-                preserve_index=False)
-
-        return ex.map_parts(stage, num_parts, part_argmax,
-                            out_schema).materialize()
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
+    return ex.combine_by_key(
+        events_hourly(sf_dir).select_columns(out_schema.names), ["hour"],
+        argmax, out_schema, AGG_PARTIALS_DRIVER_LIMIT, num_parts)
 
 
 # distinct (user, day) pair rows; beyond this the retention kernel
@@ -3519,16 +3203,15 @@ def events_user_retention(sf_dir: str, num_parts: int = 32,
     Phase 1 streams per-batch DISTINCT (user_id, day) pairs (repeats
     across batches are fine: the consumer re-dedups, so the exchange
     consumption is dedup-idempotent per the ``write_exchange``
-    CONTRACT — no ``b0`` needed). Below ``USER_DAYS_DRIVER_LIMIT``
-    pairs the retention kernel runs on the driver; beyond, pairs
-    co-partition by USER hash (each user's full day set lands in one
-    part, so the per-part next-day flags are exact) and only bounded
-    per-day partial counts come back through ``grouped_sum_by_key``.
-    The kernel is one vectorized pass: sort (user, day), a shifted
-    same-user/day-diff==1-day comparison — no per-user Python loop.
-    Output (day, n_active, n_retained_next)."""
-    import shutil
-
+    CONTRACT — no ``b0`` needed). The retention kernel runs through
+    ``combine_by_key`` on the user: on the driver below
+    ``USER_DAYS_DRIVER_LIMIT`` pairs, per USER-hash part beyond it
+    (each user's full day set lands in one part, so the per-part
+    next-day flags are exact); the bounded per-day partial counts then
+    sum through ``grouped_sum_by_key``. The kernel is one vectorized
+    pass: sort (user, day), a shifted same-user/day-diff==1-day
+    comparison — no per-user Python loop. Output (day, n_active,
+    n_retained_next)."""
     import ray.data as rd
 
     from ..stages import exchange as ex
@@ -3545,7 +3228,8 @@ def events_user_retention(sf_dir: str, num_parts: int = 32,
 
     def retention(t: pd.DataFrame) -> pd.DataFrame:
         """Distinct (user_id, day) pairs -> per-day (n_active,
-        n_retained_next) counts, fully vectorized."""
+        n_retained_next, b0) counts over these users, fully
+        vectorized."""
         t = (t.drop_duplicates()
              .sort_values(["user_id", "day"], kind="stable")
              .reset_index(drop=True))
@@ -3561,45 +3245,24 @@ def events_user_retention(sf_dir: str, num_parts: int = 32,
             pd.Series(nxt).groupby(t["day"], sort=True).sum()
             .to_numpy().astype(np.int64))
         out["n_active"] = out["n_active"].astype(np.int64)
-        return out[["day", "n_active", "n_retained_next"]]
+        # batch-uniqueness for the day-sum exchange: parts with
+        # byte-identical per-day counts must not collapse
+        out["b0"] = np.int64(u.min()) if len(u) else np.int64(0)
+        return out[["day", "n_active", "n_retained_next", "b0"]]
 
     pair_ds = (
         rd.read_parquet(f"{sf_dir}/events.parquet",
                         columns=["ts", "user_id"])
         .map_batches(pairs, batch_format="pyarrow")
-        .materialize()
     )
-    out_schema = pa.schema([
-        ("day", pa.timestamp("us")), ("n_active", pa.int64()),
-        ("n_retained_next", pa.int64())])
-    if pair_ds.count() <= driver_limit:
-        pdf = pair_ds.to_pandas()
-        if pdf.empty:
-            return rd.from_arrow(out_schema.empty_table())
-        return rd.from_pandas(retention(pdf))
-
-    stage = ex.make_stage("nse_ret_")
-    try:
-        ex.write_exchange(
-            pair_ds, stage,
-            lambda b: _key_part(b, ["user_id"], num_parts))
-
-        def part_counts(t: pa.Table) -> pa.Table:
-            df = retention(t.to_pandas())
-            # batch-uniqueness for the combine exchange: parts with
-            # byte-identical per-day counts must not collapse
-            df["b0"] = (np.int64(t["user_id"].to_numpy().min())
-                        if t.num_rows else np.int64(0))
-            return pa.Table.from_pandas(df, preserve_index=False)
-
-        partials = ex.map_parts(
-            stage, num_parts, part_counts,
-            out_schema.append(pa.field("b0", pa.int64()))).materialize()
-        return grouped_sum_by_key(
-            partials, "day", ["n_active", "n_retained_next"],
-            AGG_PARTIALS_DRIVER_LIMIT)
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
+    partials = ex.combine_by_key(
+        pair_ds, ["user_id"], retention,
+        pa.schema([("day", pa.timestamp("us")), ("n_active", pa.int64()),
+                   ("n_retained_next", pa.int64()), ("b0", pa.int64())]),
+        driver_limit, num_parts)
+    return grouped_sum_by_key(
+        partials, "day", ["n_active", "n_retained_next"],
+        AGG_PARTIALS_DRIVER_LIMIT)
 
 
 # -- Streaming-shaped: session windows (gap-based) --------------------------
@@ -3614,26 +3277,12 @@ def events_sessionize(sf_dir: str, gap_minutes: int = 30, num_parts: int = 32):
     pandas pass (sort + shift/diff + per-user cumsum — no per-user
     Python loop). Output (event_id, user_id, session_id,
     session_start)."""
-    import atexit
-    import shutil
-
     import ray.data as rd
 
     from ..stages import exchange as ex
 
     ds = rd.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"]
-    )
-    stage = ex.make_stage("nse_sessions_")
-    # safety net only — the happy path removes the stage eagerly below
-    atexit.register(shutil.rmtree, stage, ignore_errors=True)
-
-    ex.write_exchange(
-        ds, stage,
-        lambda b: ex.int_part(
-            [b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)],
-            num_parts,
-        ),
     )
     empty = pa.schema([
         ("event_id", pa.int64()), ("user_id", pa.int64()),
@@ -3653,13 +3302,16 @@ def events_sessionize(sf_dir: str, gap_minutes: int = 30, num_parts: int = 32):
         return pa.Table.from_pandas(out, preserve_index=False).cast(
             pa.schema(empty))
 
-    # drain phase B into the object store, then drop the tmpfs stage
-    # eagerly — returning a lazy dataset would pin a full copy of the
-    # events table in /dev/shm (the same tmpfs the object store spills
-    # to) until interpreter exit
-    out = ex.map_parts(stage, num_parts, sessionize_part, empty).materialize()
-    shutil.rmtree(stage, ignore_errors=True)
-    return out
+    with ex.stage("nse_sessions_") as stage:
+        ex.write_exchange(
+            ds, stage,
+            lambda b: ex.int_part(
+                [b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)],
+                num_parts,
+            ),
+        )
+        return ex.map_parts(stage, num_parts, sessionize_part,
+                            empty).materialize()
 
 
 def events_rolling_count(sf_dir: str, window_minutes: int = 60,
@@ -3676,8 +3328,6 @@ def events_rolling_count(sf_dir: str, window_minutes: int = 60,
     remains as the fallback when the composite key would overflow
     int64 (pathological user-count x time-span; equivalence
     unit-tested). Output (event_id, user_id, ts, n_window)."""
-    import shutil
-
     import ray.data as rd
 
     from ..stages import exchange as ex
@@ -3685,12 +3335,11 @@ def events_rolling_count(sf_dir: str, window_minutes: int = 60,
     ds = rd.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"]
     )
-    stage = ex.make_stage("nse_rolling_")
     empty = pa.schema([
         ("event_id", pa.int64()), ("user_id", pa.int64()),
         ("ts", pa.timestamp("us")), ("n_window", pa.int64()),
     ])
-    try:
+    with ex.stage("nse_rolling_") as stage:
         ex.write_exchange(
             ds, stage,
             lambda b: ex.int_part(
@@ -3742,8 +3391,6 @@ def events_rolling_count(sf_dir: str, window_minutes: int = 60,
                 pa.schema(empty))
 
         return ex.map_parts(stage, num_parts, roll_part, empty).materialize()
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
 
 
 # -- As-of join: each event matched to the user's latest prior order --------
@@ -3841,14 +3488,10 @@ def _events_asof_exchanged(sf_dir: str, num_parts: int):
     hash(o_custkey); the per-(custkey, date) max-orderkey pre-aggregate
     and the vectorized as-of lookup both run inside each part (keys
     co-locate, so per-part results equal the global ones)."""
-    import shutil
-
     import ray.data as rd
 
     from ..stages import exchange as ex
 
-    ev_stage = ex.make_stage("nse_asof_ev_")
-    ord_stage = ex.make_stage("nse_asof_ord_")
     ev_schema = pa.schema([
         ("event_id", pa.int64()), ("user_id", pa.int64()),
         ("ts", pa.timestamp("us")),
@@ -3862,7 +3505,8 @@ def _events_asof_exchanged(sf_dir: str, num_parts: int):
         ("ts", pa.timestamp("us")), ("o_orderkey", pa.int64()),
         ("o_orderdate", pa.timestamp("us")),
     ])
-    try:
+    with (ex.stage("nse_asof_ev_") as ev_stage,
+          ex.stage("nse_asof_ord_") as ord_stage):
         ex.write_exchange(
             rd.read_parquet(f"{sf_dir}/events.parquet",
                             columns=["event_id", "user_id", "ts"])
@@ -3890,9 +3534,6 @@ def _events_asof_exchanged(sf_dir: str, num_parts: int):
         return ex.map_parts([ev_stage, ord_stage], num_parts, asof_part,
                             out_schema,
                             in_schemas=[ev_schema, ord_schema]).materialize()
-    finally:
-        for s in (ev_stage, ord_stage):
-            shutil.rmtree(s, ignore_errors=True)
 
 
 # -- Similarity search over the embeddings table ----------------------------
@@ -4177,14 +3818,10 @@ def _revenue_by_nation_exchanged(sf_dir: str, num_parts: int = 32):
     driver combine is nations × parts regardless of SF. The name
     mapping + inner-join validity filter run at the combine, which
     commutes with the per-nationkey aggregation."""
-    import shutil
-
     import ray.data as rd
 
     from ..stages import exchange as ex
 
-    ord_stage = ex.make_stage("nse_rev_ord_")
-    cust_stage = ex.make_stage("nse_rev_cust_")
     ord_schema = pa.schema([
         ("o_custkey", pa.int64()), ("o_totalprice", pa.float64()),
     ])
@@ -4194,7 +3831,8 @@ def _revenue_by_nation_exchanged(sf_dir: str, num_parts: int = 32):
     agg_schema = pa.schema([
         ("n_nationkey", pa.int64()), ("s", pa.float64()), ("c", pa.int64()),
     ])
-    try:
+    with (ex.stage("nse_rev_ord_") as ord_stage,
+          ex.stage("nse_rev_cust_") as cust_stage):
         ex.write_exchange(
             rd.read_parquet(f"{sf_dir}/orders.parquet",
                             columns=["o_custkey", "o_totalprice"])
@@ -4233,9 +3871,6 @@ def _revenue_by_nation_exchanged(sf_dir: str, num_parts: int = 32):
         partials = ex.map_parts([ord_stage, cust_stage], num_parts, agg_part,
                                 agg_schema,
                                 in_schemas=[ord_schema, cust_schema]).to_pandas()
-    finally:
-        for s in (ord_stage, cust_stage):
-            shutil.rmtree(s, ignore_errors=True)
     n_names, r_names = _nation_names(sf_dir)
     nk = partials["n_nationkey"].to_numpy()
     in_range = (nk >= 0) & (nk < len(n_names))
@@ -4277,8 +3912,6 @@ def customer_order_counts(sf_dir: str,
     budget, via custkey-hash co-partitioning of BOTH sides through the
     filesystem exchange with the identical vectorized per-part join.
     Output (c_custkey, c_name, n_orders, total_spent)."""
-    import shutil
-
     import ray
     import ray.data as rd
 
@@ -4348,9 +3981,8 @@ def customer_order_counts(sf_dir: str,
                             ("sum_total", pa.float64())])
     cust_schema = pa.schema([("c_custkey", pa.int64()),
                              ("c_name", pa.string())])
-    agg_stage = ex.make_stage("nse_coc_agg_")
-    cust_stage = ex.make_stage("nse_coc_cust_")
-    try:
+    with (ex.stage("nse_coc_agg_") as agg_stage,
+          ex.stage("nse_coc_cust_") as cust_stage):
         ex.write_exchange(
             agg.map_batches(lambda b: b.cast(agg_schema),
                             batch_format="pyarrow"),
@@ -4379,9 +4011,6 @@ def customer_order_counts(sf_dir: str,
                             out_schema,
                             in_schemas=[cust_schema, agg_schema]
                             ).materialize()
-    finally:
-        for s in (agg_stage, cust_stage):
-            shutil.rmtree(s, ignore_errors=True)
 
 
 # -- Set op: distinct values (partial-unique + combine) ---------------------
@@ -4634,7 +4263,7 @@ def term_postings(sf_dir: str, k: int = 32):
     filesystem exchange and each part computes exact df + head-k
     locally (a term's rows all co-locate). Postings-string assembly is
     O(output) by construction (k ids per term)."""
-    import ray.data as rd
+    from ..stages import exchange as ex
 
     out_schema = pa.schema([("term", pa.string()), ("df", pa.int64()),
                             ("postings", pa.string())])
@@ -4658,51 +4287,10 @@ def term_postings(sf_dir: str, k: int = 32):
             "postings": posts.reindex(dfreq.index).to_numpy(dtype=object),
         })
 
-    partials_ds = (
-        _docs(sf_dir, ["doc_id", "text"])
-        .map_batches(pairs, batch_format="pandas")
-        .materialize()
-    )
-    if partials_ds.count() > TERMS_DRIVER_LIMIT:
-        return _term_postings_exchanged(partials_ds, combine, out_schema)
-    rows = partials_ds.to_pandas()
-    if rows.empty:
-        return rd.from_arrow(out_schema.empty_table())
-    return rd.from_pandas(combine(rows))
-
-
-def _term_postings_exchanged(partials_ds, combine, out_schema,
-                             num_parts: int = 32):
-    """Scale path: term-hash partition exchange; per-part df/head-k are
-    exact global answers because every term's rows co-locate."""
-    import shutil
-
-    from ..stages import exchange as ex
-
-    in_schema = pa.schema([("term", pa.string()), ("doc_id", pa.int64())])
-    stage = ex.make_stage("nse_postings_")
-    try:
-        ex.write_exchange(
-            partials_ds.map_batches(lambda b: b.cast(in_schema),
-                                    batch_format="pyarrow"),
-            stage,
-            lambda b: _term_part(
-                b["term"].to_numpy(zero_copy_only=False), num_parts))
-
-        def part_fn(t: pa.Table) -> pa.Table:
-            out = combine(t.to_pandas())
-            return pa.table({
-                "term": pa.array(out["term"].to_numpy(dtype=object),
-                                 pa.string()),
-                "df": pa.array(out["df"].to_numpy(), pa.int64()),
-                "postings": pa.array(out["postings"].to_numpy(dtype=object),
-                                     pa.string()),
-            })
-
-        return ex.map_parts(stage, num_parts, part_fn,
-                            out_schema).materialize()
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
+    return ex.combine_by_key(
+        _docs(sf_dir, ["doc_id", "text"]).map_batches(
+            pairs, batch_format="pandas"),
+        ["term"], combine, out_schema, TERMS_DRIVER_LIMIT)
 
 
 # -- Sharded Bloom seen-set (crawl-frontier membership) ----------------------
@@ -4827,8 +4415,6 @@ def _docs_bloom_seen_exchanged(sf_dir: str, m_shard: int, k_hashes: int,
     probes its probe rows locally. In-shard bit positions depend only
     on (key, m_shard), so the bits — and therefore every probe answer
     — are identical to the broadcast path's."""
-    import shutil
-
     from ..stages import exchange as ex
     from ..stages.sketch import bloom_shard, build_bloom, bloom_contains
 
@@ -4849,9 +4435,8 @@ def _docs_bloom_seen_exchanged(sf_dir: str, m_shard: int, k_hashes: int,
         })
 
     docs = _docs(sf_dir, ["doc_id", "text"])
-    b_stage = ex.make_stage("nse_bloom_b_")
-    p_stage = ex.make_stage("nse_bloom_p_")
-    try:
+    with (ex.stage("nse_bloom_b_") as b_stage,
+          ex.stage("nse_bloom_p_") as p_stage):
         part_of = lambda b: bloom_shard(  # noqa: E731
             b["key"].to_numpy(zero_copy_only=False).view(np.uint64), shards)
         ex.write_exchange(
@@ -4878,9 +4463,6 @@ def _docs_bloom_seen_exchanged(sf_dir: str, m_shard: int, k_hashes: int,
 
         return ex.map_parts([b_stage, p_stage], shards, part_fn, out_schema,
                             in_schemas=[b_schema, p_schema]).materialize()
-    finally:
-        for s in (b_stage, p_stage):
-            shutil.rmtree(s, ignore_errors=True)
 
 
 # -- Bigram-LM quality scoring (CCNet-style perplexity filter) ---------------
@@ -5221,18 +4803,15 @@ def _events_range_join_exchanged(sf_dir: str, window_us: int,
     """Scale path: events co-partition by hash(user_id); each part is
     both build and probe side (a user's full event set lands in one
     part, so per-part pairs equal the global ones)."""
-    import shutil
-
     import ray.data as rd
 
     from ..stages import exchange as ex
 
-    stage = ex.make_stage("nse_rjoin_")
     in_schema = pa.schema([
         ("event_id", pa.int64()), ("user_id", pa.int64()),
         ("ts", pa.timestamp("us")),
     ])
-    try:
+    with ex.stage("nse_rjoin_") as stage:
         ex.write_exchange(
             rd.read_parquet(f"{sf_dir}/events.parquet",
                             columns=["event_id", "user_id", "ts"])
@@ -5255,8 +4834,6 @@ def _events_range_join_exchanged(sf_dir: str, window_us: int,
 
         return ex.map_parts(stage, num_parts, pairs_of_part,
                             _RANGE_PAIRS_SCHEMA).materialize()
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
 
 
 # -- Cumulative window: per-user running totals ------------------------------
@@ -5273,19 +4850,16 @@ def events_user_running_total(sf_dir: str, num_parts: int = 32):
     is one vectorized pass: lexsort, one int64 cumsum, a per-group base
     subtraction at group starts (no per-user Python loop). Output
     (event_id, user_id, ts, run_n, run_cents)."""
-    import shutil
-
     import ray.data as rd
 
     from ..stages import exchange as ex
 
-    stage = ex.make_stage("nse_runtot_")
     out_schema = pa.schema([
         ("event_id", pa.int64()), ("user_id", pa.int64()),
         ("ts", pa.timestamp("us")), ("run_n", pa.int64()),
         ("run_cents", pa.int64()),
     ])
-    try:
+    with ex.stage("nse_runtot_") as stage:
         ex.write_exchange(
             rd.read_parquet(f"{sf_dir}/events.parquet",
                             columns=["event_id", "user_id", "ts", "value"]),
@@ -5318,8 +4892,6 @@ def events_user_running_total(sf_dir: str, num_parts: int = 32):
 
         return ex.map_parts(stage, num_parts, totals_of_part,
                             out_schema).materialize()
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
 
 
 # -- Funnel analysis: ordered-stage conversion counts ------------------------
@@ -5342,14 +4914,11 @@ def events_funnel(sf_dir: str,
     Only ``len(stages)``-row partial counts leave the parts, through
     the gated ``grouped_sum_by_key`` combine. Output
     (stage, n_users)."""
-    import shutil
-
     import ray.data as rd
 
     from ..stages import exchange as ex
 
     stage_list = list(stages)
-    stage_dir = ex.make_stage("nse_funnel_")
     in_schema = pa.schema([
         ("user_id", pa.int64()), ("ts", pa.timestamp("us")),
         ("event_type", pa.string()),
@@ -5361,7 +4930,7 @@ def events_funnel(sf_dir: str,
                         value_set=pa.array(stage_list, pa.string()))
         return b.filter(keep).select(in_schema.names).cast(in_schema)
 
-    try:
+    with ex.stage("nse_funnel_") as stage_dir:
         ex.write_exchange(
             rd.read_parquet(f"{sf_dir}/events.parquet",
                             columns=["user_id", "ts", "event_type"])
@@ -5406,8 +4975,6 @@ def events_funnel(sf_dir: str,
             out_schema.append(pa.field("b0", pa.int64()))).materialize()
         return grouped_sum_by_key(partials, "stage", ["n_users"],
                                   AGG_PARTIALS_DRIVER_LIMIT)
-    finally:
-        shutil.rmtree(stage_dir, ignore_errors=True)
 
 
 # -- PMI collocations: phrase mining over corpus bigrams ---------------------
@@ -5529,15 +5096,10 @@ def _pmi_scored_exchanged(combined, k: int, min_count: int,
     hash(word); bigram rows attach word-1's count in word-1's part,
     re-exchange to word-2's part for the second count, score, and take
     a per-part top-k under the global total order."""
-    import shutil
-
     import ray.data as rd
 
     from ..stages import exchange as ex
 
-    uni_stage = ex.make_stage("nse_pmi_uni_")
-    b1_stage = ex.make_stage("nse_pmi_b1_")
-    b2_stage = ex.make_stage("nse_pmi_b2_")
     uni_schema = pa.schema([("gram", pa.string()), ("n", pa.int64())])
     b1_schema = pa.schema([
         ("bigram", pa.string()), ("n", pa.int64()),
@@ -5564,9 +5126,10 @@ def _pmi_scored_exchanged(combined, k: int, min_count: int,
                              "w1": w[0].to_numpy(dtype=object),
                              "w2": w[1].to_numpy(dtype=object)})
 
-    by_col = lambda c: lambda b: _term_part(  # noqa: E731
-        b[c].to_numpy(zero_copy_only=False), num_parts)
-    try:
+    by_col = lambda c: lambda b: ex.key_part(b, [c], num_parts)  # noqa: E731
+    with (ex.stage("nse_pmi_uni_") as uni_stage,
+          ex.stage("nse_pmi_b1_") as b1_stage,
+          ex.stage("nse_pmi_b2_") as b2_stage):
         ex.write_exchange(
             combined.map_batches(uni_rows, batch_format="pandas")
             .map_batches(lambda b: b.cast(uni_schema), batch_format="pyarrow"),
@@ -5606,13 +5169,10 @@ def _pmi_scored_exchanged(combined, k: int, min_count: int,
         cand = ex.map_parts([b2_stage, uni_stage], num_parts,
                             attach_b_score, _PMI_SCHEMA,
                             in_schemas=[b2_schema, uni_schema]).to_pandas()
-        out = cand.sort_values(["pmi", "bigram"], ascending=[False, True],
-                               kind="stable").head(k).reset_index(drop=True)
-        return rd.from_pandas(out) if len(out) else rd.from_arrow(
-            _PMI_SCHEMA.empty_table())
-    finally:
-        for s in (uni_stage, b1_stage, b2_stage):
-            shutil.rmtree(s, ignore_errors=True)
+    out = cand.sort_values(["pmi", "bigram"], ascending=[False, True],
+                           kind="stable").head(k).reset_index(drop=True)
+    return rd.from_pandas(out) if len(out) else rd.from_arrow(
+        _PMI_SCHEMA.empty_table())
 
 
 # -- Interpolated (continuous) quantiles --------------------------------------
@@ -5674,7 +5234,6 @@ def docs_lang_corr(sf_dir: str, num_parts: int = 32):
     the bound, pre-scale the inputs (e.g. n_chars // 256) — the
     DuckDB oracle sums into HUGEINT and would otherwise diverge.
     Output (lang, n, corr_len_tokens)."""
-    import ray.data as rd
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         x = df["n_chars"].to_numpy().astype(np.int64)
@@ -5684,7 +5243,7 @@ def docs_lang_corr(sf_dir: str, num_parts: int = 32):
             "lang": df["lang"].to_numpy(),
             "n": np.int64(1), "sx": x, "sy": y,
             "sxx": x * x, "syy": y * y, "sxy": x * y,
-        }).groupby("lang", sort=False).sum().reset_index()
+        }).groupby("lang", sort=False, dropna=False).sum().reset_index()
         g["b0"] = np.int64(df["doc_id"].min()) if len(df) else np.int64(0)
         return g
 
@@ -5741,7 +5300,6 @@ def events_global_rolling_sum(sf_dir: str, window_minutes: int = 60,
     ts-ties are frame peers on both bounds). Output
     (event_id, ts, win_n, win_cents)."""
     import math
-    import shutil
 
     import ray.data as rd
 
@@ -5795,8 +5353,7 @@ def events_global_rolling_sum(sf_dir: str, window_minutes: int = 60,
                     "emit": False}))
         return pd.concat(frames, ignore_index=True)
 
-    stage = ex.make_stage("nse_grs_")
-    try:
+    with ex.stage("nse_grs_") as stage:
         ex.write_exchange(
             base.map_batches(explode, batch_format="pandas")
             .map_batches(lambda b: b.cast(mid_schema),
@@ -5825,8 +5382,6 @@ def events_global_rolling_sum(sf_dir: str, window_minutes: int = 60,
 
         return ex.map_parts(stage, eff_parts, roll_part,
                             out_schema).materialize()
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
 
 
 # -- Grouped mode: most frequent value per key --------------------------------
@@ -5842,15 +5397,14 @@ def events_user_top_type(sf_dir: str, num_parts: int = 32):
     beyond its gate — so the argmax has both paths: a driver groupby
     below ``AGG_PARTIALS_DRIVER_LIMIT`` combined rows, a USER-hash
     partition exchange beyond it (per-part argmax exact). Output
-    (user_id, event_type, n_events)."""
-    import shutil
-
+    (user_id, event_type, n_events); a NULL event type is a value like
+    any other, as in SQL's GROUP BY."""
     import ray.data as rd
 
     from ..stages import exchange as ex
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = (df.groupby(["user_id", "event_type"], sort=False)
+        g = (df.groupby(["user_id", "event_type"], sort=False, dropna=False)
              .size().rename("n_events").reset_index())
         g["n_events"] = g["n_events"].astype("int64")
         g["b0"] = np.int64(df["event_id"].min()) if len(df) else np.int64(0)
@@ -5861,7 +5415,7 @@ def events_user_top_type(sf_dir: str, num_parts: int = 32):
                         columns=["event_id", "user_id", "event_type"])
         .map_batches(partial, batch_format="pandas").materialize(),
         ["user_id", "event_type"], ["n_events"],
-        AGG_PARTIALS_DRIVER_LIMIT, num_parts=num_parts).materialize()
+        AGG_PARTIALS_DRIVER_LIMIT, num_parts=num_parts)
 
     out_schema = pa.schema([
         ("user_id", pa.int64()), ("event_type", pa.string()),
@@ -5870,35 +5424,10 @@ def events_user_top_type(sf_dir: str, num_parts: int = 32):
     def argmax(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["n_events", "event_type"],
                             ascending=[False, True], kind="stable")
-        return (df.groupby("user_id", sort=False).head(1)
-                [["user_id", "event_type", "n_events"]]
-                .reset_index(drop=True))
+        return df.groupby("user_id", sort=False).head(1)
 
-    if combined.count() <= AGG_PARTIALS_DRIVER_LIMIT:
-        pdf = combined.to_pandas()
-        if pdf.empty:
-            return rd.from_arrow(out_schema.empty_table())
-        return rd.from_pandas(argmax(pdf))
-
-    stage = ex.make_stage("nse_utop_")
-    try:
-        ex.write_exchange(
-            combined.map_batches(
-                lambda b: b.select(["user_id", "event_type", "n_events"]),
-                batch_format="pyarrow"),
-            stage,
-            lambda b: ex.int_part(
-                [b["user_id"].to_numpy(zero_copy_only=False)], num_parts))
-
-        def part_argmax(t: pa.Table) -> pa.Table:
-            return pa.Table.from_pandas(
-                argmax(t.to_pandas()), schema=out_schema,
-                preserve_index=False)
-
-        return ex.map_parts(stage, num_parts, part_argmax,
-                            out_schema).materialize()
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
+    return ex.combine_by_key(combined, ["user_id"], argmax, out_schema,
+                             AGG_PARTIALS_DRIVER_LIMIT, num_parts)
 
 
 # -- Pivot / crosstab: lang x length-quartile counts, wide --------------------
@@ -5930,7 +5459,10 @@ def docs_lang_bucket_pivot(sf_dir: str, num_parts: int = 32):
 
         thr = get_broadcast(ref)
         b = np.searchsorted(thr, df["n_chars"].to_numpy(), side="left")
-        codes, uniq = pd.factorize(df["lang"], sort=False)
+        # NULL lang gets its own code (the default -1 sentinel would
+        # index off the front of the bincount)
+        codes, uniq = pd.factorize(df["lang"], sort=False,
+                                   use_na_sentinel=False)
         cnt = np.bincount(codes * 4 + b, minlength=len(uniq) * 4
                           ).reshape(-1, 4).astype(np.int64)
         out = pd.DataFrame({"lang": uniq})

@@ -121,11 +121,9 @@ def _bpe_distributed(vocab_ds, n_merges: int,
     a stateless pair-count pass over the exchange parts with the
     merges-so-far broadcast. Only per-block argmax winners (and the
     gated pair combine) ever reach the driver."""
-    import shutil
-
     import ray
 
-    from ..pipelines.steps import _key_part, grouped_sum_by_key
+    from ..pipelines.steps import grouped_sum_by_key
     from ..stages import exchange as ex
     from ..stages.broadcast import get_broadcast
 
@@ -134,15 +132,14 @@ def _bpe_distributed(vocab_ds, n_merges: int,
         ("left", pa.string()), ("right", pa.string()), ("cnt", pa.int64()),
         ("b0", pa.int64()),
     ])
-    stage = ex.make_stage("nse_bpe_")
     rows = []
-    try:
+    with ex.stage("nse_bpe_") as stage:
         ex.write_exchange(
             vocab_ds.map_batches(
                 lambda b: b.select(["term", "n"]).cast(in_schema),
                 batch_format="pyarrow"),
             stage,
-            lambda b: _key_part(b, ["term"], num_parts))
+            lambda b: ex.key_part(b, ["term"], num_parts))
 
         merges: list = []
         for rank in range(n_merges):
@@ -196,10 +193,8 @@ def _bpe_distributed(vocab_ds, n_merges: int,
             merges.append((best["left"], best["right"]))
             rows.append((rank, best["left"], best["right"],
                          int(best["cnt"])))
-        return pd.DataFrame(rows,
-                            columns=["rank", "left", "right", "pair_count"])
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
+    return pd.DataFrame(rows,
+                        columns=["rank", "left", "right", "pair_count"])
 
 
 def bpe_encode(docs_ds, merges, text_col: str = "text",

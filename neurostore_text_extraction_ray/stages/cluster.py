@@ -214,8 +214,6 @@ def semdedup(ds, n_clusters: int | None = 10, threshold: float = 0.99,
     ``embedding_cosine_dup`` payload convention, dedup.py:492) — the
     corpus is never collected on the driver.
     """
-    import shutil
-
     import ray
 
     from . import exchange as ex
@@ -269,8 +267,7 @@ def semdedup(ds, n_clusters: int | None = 10, threshold: float = 0.99,
             pd.concat(outs, ignore_index=True), preserve_index=False
         ).cast(SEMDEDUP_SCHEMA)
 
-    stage = ex.make_stage("nse_semdedup_")
-    try:
+    with ex.stage("nse_semdedup_") as stage:
         payload = ds.map_batches(assign_payload, batch_format="pyarrow")
 
         def part_fn(batch: pa.Table) -> np.ndarray:
@@ -281,8 +278,6 @@ def semdedup(ds, n_clusters: int | None = 10, threshold: float = 0.99,
         ex.write_exchange(payload, stage, part_fn)
         return ex.map_parts(
             stage, num_parts, dedup_part, SEMDEDUP_SCHEMA).materialize()
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
 
 
 def knn_lsh(ds, queries: np.ndarray, query_ids: list[int], k: int = 10,

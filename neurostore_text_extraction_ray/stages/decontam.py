@@ -129,8 +129,6 @@ def _decontaminate_exchanged(corpus, partials, id_col, text_col,
     matches (hash determines part, so per-part counts sum without
     double counting), then co-partition the per-part hit partials with
     the corpus id rows by doc_id for the final left join."""
-    import shutil
-
     by_hash = lambda b: ex.int_part(  # noqa: E731
         [b["h"].to_numpy(zero_copy_only=False).view(np.int64)], num_parts)
     by_id = lambda b: ex.int_part(  # noqa: E731
@@ -156,11 +154,10 @@ def _decontaminate_exchanged(corpus, partials, id_col, text_col,
         return pa.table({"doc_id": pa.compute.cast(
             batch[id_col], pa.int64())})
 
-    bench_stage = ex.make_stage("nse_dc_bench_")
-    rows_stage = ex.make_stage("nse_dc_rows_")
-    hits_stage = ex.make_stage("nse_dc_hits_")
-    ids_stage = ex.make_stage("nse_dc_ids_")
-    try:
+    with (ex.stage("nse_dc_bench_") as bench_stage,
+          ex.stage("nse_dc_rows_") as rows_stage,
+          ex.stage("nse_dc_hits_") as hits_stage,
+          ex.stage("nse_dc_ids_") as ids_stage):
         ex.write_exchange(partials, bench_stage, by_hash)
         ex.write_exchange(
             corpus.map_batches(corpus_rows, batch_format="pyarrow"),
@@ -217,6 +214,3 @@ def _decontaminate_exchanged(corpus, partials, id_col, text_col,
                             OUT_SCHEMA,
                             in_schemas=[_ID_SCHEMA, _HITS_SCHEMA]
                             ).materialize()
-    finally:
-        for s in (bench_stage, rows_stage, hits_stage, ids_stage):
-            shutil.rmtree(s, ignore_errors=True)

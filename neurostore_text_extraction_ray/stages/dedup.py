@@ -128,12 +128,9 @@ def _bucket_pairs_exchanged(mat, num_parts: int):
     in different parts may repeat — consumers dedup (the driver path
     with ``drop_duplicates``, the exchange path inside
     ``pairs.verify_pairs``'s a-side part)."""
-    import shutil
-
     from . import exchange as ex
 
-    stage = ex.make_stage("nse_bands_")
-    try:
+    with ex.stage("nse_bands_") as stage:
         def part_fn(batch: pa.Table) -> np.ndarray:
             return ex.int_part(
                 [
@@ -154,8 +151,6 @@ def _bucket_pairs_exchanged(mat, num_parts: int):
 
         return ex.map_parts(stage, num_parts, pairs_of_part,
                             P.PAIR_SCHEMA).materialize()
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
 
 
 def _bucket_pairs(band_rows_ds, num_parts: int = 64):

@@ -226,8 +226,7 @@ def minhash_near_dup_incremental(
             "h2": pa.array(h2, pa.uint64()),
         })
 
-    cur_stage = ex.make_stage("nse_inc_cur_")
-    try:
+    with ex.stage("nse_inc_cur_") as cur_stage:
         n_docs = ex.write_exchange(
             ds.map_batches(hash_batch, batch_format="pyarrow"),
             cur_stage, by_id)
@@ -286,8 +285,6 @@ def minhash_near_dup_incremental(
                 _DIFF_SCHEMA).count()
             changed_ids = None  # sentinel: all docs
             removed_ids = np.array([], dtype=np.int64)
-    finally:
-        shutil.rmtree(cur_stage, ignore_errors=True)
 
     # ---- phase 2: sketch ONLY changed docs (band rows + sig payload) ----
     if changed_ids is None:
@@ -326,12 +323,11 @@ def minhash_near_dup_incremental(
             "payload": pa.array(pay, pa.binary()),
         })
 
-    new_stage = ex.make_stage("nse_inc_new_")
     sig_schema = pa.schema([("id", pa.int64()), ("payload", pa.binary())])
     band_schema = pa.schema([
         ("doc_id", pa.int64()), ("band", pa.int32()), ("key", pa.int64()),
     ])
-    try:
+    with ex.stage("nse_inc_new_") as new_stage:
         ex.write_exchange(
             to_sketch.map_batches(sketch, batch_format="pyarrow"),
             new_stage, by_id)
@@ -383,9 +379,7 @@ def minhash_near_dup_incremental(
                 key_schema)
 
         affected = _for_parts(state_parts, update_part, key_schema).to_pandas()
-        affected = affected.drop_duplicates()
-    finally:
-        shutil.rmtree(new_stage, ignore_errors=True)
+    affected = affected.drop_duplicates()
 
     # ---- phase 4: candidate pairs from affected buckets ----
     # composite (band, key) membership hash: a collision only ADDS a

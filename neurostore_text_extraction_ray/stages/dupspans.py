@@ -282,8 +282,6 @@ def _dup_spans_exchanged(corpus, k, id_col, text_col, num_parts):
     """Pure-exchange path: window rows by hash -> per-part losers ->
     sparse loser rows by doc_id -> co-partitioned rebuild against the
     corpus text rows."""
-    import shutil
-
     by_hash = lambda b: ex.int_part(  # noqa: E731
         [b["h"].to_numpy(zero_copy_only=False).view(np.int64)], num_parts)
     by_id = lambda b: ex.int_part(  # noqa: E731
@@ -303,10 +301,9 @@ def _dup_spans_exchanged(corpus, k, id_col, text_col, num_parts):
             "text": pa.compute.cast(batch[text_col], pa.string()),
         })
 
-    win_stage = ex.make_stage("nse_ds_windows_")
-    loser_stage = ex.make_stage("nse_ds_losers_")
-    text_stage = ex.make_stage("nse_ds_text_")
-    try:
+    with (ex.stage("nse_ds_windows_") as win_stage,
+          ex.stage("nse_ds_losers_") as loser_stage,
+          ex.stage("nse_ds_text_") as text_stage):
         ex.write_exchange(
             corpus.map_batches(win_rows, batch_format="pyarrow"),
             win_stage, by_hash)
@@ -366,6 +363,3 @@ def _dup_spans_exchanged(corpus, k, id_col, text_col, num_parts):
                             rebuild_part, OUT_SCHEMA,
                             in_schemas=[_TEXT_SCHEMA, _LOSER_SCHEMA]
                             ).materialize()
-    finally:
-        for s in (win_stage, loser_stage, text_stage):
-            shutil.rmtree(s, ignore_errors=True)

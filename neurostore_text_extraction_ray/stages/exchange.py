@@ -10,17 +10,28 @@ is the standard external-shuffle layout — every phase is
 embarrassingly parallel and the exchange is bounded by storage
 bandwidth, not an in-memory all-to-all.
 
+Operators compose two primitives on top of ``write_exchange`` /
+``map_parts``:
+
+- ``stage(prefix)``: the one stage-directory lifecycle. A ``with``
+  block owns the directory and removes it on exit, also on error;
+  nothing lazy that reads the stage may leave the block (materialize
+  or collect phase B inside it).
+- ``combine_by_key``: the one gated keyed combine — the driver runs
+  the combine over the whole input at or below a row limit, a key-hash
+  exchange runs it per part beyond it.
+
 ``pipelines/flagship.py`` embeds the same pattern with resume-specific
-extensions (manifests, part anti-join, atomic output); this module is
-the reusable core for other operators (LSH band-row combination,
-key-partitioned group work).
+extensions (manifests, part anti-join, atomic output).
 """
 
 from __future__ import annotations
 
+import contextlib
 import glob
 import hashlib
 import os
+import shutil
 import tempfile
 
 import numpy as np
@@ -107,18 +118,16 @@ _NODE_CHECKED = False  # per-process: worker-side single-node check ran
 
 
 def _cleanup_live_stages():
-    import shutil
-
     for s in list(_LIVE_STAGES):
         shutil.rmtree(s, ignore_errors=True)
 
 
 def make_stage(prefix: str) -> str:
     """Create a fresh exchange stage directory under ``exchange_root``.
-    Callers remove stages eagerly (try/finally); ONE atexit hook over a
-    live-stage set (pruned of already-removed dirs here, so it never
-    grows unboundedly in a long-lived driver) is the safety net so an
-    interrupted driver doesn't strand tmpfs space."""
+    Operators go through ``stage()``, which removes it eagerly; ONE
+    atexit hook over a live-stage set (pruned of already-removed dirs
+    here, so it never grows unboundedly in a long-lived driver) is the
+    safety net so an interrupted driver doesn't strand tmpfs space."""
     global _ATEXIT_REGISTERED
     if not _ATEXIT_REGISTERED:
         import atexit
@@ -127,9 +136,23 @@ def make_stage(prefix: str) -> str:
         _ATEXIT_REGISTERED = True
     _LIVE_STAGES.difference_update(
         [s for s in _LIVE_STAGES if not os.path.isdir(s)])
-    stage = tempfile.mkdtemp(prefix=prefix, dir=exchange_root())
-    _LIVE_STAGES.add(stage)
-    return stage
+    path = tempfile.mkdtemp(prefix=prefix, dir=exchange_root())
+    _LIVE_STAGES.add(path)
+    return path
+
+
+@contextlib.contextmanager
+def stage(prefix: str):
+    """``with stage("nse_op_") as s:`` — a fresh stage directory that is
+    removed when the block exits, normally or by an exception. Phase B
+    reads fragments lazily, so whatever reads the stage must be
+    materialized (or collected) before the block ends."""
+    s = make_stage(prefix)
+    try:
+        yield s
+    finally:
+        shutil.rmtree(s, ignore_errors=True)
+        _LIVE_STAGES.discard(s)
 
 
 def int_part(cols: list[np.ndarray], num_parts: int) -> np.ndarray:
@@ -242,3 +265,75 @@ def map_parts(stage_dir, num_parts: int, fn, empty_schema: pa.Schema,
         pa.table({"part": pa.array(list(range(num_parts)), pa.int64())})
     ).repartition(num_parts)
     return parts.map_batches(run_part, batch_format="pyarrow", batch_size=1)
+
+
+def key_part(batch: pa.Table, key_cols: list[str],
+             num_parts: int) -> np.ndarray:
+    """Part id from arbitrary-typed key columns: strings hash through
+    the pandas 64-bit string hash, fixed-width values (ints,
+    timestamps, floats) ride their bit patterns — all mixed through
+    ``int_part``, so equal multi-column keys always co-locate within a
+    run."""
+    cols = []
+    for c in key_cols:
+        arr = batch[c].to_numpy(zero_copy_only=False)
+        if arr.dtype.kind in "iu":
+            cols.append(arr.astype(np.int64))
+        elif arr.dtype.kind == "f" and arr.dtype.itemsize == 8:
+            # -0.0 == 0.0 in a groupby but differs bitwise: normalize
+            # before viewing so equal keys always co-locate
+            cols.append(np.ascontiguousarray(arr + 0.0).view(np.int64))
+        elif arr.dtype.kind in "mM" and arr.dtype.itemsize == 8:
+            cols.append(np.ascontiguousarray(arr).view(np.int64))
+        else:
+            cols.append(pd.util.hash_array(arr.astype(object)))
+    return int_part(cols, num_parts)
+
+
+def arrow_schema_of(ds) -> pa.Schema:
+    """Arrow schema of a Dataset regardless of block format: arrow
+    blocks report a pa.Schema directly; pandas blocks report numpy
+    dtypes (object means string for every partial stream here)."""
+    base = ds.schema().base_schema
+    if isinstance(base, pa.Schema):
+        return base
+    fields = []
+    for name, dt in zip(base.names, base.types):
+        if getattr(dt, "kind", None) == "O":
+            fields.append((name, pa.string()))
+        else:
+            fields.append((name, pa.from_numpy_dtype(dt)))
+    return pa.schema(fields)
+
+
+def combine_by_key(ds, key_cols: list[str], fn, out_schema: pa.Schema,
+                   driver_limit: int, num_parts: int = 32):
+    """The gated keyed combine. ``fn`` maps a pandas frame to a pandas
+    frame and must be exact on any subset that holds ALL rows of each
+    key it sees. At most ``driver_limit`` input rows: one driver call
+    ``fn(ds.to_pandas())``. Beyond: rows key-hash-partition on
+    ``key_cols`` through the exchange (cast to the input's Arrow
+    schema) and ``fn`` runs once per part. Both paths return a
+    materialized Dataset of ``out_schema`` (empty input: an empty
+    one). Exchanged rows must satisfy the ``write_exchange`` CONTRACT
+    (keyed rows, or a batch-unique ``b0`` tag)."""
+    import ray.data as rd
+
+    def to_out(df: pd.DataFrame) -> pa.Table:
+        return pa.Table.from_pandas(df, schema=out_schema,
+                                    preserve_index=False)
+
+    ds = ds.materialize()
+    if ds.count() <= driver_limit:
+        pdf = ds.to_pandas()
+        if pdf.empty:
+            return rd.from_arrow(out_schema.empty_table())
+        return rd.from_arrow(to_out(fn(pdf)))
+    in_schema = arrow_schema_of(ds)
+    with stage("nse_combine_") as s:
+        write_exchange(
+            ds.map_batches(lambda b: b.select(in_schema.names).cast(in_schema),
+                           batch_format="pyarrow"),
+            s, lambda b: key_part(b, key_cols, num_parts))
+        return map_parts(s, num_parts, lambda t: to_out(fn(t.to_pandas())),
+                         out_schema).materialize()

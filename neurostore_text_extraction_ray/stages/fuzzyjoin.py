@@ -174,14 +174,11 @@ def _fuzzy_pairs_exchanged(blocks_ds, num_parts: int, dd, pr):
     co-locate, per-part duplicate rows collapse before pairing);
     payloads (id -> string) dedupe in their id-part; the verify runs
     through the co-partitioned two-round payload join."""
-    import shutil
-
     from . import exchange as ex
 
-    blk_stage = ex.make_stage("nse_fz_blk_")
     blk_schema = pa.schema([
         ("bh", pa.int64()), ("id", pa.int64()), ("nm", pa.string())])
-    try:
+    with ex.stage("nse_fz_blk_") as blk_stage:
         ex.write_exchange(
             blocks_ds.map_batches(lambda b: b.cast(blk_schema),
                                   batch_format="pyarrow"),
@@ -215,8 +212,7 @@ def _fuzzy_pairs_exchanged(blocks_ds, num_parts: int, dd, pr):
         # id-part where all copies of an id co-locate
         payload_ds = ex.map_parts(blk_stage, num_parts, payloads,
                                   pr.PAYLOAD_SCHEMA)
-        pay_stage = ex.make_stage("nse_fz_pay_")
-        try:
+        with ex.stage("nse_fz_pay_") as pay_stage:
             ex.write_exchange(
                 payload_ds, pay_stage,
                 lambda b: ex.int_part(
@@ -227,18 +223,14 @@ def _fuzzy_pairs_exchanged(blocks_ds, num_parts: int, dd, pr):
                     t.to_pandas().drop_duplicates("id"),
                     preserve_index=False).cast(pr.PAYLOAD_SCHEMA),
                 pr.PAYLOAD_SCHEMA).materialize()
-        finally:
-            shutil.rmtree(pay_stage, ignore_errors=True)
 
-        def verify(df: pd.DataFrame) -> pa.Table:
-            cand = pd.DataFrame({
-                "nm_a": [x.decode("utf-8") for x in df["payload_a"]],
-                "nm_b": [x.decode("utf-8") for x in df["payload_b"]],
-            })
-            return pa.Table.from_pandas(
-                _verify_frame(cand), preserve_index=False).cast(_OUT_SCHEMA)
+    def verify(df: pd.DataFrame) -> pa.Table:
+        cand = pd.DataFrame({
+            "nm_a": [x.decode("utf-8") for x in df["payload_a"]],
+            "nm_b": [x.decode("utf-8") for x in df["payload_b"]],
+        })
+        return pa.Table.from_pandas(
+            _verify_frame(cand), preserve_index=False).cast(_OUT_SCHEMA)
 
-        return pr.verify_pairs(pairs_ds, payload_uniq, verify, _OUT_SCHEMA,
-                               num_parts=num_parts)
-    finally:
-        shutil.rmtree(blk_stage, ignore_errors=True)
+    return pr.verify_pairs(pairs_ds, payload_uniq, verify, _OUT_SCHEMA,
+                           num_parts=num_parts)

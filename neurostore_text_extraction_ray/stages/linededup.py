@@ -171,8 +171,6 @@ def _line_dedup_exchanged(corpus, id_col, text_col, num_parts):
     sparse removed rows by doc_id -> co-partitioned rebuild against
     the corpus text rows. The text-sized exchange is one corpus pass
     (same volume class as the sessionize exchange)."""
-    import shutil
-
     by_hash = lambda b: ex.int_part(  # noqa: E731
         [b["h"].to_numpy(zero_copy_only=False).view(np.int64)], num_parts)
     by_id = lambda b: ex.int_part(  # noqa: E731
@@ -190,10 +188,9 @@ def _line_dedup_exchanged(corpus, id_col, text_col, num_parts):
             "text": pa.compute.cast(batch[text_col], pa.string()),
         })
 
-    lines_stage = ex.make_stage("nse_ld_lines_")
-    removed_stage = ex.make_stage("nse_ld_removed_")
-    text_stage = ex.make_stage("nse_ld_text_")
-    try:
+    with (ex.stage("nse_ld_lines_") as lines_stage,
+          ex.stage("nse_ld_removed_") as removed_stage,
+          ex.stage("nse_ld_text_") as text_stage):
         ex.write_exchange(
             corpus.map_batches(line_rows, batch_format="pyarrow"),
             lines_stage, by_hash)
@@ -251,6 +248,3 @@ def _line_dedup_exchanged(corpus, id_col, text_col, num_parts):
                             rebuild_part, OUT_SCHEMA,
                             in_schemas=[_TEXT_SCHEMA, _REMOVED_SCHEMA]
                             ).materialize()
-    finally:
-        for s in (lines_stage, removed_stage, text_stage):
-            shutil.rmtree(s, ignore_errors=True)

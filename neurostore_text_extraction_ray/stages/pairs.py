@@ -30,8 +30,6 @@ and are equivalence-tested against them (tests/test_pairs.py).
 
 from __future__ import annotations
 
-import shutil
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -87,13 +85,12 @@ def verify_pairs(pairs_ds, payload_ds, verify_fn, out_schema: pa.Schema,
     ``verify_fn(df)``: pandas (a, b, payload_a, payload_b) -> pa.Table
     of ``out_schema``; runs once per part, so vectorize inside.
     """
-    pay_stage = ex.make_stage("nse_vp_pay_")
-    a_stage = ex.make_stage("nse_vp_a_")
-    b_stage = ex.make_stage("nse_vp_b_")
     mid_schema = pa.schema(
         [("a", pa.int64()), ("b", pa.int64()), ("payload_a", pa.binary())]
     )
-    try:
+    with (ex.stage("nse_vp_pay_") as pay_stage,
+          ex.stage("nse_vp_a_") as a_stage,
+          ex.stage("nse_vp_b_") as b_stage):
         ex.write_exchange(payload_ds, pay_stage, _by("id", num_parts))
         ex.write_exchange(pairs_ds, a_stage, _by("a", num_parts))
 
@@ -120,172 +117,151 @@ def verify_pairs(pairs_ds, payload_ds, verify_fn, out_schema: pa.Schema,
         return ex.map_parts(
             [b_stage, pay_stage], num_parts, attach_b_verify, out_schema,
             in_schemas=[mid_schema, PAYLOAD_SCHEMA]).materialize()
-    finally:
-        for s in (pay_stage, a_stage, b_stage):
-            shutil.rmtree(s, ignore_errors=True)
 
 
 def label_components_exchanged(edges_ds, num_parts: int = 32):
     """Verified edges (a, b) -> MATERIALIZED Dataset (node, label) with
     label = min id of the node's connected component. Nodes not in any
     edge are absent (callers default them to themselves via
-    ``label_ids``)."""
-    edges_stage = ex.make_stage("nse_cc_edges_")
-    labels_stage = ex.make_stage("nse_cc_lab0_")
+    ``label_ids``). The edge stage lives for the whole call; every
+    round re-partitions the previous round's materialized labels into
+    its own stages."""
     dir_schema = pa.schema([("src", pa.int64()), ("dst", pa.int64())])
     msg_schema = pa.schema([("node", pa.int64()), ("cand", pa.int64())])
     upd_schema = pa.schema(
         [("node", pa.int64()), ("label", pa.int64()), ("changed", pa.int64())]
     )
-    stages = [edges_stage, labels_stage]
-    try:
-        def to_directed(b: pa.Table) -> pa.Table:
-            a = b["a"].to_numpy(zero_copy_only=False).astype(np.int64)
-            bb = b["b"].to_numpy(zero_copy_only=False).astype(np.int64)
-            return pa.table({
-                "src": pa.array(np.concatenate([a, bb]), pa.int64()),
-                "dst": pa.array(np.concatenate([bb, a]), pa.int64()),
-            })
 
+    def to_directed(b: pa.Table) -> pa.Table:
+        a = b["a"].to_numpy(zero_copy_only=False).astype(np.int64)
+        bb = b["b"].to_numpy(zero_copy_only=False).astype(np.int64)
+        return pa.table({
+            "src": pa.array(np.concatenate([a, bb]), pa.int64()),
+            "dst": pa.array(np.concatenate([bb, a]), pa.int64()),
+        })
+
+    # initial labels: every node labels itself. Each node's outgoing
+    # edges co-locate in its hash part, so per-part unique(src) IS a
+    # global partition of the node set.
+    def init_labels(edges_t: pa.Table) -> pa.Table:
+        nodes = np.unique(
+            edges_t["src"].to_numpy(zero_copy_only=False).astype(np.int64))
+        return pa.table({
+            "node": pa.array(nodes, pa.int64()),
+            "label": pa.array(nodes, pa.int64()),
+        })
+
+    # each part: message min(label[src]) to every neighbor
+    def emit(labels_t: pa.Table, edges_t: pa.Table) -> pa.Table:
+        lab = labels_t.to_pandas().rename(columns={"node": "src"})
+        df = edges_t.to_pandas().merge(lab, on="src", how="inner")
+        g = df.groupby("dst", sort=False)["label"].min().reset_index()
+        return pa.table({
+            "node": pa.array(g["dst"].to_numpy(dtype=np.int64), pa.int64()),
+            "cand": pa.array(g["label"].to_numpy(dtype=np.int64),
+                             pa.int64()),
+        })
+
+    def shortcut(bylab_t: pa.Table, labels_t: pa.Table) -> pa.Table:
+        a = bylab_t.to_pandas()  # (node, label) by hash(label)
+        b = labels_t.to_pandas().rename(
+            columns={"node": "label", "label": "label2"})
+        m = a.merge(b, on="label", how="inner")  # int64: no NaN
+        m = m[m["label2"] < m["label"]]  # productive only
+        g = m.groupby("node", sort=False)["label2"].min().reset_index()
+        return pa.table({
+            "node": pa.array(g["node"].to_numpy(dtype=np.int64), pa.int64()),
+            "cand": pa.array(g["label2"].to_numpy(dtype=np.int64),
+                             pa.int64()),
+        })
+
+    def update(labels_t: pa.Table, msg_t: pa.Table) -> pa.Table:
+        # pure-int64 join (a pandas left merge would go through float64
+        # NaN and silently round labels above 2^53 — web-scale ids are
+        # 64-bit hashes)
+        nodes = labels_t["node"].to_numpy(zero_copy_only=False)
+        labels = labels_t["label"].to_numpy(zero_copy_only=False).copy()
+        order = np.argsort(nodes, kind="stable")
+        nodes_s, labels_s = nodes[order], labels[order]
+        m = (msg_t.to_pandas().groupby("node", sort=False)["cand"]
+             .min().reset_index())
+        m_nodes = m["node"].to_numpy(dtype=np.int64)
+        m_cands = m["cand"].to_numpy(dtype=np.int64)
+        pos = np.clip(np.searchsorted(nodes_s, m_nodes), 0,
+                      max(0, len(nodes_s) - 1))
+        # every message target is a node of this part by construction
+        # (directed edges partition by src); the hit mask guards
+        # minimum.at against corrupting a neighbor slot if that
+        # invariant is ever violated
+        hit = len(nodes_s) > 0
+        ok = (nodes_s[pos] == m_nodes) if hit else np.zeros(
+            len(m_nodes), dtype=bool)
+        labels_new = labels_s.copy()
+        np.minimum.at(labels_new, pos[ok], m_cands[ok])
+        changed = labels_new < labels_s
+        return pa.table({
+            "node": pa.array(nodes_s, pa.int64()),
+            "label": pa.array(labels_new, pa.int64()),
+            "changed": pa.array(changed.astype(np.int64), pa.int64()),
+        })
+
+    with ex.stage("nse_cc_edges_") as edges_stage:
         ex.write_exchange(
             edges_ds.map_batches(to_directed, batch_format="pyarrow"),
             edges_stage, _by("src", num_parts))
-
-        # initial labels: every node labels itself. Each node's outgoing
-        # edges co-locate in its hash part, so per-part unique(src) IS a
-        # global partition of the node set.
-        def init_labels(edges_t: pa.Table) -> pa.Table:
-            nodes = np.unique(
-                edges_t["src"].to_numpy(zero_copy_only=False).astype(np.int64))
-            return pa.table({
-                "node": pa.array(nodes, pa.int64()),
-                "label": pa.array(nodes, pa.int64()),
-            })
-
-        ex.write_exchange(
-            ex.map_parts(edges_stage, num_parts, init_labels, LABEL_SCHEMA),
-            labels_stage, _by("node", num_parts))
-
-        n_nodes = None  # learned after the first round; bounds the loop
+        labels_ds = ex.map_parts(edges_stage, num_parts, init_labels,
+                                 LABEL_SCHEMA)
         it = 0
         while True:
             it += 1
-            msg_stage = ex.make_stage("nse_cc_msg_")
-            next_stage = ex.make_stage("nse_cc_lab_")
-            stages += [msg_stage, next_stage]
+            with (ex.stage("nse_cc_lab_") as labels_stage,
+                  ex.stage("nse_cc_msg_") as msg_stage):
+                ex.write_exchange(labels_ds, labels_stage,
+                                  _by("node", num_parts))
+                msgs = ex.map_parts([labels_stage, edges_stage], num_parts,
+                                    emit, msg_schema,
+                                    in_schemas=[LABEL_SCHEMA, dir_schema])
+                ex.write_exchange(msgs, msg_stage, _by("node", num_parts))
 
-            # each part: message min(label[src]) to every neighbor
-            def emit(labels_t: pa.Table, edges_t: pa.Table) -> pa.Table:
-                lab = labels_t.to_pandas().rename(columns={"node": "src"})
-                df = edges_t.to_pandas().merge(lab, on="src", how="inner")
-                g = df.groupby("dst", sort=False)["label"].min().reset_index()
-                return pa.table({
-                    "node": pa.array(g["dst"].to_numpy(dtype=np.int64),
-                                     pa.int64()),
-                    "cand": pa.array(g["label"].to_numpy(dtype=np.int64),
-                                     pa.int64()),
-                })
+                # pointer-jumping shortcut: also message label[label[n]]
+                # to n, giving O(log n) rounds on chain components
+                # instead of O(diameter). Labels re-partitioned by
+                # hash(label) land in the part that holds the label
+                # node's own label row; the propagated value is always a
+                # label within the same component, so correctness
+                # (monotone min) is unchanged. Round 1 is skipped —
+                # labels are all self-labels there, so label[label[n]]
+                # == n and every message would be a no-op.
+                if it > 1:
+                    with ex.stage("nse_cc_bylab_") as bylab_stage:
+                        ex.write_exchange(labels_ds, bylab_stage,
+                                          _by("label", num_parts))
+                        sc = ex.map_parts(
+                            [bylab_stage, labels_stage], num_parts,
+                            shortcut, msg_schema,
+                            in_schemas=[LABEL_SCHEMA, LABEL_SCHEMA])
+                        # same msg stage: update() min-combines edge +
+                        # shortcut candidates in one pass
+                        ex.write_exchange(sc, msg_stage,
+                                          _by("node", num_parts))
 
-            msgs = ex.map_parts([labels_stage, edges_stage], num_parts, emit,
-                                msg_schema, in_schemas=[LABEL_SCHEMA, dir_schema])
-            ex.write_exchange(msgs, msg_stage, _by("node", num_parts))
-
-            # pointer-jumping shortcut: also message label[label[n]] to
-            # n, giving O(log n) rounds on chain components instead of
-            # O(diameter). Labels re-partitioned by hash(label) land in
-            # the part that holds the label node's own label row; the
-            # propagated value is always a label within the same
-            # component, so correctness (monotone min) is unchanged.
-            # Round 1 is skipped — labels are all self-labels there, so
-            # label[label[n]] == n and every message would be a no-op.
-            if it > 1:
-                bylab_stage = ex.make_stage("nse_cc_bylab_")
-                stages.append(bylab_stage)
-                ex.write_exchange(
-                    ex.map_parts(labels_stage, num_parts, lambda t: t,
-                                 LABEL_SCHEMA),
-                    bylab_stage, _by("label", num_parts))
-
-                def shortcut(bylab_t: pa.Table, labels_t: pa.Table) -> pa.Table:
-                    a = bylab_t.to_pandas()  # (node, label) by hash(label)
-                    b = labels_t.to_pandas().rename(
-                        columns={"node": "label", "label": "label2"})
-                    m = a.merge(b, on="label", how="inner")  # int64: no NaN
-                    m = m[m["label2"] < m["label"]]  # productive only
-                    g = m.groupby("node", sort=False)["label2"].min().reset_index()
-                    return pa.table({
-                        "node": pa.array(g["node"].to_numpy(dtype=np.int64),
-                                         pa.int64()),
-                        "cand": pa.array(g["label2"].to_numpy(dtype=np.int64),
-                                         pa.int64()),
-                    })
-
-                sc = ex.map_parts([bylab_stage, labels_stage], num_parts,
-                                  shortcut, msg_schema,
-                                  in_schemas=[LABEL_SCHEMA, LABEL_SCHEMA])
-                # same msg stage: update() min-combines edge + shortcut
-                # candidates in one pass
-                ex.write_exchange(sc, msg_stage, _by("node", num_parts))
-                shutil.rmtree(bylab_stage, ignore_errors=True)
-
-            def update(labels_t: pa.Table, msg_t: pa.Table) -> pa.Table:
-                # pure-int64 join (a pandas left merge would go through
-                # float64 NaN and silently round labels above 2^53 —
-                # web-scale ids are 64-bit hashes)
-                nodes = labels_t["node"].to_numpy(zero_copy_only=False)
-                labels = labels_t["label"].to_numpy(
-                    zero_copy_only=False).copy()
-                order = np.argsort(nodes, kind="stable")
-                nodes_s, labels_s = nodes[order], labels[order]
-                m = (msg_t.to_pandas().groupby("node", sort=False)["cand"]
-                     .min().reset_index())
-                m_nodes = m["node"].to_numpy(dtype=np.int64)
-                m_cands = m["cand"].to_numpy(dtype=np.int64)
-                pos = np.clip(np.searchsorted(nodes_s, m_nodes), 0,
-                              max(0, len(nodes_s) - 1))
-                # every message target is a node of this part by
-                # construction (directed edges partition by src); the
-                # hit mask guards minimum.at against corrupting a
-                # neighbor slot if that invariant is ever violated
-                hit = len(nodes_s) > 0
-                ok = (nodes_s[pos] == m_nodes) if hit else np.zeros(
-                    len(m_nodes), dtype=bool)
-                labels_new = labels_s.copy()
-                np.minimum.at(labels_new, pos[ok], m_cands[ok])
-                changed = labels_new < labels_s
-                return pa.table({
-                    "node": pa.array(nodes_s, pa.int64()),
-                    "label": pa.array(labels_new, pa.int64()),
-                    "changed": pa.array(changed.astype(np.int64), pa.int64()),
-                })
-
-            upd = ex.map_parts([labels_stage, msg_stage], num_parts, update,
-                               upd_schema,
-                               in_schemas=[LABEL_SCHEMA, msg_schema]
-                               ).materialize()
+                upd = ex.map_parts([labels_stage, msg_stage], num_parts,
+                                   update, upd_schema,
+                                   in_schemas=[LABEL_SCHEMA, msg_schema]
+                                   ).materialize()
             n_nodes = upd.count()
             n_changed = upd.sum("changed") if n_nodes else 0
-            ex.write_exchange(
-                upd.map_batches(lambda b: b.drop_columns(["changed"]),
-                                batch_format="pyarrow"),
-                next_stage, _by("node", num_parts))
-            shutil.rmtree(labels_stage, ignore_errors=True)
-            shutil.rmtree(msg_stage, ignore_errors=True)
-            labels_stage = next_stage
+            labels_ds = upd.map_batches(
+                lambda b: b.drop_columns(["changed"]), batch_format="pyarrow")
             if not n_changed:
                 break
             if it > n_nodes + 1:
                 raise RuntimeError(
                     "component labeling exceeded the provable convergence "
                     f"bound ({n_nodes} nodes, {it} rounds) — exchange bug")
-        global LAST_LABEL_ROUNDS
-        LAST_LABEL_ROUNDS = it
-
-        return ex.map_parts(labels_stage, num_parts, lambda t: t,
-                            LABEL_SCHEMA).materialize()
-    finally:
-        for s in stages:
-            shutil.rmtree(s, ignore_errors=True)
+    global LAST_LABEL_ROUNDS
+    LAST_LABEL_ROUNDS = it
+    return labels_ds.materialize()
 
 
 def label_ids(ids_ds, labels_ds, id_col: str, out_id_name: str,
@@ -293,11 +269,10 @@ def label_ids(ids_ds, labels_ds, id_col: str, out_id_name: str,
     """Co-partitioned left join: every id gets its component label,
     defaulting to itself (singletons). Returns a MATERIALIZED Dataset
     (out_id_name, label_name)."""
-    ids_stage = ex.make_stage("nse_lab_ids_")
-    lab_stage = ex.make_stage("nse_lab_map_")
     ids_schema = pa.schema([(id_col, pa.int64())])
     out_schema = pa.schema([(out_id_name, pa.int64()), (label_name, pa.int64())])
-    try:
+    with (ex.stage("nse_lab_ids_") as ids_stage,
+          ex.stage("nse_lab_map_") as lab_stage):
         ex.write_exchange(
             ids_ds.map_batches(lambda b: b.select([id_col]),
                                batch_format="pyarrow"),
@@ -327,6 +302,3 @@ def label_ids(ids_ds, labels_ds, id_col: str, out_id_name: str,
         return ex.map_parts([ids_stage, lab_stage], num_parts, join,
                             out_schema,
                             in_schemas=[ids_schema, LABEL_SCHEMA]).materialize()
-    finally:
-        for s in (ids_stage, lab_stage):
-            shutil.rmtree(s, ignore_errors=True)

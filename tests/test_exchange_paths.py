@@ -68,8 +68,37 @@ def test_exchange_root_env_override(ray_session, tmp_path, monkeypatch):
     from neurostore_text_extraction_ray.stages import exchange as ex
 
     monkeypatch.setenv("NSE_EXCHANGE_ROOT", str(tmp_path / "xroot"))
-    stage = ex.make_stage("nse_test_")
-    assert stage.startswith(str(tmp_path / "xroot"))
+    with ex.stage("nse_test_") as stage:
+        assert stage.startswith(str(tmp_path / "xroot"))
+
+
+def test_stage_removed_on_exit(tmp_path, monkeypatch):
+    """``stage()`` owns the directory for exactly its ``with`` block."""
+    import os
+
+    from neurostore_text_extraction_ray.stages import exchange as ex
+
+    monkeypatch.setenv("NSE_EXCHANGE_ROOT", str(tmp_path))
+    with ex.stage("nse_test_") as stage:
+        assert os.path.isdir(stage)
+        os.makedirs(os.path.join(stage, "part=00000"))
+        assert stage in ex._LIVE_STAGES
+    assert not os.path.exists(stage)
+    assert stage not in ex._LIVE_STAGES
+
+
+def test_stage_removed_when_body_raises(tmp_path, monkeypatch):
+    import os
+
+    from neurostore_text_extraction_ray.stages import exchange as ex
+
+    monkeypatch.setenv("NSE_EXCHANGE_ROOT", str(tmp_path))
+    with pytest.raises(RuntimeError, match="boom"):
+        with ex.stage("nse_test_") as stage:
+            open(os.path.join(stage, "frag.parquet"), "wb").close()
+            raise RuntimeError("boom")
+    assert not os.path.exists(stage)
+    assert stage not in ex._LIVE_STAGES
 
 
 def test_decontaminate_exchange_equivalence(ray_session, monkeypatch):
@@ -395,10 +424,10 @@ def test_key_part_negative_zero_colocates():
     """-0.0 == 0.0 in a groupby, so they must hash to the same part."""
     import pyarrow as pa
 
-    from neurostore_text_extraction_ray.pipelines.steps import _key_part
+    from neurostore_text_extraction_ray.stages.exchange import key_part
 
     t = pa.table({"k": pa.array([0.0, -0.0, 1.5, -1.5], pa.float64())})
-    parts = _key_part(t, ["k"], 32)
+    parts = key_part(t, ["k"], 32)
     assert parts[0] == parts[1]
 
 
