@@ -239,10 +239,20 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     # Ordering contract: the driver's CORRECTNESS snapshot records the
     # first ~50 entries only. Queries never yet driver-verified come
-    # first (9 as of r4), then the 15 last verified in r3, then the 50
-    # that were driver-green in r4 (see VERDICT.md round 4, next-round
+    # first (the 7 r5f entries, VERDICT.md round 5 item 1), then the
+    # r5 first-runs, then the 15 last verified in r3, then the 50 that
+    # were driver-green in r4 (see VERDICT.md round 4, next-round
     # item 1).
     return {
+        # --- new in r5f, never driver-verified ---
+        "docs_pmi_bigrams": steps.docs_pmi_bigrams,
+        "lineitem_cube": lambda sf: _round_cols(
+            steps.lineitem_cube(sf), {"sum_qty": 4, "sum_revenue": 4}),
+        "docs_nchars_quantiles_cont": steps.docs_nchars_quantiles_cont,
+        "docs_lang_corr": steps.docs_lang_corr,
+        "events_global_rolling_sum": steps.events_global_rolling_sum,
+        "events_user_top_type": steps.events_user_top_type,
+        "docs_lang_bucket_pivot": steps.docs_lang_bucket_pivot,
         # --- never driver-verified before r5 ---
         "docs_lang_quantiles": steps.docs_lang_quantiles,
         "events_user_retention": steps.events_user_retention,
@@ -304,14 +314,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "events_user_running_total": steps.events_user_running_total,
         "part_name_fuzzy_pairs": _part_name_fuzzy_pairs,
         "events_funnel": steps.events_funnel,
-        "docs_pmi_bigrams": steps.docs_pmi_bigrams,
-        "lineitem_cube": lambda sf: _round_cols(
-            steps.lineitem_cube(sf), {"sum_qty": 4, "sum_revenue": 4}),
-        "docs_nchars_quantiles_cont": steps.docs_nchars_quantiles_cont,
-        "docs_lang_corr": steps.docs_lang_corr,
-        "events_global_rolling_sum": steps.events_global_rolling_sum,
-        "events_user_top_type": steps.events_user_top_type,
-        "docs_lang_bucket_pivot": steps.docs_lang_bucket_pivot,
         # --- last driver-verified in r3 ---
         "ngram_jaccard_dups": _ngram_jaccard_dups,
         "embedding_cosine_dups": _embedding_cosine_dups,

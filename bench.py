@@ -140,7 +140,6 @@ def _measure_once(pages_dir: str) -> tuple[dict, dict]:
     t0 = time.time()
     ds = flagship.flagship_dataset(
         rd.read_parquet(pages_dir),
-        concurrency=max(4, NUM_CPUS // 2),
         batch_size=512,
         winners_ds=rd.read_parquet(pages_dir, columns=["url", "warc_ts"]),
     )
@@ -148,7 +147,7 @@ def _measure_once(pages_dir: str) -> tuple[dict, dict]:
     timings["flagship_streaming"] = round(time.time() - t0, 3)
 
     # mixed-modality extraction: html + JATS + PDF pages auto-sniffed
-    # through one actor pool
+    # through the flagship's extract tasks
     import pyarrow as pa_
 
     from neurostore_text_extraction_ray.sources import pages as pages_src
@@ -160,19 +159,12 @@ def _measure_once(pages_dir: str) -> tuple[dict, dict]:
         return pa_.concat_tables([html_t, xml_t, pdf_t])
 
     t0 = time.time()
-    n_mixed = (
+    n_mixed = flagship.extract_pages(
         rd.read_parquet(f"{SF_DIR}/documents.parquet",
                         columns=["doc_id", "text", "lang"])
-        .map_batches(mixed, batch_format="pyarrow", batch_size=256)
-        .map_batches(
-            __import__("neurostore_text_extraction_ray.stages.extract",
-                       fromlist=["ExtractActor"]).ExtractActor,
-            fn_constructor_kwargs={"payload_column": "payload", "mode": "auto"},
-            batch_format="pyarrow", batch_size=512,
-            concurrency=max(4, NUM_CPUS // 2),
-        )
-        .count()
-    )
+        .map_batches(mixed, batch_format="pyarrow", batch_size=256),
+        payload_column="payload", mode="auto", batch_size=512,
+    ).count()
     timings["mixed_modality_extract"] = round(time.time() - t0, 3)
     meta["mixed_docs"] = n_mixed
     for name, fn in [

@@ -30,7 +30,7 @@ def _vec_hex(vec) -> str:
 
 
 def _flagship(sf_dir: str):
-    """pages synthesis -> groupby-url dedup -> extract actor pool ->
+    """pages synthesis -> broadcast url dedup -> extract tasks ->
     (url, extracted_text) for cleanly extracted rows."""
     from . import flagship
     from ..sources import pages as pages_src
@@ -1966,31 +1966,23 @@ def _warc_source_roundtrip(sf_dir: str):
 def _warc_extract_text(sf_dir: str):
     """The full crawl-to-text tier END TO END: WARC segments ->
     ``read_warc`` (file = parallelism unit, streaming gzip, charset
-    sniff) -> the FROZEN html kernel inside an autoscaling
-    ``ExtractActor`` pool -> (url, warc_ts, extracted_text). The
+    sniff) -> the FROZEN html kernel as flagship extract tasks
+    (``flagship.extract_pages``) -> (url, warc_ts, extracted_text). The
     planted ``<html><body>{text}</body></html>`` wrapper extracts
     BYTE-IDENTICALLY to ``documents.text`` (asserted over both test
     corpora), so the whole chain — WARC framing, gzip members, HTTP
     header split, charset decode, DOM strip — is value-verified by
-    exact ANSI SQL. Scale shape: same actor-pool contract as the
-    flagship (state in ``__init__``, ``concurrency=(1, k)`` per the
-    no-fixed-pool rule, Arrow batches throughout)."""
+    exact ANSI SQL. Scale shape: the flagship's extract stage (plain
+    tasks, at most 4 at once, Arrow batches throughout)."""
+    from . import flagship
     from ..sources import warc as W
     from ..stages import exchange as ex
-    from ..stages.extract import ExtractActor
 
     with ex.stage("nse_warc_") as scratch:
         _write_warc_segments(sf_dir, scratch)
-        pages = W.read_warc(scratch)
-        out = pages.map_batches(
-            ExtractActor,
-            fn_constructor_kwargs={"payload_column": "html",
-                                   "mode": "html",
-                                   "keep_columns": ("url", "warc_ts")},
-            batch_format="pyarrow",
-            batch_size=64,
-            concurrency=(1, 4),
-        )
+        out = flagship.extract_pages(
+            W.read_warc(scratch), payload_column="html", mode="html",
+            concurrency=(1, 4))
 
         def project(t: pa.Table) -> pa.Table:
             if t["parse_failed"].to_pandas().any():

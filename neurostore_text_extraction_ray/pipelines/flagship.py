@@ -11,7 +11,8 @@ Shape (north rule):
                                               #   arrive co-located)
       -> groupby(url).map_groups(latest)      # THE shuffle: url is the one
                                               #   partitioning key
-      -> map_batches(ExtractActor, ...)       # stateful actor pool
+      -> map_batches(ExtractActor(...), ...)  # plain tasks (a callable
+                                              #   instance, no actor pool)
       [-> per-part atomic write + manifest]   # resumable sink
 
 Scale notes: the single all-to-all exchange is the groupby on ``url``
@@ -223,13 +224,23 @@ def extract_pages(
     ds,
     payload_column: str = "html",
     mode: str = "auto",
-    concurrency=(2, 8),
+    concurrency=None,
     batch_size: int = 64,
 ):
-    """The stateful extract stage as an autoscaling actor pool."""
+    """The extract stage as plain Ray tasks.
+
+    An ``ExtractActor`` *instance* goes to ``map_batches``, so Ray Data
+    runs it in its task pool: the kernels hold no per-process state
+    worth an actor pool (their rules compile at module import, and
+    reused task workers keep that), and a pool costs about 1-1.5 s to
+    start per Dataset. ``concurrency`` caps the concurrent extract tasks: an
+    int, or the max of a ``(min, max)`` tuple; ``None`` (the default)
+    sets no cap, so the upstream read and map stages fuse with the
+    extract into one task operator on every CPU."""
+    if isinstance(concurrency, tuple):
+        concurrency = concurrency[1]
     return ds.map_batches(
-        ExtractActor,
-        fn_constructor_kwargs={"payload_column": payload_column, "mode": mode},
+        ExtractActor(payload_column=payload_column, mode=mode),
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=batch_size,
@@ -238,7 +249,7 @@ def extract_pages(
 
 
 def flagship_dataset(pages_ds, mode: str = "auto", payload_column: str = "html",
-                     concurrency=(2, 8), batch_size: int = 64, winners_ds=None):
+                     concurrency=None, batch_size: int = 64, winners_ds=None):
     """pages Dataset -> extracted Dataset (no sink). Streaming end to
     end. Pass ``winners_ds`` (a (url, warc_ts)-only projection, e.g. a
     column-pruned re-read of the input parquet) so the dedup winners

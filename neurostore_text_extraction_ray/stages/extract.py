@@ -1,23 +1,22 @@
 """The extraction stage (SURVEY T5/M1-M4): html/xml bytes -> extracted
 text, spans, metadata, failure flags.
 
-Used as an actor pool:
+Run as plain Ray tasks by passing a callable instance:
 
-    ds.map_batches(ExtractActor, batch_format="pyarrow",
-                   zero_copy_batch=True, batch_size=64,
-                   concurrency=(2, 8), num_cpus=1)
+    ds.map_batches(ExtractActor(payload_column="html", mode="auto"),
+                   batch_format="pyarrow", zero_copy_batch=True,
+                   batch_size=64)
 
-``__init__`` compiles the rule state once per actor (per-document work
-is parser-bound Python over KB-MB payloads, so the batch loop is over
-documents — the vectorization unit — while column assembly is Arrow).
-Per-row failures set ``parse_failed`` and never poison the batch
-(reference tolerance: ns_extract/pipelines/base.py:740-750 logs and
-continues).
+The kernels compile their rules at module import, so a reused task
+worker already holds all the state there is; an actor pool would only
+add its start-up cost. Per-document work is parser-bound Python over
+KB-MB payloads, so the batch loop is over documents — the
+vectorization unit — while column assembly is Arrow. Per-row failures
+set ``parse_failed`` and never poison the batch (reference tolerance:
+ns_extract/pipelines/base.py:740-750 logs and continues).
 """
 
 from __future__ import annotations
-
-import re
 
 import pyarrow as pa
 
@@ -144,9 +143,10 @@ def extract_batch(
 
 
 class ExtractActor:
-    """Stateful extraction stage. Rule state (mode, fold table, span
-    lexicon — and, in a fuller build, compiled DOM rule tables) is set
-    up once per actor; ``__call__`` handles one Arrow batch."""
+    """The extraction stage as a callable: the options are fixed at
+    construction and ``__call__`` handles one Arrow batch. Pass an
+    instance to ``map_batches`` to run it as plain tasks. The name
+    stays: ``perfbench/trace_hook.py`` wraps ``ExtractActor.__call__``."""
 
     def __init__(self, payload_column: str = "html", mode: str = "auto",
                  fold_unicode: bool = False, keep_columns: tuple = ("url", "warc_ts")):
@@ -154,8 +154,6 @@ class ExtractActor:
         self.mode = mode
         self.fold_unicode = fold_unicode
         self.keep_columns = keep_columns
-        # warm the compiled-regex caches shared by the kernels
-        re.compile(r"\w+")
 
     # Skew guard: a batch whose total payload exceeds this is processed
     # in row-slices so oversized blobs (multi-MB pages) never force the
