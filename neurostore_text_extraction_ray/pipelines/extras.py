@@ -1659,7 +1659,7 @@ def _host_pagerank_exchanged(edges_ds, n_iter: int, damping: float,
                     ex.map_parts(
                         [edges_stage, rank_stage], num_parts, contrib_part,
                         CONTRIB_SCHEMA, in_schemas=[EDGE_SCHEMA, RANK_SCHEMA]
-                    ).materialize(),
+                    ),
                     "dst", ["contrib"], AGG_PARTIALS_DRIVER_LIMIT)
                 ex.write_exchange(
                     contrib_ds.map_batches(
@@ -1675,7 +1675,7 @@ def _host_pagerank_exchanged(edges_ds, n_iter: int, damping: float,
                     [nodes_stage, contrib_stage], num_parts,
                     lambda nt, ct: new_rank_part(nt, ct, dang),
                     FULL_SCHEMA, in_schemas=[NODE_SCHEMA, c_schema]
-                ).materialize()
+                )
 
     return rank_ds.map_batches(
         lambda df: pd.DataFrame({
@@ -1880,7 +1880,7 @@ def _host_components(sf_dir: str, num_parts: int = 32):
                                         preserve_index=False)
 
         return ex.map_parts(hl_stage, num_parts, finish_part,
-                            out_schema).materialize()
+                            out_schema)
 
 
 def _docs_outlinks(sf_dir: str):

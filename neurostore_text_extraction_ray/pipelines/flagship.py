@@ -36,6 +36,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages import exchange as ex
 from ..stages.broadcast import get_broadcast as _get_broadcast
 
 from ..stages.extract import ExtractActor, PARSER_VERSION, extract_batch
@@ -205,8 +206,6 @@ def dedup_pages_partitioned(ds, num_parts: int = 64):
     the salting-equivalent for this associative (latest-wins) reduce,
     bounding per-part skew by the batch count rather than the raw
     duplicate count (verified by the 5,000-fetch hot-key test)."""
-    from ..stages import exchange as ex
-
     with ex.stage("nse_dedup_pages_") as stage:
         combined = ds.map_batches(partial_dedup_batch, batch_format="pyarrow")
         ex.write_exchange(
@@ -217,7 +216,7 @@ def dedup_pages_partitioned(ds, num_parts: int = 64):
         empty = pa.schema(
             [(n, t) for n, t in zip(schema.names, schema.types)])
         return ex.map_parts(stage, num_parts, dedup_part_group,
-                            empty).materialize()
+                            empty)
 
 
 def extract_pages(
@@ -428,6 +427,12 @@ def _process_part(
     }
 
 
+def _run_part(*args):
+    # resolve _process_part through the module attribute at call time,
+    # so a wrapper installed on it in the worker process sees every part
+    return _process_part(*args)
+
+
 def run_flagship_to_parquet(
     pages_ds,
     out_dir: str,
@@ -445,13 +450,15 @@ def run_flagship_to_parquet(
     not a Ray Data all-to-all: phase A streams the deduped pages and
     appends each batch's rows into per-part fragment files
     (idempotent, content-addressed names, so task retries overwrite
-    identical bytes); phase B processes each part independently —
-    read fragments, exact url-dedup, extract, atomic part+manifest
-    write. On shared storage this is the standard external-shuffle
-    layout and every phase is embarrassingly parallel; Ray Data's
-    native groupby shuffle is avoided on the heavy payloads (measured
-    ~50x slower in this environment). A re-run with the same config
-    skips completed parts (manifest anti-join).
+    identical bytes); phase B runs one plain Ray task per part
+    (``exchange.part_tasks``) — read fragments, exact url-dedup,
+    extract, atomic part+manifest write — and the summary has one
+    int64 row per part it ran (none when every part was done). On
+    shared storage this is the standard external-shuffle layout and
+    every phase is embarrassingly parallel; Ray Data's native groupby
+    shuffle is avoided on the heavy payloads (measured ~50x slower in
+    this environment). A re-run with the same config skips completed
+    parts (manifest anti-join).
     """
     from ..functions.hashing import config_hash
 
@@ -502,8 +509,6 @@ def run_flagship_to_parquet(
     def write_fragments(batch: pa.Table) -> pa.Table:
         import pyarrow.parquet as pq
 
-        from ..stages import exchange as ex
-
         # same execution-time multi-node validation the generic
         # exchange performs: this embedded variant writes fragments to
         # the run dir, which must be shared storage on a cluster
@@ -539,40 +544,15 @@ def run_flagship_to_parquet(
     # keeping the fragment-file count (and fs metadata traffic) low
     ds.map_batches(write_fragments, batch_format="pyarrow", batch_size=4096).count()
 
-    # phase B: one task per remaining part
+    # phase B: one plain Ray task per remaining part
     import ray
-    import ray.data as rd
 
     todo = [p for p in range(num_parts) if p not in done]
-
-    def run_part(batch: pa.Table) -> pa.Table:
-        rows = []
-        for p in batch["part"].to_pylist():
-            rows.append(
-                _process_part(int(p), stage_dir, run_dir, input_path,
-                              payload_column, mode, incremental=incremental)
-            )
-        return pa.table({
-            "partition_id": pa.array([r["partition_id"] for r in rows], pa.int64()),
-            "rows": pa.array([r["rows"] for r in rows], pa.int64()),
-            "n_parse_failed": pa.array([r["n_parse_failed"] for r in rows], pa.int64()),
-            "n_empty": pa.array([r["n_empty"] for r in rows], pa.int64()),
-            "n_extracted": pa.array([r.get("n_extracted", r["rows"]) for r in rows], pa.int64()),
-            "n_reused": pa.array([r.get("n_reused", 0) for r in rows], pa.int64()),
-        })
-
-    if todo:
-        summary = (
-            rd.from_arrow(pa.table({"part": pa.array(todo, pa.int64())}))
-            .repartition(len(todo))
-            .map_batches(run_part, batch_format="pyarrow", batch_size=1)
-        )
-        sdf = summary.to_pandas()
-    else:
-        sdf = pd.DataFrame(
-            columns=["partition_id", "rows", "n_parse_failed", "n_empty",
-                     "n_extracted", "n_reused"]
-        )
+    refs = ex.part_tasks(_run_part, todo, stage_dir, run_dir, input_path,
+                         payload_column, mode, incremental)
+    sdf = pd.DataFrame(ray.get(refs), columns=[
+        "partition_id", "rows", "n_parse_failed", "n_empty", "n_extracted",
+        "n_reused"]).astype("int64")
     # drop the exchange fragments once every part has a manifest
     if len(mf.completed_parts(run_dir)) >= num_parts:
         import shutil

@@ -355,7 +355,7 @@ def _docs_join_embeddings_exchanged(sf_dir: str, num_parts: int = 32):
 
         return ex.map_parts([docs_stage, lab_stage], num_parts, join_part,
                             out_schema,
-                            in_schemas=[_DOCS_SCHEMA, lab_schema]).materialize()
+                            in_schemas=[_DOCS_SCHEMA, lab_schema])
 
 
 # -- M14/J3: change-detection anti-join -------------------------------------
@@ -423,7 +423,7 @@ def _filter_unprocessed_exchanged(sf_dir: str, num_parts: int = 32):
 
         return ex.map_parts([docs_stage, done_stage], num_parts, anti_part,
                             _DOCS_SCHEMA,
-                            in_schemas=[_DOCS_SCHEMA, done_schema]).materialize()
+                            in_schemas=[_DOCS_SCHEMA, done_schema])
 
 
 # -- D1: exact dedup by content ---------------------------------------------
@@ -529,7 +529,7 @@ def _dedup_exact_exchanged(docs, partials_ds, num_parts: int = 32):
 
         return ex.map_parts([docs_stage, win_stage], num_parts, semi_join,
                             docs_schema,
-                            in_schemas=[docs_schema, win_schema]).materialize()
+                            in_schemas=[docs_schema, win_schema])
 
 
 # -- Dataset.slice(ids) analog ----------------------------------------------
@@ -1713,7 +1713,7 @@ def _domain_filter_exchanged(sf_dir: str, kept_ds, num_parts: int = 32):
 
         return ex.map_parts([docs_stage, kept_stage], num_parts, semi_join,
                             docs_schema,
-                            in_schemas=[docs_schema, kept_schema]).materialize()
+                            in_schemas=[docs_schema, kept_schema])
 
 
 # -- Domain-level boilerplate line removal (CCNet/RefinedWeb-style) ----------
@@ -1887,8 +1887,7 @@ def _bp_boilerplate_keys(line_counts, dom_counts, ratio_num: int,
 
         return ex.map_parts([cand_stage, dom_stage], num_parts, join,
                             out_schema,
-                            in_schemas=[cand_schema, dom_schema]
-                            ).materialize()
+                            in_schemas=[cand_schema, dom_schema])
 
 
 def _bp_strip_frame(df: pd.DataFrame,
@@ -2003,8 +2002,7 @@ def strip_boilerplate(ds, ratio_num: int = 1, ratio_den: int = 2,
 
         return ex.map_parts([docs_stage, keys_stage], num_parts,
                             strip_part, out_schema,
-                            in_schemas=[docs_schema, keys_schema]
-                            ).materialize()
+                            in_schemas=[docs_schema, keys_schema])
 
 
 def docs_boilerplate_strip(sf_dir: str):
@@ -2183,8 +2181,7 @@ def docs_domain_percentile_filter(sf_dir: str, p: float = 0.5,
 
         return ex.map_parts([d_stage, k_stage], num_parts, part,
                             out_schema,
-                            in_schemas=[docs_schema, _PCTL_KEPT_SCHEMA]
-                            ).materialize()
+                            in_schemas=[docs_schema, _PCTL_KEPT_SCHEMA])
 
 
 # -- Dataset diff / reconciliation -------------------------------------------
@@ -2354,8 +2351,7 @@ def dataset_diff(a, b, key_col: str, val_cols: list[str],
 
         return ex.map_parts([a_stage, b_stage], num_parts, part,
                             out_schema,
-                            in_schemas=[pair_schema, pair_schema]
-                            ).materialize()
+                            in_schemas=[pair_schema, pair_schema])
 
 
 def docs_diff_planted(sf_dir: str):
@@ -2447,7 +2443,7 @@ def docs_domain_cap(sf_dir: str, cap: int = 3, num_parts: int = 32):
             })
 
         return ex.map_parts(stage, num_parts, keep_part,
-                            out_schema).materialize()
+                            out_schema)
 
 
 # -- Stratified deterministic sampling (per-group quotas) -------------------
@@ -2654,8 +2650,7 @@ def pack_shards(ds, key_col: str, weight_col: str, budget: int,
                 "shard": pa.array(excl // budget, pa.int64()),
             })
 
-        return ex.map_parts(stage, num_parts, assign, out_schema
-                            ).materialize()
+        return ex.map_parts(stage, num_parts, assign, out_schema)
 
 
 def docs_pack_shards(sf_dir: str, budget: int = 20000):
@@ -2803,7 +2798,7 @@ def pack_sequences(ds, key_col: str = "doc_id", text_col: str = "text",
                 schema=out_schema, preserve_index=False)
 
         return ex.map_parts(stage2, num_parts, stitch,
-                            out_schema).materialize()
+                            out_schema)
 
 
 def docs_pack_sequences(sf_dir: str, seq_len: int = 32):
@@ -2902,7 +2897,7 @@ def global_rank(ds, key_col: str, tie_col: str, descending: bool = False,
             })
 
         return ex.map_parts(stage, num_parts, rank_part,
-                            out_schema).materialize()
+                            out_schema)
 
 
 def docs_rank_by_length(sf_dir: str):
@@ -3311,7 +3306,7 @@ def events_sessionize(sf_dir: str, gap_minutes: int = 30, num_parts: int = 32):
             ),
         )
         return ex.map_parts(stage, num_parts, sessionize_part,
-                            empty).materialize()
+                            empty)
 
 
 def events_rolling_count(sf_dir: str, window_minutes: int = 60,
@@ -3390,7 +3385,7 @@ def events_rolling_count(sf_dir: str, window_minutes: int = 60,
             return pa.Table.from_pandas(out, preserve_index=False).cast(
                 pa.schema(empty))
 
-        return ex.map_parts(stage, num_parts, roll_part, empty).materialize()
+        return ex.map_parts(stage, num_parts, roll_part, empty)
 
 
 # -- As-of join: each event matched to the user's latest prior order --------
@@ -3533,7 +3528,7 @@ def _events_asof_exchanged(sf_dir: str, num_parts: int):
 
         return ex.map_parts([ev_stage, ord_stage], num_parts, asof_part,
                             out_schema,
-                            in_schemas=[ev_schema, ord_schema]).materialize()
+                            in_schemas=[ev_schema, ord_schema])
 
 
 # -- Similarity search over the embeddings table ----------------------------
@@ -4009,8 +4004,7 @@ def customer_order_counts(sf_dir: str,
 
         return ex.map_parts([cust_stage, agg_stage], num_parts, join_part,
                             out_schema,
-                            in_schemas=[cust_schema, agg_schema]
-                            ).materialize()
+                            in_schemas=[cust_schema, agg_schema])
 
 
 # -- Set op: distinct values (partial-unique + combine) ---------------------
@@ -4462,7 +4456,7 @@ def _docs_bloom_seen_exchanged(sf_dir: str, m_shard: int, k_hashes: int,
                              "maybe_seen": pa.array(seen, pa.bool_())})
 
         return ex.map_parts([b_stage, p_stage], shards, part_fn, out_schema,
-                            in_schemas=[b_schema, p_schema]).materialize()
+                            in_schemas=[b_schema, p_schema])
 
 
 # -- Bigram-LM quality scoring (CCNet-style perplexity filter) ---------------
@@ -4833,7 +4827,7 @@ def _events_range_join_exchanged(sf_dir: str, window_us: int,
                 preserve_index=False).cast(_RANGE_PAIRS_SCHEMA)
 
         return ex.map_parts(stage, num_parts, pairs_of_part,
-                            _RANGE_PAIRS_SCHEMA).materialize()
+                            _RANGE_PAIRS_SCHEMA)
 
 
 # -- Cumulative window: per-user running totals ------------------------------
@@ -4891,7 +4885,7 @@ def events_user_running_total(sf_dir: str, num_parts: int = 32):
                 preserve_index=False).cast(out_schema)
 
         return ex.map_parts(stage, num_parts, totals_of_part,
-                            out_schema).materialize()
+                            out_schema)
 
 
 # -- Funnel analysis: ordered-stage conversion counts ------------------------
@@ -4972,7 +4966,7 @@ def events_funnel(sf_dir: str,
 
         partials = ex.map_parts(
             stage_dir, num_parts, part_counts,
-            out_schema.append(pa.field("b0", pa.int64()))).materialize()
+            out_schema.append(pa.field("b0", pa.int64())))
         return grouped_sum_by_key(partials, "stage", ["n_users"],
                                   AGG_PARTIALS_DRIVER_LIMIT)
 
@@ -5381,7 +5375,7 @@ def events_global_rolling_sum(sf_dir: str, window_minutes: int = 60,
             })
 
         return ex.map_parts(stage, eff_parts, roll_part,
-                            out_schema).materialize()
+                            out_schema)
 
 
 # -- Grouped mode: most frequent value per key --------------------------------

@@ -277,7 +277,7 @@ def semdedup(ds, n_clusters: int | None = 10, threshold: float = 0.99,
 
         ex.write_exchange(payload, stage, part_fn)
         return ex.map_parts(
-            stage, num_parts, dedup_part, SEMDEDUP_SCHEMA).materialize()
+            stage, num_parts, dedup_part, SEMDEDUP_SCHEMA)
 
 
 def knn_lsh(ds, queries: np.ndarray, query_ids: list[int], k: int = 10,

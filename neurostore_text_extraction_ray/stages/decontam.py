@@ -212,5 +212,4 @@ def _decontaminate_exchanged(corpus, partials, id_col, text_col,
 
         return ex.map_parts([ids_stage, hits_stage], num_parts, join_part,
                             OUT_SCHEMA,
-                            in_schemas=[_ID_SCHEMA, _HITS_SCHEMA]
-                            ).materialize()
+                            in_schemas=[_ID_SCHEMA, _HITS_SCHEMA])

@@ -150,7 +150,7 @@ def _bucket_pairs_exchanged(mat, num_parts: int):
                 P.PAIR_SCHEMA)
 
         return ex.map_parts(stage, num_parts, pairs_of_part,
-                            P.PAIR_SCHEMA).materialize()
+                            P.PAIR_SCHEMA)
 
 
 def _bucket_pairs(band_rows_ds, num_parts: int = 64):

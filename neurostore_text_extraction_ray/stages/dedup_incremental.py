@@ -99,23 +99,17 @@ def _write_part_file(path: str, table: pa.Table) -> None:
 
 
 def _for_parts(num_parts: int, fn, out_schema: pa.Schema):
-    """Run ``fn(p) -> pa.Table`` once per part id, in parallel (the
-    ex.map_parts driver shape, but over part IDS — a part with no
-    exchange fragments still runs, which the diff needs to detect
-    fully-removed parts)."""
-    import ray.data as rd
-
-    def run(batch: pa.Table) -> pa.Table:
-        outs = [fn(int(p)) for p in batch["part"].to_pylist()]
-        outs = [o for o in outs if o is not None and o.num_rows]
-        if not outs:
+    """Run ``fn(p) -> pa.Table | None`` once per part id, one task each
+    (``ex.part_tasks``), over part IDS — a part with no exchange
+    fragments still runs, which the diff needs to detect fully-removed
+    parts. Eager, like ``ex.map_parts``."""
+    def run(p: int) -> pa.Table:
+        out = fn(p)
+        if out is None or not out.num_rows:
             return out_schema.empty_table()
-        return pa.concat_tables(outs, promote_options="default")
+        return out
 
-    parts = rd.from_arrow(
-        pa.table({"part": pa.array(list(range(num_parts)), pa.int64())})
-    ).repartition(num_parts)
-    return parts.map_batches(run, batch_format="pyarrow", batch_size=1)
+    return ex.tables_dataset(ex.part_tasks(run, range(num_parts)), out_schema)
 
 
 def _content_hashes(texts: list) -> tuple[np.ndarray, np.ndarray]:

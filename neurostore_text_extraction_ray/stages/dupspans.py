@@ -361,5 +361,4 @@ def _dup_spans_exchanged(corpus, k, id_col, text_col, num_parts):
 
         return ex.map_parts([text_stage, loser_stage], num_parts,
                             rebuild_part, OUT_SCHEMA,
-                            in_schemas=[_TEXT_SCHEMA, _LOSER_SCHEMA]
-                            ).materialize()
+                            in_schemas=[_TEXT_SCHEMA, _LOSER_SCHEMA])

@@ -5,24 +5,25 @@ a 237 MB exchange in this environment (BASELINE.md), so wide operators
 here exchange through shared storage instead: phase A streams the
 input and appends each batch's rows into per-part parquet fragments
 (content-addressed names -> task retries overwrite identical bytes);
-phase B runs one task per part over its fragments. On a cluster this
-is the standard external-shuffle layout — every phase is
-embarrassingly parallel and the exchange is bounded by storage
-bandwidth, not an in-memory all-to-all.
+phase B runs one plain Ray task per part over its fragments
+(``part_tasks``). On a cluster this is the standard external-shuffle
+layout — every phase is embarrassingly parallel and the exchange is
+bounded by storage bandwidth, not an in-memory all-to-all.
 
 Operators compose two primitives on top of ``write_exchange`` /
-``map_parts``:
+``map_parts`` (eager: it returns after every part has run):
 
 - ``stage(prefix)``: the one stage-directory lifecycle. A ``with``
   block owns the directory and removes it on exit, also on error;
-  nothing lazy that reads the stage may leave the block (materialize
-  or collect phase B inside it).
+  nothing lazy that reads the stage may leave the block (``map_parts``
+  output never reads it).
 - ``combine_by_key``: the one gated keyed combine — the driver runs
   the combine over the whole input at or below a row limit, a key-hash
   exchange runs it per part beyond it.
 
 ``pipelines/flagship.py`` embeds the same pattern with resume-specific
-extensions (manifests, part anti-join, atomic output).
+extensions (manifests, part anti-join, atomic output); its phase B
+also runs on ``part_tasks``.
 """
 
 from __future__ import annotations
@@ -144,9 +145,9 @@ def make_stage(prefix: str) -> str:
 @contextlib.contextmanager
 def stage(prefix: str):
     """``with stage("nse_op_") as s:`` — a fresh stage directory that is
-    removed when the block exits, normally or by an exception. Phase B
-    reads fragments lazily, so whatever reads the stage must be
-    materialized (or collected) before the block ends."""
+    removed when the block exits, normally or by an exception. Anything
+    that reads the stage lazily (``map_parts`` output does not) must be
+    materialized or collected before the block ends."""
     s = make_stage(prefix)
     try:
         yield s
@@ -216,55 +217,75 @@ def write_exchange(ds, stage_dir: str, part_fn, batch_size: int = 8192) -> int:
     return int(counts["n"].sum()) if len(counts) else 0
 
 
+def part_tasks(fn, parts, *args) -> list:
+    """The phase-B fan-out: one plain ``ray.remote(num_cpus=1)`` task
+    ``fn(p, *args)`` per part id, ``fn`` shipped once; returns the
+    object refs in ``parts`` order."""
+    import ray
+
+    task = ray.remote(num_cpus=1)(_call_part)
+    fn_ref = ray.put(fn)
+    return [task.remote(fn_ref, int(p), *args) for p in parts]
+
+
+def _call_part(fn, p, *args):
+    return fn(p, *args)
+
+
+def tables_dataset(refs: list, empty_schema: pa.Schema):
+    """A materialized Dataset of the tables behind ``part_tasks`` refs,
+    returned once every task has finished (also when one failed, so no
+    task still reads a stage its caller is about to remove); no refs
+    give an empty Dataset of ``empty_schema``."""
+    import ray
+    import ray.data as rd
+
+    if not refs:
+        return rd.from_arrow(empty_schema.empty_table())
+    ray.wait(refs, num_returns=len(refs), fetch_local=False)
+    return rd.from_arrow_refs(refs)
+
+
+def _stage_files(d: str, num_parts: int) -> dict[int, list[str]]:
+    """Part id -> sorted fragment files, for the parts that have any."""
+    files = {p: glob.glob(os.path.join(d, f"part={p:05d}", "*.parquet"))
+             for p in range(num_parts)}
+    return {p: sorted(fs) for p, fs in files.items() if fs}
+
+
 def map_parts(stage_dir, num_parts: int, fn, empty_schema: pa.Schema,
               in_schemas: list[pa.Schema] | None = None):
-    """Phase B: one parallel task per part; ``fn(table) -> table`` runs
-    over the part's concatenated fragments. Returns a Dataset of the
-    per-part outputs (empty parts yield ``empty_schema``).
+    """Phase B: one task per part with fragments; ``fn(table) -> table``
+    runs over the part's concatenated fragments. Eager: every task has
+    finished when this returns a materialized Dataset of the per-part
+    outputs (no part with fragments: an empty one of ``empty_schema``).
 
     ``stage_dir`` may also be a LIST of stage dirs partitioned with the
     same ``num_parts``/key space (a co-partitioned join): the task for
     part ``p`` then calls ``fn(t0, t1, ...)`` with part ``p``'s table
     from each dir. ``in_schemas`` (required in list mode) supplies the
     empty table for a dir with no fragments in that part."""
-    import ray.data as rd
-
     multi = isinstance(stage_dir, (list, tuple))
     dirs = list(stage_dir) if multi else [stage_dir]
     if multi and (in_schemas is None or len(in_schemas) != len(dirs)):
         raise ValueError("list-mode map_parts needs one in_schema per stage dir")
+    files = [_stage_files(d, num_parts) for d in dirs]
+    schemas = in_schemas or [None]
 
-    def _read_part(d: str, p: int, schema: pa.Schema | None):
+    def run_part(p: int) -> pa.Table:
         import pyarrow.parquet as pq
 
-        frag_files = sorted(
-            glob.glob(os.path.join(d, f"part={int(p):05d}", "*.parquet"))
-        )
-        if not frag_files:
-            return schema.empty_table() if schema is not None else None
-        return pa.concat_tables([pq.read_table(f) for f in frag_files])
-
-    def run_part(batch: pa.Table) -> pa.Table:
-        outs = []
-        for p in batch["part"].to_pylist():
-            if multi:
-                tables = [_read_part(d, p, s) for d, s in zip(dirs, in_schemas)]
-                if all(t.num_rows == 0 for t in tables):
-                    continue
-                outs.append(fn(*tables))
-            else:
-                table = _read_part(dirs[0], p, None)
-                if table is None:
-                    continue
-                outs.append(fn(table))
-        if not outs:
+        tables = [
+            pa.concat_tables([pq.read_table(f) for f in fs[p]]) if p in fs
+            else s.empty_table()
+            for fs, s in zip(files, schemas)
+        ]
+        if multi and all(t.num_rows == 0 for t in tables):
             return empty_schema.empty_table()
-        return pa.concat_tables(outs, promote_options="default")
+        return fn(*tables)
 
-    parts = rd.from_arrow(
-        pa.table({"part": pa.array(list(range(num_parts)), pa.int64())})
-    ).repartition(num_parts)
-    return parts.map_batches(run_part, batch_format="pyarrow", batch_size=1)
+    parts = sorted(set().union(*files))
+    return tables_dataset(part_tasks(run_part, parts), empty_schema)
 
 
 def key_part(batch: pa.Table, key_cols: list[str],
@@ -336,4 +357,4 @@ def combine_by_key(ds, key_cols: list[str], fn, out_schema: pa.Schema,
                            batch_format="pyarrow"),
             s, lambda b: key_part(b, key_cols, num_parts))
         return map_parts(s, num_parts, lambda t: to_out(fn(t.to_pandas())),
-                         out_schema).materialize()
+                         out_schema)

@@ -198,7 +198,7 @@ def _fuzzy_pairs_exchanged(blocks_ds, num_parts: int, dd, pr):
                 p, preserve_index=False).cast(pr.PAIR_SCHEMA)
 
         pairs_ds = ex.map_parts(blk_stage, num_parts, pairs_of_part,
-                                pr.PAIR_SCHEMA).materialize()
+                                pr.PAIR_SCHEMA)
 
         def payloads(t: pa.Table) -> pa.Table:
             rows = t.to_pandas()[["id", "nm"]].drop_duplicates("id")
@@ -222,7 +222,7 @@ def _fuzzy_pairs_exchanged(blocks_ds, num_parts: int, dd, pr):
                 lambda t: pa.Table.from_pandas(
                     t.to_pandas().drop_duplicates("id"),
                     preserve_index=False).cast(pr.PAYLOAD_SCHEMA),
-                pr.PAYLOAD_SCHEMA).materialize()
+                pr.PAYLOAD_SCHEMA)
 
     def verify(df: pd.DataFrame) -> pa.Table:
         cand = pd.DataFrame({

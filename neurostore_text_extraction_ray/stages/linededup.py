@@ -246,5 +246,4 @@ def _line_dedup_exchanged(corpus, id_col, text_col, num_parts):
 
         return ex.map_parts([text_stage, removed_stage], num_parts,
                             rebuild_part, OUT_SCHEMA,
-                            in_schemas=[_TEXT_SCHEMA, _REMOVED_SCHEMA]
-                            ).materialize()
+                            in_schemas=[_TEXT_SCHEMA, _REMOVED_SCHEMA])

@@ -116,7 +116,7 @@ def verify_pairs(pairs_ds, payload_ds, verify_fn, out_schema: pa.Schema,
 
         return ex.map_parts(
             [b_stage, pay_stage], num_parts, attach_b_verify, out_schema,
-            in_schemas=[mid_schema, PAYLOAD_SCHEMA]).materialize()
+            in_schemas=[mid_schema, PAYLOAD_SCHEMA])
 
 
 def label_components_exchanged(edges_ds, num_parts: int = 32):
@@ -247,8 +247,7 @@ def label_components_exchanged(edges_ds, num_parts: int = 32):
 
                 upd = ex.map_parts([labels_stage, msg_stage], num_parts,
                                    update, upd_schema,
-                                   in_schemas=[LABEL_SCHEMA, msg_schema]
-                                   ).materialize()
+                                   in_schemas=[LABEL_SCHEMA, msg_schema])
             n_nodes = upd.count()
             n_changed = upd.sum("changed") if n_nodes else 0
             labels_ds = upd.map_batches(
@@ -301,4 +300,4 @@ def label_ids(ids_ds, labels_ds, id_col: str, out_id_name: str,
 
         return ex.map_parts([ids_stage, lab_stage], num_parts, join,
                             out_schema,
-                            in_schemas=[ids_schema, LABEL_SCHEMA]).materialize()
+                            in_schemas=[ids_schema, LABEL_SCHEMA])
