@@ -22,7 +22,7 @@ Semantics:
 (U+2212) to ``-`` and NBSP to space — matching the variant seen in the
 ``6dYthnbocsU4`` golden file (an older tool version's output).
 
-parser_version: 1 (frozen once byte-verified; bump on any change).
+parser_version: 1 (frozen once byte-verified; bump on any change to output).
 """
 
 from __future__ import annotations
@@ -43,7 +43,9 @@ _HEADING_TAGS = {"h1", "h2", "h3", "h4", "h5", "h6"}
 class _DomTextDump(HTMLParser):
     """Streaming text-node collector. One instance per document.
     Records (offset, heading_text) for h1-h6 elements so callers can
-    derive labeled section spans."""
+    derive labeled section spans, and the first <title>'s data chunks.
+    The title state ignores the script/style skip, and the first
+    </title> ends it even before any <title>."""
 
     def __init__(self) -> None:
         super().__init__(convert_charrefs=True)
@@ -53,6 +55,9 @@ class _DomTextDump(HTMLParser):
         self._heading_start = None
         self._heading_buf: list[str] = []
         self.headings: list[tuple[int, str]] = []
+        self._in_title = False
+        self._title_done = False
+        self.title_buf: list[str] = []
 
     def _emit(self, s: str) -> None:
         self.parts.append(s)
@@ -61,6 +66,8 @@ class _DomTextDump(HTMLParser):
             self._heading_buf.append(s)
 
     def handle_starttag(self, tag, attrs):
+        if tag == "title" and not self._title_done:
+            self._in_title = True
         if tag in _SKIP_TAGS:
             self._skip += 1
         elif tag in _HEADING_TAGS and not self._skip:
@@ -68,6 +75,9 @@ class _DomTextDump(HTMLParser):
             self._heading_buf = []
 
     def handle_endtag(self, tag):
+        if tag == "title":
+            self._in_title = False
+            self._title_done = True
         if tag in _SKIP_TAGS and self._skip:
             self._skip -= 1
         elif tag in _HEADING_TAGS and self._heading_start is not None:
@@ -78,6 +88,8 @@ class _DomTextDump(HTMLParser):
             self._heading_buf = []
 
     def handle_data(self, data):
+        if self._in_title:
+            self.title_buf.append(data)
         if self._skip:
             return
         if not data.strip():
@@ -103,6 +115,17 @@ def html_to_text_and_spans(html: str, fold_unicode: bool = False):
     (abstract/intro/methods/results/discussion/body). A heading-less
     document yields one 'body' span. NOTE: fold_unicode does not change
     offsets (all folds are 1:1 character replacements)."""
+    return html_to_text_spans_title(html, fold_unicode=fold_unicode)[:2]
+
+
+def html_title(html: str) -> str | None:
+    """First <title> element's text, or None."""
+    return html_to_text_spans_title(html)[2]
+
+
+def html_to_text_spans_title(html: str, fold_unicode: bool = False):
+    """(text, spans, title) from one parser pass: ``html_to_text_and_spans``
+    and ``html_title`` of the same document. The title is never folded."""
     from .jats import section_label
 
     p = _DomTextDump()
@@ -118,33 +141,5 @@ def html_to_text_and_spans(html: str, fold_unicode: bool = False):
             spans.append({"label": section_label(title), "start": start, "end": end})
     else:
         spans.append({"label": "body", "start": 0, "end": len(text)})
-    return text, spans
-
-
-def html_title(html: str) -> str | None:
-    """First <title> element's text, or None."""
-
-    class _T(HTMLParser):
-        def __init__(self):
-            super().__init__(convert_charrefs=True)
-            self.in_title = False
-            self.done = False
-            self.buf: list[str] = []
-
-        def handle_starttag(self, tag, attrs):
-            if tag == "title" and not self.done:
-                self.in_title = True
-
-        def handle_endtag(self, tag):
-            if tag == "title":
-                self.in_title = False
-                self.done = True
-
-        def handle_data(self, d):
-            if self.in_title:
-                self.buf.append(d)
-
-    t = _T()
-    t.feed(html)
-    t.close()
-    return "".join(t.buf) if t.buf else None
+    title = "".join(p.title_buf) if p.title_buf else None
+    return text, spans, title

@@ -33,7 +33,7 @@ Grammar (empirically calibrated):
   with a preceding space); whitespace-only text nodes containing a
   newline are dropped inside inline content.
 
-parser_version: 1 (frozen once byte-verified; bump on any change).
+parser_version: 1 (frozen once byte-verified; bump on any change to output).
 """
 
 from __future__ import annotations
@@ -296,7 +296,18 @@ def jats_text(xml_str: str) -> str:
 def jats_text_and_spans(xml_str: str):
     """Returns (text, spans) where spans is a list of
     {label, start, end} dicts covering each top-level section."""
+    return _text_and_spans(_parse(xml_str))
+
+
+def jats_extract(xml_str: str):
+    """(text, spans, metadata) from one parse: ``jats_text_and_spans``
+    and ``jats_metadata`` of the same article."""
     root = _parse(xml_str)
+    text, spans = _text_and_spans(root)
+    return text, spans, _metadata(root, xml_str, text)
+
+
+def _text_and_spans(root):
     body = root.find(".//body")
     if body is None:
         return "", []
@@ -357,6 +368,12 @@ def jats_metadata(xml_str: str, text: str | None = None) -> dict:
     """Extract the metadata struct. ``text`` (the rendered body text, if
     already computed) feeds the coordinate-space heuristic."""
     root = _parse(xml_str)
+    if text is None:
+        text = _text_and_spans(root)[0]
+    return _metadata(root, xml_str, text)
+
+
+def _metadata(root, xml_str: str, text: str) -> dict:
     title = _itertext(root.find(".//front//title-group/article-title"))
     # authors: "Surname, Given; ..." — authors first, then (matching the
     # reference goldens) corresponding authors repeated at the end.
@@ -406,8 +423,6 @@ def jats_metadata(xml_str: str, text: str | None = None) -> dict:
                 if license_href:
                     break
     abstract = render_abstracts(root)
-    if text is None:
-        text = jats_text(xml_str)
     return {
         "title": title,
         "authors": "; ".join(authors) if authors else None,

@@ -30,43 +30,35 @@ import zlib
 
 PARSER_VERSION = 1
 
-_OBJ_RE = re.compile(rb"(\d+)\s+(\d+)\s+obj(.*?)endobj", re.DOTALL)
-_STREAM_RE = re.compile(rb"stream\r?\n(.*?)\r?\nendstream", re.DOTALL)
+# Length-driven object scan (see ``pdf_extract_blocks``)
+_OBJ_START_RE = re.compile(rb"\d+\s+\d+\s+obj")
+_STREAM_START_RE = re.compile(rb"stream\r?\n")
+_LENGTH_RE = re.compile(rb"/Length\s+(\d+)")
+_TITLE_RE = re.compile(rb"/Title\s*\(((?:[^()\\]|\\.)*)\)")
 _UNSUPPORTED_FILTERS = (
     b"/DCTDecode", b"/CCITTFaxDecode", b"/JBIG2Decode", b"/JPXDecode",
     b"/LZWDecode", b"/ASCII85Decode", b"/RunLengthDecode",
 )
 
+# one escape: an octal code of up to 3 digits, or any single byte
+_ESCAPE_RE = re.compile(rb"\\([0-7]{1,3}|.)", re.DOTALL)
+_CONTROL_ESCAPES = {b"n": b"\n", b"r": b"\r", b"t": b"\t", b"b": b"\b", b"f": b"\f"}
+
+
+def _unescape_match(m: re.Match) -> bytes:
+    e = m.group(1)
+    if 0x30 <= e[0] <= 0x37:
+        return bytes((int(e, 8) & 0xFF,))
+    return _CONTROL_ESCAPES.get(e, e)
+
 
 def _unescape_pdf_string(raw: bytes) -> str:
-    out = bytearray()
-    i = 0
-    while i < len(raw):
-        c = raw[i]
-        if c == 0x5C and i + 1 < len(raw):  # backslash
-            n = raw[i + 1]
-            if n in b"nrtbf":
-                out.extend({b"n"[0]: b"\n", b"r"[0]: b"\r", b"t"[0]: b"\t",
-                            b"b"[0]: b"\b", b"f"[0]: b"\f"}[n])
-                i += 2
-            elif n in b"()\\":
-                out.append(n)
-                i += 2
-            elif 0x30 <= n <= 0x37:  # octal, up to 3 digits
-                j = i + 1
-                oct_digits = b""
-                while j < len(raw) and len(oct_digits) < 3 and 0x30 <= raw[j] <= 0x37:
-                    oct_digits += bytes([raw[j]])
-                    j += 1
-                out.append(int(oct_digits, 8) & 0xFF)
-                i = j
-            else:
-                out.append(n)
-                i += 2
-        else:
-            out.append(c)
-            i += 1
-    return out.decode("latin-1")
+    """Octal codes wrap at 0xFF, ``n r t b f`` are control characters,
+    any other escaped byte loses its backslash, and a trailing lone
+    backslash is kept."""
+    if b"\\" not in raw:
+        return raw.decode("latin-1")
+    return _ESCAPE_RE.sub(_unescape_match, raw).decode("latin-1")
 
 
 _TOKEN_RE = re.compile(
@@ -174,20 +166,18 @@ def pdf_extract_blocks(pdf_bytes: bytes) -> list[dict]:
     # literal bytes 'endstream'/'endobj', so keyword-delimited regex
     # matching over whole objects is unsound; the /Length entry is the
     # only reliable stream delimiter.
-    obj_re = re.compile(rb"\d+\s+\d+\s+obj")
-    stream_re = re.compile(rb"stream\r?\n")
     pos = 0
     while True:
-        om = obj_re.search(pdf_bytes, pos)
+        om = _OBJ_START_RE.search(pdf_bytes, pos)
         if not om:
             break
-        sm = stream_re.search(pdf_bytes, om.end())
+        sm = _STREAM_START_RE.search(pdf_bytes, om.end())
         eo = pdf_bytes.find(b"endobj", om.end())
         if not sm or (eo != -1 and eo < sm.start()):
             pos = (eo + 6) if eo != -1 else len(pdf_bytes)
             continue
         head = pdf_bytes[om.end() : sm.start()]
-        lm = re.search(rb"/Length\s+(\d+)", head)
+        lm = _LENGTH_RE.search(head)
         if lm:
             data = pdf_bytes[sm.end() : sm.end() + int(lm.group(1))]
             pos = sm.end() + int(lm.group(1))
@@ -222,7 +212,7 @@ def pdf_to_text(pdf_bytes: bytes) -> str:
 
 
 def pdf_title(pdf_bytes: bytes) -> str | None:
-    m = re.search(rb"/Title\s*\(((?:[^()\\]|\\.)*)\)", pdf_bytes)
+    m = _TITLE_RE.search(pdf_bytes)
     return _unescape_pdf_string(m.group(1)) if m else None
 
 

@@ -92,11 +92,10 @@ def extract_one(payload: bytes, mode: str = "auto", fold_unicode: bool = False) 
             }
         raw = payload.decode("utf-8")
         if mode == "jats":
-            text, spans = jats.jats_text_and_spans(raw)
-            metadata = jats.jats_metadata(raw, text=text)
+            text, spans, metadata = jats.jats_extract(raw)
         else:
-            text, spans = html_text.html_to_text_and_spans(raw, fold_unicode=fold_unicode)
-            title = html_text.html_title(raw)
+            text, spans, title = html_text.html_to_text_spans_title(
+                raw, fold_unicode=fold_unicode)
             if title:
                 i = text.find(title)
                 if i >= 0:

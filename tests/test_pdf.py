@@ -4,6 +4,7 @@ order, stub boundaries, extract-stage integration."""
 import pytest
 
 from neurostore_text_extraction_ray.functions.pdf_text import (
+    _unescape_pdf_string,
     pdf_extract_blocks,
     pdf_title,
     pdf_to_text,
@@ -91,3 +92,30 @@ def test_multi_page_reading_order():
     assert [(b["page"], b["text"]) for b in got] == [
         (0, "p1 high"), (0, "p1 low"), (1, "p2 top")]
     assert pdf_to_text(pdf) == "p1 high\n\np1 low\n\np2 top"
+
+
+# literal-string escapes: the values the per-byte unescape loop gave
+@pytest.mark.parametrize("raw,want", [
+    (rb"a\nb", "a\nb"),
+    (rb"a\rb", "a\rb"),
+    (rb"a\tb", "a\tb"),
+    (rb"a\bb", "a\bb"),
+    (rb"a\fb", "a\fb"),
+    (rb"\(x\)", "(x)"),
+    (rb"\\", "\\"),
+    (b"\\\\\\", "\\\\"),
+    (rb"\7", "\x07"),
+    (rb"\0", "\x00"),
+    (rb"\53", "+"),
+    (rb"\101", "A"),
+    (rb"\1011", "A1"),
+    (rb"\400", "\x00"),
+    (rb"\8", "8"),
+    (rb"\q", "q"),
+    (b"a\\\nb", "a\nb"),
+    (b"ab\\", "ab\\"),
+    (b"", ""),
+    (b"caf\xe9", "caf\xe9"),
+])
+def test_unescape_pdf_string(raw, want):
+    assert _unescape_pdf_string(raw) == want

@@ -121,6 +121,58 @@ def test_pdf_roundtrip_property(texts):
         assert [b["text"] for b in got] == [b["text"] for b in blocks]
 
 
+def _unescape_pdf_string_loop(raw: bytes) -> str:
+    """The byte-at-a-time unescape that the regex form replaced."""
+    out = bytearray()
+    i = 0
+    while i < len(raw):
+        c = raw[i]
+        if c == 0x5C and i + 1 < len(raw):  # backslash
+            n = raw[i + 1]
+            if n in b"nrtbf":
+                out.extend({b"n"[0]: b"\n", b"r"[0]: b"\r", b"t"[0]: b"\t",
+                            b"b"[0]: b"\b", b"f"[0]: b"\f"}[n])
+                i += 2
+            elif n in b"()\\":
+                out.append(n)
+                i += 2
+            elif 0x30 <= n <= 0x37:  # octal, up to 3 digits
+                j = i + 1
+                oct_digits = b""
+                while j < len(raw) and len(oct_digits) < 3 and 0x30 <= raw[j] <= 0x37:
+                    oct_digits += bytes([raw[j]])
+                    j += 1
+                out.append(int(oct_digits, 8) & 0xFF)
+                i = j
+            else:
+                out.append(n)
+                i += 2
+        else:
+            out.append(c)
+            i += 1
+    return out.decode("latin-1")
+
+
+@given(st.one_of(st.binary(max_size=40),
+                 st.lists(st.sampled_from([b"\\", b"n", b"f", b"(", b"0", b"4",
+                                           b"7", b"8", b"\n", b"\xff"]),
+                          max_size=20).map(b"".join)))
+@settings(max_examples=300, deadline=None)
+def test_pdf_unescape_equals_byte_loop(raw):
+    from neurostore_text_extraction_ray.functions.pdf_text import _unescape_pdf_string
+
+    assert _unescape_pdf_string(raw) == _unescape_pdf_string_loop(raw)
+
+
+@given(st.text(alphabet=st.characters(min_codepoint=0, max_codepoint=255)))
+@settings(max_examples=200, deadline=None)
+def test_pdf_string_escape_roundtrip(s):
+    from neurostore_text_extraction_ray.functions.pdf_text import (
+        _escape_pdf_string, _unescape_pdf_string)
+
+    assert _unescape_pdf_string(_escape_pdf_string(s).encode("latin-1")) == s
+
+
 _group_strat = st.fixed_dictionaries({
     "count": st.one_of(st.none(), st.floats(-50, 500, allow_nan=False)),
     "diagnosis": st.one_of(st.none(), st.text(max_size=20)),
