@@ -1480,7 +1480,6 @@ def _host_pagerank(sf_dir: str, n_iter: int = 5, damping: float = 0.85):
         g = (links.groupby(["src", "host"], sort=False).size()
              .reset_index(name="w").rename(columns={"host": "dst"}))
         g["w"] = g["w"].astype("int64")
-        g["b0"] = np_.int64(df["doc_id"].min()) if len(df) else np_.int64(0)
         return g
 
     partials = (
@@ -1548,8 +1547,7 @@ def _host_pagerank_exchanged(edges_ds, n_iter: int, damping: float,
     FULL_SCHEMA = pa.schema([("host", pa.string()), ("pr", pa.float64()),
                              ("dangling", pa.bool_())])
     CONTRIB_SCHEMA = pa.schema([("dst", pa.string()),
-                                ("contrib", pa.float64()),
-                                ("b0", pa.int64())])
+                                ("contrib", pa.float64())])
     OUT_SCHEMA = pa.schema([("host", pa.string()),
                             ("pagerank", pa.float64())])
 
@@ -1558,13 +1556,6 @@ def _host_pagerank_exchanged(edges_ds, n_iter: int, damping: float,
                         pd.DataFrame({"host": df["dst"], "o": 0})])
              .groupby("host", sort=False)["o"].sum().reset_index())
         g["o"] = g["o"].astype(np_.int64)
-        # b0: batches are disjoint sets of globally-unique (src, dst)
-        # rows, so the min pair hash is batch-unique
-        # \x1f separator, not \x00: pandas hash_array truncates object
-        # strings at an embedded NUL, which would drop the dst half
-        ph = pd.util.hash_array(
-            (df["src"] + "\x1f" + df["dst"]).to_numpy(dtype=object))
-        g["b0"] = np_.int64(ph.min()) if len(df) else np_.int64(0)
         return g
 
     nodes_ds = grouped_sum_by_key(
@@ -1614,12 +1605,9 @@ def _host_pagerank_exchanged(edges_ds, n_iter: int, damping: float,
             contrib = pr_src * ed["w"].to_numpy() / out_w.to_numpy()
             g = (pd.DataFrame({"dst": ed["dst"], "contrib": contrib})
                  .groupby("dst", sort=False)["contrib"].sum().reset_index())
-            b0 = np_.int64(pd.util.hash_array(
-                ed["src"].to_numpy(dtype=object)).min())
             return pa.table({
                 "dst": pa.array(g["dst"].to_numpy(dtype=object), pa.string()),
                 "contrib": pa.array(g["contrib"].to_numpy(), pa.float64()),
-                "b0": pa.array(np_.full(len(g), b0), pa.int64()),
             })
 
         def new_rank_part(nt: pa.Table, ct: pa.Table, dang: float):
@@ -1772,7 +1760,6 @@ def _host_components(sf_dir: str, num_parts: int = 32):
         })
         g = e.groupby(["src", "dst"], sort=False).size().reset_index(name="n")
         g["n"] = g["n"].astype("int64")
-        g["b0"] = np.int64(ids.min()) if len(df) else np.int64(0)
         return g
 
     edges = grouped_sum_by_key(
@@ -1799,11 +1786,6 @@ def _host_components(sf_dir: str, num_parts: int = 32):
         g = pd.DataFrame({"host": hosts.to_numpy(dtype=object)})
         g["node"] = _token_hashes(g["host"].tolist()).view(np.int64)
         g["n"] = np.int64(1)
-        # b0: distinct edge batches CAN carry identical host sets
-        # ({(A,B)} vs {(B,A)}) and collapse in the exchange — harmless
-        # here because the combine is used as DISTINCT (n discarded),
-        # which is idempotent, unlike a true sum
-        g["b0"] = (np.int64(g["node"].min()) if len(g) else np.int64(0))
         return g
 
     nodes = grouped_sum_by_key(
@@ -2035,7 +2017,6 @@ def _host_indegree(sf_dir: str):
             n_docs=("doc_id", "nunique")).reset_index()
         g["n_links"] = g["n_links"].astype("int64")
         g["n_docs"] = g["n_docs"].astype("int64")
-        g["b0"] = np.int64(df["doc_id"].min()) if len(df) else np.int64(0)
         return g
 
     partials_ds = docs.map_batches(
@@ -2092,7 +2073,6 @@ def _host_anchor_topk(sf_dir: str, k: int = 2):
             n_docs=("doc_id", "nunique")).reset_index()
         g["n_links"] = g["n_links"].astype("int64")
         g["n_docs"] = g["n_docs"].astype("int64")
-        g["b0"] = np.int64(df["doc_id"].min()) if len(df) else np.int64(0)
         return g
 
     counts = steps.grouped_sum_by_key(

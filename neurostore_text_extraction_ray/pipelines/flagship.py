@@ -137,10 +137,12 @@ def dedup_pages(ds, winners_ds=None, num_parts: int = 64):
     the dedup automatically routes to ``dedup_pages_partitioned``
     instead of a driver OOM (VERDICT r03 next-round #2).
 
-    Tie caveat: two fetches of one url with IDENTICAL warc_ts dedupe
-    within a batch but not across batches on this path (the
-    partitioned path is exact); real warc timestamps make this
-    vanishing.
+    Tie caveat: two fetches of one url with EQUAL warc_ts dedupe
+    within a batch but not across batches on this path, so when they
+    arrive in different batches ``flagship_dataset`` returns 2 rows
+    for that url. The resumable sink (``run_flagship_to_parquet``) returns
+    1 row, and which fetch wins is decided by the order of its
+    exchange fragments, not by the data.
 
     ``winners_ds``: optionally pass a (url, warc_ts) projection of the
     same corpus (e.g. a column-pruned re-read of the input parquet) so
@@ -197,8 +199,8 @@ def dedup_pages_partitioned(ds, num_parts: int = 64):
     all-to-all measured ~50x slower in this environment, BASELINE.md).
     Used when the winner table is too large to broadcast
     (``dedup_pages`` auto-routes here beyond
-    ``WINNERS_BROADCAST_LIMIT``); the resumable sink embeds the same
-    layout with manifests (``run_flagship_to_parquet``).
+    ``WINNERS_BROADCAST_LIMIT``); the resumable sink runs the same
+    exchange with manifests (``run_flagship_to_parquet``).
 
     Hot keys: the ``partial_dedup_batch`` combiner runs BEFORE the
     exchange, so a url with any number of duplicate fetches contributes
@@ -306,26 +308,21 @@ def _process_part(
     before any of sidecar/data are replaced, so a crash mid-window
     forces a full re-extract of that part instead of serving a mixed
     state."""
-    import glob as _glob
     import json as _json
 
     import pyarrow.parquet as pq
 
-    frag_files = sorted(_glob.glob(os.path.join(stage_dir, f"part={part:05d}", "*.parquet")))
-    if not frag_files:
-        group = None
-    else:
-        group = pa.concat_tables([pq.read_table(f) for f in frag_files])
+    empty_pages = pa.table({
+        "url": pa.array([], pa.string()),
+        "warc_ts": pa.array([], pa.timestamp("us")),
+        payload_column: pa.array([], pa.binary()),
+    })
+    group = ex.read_part(stage_dir, part, empty_pages.schema)
     data_path, man_path = mf.part_paths(run_dir, part)
     side_path = mf.inputs_sidecar_path(run_dir, part)
-    if group is None or group.num_rows == 0:
+    if group.num_rows == 0:
         # still write an (empty, full-schema) part + manifest so resume
         # marks the part done and readers can glob all parts uniformly
-        empty_pages = pa.table({
-            "url": pa.array([], pa.string()),
-            "warc_ts": pa.array([], pa.timestamp("us")),
-            payload_column: pa.array([], pa.binary()),
-        })
         empty_out = extract_batch(empty_pages, payload_column=payload_column,
                                   mode=mode, keep_columns=("url", "warc_ts"))
         if os.path.exists(man_path):
@@ -446,19 +443,21 @@ def run_flagship_to_parquet(
     """Resumable run: write <out>/<config-hash>/parts/part-*.parquet +
     manifests. Returns (run_dir, per-part summary DataFrame).
 
-    The partition exchange is FILESYSTEM-MEDIATED (two-phase write),
-    not a Ray Data all-to-all: phase A streams the deduped pages and
-    appends each batch's rows into per-part fragment files
-    (idempotent, content-addressed names, so task retries overwrite
-    identical bytes); phase B runs one plain Ray task per part
-    (``exchange.part_tasks``) — read fragments, exact url-dedup,
-    extract, atomic part+manifest write — and the summary has one
-    int64 row per part it ran (none when every part was done). On
-    shared storage this is the standard external-shuffle layout and
-    every phase is embarrassingly parallel; Ray Data's native groupby
-    shuffle is avoided on the heavy payloads (measured ~50x slower in
-    this environment). A re-run with the same config skips completed
-    parts (manifest anti-join).
+    The partition exchange is FILESYSTEM-MEDIATED, not a Ray Data
+    all-to-all: phase A is ``exchange.write_exchange`` of the
+    batch-deduped pages of the parts not yet done into
+    ``<run_dir>/stage``, by url hash; phase B runs one plain Ray task
+    per part (``exchange.part_tasks``) — read the part's committed
+    fragments (``exchange.read_part``), exact url-dedup, extract,
+    atomic part+manifest write — and the summary has one int64 row
+    per part it ran (none when every part was done). Phase B reads
+    only the fragments this run's phase A committed, so fragments
+    left in the stage by a crashed run or an earlier input never mix
+    in. On shared storage this is the standard external-shuffle
+    layout and every phase is embarrassingly parallel; Ray Data's
+    native groupby shuffle is avoided on the heavy payloads (measured
+    ~50x slower in this environment). A re-run with the same config
+    skips completed parts (manifest anti-join).
     """
     from ..functions.hashing import config_hash
 
@@ -485,64 +484,31 @@ def run_flagship_to_parquet(
     # part-skip anti-join is only for crash resume within one input
     done = set() if incremental else mf.completed_parts(run_dir)
 
-    ds = pages_ds.map_batches(
-        lambda b: b.append_column("part", _url_hash_mod(b["url"], num_parts)),
-        batch_format="pyarrow",
-    )
-    if done:
-        done_arr = np.array(sorted(done), dtype=np.int64)
-        ds = ds.map_batches(
-            lambda b: b.filter(
-                pa.array(~np.isin(b["part"].to_numpy(zero_copy_only=False), done_arr))
-            ),
-            batch_format="pyarrow",
-        )
-    # phase A: partition fragments to disk (streaming, parallel)
-    stage_dir = os.path.join(run_dir, "stage")
-    if incremental:
-        # fragments from a PRIOR input version must not mix with the
-        # new ones (same stage dir, latest-wins ties would be ambiguous)
-        import shutil
+    done_arr = np.array(sorted(done), dtype=np.int64)
 
-        shutil.rmtree(stage_dir, ignore_errors=True)
-
-    def write_fragments(batch: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq
-
-        # same execution-time multi-node validation the generic
-        # exchange performs: this embedded variant writes fragments to
-        # the run dir, which must be shared storage on a cluster
+    def dedup_batch(batch: pa.Table) -> pa.Table:
+        # the run dir is a caller-supplied path: on a cluster it must be
+        # shared storage (write_exchange's own check covers only its
+        # default node-local root)
         ex.assert_shared_visibility("flagship stage dir")
         batch = partial_dedup_batch(batch)
-        parts_np = batch["part"].to_numpy(zero_copy_only=False)
-        for part in np.unique(parts_np):
-            sub = batch.filter(pa.array(parts_np == part))
-            frag_dir = os.path.join(stage_dir, f"part={int(part):05d}")
-            os.makedirs(frag_dir, exist_ok=True)
-            # Content-addressed fragment id over the actual (url, warc_ts)
-            # pairs with separators: task RETRIES (identical rows) map to
-            # the same file and dedupe via os.replace, while two distinct
-            # batches that happen to carry the same url set but different
-            # fetches (the normal case after partial_dedup) NEVER collide.
-            # Built vectorized (one str.cat + one hash update per
-            # fragment, not a Python loop per row).
-            tss = sub["warc_ts"].to_numpy(zero_copy_only=False).astype(
-                "datetime64[us]").astype(np.int64)
-            blob = (
-                sub["url"].to_pandas()
-                .str.cat(pd.Series(tss).astype(str), sep="|")
-                .str.cat(sep="\0")
-            )
-            fid = hashlib.blake2b(blob.encode(), digest_size=10).hexdigest()
-            path = os.path.join(frag_dir, f"{fid}.parquet")
-            tmp = path + f".tmp-{os.getpid()}"
-            pq.write_table(sub.drop_columns(["part"]), tmp)
-            os.replace(tmp, path)
-        return pa.table({"n": pa.array([batch.num_rows], pa.int64())})
+        if len(done_arr):
+            parts = _url_hash_mod(batch["url"], num_parts).to_numpy(
+                zero_copy_only=False)
+            batch = batch.filter(pa.array(~np.isin(parts, done_arr)))
+        return batch
 
-    # large batches: each task writes at most one fragment per part,
-    # keeping the fragment-file count (and fs metadata traffic) low
-    ds.map_batches(write_fragments, batch_format="pyarrow", batch_size=4096).count()
+    # phase A: the url-hash exchange into <run_dir>/stage. Large batches:
+    # each task writes at most one fragment per part, keeping the
+    # fragment-file count (and fs metadata traffic) low.
+    stage_dir = os.path.join(run_dir, "stage")
+    ex.write_exchange(
+        pages_ds.map_batches(dedup_batch, batch_format="pyarrow",
+                             batch_size=4096),
+        stage_dir,
+        lambda b: _url_hash_mod(b["url"], num_parts).to_numpy(
+            zero_copy_only=False),
+        batch_size=4096)
 
     # phase B: one plain Ray task per remaining part
     import ray

@@ -145,9 +145,6 @@ def tfidf(sf_dir: str, min_df: int = 2, vocabulary: dict | None = None,
         c = ex["term"].value_counts()
         out = pd.DataFrame({"term": c.index.to_numpy(dtype=object),
                             "n": c.to_numpy().astype(np.int64)})
-        # b0 contract (write_exchange): batch-min doc_id keeps
-        # byte-identical partials from distinct batches distinct
-        out["b0"] = np.int64(df["doc_id"].min()) if len(df) else np.int64(0)
         return out
 
     partials_ds = docs.map_batches(
@@ -635,11 +632,10 @@ def _topk_combine(partials_ds, local_topk, driver_limit, num_parts=32):
     """Shared gated merge for partial top-k streams: ``local_topk``
     (pd.DataFrame -> pd.DataFrame) must be idempotent and associative
     under row-union (true for 'k best under a total order, optionally
-    per group'). Rows must carry a unique ``doc_id`` — the part key,
-    and what keeps distinct batches' fragments distinct under the
-    content-addressed exchange (write_exchange CONTRACT). A two-level
-    merge: ``combine_by_key`` on doc_id (per-part top-k beyond the
-    gate), then ``local_topk`` over the candidates on the driver.
+    per group'). Rows must carry a unique ``doc_id`` — the part key.
+    A two-level merge: ``combine_by_key`` on doc_id (per-part top-k
+    beyond the gate), then ``local_topk`` over the candidates on the
+    driver.
     Returns the exact merged top-k as a small pandas frame."""
     from ..stages import exchange as ex
 
@@ -831,14 +827,13 @@ def docs_lang_quantiles(sf_dir: str, qs=(0.25, 0.5, 0.75, 0.95),
     ``quantile_disc GROUP BY`` semantics: per group, the smallest value
     whose cumulative count reaches ``ceil(q * n_group)``; rule verified
     against DuckDB over randomized multisets). Per-batch partial rows
-    (lang, value, n, b0) are bounded by group-x-distinct-value
+    (lang, value, n) are bounded by group-x-distinct-value
     cardinality per batch, never the row stream. Below
     ``LANG_QUANTILES_DRIVER_LIMIT`` partial rows the combine is a small
     driver groupby; beyond, a GROUP-hash partition exchange — the part
     key is the lang alone (not lang+value), so one group's whole
     histogram co-locates and the per-part selection is exact, and the
-    result stays distributed. ``b0`` (batch-min doc_id) satisfies the
-    ``write_exchange`` batch-uniqueness CONTRACT. Output
+    result stays distributed. Output
     (lang, q, value), one row per group per requested quantile."""
     import math
 
@@ -851,12 +846,10 @@ def docs_lang_quantiles(sf_dir: str, qs=(0.25, 0.5, 0.75, 0.95),
         t = batch.select(["lang", "n_chars"]).to_pandas()
         g = (t.groupby(["lang", "n_chars"], sort=False, dropna=False)
              .size().reset_index(name="n"))
-        b0 = int(batch["doc_id"].to_numpy(zero_copy_only=False).min())
         return pa.table({
             "lang": pa.array(g["lang"].astype(object), pa.string()),
             "value": pa.array(g["n_chars"].to_numpy().astype(np.int64)),
             "n": pa.array(g["n"].to_numpy().astype(np.int64)),
-            "b0": pa.array(np.full(len(g), b0, np.int64)),
         })
 
     out_schema = pa.schema([("lang", pa.string()), ("q", pa.float64()),
@@ -956,12 +949,6 @@ def top_terms(sf_dir: str, k: int = 20):
         c = toks.explode().dropna().value_counts()
         out = pd.DataFrame({"term": c.index.to_numpy(dtype=object),
                             "n": c.to_numpy().astype(np.int64)})
-        # batch tag: distinct input batches can yield byte-identical
-        # (term, n) partials, which the content-addressed exchange
-        # would collapse into one fragment (write_exchange CONTRACT);
-        # doc_ids are globally unique, so the batch-min id keeps every
-        # fragment distinct. Dropped before any combine.
-        out["b0"] = np.int64(df["doc_id"].min()) if len(df) else np.int64(0)
         return out
 
     def topk(df: pd.DataFrame) -> pd.DataFrame:
@@ -1027,7 +1014,6 @@ def docs_bm25(sf_dir: str, query_terms=("merge", "spark", "window"),
             "n": np.concatenate([dfc.to_numpy().astype(np.int64),
                                  np.array([len(df), len(ex)],
                                           dtype=np.int64)])})
-        out["b0"] = np.int64(df["doc_id"].min()) if len(df) else np.int64(0)
         return out
 
     docs = _docs(sf_dir, ["doc_id", "text"])
@@ -1094,7 +1080,6 @@ def docs_bpe_merges(sf_dir: str, n_merges: int = 40):
         c = toks.explode().dropna().value_counts()
         out = pd.DataFrame({"term": c.index.to_numpy(dtype=object),
                             "n": c.to_numpy().astype(np.int64)})
-        out["b0"] = np.int64(df["doc_id"].min()) if len(df) else np.int64(0)
         return out
 
     partials_ds = (
@@ -1142,15 +1127,13 @@ def docs_importance_weights(sf_dir: str, target_lang: str = "en"):
             return pd.DataFrame({
                 "term": pd.Series([], dtype=object),
                 "cr": pd.Series([], dtype="int64"),
-                "ct": pd.Series([], dtype="int64"),
-                "b0": pd.Series([], dtype="int64")})
+                "ct": pd.Series([], dtype="int64")})
         is_t = (df["lang"].reindex(ex_t.index) == target_lang)
         g = pd.DataFrame({"term": ex_t.to_numpy(dtype=object),
                           "t": is_t.to_numpy().astype(np.int64)})
         agg = (g.groupby("term", sort=False)["t"]
                .agg(cr="size", ct="sum").reset_index())
         agg["cr"] = agg["cr"].astype(np.int64)
-        agg["b0"] = np.int64(df["doc_id"].min())
         return agg
 
     partials_ds = (
@@ -1237,8 +1220,7 @@ def docs_importance_weights_hashed(sf_dir: str, target_lang: str = "en",
             return pd.DataFrame({
                 "bucket": pd.Series([], dtype="int64"),
                 "cr": pd.Series([], dtype="int64"),
-                "ct": pd.Series([], dtype="int64"),
-                "b0": pd.Series([], dtype="int64")})
+                "ct": pd.Series([], dtype="int64")})
         terms, inv = np.unique(ex_t.to_numpy(dtype=object),
                                return_inverse=True)
         bk = _buckets(terms)[inv]
@@ -1251,7 +1233,6 @@ def docs_importance_weights_hashed(sf_dir: str, target_lang: str = "en",
         out = pd.DataFrame({
             "bucket": np.arange(n_buckets, dtype=np.int64)[nz],
             "cr": cr[nz].astype(np.int64), "ct": ct[nz]})
-        out["b0"] = np.int64(df["doc_id"].min())
         return out
 
     partials_ds = (
@@ -1312,8 +1293,7 @@ def embeddings_label_centroids(sf_dir: str):
                 "label": pa.array([], pa.int64()),
                 "dim": pa.array([], pa.int64()),
                 "s": pa.array([], pa.float64()),
-                "n": pa.array([], pa.int64()),
-                "b0": pa.array([], pa.int64())})
+                "n": pa.array([], pa.int64())})
         col = b.column("embedding").combine_chunks()
         flat = col.flatten().to_numpy(zero_copy_only=False)
         dim = len(flat) // len(labs)
@@ -1329,16 +1309,11 @@ def embeddings_label_centroids(sf_dir: str):
             "dim": pa.array(dim_r, pa.int64()),
             "s": pa.array(sums.ravel(), pa.float64()),
             "n": pa.array(np.repeat(cnt, dim), pa.int64()),
-            "b0": pa.array(
-                np.full(len(lab_r),
-                        int(b["vec_id"].to_numpy(
-                            zero_copy_only=False).min()), np.int64),
-                pa.int64()),
         })
 
     partials_ds = (
         rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                        columns=["vec_id", "label", "embedding"])
+                        columns=["label", "embedding"])
         .map_batches(partial, batch_format="pyarrow")
         .materialize())
     combined = grouped_sum_by_key(partials_ds, ["label", "dim"],
@@ -1371,7 +1346,6 @@ def corpus_stats(sf_dir: str):
         c = toks.explode().dropna().value_counts()
         out = pd.DataFrame({"term": c.index.to_numpy(dtype=object),
                             "n": c.to_numpy().astype(np.int64)})
-        out["b0"] = np.int64(df["doc_id"].min()) if len(df) else np.int64(0)
         return out
 
     partials_ds = (
@@ -1455,9 +1429,7 @@ def _plant_domains(ids: pd.Series) -> pd.Series:
 
 def _domain_partials(sf_dir: str):
     """documents -> per-batch partial (domain, n_docs, total_chars,
-    n_en) rows, tagged with the batch-min doc_id so byte-identical
-    partials from distinct batches survive the content-addressed
-    exchange (same contract note as ``top_terms``)."""
+    n_en) rows."""
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         g = pd.DataFrame({
@@ -1467,7 +1439,6 @@ def _domain_partials(sf_dir: str):
         }).groupby("domain", sort=False).agg(
             n_docs=("en", "size"), total_chars=("n_chars", "sum"),
             n_en=("en", "sum")).reset_index()
-        g["b0"] = np.int64(df["doc_id"].min()) if len(df) else np.int64(0)
         return g
 
     return (_docs(sf_dir, ["doc_id", "lang", "n_chars"])
@@ -1485,15 +1456,12 @@ def grouped_sum_by_key(partials_ds, key_col, sum_cols: list[str],
     exact and float sums combine per-part. Below ``driver_limit``
     partial rows: a small driver groupby. Beyond: a key-hash partition
     exchange whose per-part combine output STAYS distributed (keys
-    co-locate, so per-part sums are exact global totals). CONTRACT:
-    partial batches must carry a batch-unique ``b0`` int64 column
-    (dropped here) so byte-identical partials from distinct batches
-    survive the content-addressed exchange."""
+    co-locate, so per-part sums are exact global totals)."""
     from ..stages import exchange as ex
 
     key_cols = [key_col] if isinstance(key_col, str) else list(key_col)
     partials_ds = partials_ds.select_columns(
-        key_cols + sum_cols + ["b0"]).materialize()
+        key_cols + sum_cols).materialize()
     base = ex.arrow_schema_of(partials_ds)
     schema = pa.schema([base.field(c) for c in key_cols + sum_cols])
 
@@ -1514,24 +1482,21 @@ def grouped_sum_by_key(partials_ds, key_col, sum_cols: list[str],
 HLL_GROUP_PARTIALS_DRIVER_LIMIT = 2_000_000
 
 
-def hll_distinct_by_key(pre_ds, key_col: str, val_col: str, id_col: str,
-                        p: int = 12, driver_limit: int | None = None,
+def hll_distinct_by_key(pre_ds, key_col: str, val_col: str, p: int = 12,
+                        driver_limit: int | None = None,
                         num_parts: int = 32):
     """Approximate ``COUNT(DISTINCT val_col) GROUP BY key_col`` — the
     sketch-PER-KEY merge primitive (one HLL register array per key;
     registers combine by elementwise max, which is idempotent and
     commutative, so per-key merges are exact across any batch or part
-    split). Per-batch partial rows (key, regs[2^p] bytes, b0) are
+    split). Per-batch partial rows (key, regs[2^p] bytes) are
     bounded by key-cardinality x batches, never the row stream; the
     combine is a vectorized driver groupby-max below ``driver_limit``
     partial rows and a key-hash partition exchange beyond (keys
     co-locate, so per-part maxima are exact global registers).
 
     ``val_col`` must be an integer column (self-owned splitmix64
-    hashing — estimates pinned independent of library versions);
-    ``id_col`` supplies the ``b0`` batch-uniqueness value the
-    ``write_exchange`` CONTRACT requires (two batches with identical
-    per-key registers must not collapse to one fragment). Output
+    hashing — estimates pinned independent of library versions). Output
     (key_col, n_distinct_est), one row per key."""
     from ..stages import exchange as ex
     from ..stages.sketch import hll_estimate, hll_partial, splitmix64
@@ -1542,7 +1507,7 @@ def hll_distinct_by_key(pre_ds, key_col: str, val_col: str, id_col: str,
 
     def partial(batch: pa.Table) -> pa.Table:
         key_type = batch.schema.field(key_col).type
-        t = batch.select([key_col, val_col, id_col]).to_pandas()
+        t = batch.select([key_col, val_col]).to_pandas()
         t = t.dropna(subset=[val_col])  # COUNT(DISTINCT): NULL not a value
         keys, blobs = [], []
         for kv, g in t.groupby(key_col, sort=False, dropna=False):
@@ -1563,10 +1528,8 @@ def hll_distinct_by_key(pre_ds, key_col: str, val_col: str, id_col: str,
                     f"got {vals.dtype}")
             blobs.append(hll_partial(splitmix64(vals), p).tobytes())
             keys.append(kv)
-        b0 = np.int64(t[id_col].min()) if len(t) else np.int64(0)
         return pa.table({key_col: pa.array(keys, key_type),
-                         "regs": pa.array(blobs, pa.binary()),
-                         "b0": pa.array(np.full(len(keys), b0, np.int64))})
+                         "regs": pa.array(blobs, pa.binary())})
 
     def combine(df: pd.DataFrame) -> pd.DataFrame:
         # vectorized groupby-max: factorize keys, stack blobs into an
@@ -1604,18 +1567,17 @@ def events_user_hll_hourly(sf_dir: str, p: int = 12):
     import ray.data as rd
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "ts", "user_id"])
+                         columns=["ts", "user_id"])
 
     def pre(batch: pa.Table) -> pa.Table:
         return pa.table({
             "hour": pc.floor_temporal(batch["ts"], unit="hour"),
             "user_id": batch["user_id"],
-            "event_id": batch["event_id"],
         })
 
     return hll_distinct_by_key(
         ds.map_batches(pre, batch_format="pyarrow"),
-        "hour", "user_id", "event_id", p=p)
+        "hour", "user_id", p=p)
 
 
 def docs_domain_stats(sf_dir: str):
@@ -1753,19 +1715,17 @@ def _bp_explode(df: pd.DataFrame):
 
 
 def _bp_count_partials(ds):
-    """Per-batch partial (domain, line_key, n, b0) rows: n = distinct
+    """Per-batch partial (domain, line_key, n) rows: n = distinct
     DOCS of the batch containing the (domain, line) pair — exact
     globally because each doc lives in exactly one batch. Blank
-    (whitespace-only) lines are never boilerplate candidates. b0 =
-    batch-min doc_id (write_exchange CONTRACT)."""
+    (whitespace-only) lines are never boilerplate candidates."""
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         df = df.reset_index(drop=True)
         empty = pd.DataFrame({
             "domain": pd.Series([], dtype=object),
             "line_key": pd.Series([], dtype="int64"),
-            "n": pd.Series([], dtype="int64"),
-            "b0": pd.Series([], dtype="int64")})
+            "n": pd.Series([], dtype="int64")})
         if df.empty:
             return empty
         ridx, lines, dom, _ = _bp_explode(df)
@@ -1782,7 +1742,6 @@ def _bp_count_partials(ds):
             "domain": vc["d"].to_numpy(dtype=object),
             "line_key": keys,
             "n": vc["n"].to_numpy().astype(np.int64),
-            "b0": np.int64(df["doc_id"].min()),
         })
 
     return ds.map_batches(partial, batch_format="pandas").materialize()
@@ -1793,13 +1752,11 @@ def _bp_domain_partials(ds):
         if df.empty:
             return pd.DataFrame({
                 "domain": pd.Series([], dtype=object),
-                "n_docs": pd.Series([], dtype="int64"),
-                "b0": pd.Series([], dtype="int64")})
+                "n_docs": pd.Series([], dtype="int64")})
         vc = df["domain"].value_counts()
         return pd.DataFrame({
             "domain": vc.index.to_numpy(dtype=object),
-            "n_docs": vc.to_numpy().astype(np.int64),
-            "b0": np.int64(df["doc_id"].min())})
+            "n_docs": vc.to_numpy().astype(np.int64)})
 
     return ds.map_batches(partial, batch_format="pandas").materialize()
 
@@ -2081,7 +2038,7 @@ def docs_domain_percentile_filter(sf_dir: str, p: float = 0.5,
     n_chars, pr); the query wrapper rounds pr to 6.
 
     Scale shape: one pass emits per-batch distinct-value count
-    partials (domain, v, cnt, b0) — value-level rows, never the doc
+    partials (domain, v, cnt) — value-level rows, never the doc
     stream; below ``TERMS_DRIVER_LIMIT`` partial rows the rank math is
     a driver groupby, beyond it partials co-partition by DOMAIN hash
     through the exchange (a domain's values co-locate, so per-part
@@ -2104,13 +2061,11 @@ def docs_domain_percentile_filter(sf_dir: str, p: float = 0.5,
         if df.empty:
             return pd.DataFrame({"domain": pd.Series([], dtype=object),
                                  "v": pd.Series([], dtype="int64"),
-                                 "cnt": pd.Series([], dtype="int64"),
-                                 "b0": pd.Series([], dtype="int64")})
+                                 "cnt": pd.Series([], dtype="int64")})
         g = (pd.DataFrame({"domain": _plant_domains(df["doc_id"]),
                            "v": df["n_chars"].astype("int64")})
              .groupby(["domain", "v"], sort=False).size()
              .reset_index(name="cnt"))
-        g["b0"] = np.int64(df["doc_id"].min())
         return g
 
     docs = _docs(sf_dir, ["doc_id", "n_chars"])
@@ -2302,8 +2257,7 @@ def dataset_diff(a, b, key_col: str, val_cols: list[str],
         def hits(df: pd.DataFrame) -> pd.DataFrame:
             bk, _ = get_broadcast(ref)
             empty = pd.DataFrame({"idx": pd.Series([], dtype="int64"),
-                                  "n": pd.Series([], dtype="int64"),
-                                  "b0": pd.Series([], dtype="int64")})
+                                  "n": pd.Series([], dtype="int64")})
             if df.empty or not len(bk):
                 return empty
             ak = df["key"].to_numpy(np.int64)
@@ -2313,8 +2267,7 @@ def dataset_diff(a, b, key_col: str, val_cols: list[str],
                 return empty
             return pd.DataFrame({
                 "idx": hit_idx,
-                "n": np.ones(len(hit_idx), dtype=np.int64),
-                "b0": np.int64(ak.min())})
+                "n": np.ones(len(hit_idx), dtype=np.int64)})
 
         hit_partials = a_sigs.map_batches(
             hits, batch_format="pandas").materialize()
@@ -2689,9 +2642,7 @@ def pack_sequences(ds, key_col: str = "doc_id", text_col: str = "text",
     4. fragments hash-partition on seq_id through a second exchange;
        each part stitches its sequences by (seq_id, pos). Boundary
        sequences receive fragments from adjacent ranges — the
-       co-partition makes the stitch local. Fragment rows need no
-       ``b0`` tag: ``pos`` is a globally unique token offset, so no
-       two fragment batches can be byte-identical.
+       co-partition makes the stitch local.
 
     Per-part memory is O(part tokens); the combine is a pandas groupby
     over ~(part tokens / seq_len) groups each joining <= seq_len
@@ -2953,15 +2904,13 @@ def lineitem_agg(sf_dir: str):
     combine (driver groupby below ``AGG_PARTIALS_DRIVER_LIMIT`` partial
     rows, key-hash partition exchange beyond). The fact stream itself
     never shuffles — only one partial row per (flag, status) per batch
-    moves. b0 tag = batch-min (l_orderkey*8 + l_linenumber), unique
-    because the composite is row-unique and batches are disjoint."""
+    moves."""
     import ray.data as rd
 
     ds = rd.read_parquet(
         f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_linenumber", "l_returnflag",
-                 "l_linestatus", "l_quantity", "l_extendedprice",
-                 "l_discount"],
+        columns=["l_returnflag", "l_linestatus", "l_quantity",
+                 "l_extendedprice", "l_discount"],
     )
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -2973,9 +2922,6 @@ def lineitem_agg(sf_dir: str):
             n_rows=("l_quantity", "size"),
         ).reset_index()
         g["n_rows"] = g["n_rows"].astype("int64")
-        g["b0"] = (np.int64((df["l_orderkey"].to_numpy() * 8
-                             + df["l_linenumber"].to_numpy()).min())
-                   if len(df) else np.int64(0))
         return g
 
     partials = ds.map_batches(partial, batch_format="pandas").materialize()
@@ -3010,9 +2956,8 @@ def lineitem_rollup(sf_dir: str):
 
     ds = rd.read_parquet(
         f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_linenumber", "l_returnflag",
-                 "l_linestatus", "l_quantity", "l_extendedprice",
-                 "l_discount"],
+        columns=["l_returnflag", "l_linestatus", "l_quantity",
+                 "l_extendedprice", "l_discount"],
     )
 
     out_schema = pa.schema([
@@ -3030,9 +2975,6 @@ def lineitem_rollup(sf_dir: str):
             n_rows=("l_quantity", "size"),
         ).reset_index()
         g["n_rows"] = g["n_rows"].astype("int64")
-        g["b0"] = (np.int64((df["l_orderkey"].to_numpy() * 8
-                             + df["l_linenumber"].to_numpy()).min())
-                   if len(df) else np.int64(0))
         return g
 
     sums = ["sum_qty", "sum_revenue", "n_rows"]
@@ -3042,15 +2984,14 @@ def lineitem_rollup(sf_dir: str):
 
     level1 = grouped_sum_by_key(
         level2.map_batches(
-            lambda df: _lattice_partial(df, ["l_returnflag"], sums,
-                                        ["l_returnflag"]),
+            lambda df: _lattice_partial(df, ["l_returnflag"], sums),
             batch_format="pandas").materialize(),
         "l_returnflag", sums, AGG_PARTIALS_DRIVER_LIMIT)
     # the grand total has no group key: a constant-key gated combine
     # (one partial row per batch of level-1 rows)
     level0 = grouped_sum_by_key(
         level1.map_batches(
-            lambda df: _lattice_partial(df, [], sums, ["l_returnflag"])
+            lambda df: _lattice_partial(df, [], sums)
             .assign(all=np.int64(0)),
             batch_format="pandas").materialize(),
         "all", sums, AGG_PARTIALS_DRIVER_LIMIT)
@@ -3061,24 +3002,16 @@ def lineitem_rollup(sf_dir: str):
             .union(level0.map_batches(finish, batch_format="pandas")))
 
 
-def _lattice_partial(df: pd.DataFrame, keys: list[str], sums: list[str],
-                     hash_cols: list[str]) -> pd.DataFrame:
+def _lattice_partial(df: pd.DataFrame, keys: list[str],
+                     sums: list[str]) -> pd.DataFrame:
     """Re-aggregate an already-combined lattice level into a coarser
     grouping subset. Input rows are a previous level's COMBINED output
-    — one row per group key, globally unique — so the batch-min key
-    hash over ``hash_cols`` satisfies the ``b0`` batch-uniqueness
-    contract."""
+    — one row per group key."""
     if keys:
         g = df.groupby(keys, sort=False)[sums].sum().reset_index()
     else:
         g = pd.DataFrame({c: [df[c].sum()] for c in sums})
         g["n_rows"] = g["n_rows"].astype("int64")
-    hk = df[hash_cols[0]].astype(str)
-    for k in hash_cols[1:]:
-        hk = hk + "\x1f" + df[k].astype(str)
-    g["b0"] = (np.int64(pd.util.hash_array(
-        hk.to_numpy(dtype=object)).min()) if len(df)
-        else np.int64(0))
     return g
 
 
@@ -3117,8 +3050,7 @@ def lineitem_cube(sf_dir: str):
         batch_format="pyarrow")
     status_level = grouped_sum_by_key(
         finest.map_batches(
-            lambda df: _lattice_partial(df, ["l_linestatus"], sums,
-                                        ["l_returnflag", "l_linestatus"]),
+            lambda df: _lattice_partial(df, ["l_linestatus"], sums),
             batch_format="pandas").materialize(),
         "l_linestatus", sums, AGG_PARTIALS_DRIVER_LIMIT)
     return rollup.union(status_level.map_batches(
@@ -3136,7 +3068,7 @@ def events_hourly(sf_dir: str):
 
     ds = rd.read_parquet(
         f"{sf_dir}/events.parquet",
-        columns=["event_id", "ts", "event_type", "value"]
+        columns=["ts", "event_type", "value"]
     )
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -3149,8 +3081,6 @@ def events_hourly(sf_dir: str):
             ["count", "sum"]).reset_index()
         g.columns = ["event_type", "hour", "n_events", "sum_value"]
         g["n_events"] = g["n_events"].astype("int64")
-        g["b0"] = (np.int64(pc.min(batch["event_id"]).as_py())
-                   if len(batch) else np.int64(0))
         return pa.Table.from_pandas(g, preserve_index=False)
 
     partials = ds.map_batches(partial, batch_format="pyarrow").materialize()
@@ -3196,9 +3126,7 @@ def events_user_retention(sf_dir: str, num_parts: int = 32,
     distinct active users and how many of them return the NEXT day —
     the cohort-retention primitive behind DAU/stickiness reports.
     Phase 1 streams per-batch DISTINCT (user_id, day) pairs (repeats
-    across batches are fine: the consumer re-dedups, so the exchange
-    consumption is dedup-idempotent per the ``write_exchange``
-    CONTRACT — no ``b0`` needed). The retention kernel runs through
+    across batches are fine: the consumer re-dedups). The retention kernel runs through
     ``combine_by_key`` on the user: on the driver below
     ``USER_DAYS_DRIVER_LIMIT`` pairs, per USER-hash part beyond it
     (each user's full day set lands in one part, so the per-part
@@ -3223,7 +3151,7 @@ def events_user_retention(sf_dir: str, num_parts: int = 32,
 
     def retention(t: pd.DataFrame) -> pd.DataFrame:
         """Distinct (user_id, day) pairs -> per-day (n_active,
-        n_retained_next, b0) counts over these users, fully
+        n_retained_next) counts over these users, fully
         vectorized."""
         t = (t.drop_duplicates()
              .sort_values(["user_id", "day"], kind="stable")
@@ -3240,10 +3168,7 @@ def events_user_retention(sf_dir: str, num_parts: int = 32,
             pd.Series(nxt).groupby(t["day"], sort=True).sum()
             .to_numpy().astype(np.int64))
         out["n_active"] = out["n_active"].astype(np.int64)
-        # batch-uniqueness for the day-sum exchange: parts with
-        # byte-identical per-day counts must not collapse
-        out["b0"] = np.int64(u.min()) if len(u) else np.int64(0)
-        return out[["day", "n_active", "n_retained_next", "b0"]]
+        return out[["day", "n_active", "n_retained_next"]]
 
     pair_ds = (
         rd.read_parquet(f"{sf_dir}/events.parquet",
@@ -3253,7 +3178,7 @@ def events_user_retention(sf_dir: str, num_parts: int = 32,
     partials = ex.combine_by_key(
         pair_ds, ["user_id"], retention,
         pa.schema([("day", pa.timestamp("us")), ("n_active", pa.int64()),
-                   ("n_retained_next", pa.int64()), ("b0", pa.int64())]),
+                   ("n_retained_next", pa.int64())]),
         driver_limit, num_parts)
     return grouped_sum_by_key(
         partials, "day", ["n_active", "n_retained_next"],
@@ -3918,14 +3843,11 @@ def customer_order_counts(sf_dir: str,
             ["count", "sum"]).reset_index()
         g.columns = ["o_custkey", "n_orders", "sum_total"]
         g["n_orders"] = g["n_orders"].astype("int64")
-        # b0 contract: o_orderkey is row-unique and batches disjoint
-        g["b0"] = (np.int64(df["o_orderkey"].min()) if len(df)
-                   else np.int64(0))
         return g
 
     agg = grouped_sum_by_key(
         rd.read_parquet(f"{sf_dir}/orders.parquet",
-                        columns=["o_orderkey", "o_custkey", "o_totalprice"])
+                        columns=["o_custkey", "o_totalprice"])
         .map_batches(partial, batch_format="pandas").materialize(),
         "o_custkey", ["n_orders", "sum_total"],
         AGG_PARTIALS_DRIVER_LIMIT).materialize()
@@ -4020,17 +3942,11 @@ def distinct_langs(sf_dir: str):
     import ray.data as rd
 
     def partial(batch: pa.Table) -> pa.Table:
-        u = pc.unique(batch["lang"])
-        t = pa.table({"lang": u})
-        # b0 contract (write_exchange): batches with identical distinct
-        # sets must not collapse in the content-addressed exchange
-        b0 = pc.min(batch["doc_id"]).as_py() if len(batch) else 0
-        return t.append_column(
-            "b0", pa.array([b0] * len(t), pa.int64()))
+        return pa.table({"lang": pc.unique(batch["lang"])})
 
     partials = (
         rd.read_parquet(f"{sf_dir}/documents.parquet",
-                        columns=["doc_id", "lang"])
+                        columns=["lang"])
         .map_batches(partial, batch_format="pyarrow")
         .materialize()
     )
@@ -4167,9 +4083,6 @@ def docs_nb_quality(sf_dir: str, positive_lang: str = "en"):
             "c0": np.array([int((~pos_doc).sum())], dtype=np.int64),
         })
         out = pd.concat([out, sent], ignore_index=True)
-        # b0 contract (write_exchange): batch-min doc_id keeps
-        # byte-identical partials from distinct batches distinct
-        out["b0"] = np.int64(df["doc_id"].min()) if len(df) else np.int64(0)
         return out
 
     partials = docs.map_batches(
@@ -4251,8 +4164,7 @@ def term_postings(sf_dir: str, k: int = 32):
 
     Scale shape: each document lives in exactly one batch, so per-batch
     DISTINCT (term, doc_id) rows are globally distinct postings — no
-    cross-batch dedup needed and no ``b0`` tag required (rows are keyed
-    by doc_id). Below ``TERMS_DRIVER_LIMIT`` posting rows the combine is
+    cross-batch dedup needed. Below ``TERMS_DRIVER_LIMIT`` posting rows the combine is
     a driver groupby; beyond, rows term-hash-partition through the
     filesystem exchange and each part computes exact df + head-k
     locally (a term's rows all co-locate). Postings-string assembly is
@@ -4359,13 +4271,7 @@ def docs_bloom_seen(sf_dir: str, bits_per_key: int = 10,
                  for idx in bloom_indices(keys, m_shard, k_hashes)]))
         else:
             g = np.empty(0, dtype=np.int64)
-        out = pd.DataFrame({"bit": g})
-        # b0 contract (write_exchange) is moot here (driver path only),
-        # but batch-identical partials must still stay distinct in the
-        # materialized count the gate reads — bit sets already differ
-        # per batch unless the docs are true duplicates, which dedup
-        # into the same bits idempotently.
-        return out
+        return pd.DataFrame({"bit": g})
 
     partials = docs.map_batches(
         bit_partial, batch_format="pandas").materialize()
@@ -4418,8 +4324,6 @@ def _docs_bloom_seen_exchanged(sf_dir: str, m_shard: int, k_hashes: int,
 
     def build_rows(df: pd.DataFrame) -> pd.DataFrame:
         sub = df[df["doc_id"].to_numpy() % 2 == 0]
-        # duplicate-key fragment collapse (write_exchange CONTRACT) is
-        # harmless: bloom build is dedup-idempotent
         return pd.DataFrame({"key": _bloom_fp_keys(sub).view(np.int64)})
 
     def probe_rows(df: pd.DataFrame) -> pd.DataFrame:
@@ -4527,9 +4431,6 @@ def docs_lm_score(sf_dir: str, min_count: int = 1):
                .reset_index(name="n"))
         big["n"] = big["n"].astype(np.int64)
         out = pd.concat([uni, big], ignore_index=True)
-        # b0 contract (write_exchange): batch-min doc_id keeps
-        # byte-identical partials from distinct batches distinct
-        out["b0"] = np.int64(df["doc_id"].min()) if len(df) else np.int64(0)
         return out
 
     partials_ds = docs.map_batches(
@@ -4936,10 +4837,7 @@ def events_funnel(sf_dir: str,
         def part_counts(tbl: pa.Table) -> pa.Table:
             df = tbl.to_pandas()
             if not len(df):
-                # the partial schema INCLUDING b0 — grouped_sum's
-                # exchange path selects that column
-                return out_schema.append(
-                    pa.field("b0", pa.int64())).empty_table()
+                return out_schema.empty_table()
             codes, uniques = pd.factorize(df["user_id"], sort=False)
             t = df["ts"].to_numpy().astype("datetime64[us]").view(np.int64)
             et = df["event_type"].to_numpy()
@@ -4956,17 +4854,10 @@ def events_funnel(sf_dir: str,
             return pa.table({
                 "stage": pa.array(stage_list, pa.string()),
                 "n_users": pa.array(counts, pa.int64()),
-                # batch-uniqueness for the combine exchange
-                # (write_exchange CONTRACT): parts with identical
-                # counts must not collapse to one fragment
-                "b0": pa.array(
-                    [np.int64(df["user_id"].min())] * len(stage_list),
-                    pa.int64()),
             })
 
-        partials = ex.map_parts(
-            stage_dir, num_parts, part_counts,
-            out_schema.append(pa.field("b0", pa.int64())))
+        partials = ex.map_parts(stage_dir, num_parts, part_counts,
+                                out_schema)
         return grouped_sum_by_key(partials, "stage", ["n_users"],
                                   AGG_PARTIALS_DRIVER_LIMIT)
 
@@ -5042,7 +4933,6 @@ def docs_pmi_bigrams(sf_dir: str, k: int = 20, min_count: int = 5,
                 bc.to_numpy().astype(np.int64),
                 np.array([len(flat), len(bg)], dtype=np.int64)]),
         })
-        out["b0"] = np.int64(df["doc_id"].min()) if len(df) else np.int64(0)
         return out
 
     partials_ds = (
@@ -5238,7 +5128,6 @@ def docs_lang_corr(sf_dir: str, num_parts: int = 32):
             "n": np.int64(1), "sx": x, "sy": y,
             "sxx": x * x, "syy": y * y, "sxy": x * y,
         }).groupby("lang", sort=False, dropna=False).sum().reset_index()
-        g["b0"] = np.int64(df["doc_id"].min()) if len(df) else np.int64(0)
         return g
 
     combined = grouped_sum_by_key(
@@ -5401,12 +5290,11 @@ def events_user_top_type(sf_dir: str, num_parts: int = 32):
         g = (df.groupby(["user_id", "event_type"], sort=False, dropna=False)
              .size().rename("n_events").reset_index())
         g["n_events"] = g["n_events"].astype("int64")
-        g["b0"] = np.int64(df["event_id"].min()) if len(df) else np.int64(0)
         return g
 
     combined = grouped_sum_by_key(
         rd.read_parquet(f"{sf_dir}/events.parquet",
-                        columns=["event_id", "user_id", "event_type"])
+                        columns=["user_id", "event_type"])
         .map_batches(partial, batch_format="pandas").materialize(),
         ["user_id", "event_type"], ["n_events"],
         AGG_PARTIALS_DRIVER_LIMIT, num_parts=num_parts)
@@ -5463,7 +5351,6 @@ def docs_lang_bucket_pivot(sf_dir: str, num_parts: int = 32):
         for k in range(4):
             out[f"n_b{k}"] = cnt[:, k]
         out["n_total"] = cnt.sum(axis=1)
-        out["b0"] = np.int64(df["doc_id"].min()) if len(df) else np.int64(0)
         return out
 
     return grouped_sum_by_key(

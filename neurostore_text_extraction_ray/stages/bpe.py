@@ -130,7 +130,6 @@ def _bpe_distributed(vocab_ds, n_merges: int,
     in_schema = pa.schema([("term", pa.string()), ("n", pa.int64())])
     partial_schema = pa.schema([
         ("left", pa.string()), ("right", pa.string()), ("cnt", pa.int64()),
-        ("b0", pa.int64()),
     ])
     rows = []
     with ex.stage("nse_bpe_") as stage:
@@ -158,16 +157,10 @@ def _bpe_distributed(vocab_ds, n_merges: int,
                 if not pc:
                     return partial_schema.empty_table()
                 left, right = zip(*pc.keys())
-                # b0 batch-uniqueness (write_exchange CONTRACT): the
-                # part's lexicographic min word is distinct across
-                # parts (words partition), pandas-hashed to int64
-                b0 = np.int64(pd.util.hash_array(
-                    np.array([min(ws)], dtype=object)).astype(np.int64)[0])
                 return pa.table({
                     "left": pa.array(list(left), pa.string()),
                     "right": pa.array(list(right), pa.string()),
                     "cnt": pa.array(list(pc.values()), pa.int64()),
-                    "b0": pa.array([b0] * len(pc), pa.int64()),
                 })
 
             gs = grouped_sum_by_key(

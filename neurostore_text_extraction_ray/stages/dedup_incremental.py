@@ -80,15 +80,6 @@ def _read_part_file(path: str, schema: pa.Schema) -> pa.Table:
     return pq.read_table(path)
 
 
-def _read_stage_part(stage: str, p: int, schema: pa.Schema) -> pa.Table:
-    import pyarrow.parquet as pq
-
-    frags = sorted(glob.glob(os.path.join(stage, f"part={p:05d}", "*.parquet")))
-    if not frags:
-        return schema.empty_table()
-    return pa.concat_tables([pq.read_table(f) for f in frags])
-
-
 def _write_part_file(path: str, table: pa.Table) -> None:
     import pyarrow.parquet as pq
 
@@ -226,7 +217,7 @@ def minhash_near_dup_incremental(
             cur_stage, by_id)
 
         def diff_part(p: int) -> pa.Table:
-            cur = _read_stage_part(cur_stage, p, _SIDECAR_SCHEMA)
+            cur = ex.read_part(cur_stage, p, _SIDECAR_SCHEMA)
             # the new sidecar part is staged now; promoted only at the end
             _write_part_file(_part_file(staging, "sidecar", p), cur)
             old = (_read_part_file(_part_file(state_dir, "sidecar", p),
@@ -275,7 +266,7 @@ def minhash_near_dup_incremental(
                 state_parts,
                 lambda p: (_write_part_file(
                     _part_file(staging, "sidecar", p),
-                    _read_stage_part(cur_stage, p, _SIDECAR_SCHEMA)) or None),
+                    ex.read_part(cur_stage, p, _SIDECAR_SCHEMA)) or None),
                 _DIFF_SCHEMA).count()
             changed_ids = None  # sentinel: all docs
             removed_ids = np.array([], dtype=np.int64)
@@ -339,7 +330,7 @@ def minhash_near_dup_incremental(
             from .broadcast import get_broadcast
 
             drop = get_broadcast(drop_ref)
-            new = _read_stage_part(new_stage, p, _SKETCH_SCHEMA)
+            new = ex.read_part(new_stage, p, _SKETCH_SCHEMA)
             new_bands = new.filter(
                 pa.compute.greater_equal(new["band"], 0)).select(
                     ["doc_id", "band", "key"])

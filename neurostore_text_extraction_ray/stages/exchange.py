@@ -3,12 +3,21 @@
 Ray Data's native ``groupby``/``sort`` all-to-all measured 46-104 s for
 a 237 MB exchange in this environment (BASELINE.md), so wide operators
 here exchange through shared storage instead: phase A streams the
-input and appends each batch's rows into per-part parquet fragments
-(content-addressed names -> task retries overwrite identical bytes);
+input and writes each batch's rows into per-part parquet fragments;
 phase B runs one plain Ray task per part over its fragments
 (``part_tasks``). On a cluster this is the standard external-shuffle
 layout — every phase is embarrassingly parallel and the exchange is
 bounded by storage bandwidth, not an in-memory all-to-all.
+
+Retry safety comes from a commit list, not from the directory: each
+phase-A batch returns the (part, fragment) pairs it wrote, and once
+phase A has finished the driver writes those pairs, as reported by
+the successful task attempts only, to ``<stage>/_fragments.parquet``.
+Phase B reads exactly that list (``part_files`` / ``read_part``) and
+never globs a ``part=`` dir, so a fragment left by a failed attempt or
+by an earlier run into the same dir is never read, and two batches
+with identical rows are two list entries, read twice. This module is
+the one reader and writer of ``part=`` fragment dirs.
 
 Operators compose two primitives on top of ``write_exchange`` /
 ``map_parts`` (eager: it returns after every part has run):
@@ -20,20 +29,16 @@ Operators compose two primitives on top of ``write_exchange`` /
 - ``combine_by_key``: the one gated keyed combine — the driver runs
   the combine over the whole input at or below a row limit, a key-hash
   exchange runs it per part beyond it.
-
-``pipelines/flagship.py`` embeds the same pattern with resume-specific
-extensions (manifests, part anti-join, atomic output); its phase B
-also runs on ``part_tasks``.
 """
 
 from __future__ import annotations
 
 import contextlib
-import glob
 import hashlib
 import os
 import shutil
 import tempfile
+import uuid
 
 import numpy as np
 import pandas as pd
@@ -56,6 +61,10 @@ def exchange_root() -> str:
         os.makedirs(root, exist_ok=True)
         return root
     _assert_single_node()
+    return _default_root()
+
+
+def _default_root() -> str:
     return "/dev/shm" if os.path.isdir("/dev/shm") else tempfile.gettempdir()
 
 
@@ -167,54 +176,76 @@ def int_part(cols: list[np.ndarray], num_parts: int) -> np.ndarray:
     return (h % np.uint64(num_parts)).astype(np.int64)
 
 
+FRAGMENT_LIST = "_fragments.parquet"  # a stage's committed (part, path) rows
+
+
 def write_exchange(ds, stage_dir: str, part_fn, batch_size: int = 8192) -> int:
-    """Phase A: stream ``ds`` into per-part fragment files.
+    """Phase A: stream ``ds`` into per-part fragment files and commit
+    the list of them.
 
     ``part_fn(batch: pa.Table) -> np.ndarray[int64]`` assigns each row
-    a part id. Fragment names hash the fragment's serialized bytes:
-    task RETRIES rewrite identical bytes (exactly-once), and batches
-    with distinct content never collide. CONTRACT: two byte-identical
-    batches also collapse to one fragment — a retry is
-    indistinguishable from a genuine duplicate — so callers must
-    ensure row multisets are keyed (a unique id column per row, as
-    band rows/events are) or that downstream consumption is
-    dedup-idempotent. Returns the number of rows exchanged (counts
-    collapsed duplicates)."""
+    a part id. Each batch is sorted by part once and every part's
+    slice is written to ``<stage>/part=NNNNN/<hash>.parquet``, named by
+    a hash of its bytes (a task retry rewrites the same file). The
+    batch returns one (part, path) row per fragment; after the last
+    batch the driver writes those rows, sorted, as the stage's
+    ``FRAGMENT_LIST`` (atomically, replacing any earlier list), and
+    phase B reads only what it names. Returns the number of rows
+    exchanged."""
+    import pyarrow.parquet as pq
+
     os.makedirs(stage_dir, exist_ok=True)
     # re-validate the single-node precondition at execution time: the
-    # stage dir may have been created before Ray connected (ADVICE r03)
-    _assert_single_node()
+    # stage dir may have been created before Ray connected (ADVICE r03).
+    # It guards stages under the default node-local root; a stage in a
+    # caller's own dir (the flagship run dir) carries the caller's
+    # ``assert_shared_visibility`` instead.
+    root = _default_root()
+    local = os.path.commonpath([os.path.abspath(stage_dir), root]) == root
+    if local:
+        _assert_single_node()
 
     def write_fragments(batch: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq
-
         global _NODE_CHECKED
-        if not _NODE_CHECKED:
+        if local and not _NODE_CHECKED:
             # worker-side check (once per worker process): catches the
             # driver-built-before-ray.init case where the driver check
             # above ran unconnected
             _assert_single_node()
             _NODE_CHECKED = True
-        parts_np = np.asarray(part_fn(batch))
-        for part in np.unique(parts_np):
-            sub = batch.filter(pa.array(parts_np == part))
-            frag_dir = os.path.join(stage_dir, f"part={int(part):05d}")
-            os.makedirs(frag_dir, exist_ok=True)
-            sink = pa.BufferOutputStream()
-            pq.write_table(sub, sink)
-            buf = sink.getvalue()
-            fid = hashlib.blake2b(buf, digest_size=10).hexdigest()
-            path = os.path.join(frag_dir, f"{fid}.parquet")
-            tmp = path + f".tmp-{os.getpid()}"
-            with open(tmp, "wb") as f:
-                f.write(buf.to_pybytes())
-            os.replace(tmp, path)
-        return pa.table({"n": pa.array([batch.num_rows], pa.int64())})
+        parts_np = np.asarray(part_fn(batch), dtype=np.int64)
+        order = np.argsort(parts_np, kind="stable")
+        parts_np = parts_np[order]
+        batch = batch.take(pa.array(order))
+        _, starts = np.unique(parts_np, return_index=True)
+        ends = np.r_[starts[1:], len(parts_np)]
+        out_parts, out_paths, out_rows = [], [], []
+        for s, e in zip(starts, ends):
+            part_dir = f"part={int(parts_np[s]):05d}"
+            os.makedirs(os.path.join(stage_dir, part_dir), exist_ok=True)
+            tmp = os.path.join(stage_dir, part_dir, f".tmp-{uuid.uuid4().hex}")
+            pq.write_table(batch.slice(s, e - s), tmp)
+            with open(tmp, "rb") as f:
+                fid = hashlib.blake2b(f.read(), digest_size=10).hexdigest()
+            name = os.path.join(part_dir, f"{fid}.parquet")
+            os.replace(tmp, os.path.join(stage_dir, name))
+            out_parts.append(int(parts_np[s]))
+            out_paths.append(name)
+            out_rows.append(int(e - s))
+        return pa.table({"part": pa.array(out_parts, pa.int64()),
+                         "path": pa.array(out_paths, pa.string()),
+                         "n": pa.array(out_rows, pa.int64())})
 
-    counts = ds.map_batches(
+    frags = ds.map_batches(
         write_fragments, batch_format="pyarrow", batch_size=batch_size
-    ).to_pandas()
-    return int(counts["n"].sum()) if len(counts) else 0
+    ).to_pandas().reindex(columns=["part", "path", "n"])  # no batch: no columns
+    frags = frags.sort_values(["part", "path"], kind="stable")
+    listing = pa.table({"part": pa.array(frags["part"], pa.int64()),
+                        "path": pa.array(frags["path"], pa.string())})
+    tmp = os.path.join(stage_dir, f"{FRAGMENT_LIST}.tmp-{uuid.uuid4().hex}")
+    pq.write_table(listing, tmp)
+    os.replace(tmp, os.path.join(stage_dir, FRAGMENT_LIST))
+    return int(frags["n"].sum())
 
 
 def part_tasks(fn, parts, *args) -> list:
@@ -246,11 +277,34 @@ def tables_dataset(refs: list, empty_schema: pa.Schema):
     return rd.from_arrow_refs(refs)
 
 
-def _stage_files(d: str, num_parts: int) -> dict[int, list[str]]:
-    """Part id -> sorted fragment files, for the parts that have any."""
-    files = {p: glob.glob(os.path.join(d, f"part={p:05d}", "*.parquet"))
-             for p in range(num_parts)}
-    return {p: sorted(fs) for p, fs in files.items() if fs}
+def part_files(stage_dir: str) -> dict[int, list[str]]:
+    """Part id -> the fragment files the stage's commit list names for
+    it, sorted, a fragment listed twice read twice; a stage with no
+    list has no fragments."""
+    import pyarrow.parquet as pq
+
+    path = os.path.join(stage_dir, FRAGMENT_LIST)
+    if not os.path.exists(path):
+        return {}
+    listing = pq.read_table(path)
+    files: dict[int, list[str]] = {}
+    for p, f in zip(listing["part"].to_pylist(), listing["path"].to_pylist()):
+        files.setdefault(p, []).append(os.path.join(stage_dir, f))
+    return files
+
+
+def _read_files(files: list[str], schema: pa.Schema) -> pa.Table:
+    import pyarrow.parquet as pq
+
+    if not files:
+        return schema.empty_table()
+    return pa.concat_tables([pq.read_table(f) for f in files])
+
+
+def read_part(stage_dir: str, p: int, schema: pa.Schema) -> pa.Table:
+    """Part ``p`` of a stage: its committed fragments concatenated, or
+    an empty table of ``schema`` when the list names none."""
+    return _read_files(part_files(stage_dir).get(p, []), schema)
 
 
 def map_parts(stage_dir, num_parts: int, fn, empty_schema: pa.Schema,
@@ -269,22 +323,17 @@ def map_parts(stage_dir, num_parts: int, fn, empty_schema: pa.Schema,
     dirs = list(stage_dir) if multi else [stage_dir]
     if multi and (in_schemas is None or len(in_schemas) != len(dirs)):
         raise ValueError("list-mode map_parts needs one in_schema per stage dir")
-    files = [_stage_files(d, num_parts) for d in dirs]
+    files = [part_files(d) for d in dirs]
     schemas = in_schemas or [None]
 
     def run_part(p: int) -> pa.Table:
-        import pyarrow.parquet as pq
-
-        tables = [
-            pa.concat_tables([pq.read_table(f) for f in fs[p]]) if p in fs
-            else s.empty_table()
-            for fs, s in zip(files, schemas)
-        ]
+        tables = [_read_files(fs.get(p, []), s)
+                  for fs, s in zip(files, schemas)]
         if multi and all(t.num_rows == 0 for t in tables):
             return empty_schema.empty_table()
         return fn(*tables)
 
-    parts = sorted(set().union(*files))
+    parts = sorted(p for p in set().union(*files) if 0 <= p < num_parts)
     return tables_dataset(part_tasks(run_part, parts), empty_schema)
 
 
@@ -336,8 +385,7 @@ def combine_by_key(ds, key_cols: list[str], fn, out_schema: pa.Schema,
     ``key_cols`` through the exchange (cast to the input's Arrow
     schema) and ``fn`` runs once per part. Both paths return a
     materialized Dataset of ``out_schema`` (empty input: an empty
-    one). Exchanged rows must satisfy the ``write_exchange`` CONTRACT
-    (keyed rows, or a batch-unique ``b0`` tag)."""
+    one)."""
     import ray.data as rd
 
     def to_out(df: pd.DataFrame) -> pa.Table:

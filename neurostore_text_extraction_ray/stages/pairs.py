@@ -221,7 +221,6 @@ def label_components_exchanged(edges_ds, num_parts: int = 32):
                 msgs = ex.map_parts([labels_stage, edges_stage], num_parts,
                                     emit, msg_schema,
                                     in_schemas=[LABEL_SCHEMA, dir_schema])
-                ex.write_exchange(msgs, msg_stage, _by("node", num_parts))
 
                 # pointer-jumping shortcut: also message label[label[n]]
                 # to n, giving O(log n) rounds on chain components
@@ -240,10 +239,10 @@ def label_components_exchanged(edges_ds, num_parts: int = 32):
                             [bylab_stage, labels_stage], num_parts,
                             shortcut, msg_schema,
                             in_schemas=[LABEL_SCHEMA, LABEL_SCHEMA])
-                        # same msg stage: update() min-combines edge +
-                        # shortcut candidates in one pass
-                        ex.write_exchange(sc, msg_stage,
-                                          _by("node", num_parts))
+                    # one msg stage: update() min-combines edge +
+                    # shortcut candidates in one pass
+                    msgs = msgs.union(sc)
+                ex.write_exchange(msgs, msg_stage, _by("node", num_parts))
 
                 upd = ex.map_parts([labels_stage, msg_stage], num_parts,
                                    update, upd_schema,

@@ -9,7 +9,6 @@ import subprocess
 import sys
 
 import pyarrow as pa
-import pyarrow.parquet as pq
 import pytest
 import ray.data as rd
 
@@ -65,10 +64,10 @@ def _both_busy_s(spans: list) -> float:
     return total
 
 
-def _write_part(stage: str, part: int, table: pa.Table) -> None:
-    d = os.path.join(stage, f"part={part:05d}")
-    os.makedirs(d, exist_ok=True)
-    pq.write_table(table, os.path.join(d, "f.parquet"))
+def _write_stage(stage: str, table: pa.Table) -> None:
+    """Exchange ``table`` into ``stage``; a row's part is its ``k``."""
+    ex.write_exchange(rd.from_arrow(table), stage,
+                      lambda b: b["k"].to_numpy(zero_copy_only=False))
 
 
 def test_map_parts_overlaps_parts_on_two_cpus():
@@ -113,9 +112,8 @@ def test_map_parts_list_mode_one_sided_part(ray_session):
             "b_cols": [",".join(b.schema.names)]}, schema=out_schema)
 
     with ex.stage("nse_test_a_") as sa, ex.stage("nse_test_b_") as sb:
-        _write_part(sa, 0, pa.table({"k": [0, 0]}, schema=a_schema))
-        _write_part(sa, 1, pa.table({"k": [1]}, schema=a_schema))
-        _write_part(sb, 1, pa.table({"k": [1], "w": ["x"]}, schema=b_schema))
+        _write_stage(sa, pa.table({"k": [0, 0, 1]}, schema=a_schema))
+        _write_stage(sb, pa.table({"k": [1], "w": ["x"]}, schema=b_schema))
         out = ex.map_parts([sa, sb], 4, join, out_schema,
                            in_schemas=[a_schema, b_schema]).to_pandas()
     rows = out.sort_values("k").to_dict("records")
@@ -135,8 +133,7 @@ def test_map_parts_error_surfaces_and_stage_is_removed(ray_session):
 
     with pytest.raises(ValueError, match="part two failed"):
         with ex.stage("nse_test_") as s:
-            for p in range(4):
-                _write_part(s, p, pa.table({"k": [p]}, schema=schema))
+            _write_stage(s, pa.table({"k": range(4)}, schema=schema))
             ex.map_parts(s, 4, boom, schema)
     assert not os.path.exists(s)
 

@@ -199,11 +199,11 @@ def test_hll_distinct_by_key_accuracy_and_gates(ray_session, monkeypatch):
         "k": ["a", "a", "a", "b"],
         "v": pd.array([1, None, 1, 2], dtype="Int64"),
         "i": [1, 2, 3, 4]}))
-    got = steps.hll_distinct_by_key(pre, "k", "v", "i").to_pandas()
+    got = steps.hll_distinct_by_key(pre, "k", "v").to_pandas()
     got = got.set_index("k")["n_distinct_est"]
     assert int(got.loc["a"]) == 1 and int(got.loc["b"]) == 1
     # a genuinely non-integral value column is rejected loudly
     bad = rd.from_pandas(pd.DataFrame({
         "k": ["a"], "v": [1.5], "i": [1]}))
     with pytest.raises(Exception, match="integer"):
-        steps.hll_distinct_by_key(bad, "k", "v", "i").to_pandas()
+        steps.hll_distinct_by_key(bad, "k", "v").to_pandas()

@@ -56,6 +56,10 @@ SF_QUERIES = [
 ]
 # corpus-independent queries (single file)
 GLOBAL_QUERIES = ["multimodal_features", "evaluation_golden_metrics"]
+# goldens that replay committed reference outputs, which not every
+# checkout carries: skipped, with the reason printed, where
+# tests/test_oracle_parity.py skips their parity check
+NEEDS_REFERENCE = {"evaluation_golden_metrics"}
 
 SF_DIRS = ["/root/testdata/sf0.001", "/root/testdata/sf0.01"]
 
@@ -97,8 +101,16 @@ def main() -> None:
             path = os.path.join(GOLDEN_DIR, f"{name}.{disc}.parquet")
             pq.write_table(table, path)
             print(f"wrote {path} ({table.num_rows} rows)")
+    sys.path.insert(0, os.path.join(REPO, "tests"))
+    from test_evaluation import REF_RESULTS
+
+    ref_root = os.environ.get("NSE_GOLDEN_RESULTS_ROOT", REF_RESULTS)
     for name in GLOBAL_QUERIES:
         if only and name not in only:
+            continue
+        if name in NEEDS_REFERENCE and not os.path.isdir(ref_root):
+            print(f"skipped {name}: reference results not found at "
+                  f"{ref_root} (set NSE_GOLDEN_RESULTS_ROOT)")
             continue
         table = _to_table(qs[name](SF_DIRS[0]))
         path = os.path.join(GOLDEN_DIR, f"{name}.parquet")
