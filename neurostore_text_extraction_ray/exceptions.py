@@ -38,3 +38,8 @@ class FileOperationError(PipelineError):
 
 class ConfigurationError(PipelineError):
     """Raised when pipeline configuration is invalid."""
+
+
+class BudgetError(PipelineError, RuntimeError):
+    """Raised when a table a step must broadcast exceeds its budget in
+    ``stages.exchange.BUDGETS``; the message names the key and the fix."""

@@ -13,6 +13,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..stages import exchange as ex
+
 
 def _canon_json(value) -> str:
     """Canonical JSON for nested (list<struct>) query outputs so the
@@ -455,7 +457,7 @@ def _docs_training_mix(sf_dir: str, quality_min: float = 0.5,
          keep lang_pred == 'en' AND quality_score >= ``quality_min``;
       2. exact-dedup survivors (min doc_id per 16-byte blake2b content
          hash — per-batch partials, then driver combine + broadcast
-         winner ids below ``steps.DEDUP_WINNERS_DRIVER_LIMIT`` partial
+         winner ids below ``ROUTES['dedup_winners']`` partial
          rows, or ``dedup_exact``'s co-partitioned exchange beyond);
       3. pack winners into ~``budget``-char shards in doc_id order via
          the generic two-phase ``steps.pack_shards``.
@@ -500,7 +502,7 @@ def _docs_training_mix(sf_dir: str, quality_min: float = 0.5,
         hash_partial, batch_format="pandas").materialize()
     from . import steps as _steps
 
-    if partials_ds.count() > _steps.DEDUP_WINNERS_DRIVER_LIMIT:
+    if not ex.fits("dedup_winners", partials_ds.count()):
         # same budget + exchange fallback as the standalone dedup_exact
         # (winner combine content-hash-partitioned, semi-join filter
         # co-partitioned on doc_id; text never enters the exchange)
@@ -1413,8 +1415,6 @@ def _abbrev_expand_planted(sf_dir: str):
         f, batch_format="pandas")
 
 
-
-
 def _plant_linked_html(df: pd.DataFrame) -> pd.DataFrame:
     """Deterministic anchor plant: ``doc_id % 4`` absolute anchors
     (target host ``site{(doc_id * j) % 7}.example`` — j = 0 always
@@ -1435,15 +1435,6 @@ def _plant_linked_html(df: pd.DataFrame) -> pd.DataFrame:
     return pd.DataFrame({"doc_id": rows_id, "html": rows_html})
 
 
-# above this many (src, dst, w) host-graph edges the whole iteration
-# leaves the driver for the per-iteration co-partitioned exchange
-# (tests patch to 0 and assert path equality). Hosts are registered
-# domains (~10^8 on a full crawl: rank + edge arrays in the tens of
-# GB), so neither the edge list nor the rank vector may assume driver
-# residency.
-PAGERANK_EDGES_DRIVER_LIMIT = 20_000_000
-
-
 def _host_pagerank(sf_dir: str, n_iter: int = 5, damping: float = 0.85):
     """Iterative PageRank over the host-level link graph — the classic
     link-quality signal beyond plain in-degree (`host_indegree`).
@@ -1457,7 +1448,7 @@ def _host_pagerank(sf_dir: str, n_iter: int = 5, damping: float = 0.85):
     Scale shape: the per-batch link scan emits PARTIAL (src, dst, w)
     edge rows (bounded by host-pair cardinality per batch, never the
     link stream) through the shared gated ``grouped_sum_by_key``
-    combine; below ``PAGERANK_EDGES_DRIVER_LIMIT`` edges the iteration
+    combine; below ``ROUTES['pagerank_edges']`` edges the iteration
     is a vectorized driver scatter-add (np.add.at), beyond it the
     whole iteration runs distributed (``_host_pagerank_exchanged``:
     rank co-partitioned with the edge list per iteration, contributions
@@ -1469,7 +1460,7 @@ def _host_pagerank(sf_dir: str, n_iter: int = 5, damping: float = 0.85):
     import ray.data as rd
 
     from ..functions.weblinks import outlinks_frame
-    from .steps import grouped_sum_by_key, DOMAIN_DRIVER_LIMIT
+    from .steps import grouped_sum_by_key
 
     if n_iter < 0 or not (0.0 <= damping <= 1.0):
         raise ValueError("need n_iter >= 0 and 0 <= damping <= 1")
@@ -1488,8 +1479,8 @@ def _host_pagerank(sf_dir: str, n_iter: int = 5, damping: float = 0.85):
         .materialize()
     )
     edges_ds = grouped_sum_by_key(partials, ["src", "dst"], ["w"],
-                                  DOMAIN_DRIVER_LIMIT).materialize()
-    if edges_ds.count() > PAGERANK_EDGES_DRIVER_LIMIT:
+                                  "domain").materialize()
+    if not ex.fits("pagerank_edges", edges_ds.count()):
         return _host_pagerank_exchanged(edges_ds, n_iter, damping)
     edges = edges_ds.to_pandas()
     out_schema = pa.schema([("host", pa.string()), ("pagerank", pa.float64())])
@@ -1536,8 +1527,7 @@ def _host_pagerank_exchanged(edges_ds, n_iter: int, damping: float,
     import numpy as np_
     import ray.data as rd
 
-    from ..stages import exchange as ex
-    from .steps import AGG_PARTIALS_DRIVER_LIMIT, grouped_sum_by_key
+    from .steps import grouped_sum_by_key
 
     EDGE_SCHEMA = pa.schema([("src", pa.string()), ("dst", pa.string()),
                              ("w", pa.int64())])
@@ -1561,7 +1551,7 @@ def _host_pagerank_exchanged(edges_ds, n_iter: int, damping: float,
     nodes_ds = grouped_sum_by_key(
         edges_ds.map_batches(node_partial, batch_format="pandas")
         .materialize(),
-        "host", ["o"], AGG_PARTIALS_DRIVER_LIMIT).map_batches(
+        "host", ["o"], "agg_partials").map_batches(
             lambda df: pd.DataFrame({
                 "host": df["host"].to_numpy(dtype=object),
                 "dangling": (df["o"].to_numpy() == 0),
@@ -1648,7 +1638,7 @@ def _host_pagerank_exchanged(edges_ds, n_iter: int, damping: float,
                         [edges_stage, rank_stage], num_parts, contrib_part,
                         CONTRIB_SCHEMA, in_schemas=[EDGE_SCHEMA, RANK_SCHEMA]
                     ),
-                    "dst", ["contrib"], AGG_PARTIALS_DRIVER_LIMIT)
+                    "dst", ["contrib"], "agg_partials")
                 ex.write_exchange(
                     contrib_ds.map_batches(
                         lambda t: pa.table({
@@ -1670,20 +1660,6 @@ def _host_pagerank_exchanged(edges_ds, n_iter: int, damping: float,
             "host": df["host"].to_numpy(dtype=object),
             "pagerank": df["pr"].round(6),
         }), batch_format="pandas").materialize()
-
-
-# the (host, label) decorate table is host-cardinality-sized; beyond
-# this many rows the component representative/size aggregate and the
-# decorate join run label-co-partitioned through the exchange instead
-# of one driver groupby (tests patch to 0 and assert path equality)
-HOSTLABEL_DRIVER_LIMIT = 20_000_000
-
-# below this many deduped host-pair edges the component labeling is a
-# vectorized driver min-propagation (the distributed labeling's ~10
-# exchange rounds are pure overhead on a small graph); beyond, the
-# O(log n) pointer-jumping exchange propagation runs with labels never
-# on the driver (tests patch to 0 and assert path equality)
-COMPONENT_EDGES_DRIVER_LIMIT = 20_000_000
 
 
 def _components_driver(edf: pd.DataFrame) -> pd.DataFrame:
@@ -1730,20 +1706,19 @@ def _host_components(sf_dir: str, num_parts: int = 32):
     (the house blake2b-64 token hash — a collision would merge two
     hosts, the same documented 64-bit-birthday assumption as the
     near-dup band keys); components label via a vectorized driver
-    min-propagation below ``COMPONENT_EDGES_DRIVER_LIMIT`` deduped
+    min-propagation below ``ROUTES['component_edges']`` deduped
     edges and the O(log n) pointer-jumping exchange propagation
     (``pairs.label_components_exchanged`` — labels never on the
     driver) beyond it; the (host, label) decorate and the
     per-label (min host, size) aggregate run node- then
     label-co-partitioned through the exchange beyond
-    ``HOSTLABEL_DRIVER_LIMIT`` (labels co-locate, so per-part min/size
+    ``ROUTES['hostlabel']`` (labels co-locate, so per-part min/size
     are exact global values), or as one driver groupby below it."""
     import ray.data as rd
 
     from ..functions.hashing import _token_hashes
-    from ..stages import exchange as ex
     from ..stages.pairs import label_components_exchanged
-    from .steps import AGG_PARTIALS_DRIVER_LIMIT, grouped_sum_by_key
+    from .steps import grouped_sum_by_key
 
     def edge_partial(df: pd.DataFrame) -> pd.DataFrame:
         ids = df["doc_id"].astype("int64")
@@ -1765,7 +1740,7 @@ def _host_components(sf_dir: str, num_parts: int = 32):
     edges = grouped_sum_by_key(
         rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
         .map_batches(edge_partial, batch_format="pandas").materialize(),
-        ["src", "dst"], ["n"], AGG_PARTIALS_DRIVER_LIMIT).materialize()
+        ["src", "dst"], ["n"], "agg_partials").materialize()
 
     def to_int_edges(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -1775,7 +1750,7 @@ def _host_components(sf_dir: str, num_parts: int = 32):
 
     edges_int = edges.map_batches(
         to_int_edges, batch_format="pandas").materialize()
-    if edges_int.count() <= COMPONENT_EDGES_DRIVER_LIMIT:
+    if ex.fits("component_edges", edges_int.count()):
         labels = rd.from_pandas(_components_driver(edges_int.to_pandas()))
     else:
         labels = label_components_exchanged(edges_int, num_parts=num_parts)
@@ -1790,7 +1765,7 @@ def _host_components(sf_dir: str, num_parts: int = 32):
 
     nodes = grouped_sum_by_key(
         edges.map_batches(node_partial, batch_format="pandas").materialize(),
-        ["node", "host"], ["n"], AGG_PARTIALS_DRIVER_LIMIT).materialize()
+        ["node", "host"], ["n"], "agg_partials").materialize()
 
     out_schema = pa.schema([
         ("host", pa.string()), ("component", pa.string()),
@@ -1824,7 +1799,7 @@ def _host_components(sf_dir: str, num_parts: int = 32):
             "n_hosts": g["host"].transform("size").to_numpy(np.int64),
         })
 
-    if nodes.count() <= HOSTLABEL_DRIVER_LIMIT:
+    if ex.fits("hostlabel", nodes.count()):
         return rd.from_pandas(finish(decorate(nodes.to_pandas(),
                                               labels.to_pandas())))
 
@@ -1929,7 +1904,6 @@ def _warc_source_roundtrip(sf_dir: str):
     documents, so the whole write->parse->read chain is
     value-verified."""
     from ..sources import warc as W
-    from ..stages import exchange as ex
 
     with ex.stage("nse_warc_") as scratch:
         _write_warc_segments(sf_dir, scratch)
@@ -1958,7 +1932,6 @@ def _warc_extract_text(sf_dir: str):
     tasks, at most 4 at once, Arrow batches throughout)."""
     from . import flagship
     from ..sources import warc as W
-    from ..stages import exchange as ex
 
     with ex.stage("nse_warc_") as scratch:
         _write_warc_segments(sf_dir, scratch)
@@ -1998,7 +1971,7 @@ def _host_indegree(sf_dir: str):
     partials (each doc's links sit in one row, so per-batch
     ``nunique(doc_id)`` partials are exactly summable), then the
     shared ``grouped_sum_by_key`` combine (driver below
-    ``DOMAIN_DRIVER_LIMIT``, distributed-output host-hash exchange
+    ``ROUTES['domain']``, distributed-output host-hash exchange
     above)."""
     import numpy as np
     import ray.data as rd
@@ -2023,7 +1996,7 @@ def _host_indegree(sf_dir: str):
         partial, batch_format="pandas").materialize()
     return steps.grouped_sum_by_key(
         partials_ds, "host", ["n_links", "n_docs"],
-        steps.DOMAIN_DRIVER_LIMIT)
+        "domain")
 
 
 def _host_anchor_topk(sf_dir: str, k: int = 2):
@@ -2040,13 +2013,13 @@ def _host_anchor_topk(sf_dir: str, k: int = 2):
        rows (bounded by host x anchor cardinality per batch, never the
        link stream; per-batch ``nunique(doc_id)`` partials are exactly
        summable because each doc's links sit in one input row) through
-       ``grouped_sum_by_key`` (driver below ``TERMS_DRIVER_LIMIT``,
+       ``grouped_sum_by_key`` (driver below ``ROUTES['terms']``,
        key-hash partition exchange above — (host, anchor) keys
        co-locate so per-part sums are exact global totals);
     2. per-host top-k over the now globally-unique count rows — the
        associative partial-top-k shape (top-k of a union == top-k of
        per-part top-ks) through ``_topk_combine``
-       (driver below ``TOPK_PARTIALS_DRIVER_LIMIT``, two-level
+       (driver below ``ROUTES['topk_partials']``, two-level
        exchange merge beyond). The combine's required unique int64
        part key is the blake2b hash of ``host \\x1f anchor``
        (``_token_hashes`` — NUL-free separator per the repo rule;
@@ -2078,7 +2051,7 @@ def _host_anchor_topk(sf_dir: str, k: int = 2):
     counts = steps.grouped_sum_by_key(
         docs.map_batches(partial, batch_format="pandas").materialize(),
         ["host", "anchor"], ["n_links", "n_docs"],
-        steps.TERMS_DRIVER_LIMIT)
+        "terms")
 
     def local_topk(df: pd.DataFrame) -> pd.DataFrame:
         s = df.sort_values(["n_links", "anchor"], ascending=[False, True],
@@ -2095,7 +2068,7 @@ def _host_anchor_topk(sf_dir: str, k: int = 2):
     partial_topk = counts.map_batches(
         add_part_key, batch_format="pandas").materialize()
     final = steps._topk_combine(
-        partial_topk, local_topk, steps.TOPK_PARTIALS_DRIVER_LIMIT)
+        partial_topk, local_topk, "topk_partials")
     if final.empty:
         return rd.from_pandas(pd.DataFrame({
             "host": pd.Series([], dtype=object),

@@ -77,9 +77,10 @@ def _latest_per_url_indices(urls, tss) -> np.ndarray:
 
 
 def partial_dedup_batch(batch: pa.Table) -> pa.Table:
-    """Within-batch combiner: keep only the latest warc_ts per url.
-    Correctness is unaffected (the per-part pass finishes the job);
-    this only shrinks the shuffle."""
+    """Keep only the latest warc_ts per url of ``batch``, in one
+    vectorized pass. Before the exchange it is the within-batch
+    combiner that shrinks the shuffle; over a whole url-hash part (all
+    fetches of a url share a part) it is the exact per-part dedup."""
     if batch.num_rows == 0:
         return batch
     keep = _latest_per_url_indices(
@@ -89,19 +90,6 @@ def partial_dedup_batch(batch: pa.Table) -> pa.Table:
     if len(keep) == batch.num_rows:
         return batch
     return batch.take(pa.array(keep))
-
-
-def dedup_part_group(group: pa.Table) -> pa.Table:
-    """Per-PART group (all fetches of a url share a part): vectorized
-    latest-wins dedup over the whole part at once — one pandas/numpy
-    pass per part, not one Python call per url."""
-    keep = _latest_per_url_indices(
-        group["url"].to_pandas().to_numpy(dtype=object),
-        group["warc_ts"].to_numpy(zero_copy_only=False),
-    )
-    if len(keep) == group.num_rows:
-        return group
-    return group.take(pa.array(keep))
 
 
 def _winner_partials(batch: pa.Table) -> pa.Table:
@@ -118,12 +106,6 @@ def _winner_partials(batch: pa.Table) -> pa.Table:
     return pa.table({"url": g["url"], "warc_ts": g["warc_ts_max"]})
 
 
-# above this many winner-partial rows the broadcast-semijoin dedup
-# auto-switches to the url-hash partitioned path (the driver would
-# otherwise collect a corpus-sized winner table). Tests patch to 0.
-WINNERS_BROADCAST_LIMIT = 50_000_000
-
-
 def dedup_pages(ds, winners_ds=None, num_parts: int = 64):
     """groupby-url dedup-then-extract, streaming form.
 
@@ -133,7 +115,7 @@ def dedup_pages(ds, winners_ds=None, num_parts: int = 64):
     broadcast (``ray.put``) into a vectorized semi-join filter. This is
     the aggregate+broadcast-semijoin pattern. The winner-partial count
     is checked (cheap block metadata on the materialized partials)
-    BEFORE anything is collected: beyond ``WINNERS_BROADCAST_LIMIT``
+    BEFORE anything is collected: beyond ``ROUTES['winners']``
     the dedup automatically routes to ``dedup_pages_partitioned``
     instead of a driver OOM (VERDICT r03 next-round #2).
 
@@ -153,7 +135,7 @@ def dedup_pages(ds, winners_ds=None, num_parts: int = 64):
     src = winners_ds if winners_ds is not None else ds
     partials_ds = src.map_batches(
         _winner_partials, batch_format="pyarrow").materialize()
-    if partials_ds.count() > WINNERS_BROADCAST_LIMIT:
+    if not ex.fits("winners", partials_ds.count()):
         return dedup_pages_partitioned(ds, num_parts=num_parts)
     partial_tables = [ray.get(ref) for ref in partials_ds.to_arrow_refs()]
     winners = (
@@ -199,7 +181,7 @@ def dedup_pages_partitioned(ds, num_parts: int = 64):
     all-to-all measured ~50x slower in this environment, BASELINE.md).
     Used when the winner table is too large to broadcast
     (``dedup_pages`` auto-routes here beyond
-    ``WINNERS_BROADCAST_LIMIT``); the resumable sink runs the same
+    ``ROUTES['winners']``); the resumable sink runs the same
     exchange with manifests (``run_flagship_to_parquet``).
 
     Hot keys: the ``partial_dedup_batch`` combiner runs BEFORE the
@@ -217,8 +199,7 @@ def dedup_pages_partitioned(ds, num_parts: int = 64):
         schema = ds.schema()
         empty = pa.schema(
             [(n, t) for n, t in zip(schema.names, schema.types)])
-        return ex.map_parts(stage, num_parts, dedup_part_group,
-                            empty)
+        return ex.map_parts(stage, num_parts, partial_dedup_batch, empty)
 
 
 def extract_pages(

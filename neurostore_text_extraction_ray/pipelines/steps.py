@@ -24,6 +24,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.textstats import SK_TOKEN_RE
+from ..stages import exchange as ex
 
 
 def _docs(sf_dir: str, columns=None):
@@ -70,13 +71,6 @@ def word_deviance(sf_dir: str):
 
 
 # -- A2: TF-IDF (document-frequency aggregate + broadcast scoring) ----------
-
-# hard ceiling on the post-min_df vocabulary the scoring pass may
-# broadcast (16 bytes/term as sorted hash+idf arrays). TF-IDF scoring
-# fundamentally requires the vocab everywhere, so past this budget the
-# fix is semantic (raise min_df / supply a vocabulary), not a bigger
-# driver — raising loudly beats an OOM mid-job. Tests patch to 0.
-TFIDF_VOCAB_DRIVER_LIMIT = 20_000_000
 
 
 def tfidf(sf_dir: str, min_df: int = 2, vocabulary: dict | None = None,
@@ -132,8 +126,8 @@ def tfidf(sf_dir: str, min_df: int = 2, vocabulary: dict | None = None,
 
     # document-frequency aggregate: vectorized tokenize+explode, one
     # partial DF-count row per distinct term per batch, then the
-    # shared grouped_sum_by_key combine (driver below
-    # TERMS_DRIVER_LIMIT partial rows — web text has an unbounded
+    # shared grouped_sum_by_key combine (driver below the "terms"
+    # gate's partial rows — web text has an unbounded
     # vocabulary, so the combine may not assume driver residency —
     # term-hash exchange beyond). min_df filters DISTRIBUTED (exact:
     # all of a term's rows co-locate per part) before the vocab is
@@ -150,7 +144,7 @@ def tfidf(sf_dir: str, min_df: int = 2, vocabulary: dict | None = None,
     partials_ds = docs.map_batches(
         df_partial, batch_format="pandas").materialize()
     summed = grouped_sum_by_key(partials_ds, "term", ["n"],
-                                TERMS_DRIVER_LIMIT)
+                                "terms")
     if vocab_set is None:
         # min_df applies only without an explicit vocabulary (sklearn
         # TfidfVectorizer ignores min_df when vocabulary is given)
@@ -158,11 +152,8 @@ def tfidf(sf_dir: str, min_df: int = 2, vocabulary: dict | None = None,
             lambda t: t.filter(pc.greater_equal(t["n"], min_df)),
             batch_format="pyarrow")
     kept = summed.materialize()
-    if kept.count() > TFIDF_VOCAB_DRIVER_LIMIT:
-        raise RuntimeError(
-            "tfidf vocabulary exceeds the broadcast budget "
-            f"({TFIDF_VOCAB_DRIVER_LIMIT} terms): raise min_df, supply "
-            "a custom vocabulary, or raise TFIDF_VOCAB_DRIVER_LIMIT")
+    ex.check_budget("tfidf_vocab", kept.count(),
+                    "raise min_df or supply a custom vocabulary")
     vdf = kept.to_pandas()
     if vdf.empty:
         # a zero-block Dataset drops its columns through to_pandas
@@ -238,13 +229,6 @@ def docs_en_quality(sf_dir: str):
 
 # -- J1: upstream-results join (broadcast below budget, exchange above) -----
 
-# above this many upstream rows the join side stops broadcasting and
-# both sides hash-bucket on the id through the filesystem exchange
-# (the reference's add_pipeline join side is one row per DOCUMENT at
-# corpus scale — not small; VERDICT r03 next-round #1). Tests patch
-# this to 0 to force the exchange path.
-JOIN_BROADCAST_LIMIT = 5_000_000
-
 
 def _upstream_count(sf_dir: str, where: str = "") -> int:
     import duckdb
@@ -260,7 +244,7 @@ def _upstream_count(sf_dir: str, where: str = "") -> int:
 def docs_join_embeddings(sf_dir: str):
     """documents ⋈ embeddings on doc_id = vec_id — the upstream-results
     join (Dataset.add_pipeline analog, dataset.py:243-382). Below
-    ``JOIN_BROADCAST_LIMIT`` upstream rows the label side broadcasts as
+    ``ROUTES['join']`` upstream rows the label side broadcasts as
     sorted numpy arrays (searchsorted semi-join, no shuffle); above it
     BOTH sides hash-bucket on the id through the filesystem exchange
     and the identical vectorized lookup runs per part (the
@@ -268,7 +252,7 @@ def docs_join_embeddings(sf_dir: str):
     import duckdb
     import ray
 
-    if _upstream_count(sf_dir) > JOIN_BROADCAST_LIMIT:
+    if not ex.fits("join", _upstream_count(sf_dir)):
         return _docs_join_embeddings_exchanged(sf_dir)
     con = duckdb.connect()
     lab = con.execute(
@@ -321,8 +305,6 @@ def _docs_join_embeddings_exchanged(sf_dir: str, num_parts: int = 32):
     part (keys co-locate, so per-part results equal the global join)."""
     import ray.data as rd
 
-    from ..stages import exchange as ex
-
     lab_schema = pa.schema([("vec_id", pa.int64()), ("label", pa.int32())])
     out_schema = _DOCS_SCHEMA.append(pa.field("label", pa.int32()))
     with (ex.stage("nse_j1_docs_") as docs_stage,
@@ -361,13 +343,13 @@ def _docs_join_embeddings_exchanged(sf_dir: str, num_parts: int = 32):
 def filter_unprocessed(sf_dir: str):
     """documents whose doc_id is NOT among embeddings vec_ids with
     label = 0 — the resume anti-join shape (base.py:509-532). Below
-    ``JOIN_BROADCAST_LIMIT`` done-rows the done-key set broadcasts as a
+    ``ROUTES['join']`` done-rows the done-key set broadcasts as a
     sorted array; above it both sides hash-bucket on the id through the
     filesystem exchange and the anti-join runs per part."""
     import duckdb
     import ray
 
-    if _upstream_count(sf_dir, "WHERE label = 0") > JOIN_BROADCAST_LIMIT:
+    if not ex.fits("join", _upstream_count(sf_dir, "WHERE label = 0")):
         return _filter_unprocessed_exchanged(sf_dir)
     con = duckdb.connect()
     done = con.execute(
@@ -393,8 +375,6 @@ def _filter_unprocessed_exchanged(sf_dir: str, num_parts: int = 32):
     """Scale path: co-partition documents and done-ids by id hash; the
     vectorized anti-join (np.isin invert) runs per part."""
     import ray.data as rd
-
-    from ..stages import exchange as ex
 
     done_schema = pa.schema([("vec_id", pa.int64())])
     with (ex.stage("nse_fu_docs_") as docs_stage,
@@ -425,16 +405,12 @@ def _filter_unprocessed_exchanged(sf_dir: str, num_parts: int = 32):
 
 # -- D1: exact dedup by content ---------------------------------------------
 
-# above this many partial (hash, min-id) rows the winner combine leaves
-# the driver for the content-hash partition exchange (tests patch to 0)
-DEDUP_WINNERS_DRIVER_LIMIT = 5_000_000
-
 
 def dedup_exact(sf_dir: str):
     """Exact dedup on text content: keep the lowest doc_id per distinct
     text (SURVEY D1). A per-batch partial (min doc_id per 16-byte
     content hash) always runs first, so document text never enters any
-    exchange. Below ``DEDUP_WINNERS_DRIVER_LIMIT`` partial rows, the
+    exchange. Below ``ROUTES['dedup_winners']`` partial rows, the
     combine is driver-side and the winner ids broadcast (the
     aggregate+broadcast-semijoin shape); beyond it, partials
     hash-partition on the content hash through the filesystem exchange
@@ -471,7 +447,7 @@ def dedup_exact(sf_dir: str):
         .map_batches(partial, batch_format="pandas")
         .materialize()
     )
-    if partials_ds.count() <= DEDUP_WINNERS_DRIVER_LIMIT:
+    if ex.fits("dedup_winners", partials_ds.count()):
         partials = partials_ds.to_pandas()
         winners = partials.groupby(["h1", "h2"], sort=False)["doc_id"].min()
         ref = ray.put(np.sort(winners.to_numpy().astype(np.int64)))
@@ -490,8 +466,6 @@ def dedup_exact(sf_dir: str):
 def _dedup_exact_exchanged(docs, partials_ds, num_parts: int = 32):
     """Scale path: content-hash partition exchange for the winner
     combine, doc_id partition exchange for the semi-join filter."""
-    from ..stages import exchange as ex
-
     win_schema = pa.schema([("doc_id", pa.int64())])
     docs_schema = pa.schema([("doc_id", pa.int64()), ("n_chars", pa.int64())])
     with (ex.stage("nse_dx_hash_") as hash_stage,
@@ -618,17 +592,7 @@ def _topk_rows(df: pd.DataFrame, k: int, by: str | None) -> pd.DataFrame:
     return s.groupby(by, sort=False, dropna=False).head(k)
 
 
-# above this many partial top-k rows the merge leaves the driver for a
-# two-level combine (tests patch to 0): doc-hash partition exchange,
-# per-part local top-k under the SAME total order — top-k of a union
-# equals the top-k of per-part top-ks — then a tiny driver merge of at
-# most num_parts x k x groups rows. Partial top-k streams are bounded
-# by k x groups x BATCHES, which at 10^6+ blocks is no longer
-# driver-sized.
-TOPK_PARTIALS_DRIVER_LIMIT = 5_000_000
-
-
-def _topk_combine(partials_ds, local_topk, driver_limit, num_parts=32):
+def _topk_combine(partials_ds, local_topk, gate, num_parts=32):
     """Shared gated merge for partial top-k streams: ``local_topk``
     (pd.DataFrame -> pd.DataFrame) must be idempotent and associative
     under row-union (true for 'k best under a total order, optionally
@@ -637,12 +601,10 @@ def _topk_combine(partials_ds, local_topk, driver_limit, num_parts=32):
     beyond the gate), then ``local_topk`` over the candidates on the
     driver.
     Returns the exact merged top-k as a small pandas frame."""
-    from ..stages import exchange as ex
-
     partials_ds = partials_ds.materialize()
     schema = ex.arrow_schema_of(partials_ds)
     cand = ex.combine_by_key(partials_ds, ["doc_id"], local_topk, schema,
-                             driver_limit, num_parts).to_pandas()
+                             gate, num_parts).to_pandas()
     if cand.empty:  # zero-row datasets drop their columns
         return schema.empty_table().to_pandas()
     return local_topk(cand).reset_index(drop=True)
@@ -652,7 +614,7 @@ def top_docs_per_lang(sf_dir: str, k: int = 3):
     """Top-``k`` docs per language by (n_chars desc, doc_id asc) — the
     ``row_number() OVER (PARTITION BY lang ORDER BY ...)`` analog as a
     per-batch partial top-k per group + the shared gated merge
-    (driver below ``TOPK_PARTIALS_DRIVER_LIMIT`` partial rows,
+    (driver below ``ROUTES['topk_partials']`` partial rows,
     two-level exchange combine beyond; no shuffle of the doc stream,
     no window sort)."""
     import ray.data as rd
@@ -665,7 +627,7 @@ def top_docs_per_lang(sf_dir: str, k: int = 3):
     )
     final = (
         _topk_combine(partials_ds, lambda df: _topk_rows(df, k, "lang"),
-                      TOPK_PARTIALS_DRIVER_LIMIT)
+                      "topk_partials")
         .sort_values(["lang", "n_chars", "doc_id"],
                      ascending=[True, False, True])
         .reset_index(drop=True)
@@ -813,15 +775,8 @@ def docs_nchars_quantiles_sampled(sf_dir: str, qs=(0.25, 0.5, 0.75, 0.95),
     }))
 
 
-# grouped-quantile histogram partials are (group x distinct-value x
-# batches) sized; beyond this the combine leaves the driver for a
-# group-hash partition exchange (tests patch to 0, assert path equality)
-LANG_QUANTILES_DRIVER_LIMIT = 5_000_000
-
-
 def docs_lang_quantiles(sf_dir: str, qs=(0.25, 0.5, 0.75, 0.95),
-                        num_parts: int = 32,
-                        driver_limit: int | None = None):
+                        num_parts: int = 32):
     """Exact PER-GROUP discrete quantiles of an integer column without
     any sort — the grouped form of ``docs_nchars_quantiles`` (DuckDB
     ``quantile_disc GROUP BY`` semantics: per group, the smallest value
@@ -829,18 +784,13 @@ def docs_lang_quantiles(sf_dir: str, qs=(0.25, 0.5, 0.75, 0.95),
     against DuckDB over randomized multisets). Per-batch partial rows
     (lang, value, n) are bounded by group-x-distinct-value
     cardinality per batch, never the row stream. Below
-    ``LANG_QUANTILES_DRIVER_LIMIT`` partial rows the combine is a small
+    ``ROUTES['lang_quantiles']`` partial rows the combine is a small
     driver groupby; beyond, a GROUP-hash partition exchange — the part
     key is the lang alone (not lang+value), so one group's whole
     histogram co-locates and the per-part selection is exact, and the
     result stays distributed. Output
     (lang, q, value), one row per group per requested quantile."""
     import math
-
-    from ..stages import exchange as ex
-
-    if driver_limit is None:
-        driver_limit = LANG_QUANTILES_DRIVER_LIMIT
 
     def partial(batch: pa.Table) -> pa.Table:
         t = batch.select(["lang", "n_chars"]).to_pandas()
@@ -877,7 +827,7 @@ def docs_lang_quantiles(sf_dir: str, qs=(0.25, 0.5, 0.75, 0.95),
         .map_batches(partial, batch_format="pyarrow")
     )
     return ex.combine_by_key(partials, ["lang"], select, out_schema,
-                             driver_limit, num_parts)
+                             "lang_quantiles", num_parts)
 
 
 # -- Quantile-bucket assignment (two-phase stats -> broadcast) ---------------
@@ -920,11 +870,6 @@ def docs_quality_buckets(sf_dir: str):
 
 # -- Heavy hitters: exact distributed top-k terms ---------------------------
 
-# above this many partial (term, n) rows the combine leaves the driver
-# for a term-hash partition exchange (tests patch to 0). Web-scale text
-# has an effectively unbounded vocabulary (typos/urls/ids), so the
-# driver combine cannot be the only path.
-TERMS_DRIVER_LIMIT = 5_000_000
 
 _TOP_TERMS_SCHEMA = pa.schema([("term", pa.string()), ("n", pa.int64())])
 
@@ -933,7 +878,7 @@ def top_terms(sf_dir: str, k: int = 20):
     """Top-``k`` corpus terms by total occurrence count with a
     deterministic tie-break (count desc, term asc): per-batch tokenize
     + value_counts partials (one row per distinct term per batch; never
-    the token stream). Below ``TERMS_DRIVER_LIMIT`` partial rows the
+    the token stream). Below ``ROUTES['terms']`` partial rows the
     combine is a small driver groupby; beyond it, partials
     hash-partition on the term through the filesystem exchange, each
     part combines + takes its local top-k under the SAME total order
@@ -941,8 +886,6 @@ def top_terms(sf_dir: str, k: int = 20):
     the global top-k is a subset of the per-part top-k union), and the
     driver merges ``num_parts * k`` rows. Output (term, n)."""
     import ray.data as rd
-
-    from ..stages import exchange as ex
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         toks = df["text"].fillna("").str.lower().str.findall(SK_TOKEN_RE)
@@ -961,7 +904,7 @@ def top_terms(sf_dir: str, k: int = 20):
         .map_batches(partial, batch_format="pandas")
     )
     cand = ex.combine_by_key(partials_ds, ["term"], topk, _TOP_TERMS_SCHEMA,
-                             TERMS_DRIVER_LIMIT).to_pandas()
+                             "terms").to_pandas()
     if cand.empty:
         return rd.from_arrow(_TOP_TERMS_SCHEMA.empty_table())
     return rd.from_pandas(topk(cand).reset_index(drop=True))
@@ -1020,7 +963,7 @@ def docs_bm25(sf_dir: str, query_terms=("merge", "spark", "window"),
     partials_ds = docs.map_batches(partial,
                                    batch_format="pandas").materialize()
     stats = grouped_sum_by_key(partials_ds, "term", ["n"],
-                               TERMS_DRIVER_LIMIT).to_pandas()
+                               "terms").to_pandas()
     if stats.empty:
         return rd.from_arrow(out_schema.empty_table())
     by_term = dict(zip(stats["term"], stats["n"].astype(np.int64)))
@@ -1070,7 +1013,7 @@ def docs_bpe_merges(sf_dir: str, n_merges: int = 40):
     word-frequency count (the ``top_terms`` partial pattern through
     the gated ``grouped_sum_by_key``); the merge iterations run over
     the language-bounded vocabulary, driver-side below
-    ``BPE_VOCAB_DRIVER_LIMIT`` and exchange-partitioned beyond.
+    ``ROUTES['bpe_vocab']`` and exchange-partitioned beyond.
     Output (rank, left, right, pair_count); pinned-golden oracle (the
     iterative merge recurrence is not reasonably SQL-expressible)."""
     from ..stages.bpe import bpe_learn
@@ -1088,15 +1031,8 @@ def docs_bpe_merges(sf_dir: str, n_merges: int = 40):
         .materialize()
     )
     vocab = grouped_sum_by_key(partials_ds, "term", ["n"],
-                               TERMS_DRIVER_LIMIT)
+                               "terms")
     return bpe_learn(vocab, n_merges)
-
-
-# vocab rows above which the importance-weight broadcast raises: like
-# tfidf's vocabulary, scoring fundamentally ships the per-term
-# log-ratio table to every worker — past budget the fix is semantic
-# (hashed feature buckets), not a bigger pipe. Tests patch to 0.
-DSIR_VOCAB_DRIVER_LIMIT = 20_000_000
 
 
 def docs_importance_weights(sf_dir: str, target_lang: str = "en"):
@@ -1114,7 +1050,7 @@ def docs_importance_weights(sf_dir: str, target_lang: str = "en"):
     (raw + target tallied together) through the gated
     ``grouped_sum_by_key`` combine; the log-ratio table is
     vocabulary-sized and broadcasts once as sorted numpy arrays
-    (hard-gated by ``DSIR_VOCAB_DRIVER_LIMIT``); the scoring pass is a
+    (hard-gated by ``BUDGETS['dsir_vocab']``); the scoring pass is a
     stateless searchsorted map. Exact ANSI-SQL oracle."""
     import ray
 
@@ -1141,15 +1077,10 @@ def docs_importance_weights(sf_dir: str, target_lang: str = "en"):
         .map_batches(partial, batch_format="pandas")
         .materialize())
     counts_ds = grouped_sum_by_key(partials_ds, "term", ["cr", "ct"],
-                                   TERMS_DRIVER_LIMIT)
-    n_vocab = counts_ds.count()
-    if n_vocab > DSIR_VOCAB_DRIVER_LIMIT:
-        raise ValueError(
-            f"importance-weight vocabulary ({n_vocab} terms) exceeds "
-            f"DSIR_VOCAB_DRIVER_LIMIT ({DSIR_VOCAB_DRIVER_LIMIT}); "
-            "scoring broadcasts the per-term log-ratio table — use "
-            "docs_importance_weights_hashed (bucket-space-bounded) "
-            "instead")
+                                   "terms")
+    ex.check_budget("dsir_vocab", counts_ds.count(),
+                    "use docs_importance_weights_hashed (its table is "
+                    "bounded by the bucket space)")
     counts = counts_ds.to_pandas()
     if counts.empty:
         vocab_s = np.array([], dtype=object)
@@ -1240,7 +1171,7 @@ def docs_importance_weights_hashed(sf_dir: str, target_lang: str = "en",
         .map_batches(partial, batch_format="pandas")
         .materialize())
     counts = grouped_sum_by_key(partials_ds, "bucket", ["cr", "ct"],
-                                TERMS_DRIVER_LIMIT).to_pandas()
+                                "terms").to_pandas()
     # the combined table is <= n_buckets rows by construction — a
     # parameter, not a corpus property — so the driver collect and the
     # broadcast below are bounded without a budget gate
@@ -1317,7 +1248,7 @@ def embeddings_label_centroids(sf_dir: str):
         .map_batches(partial, batch_format="pyarrow")
         .materialize())
     combined = grouped_sum_by_key(partials_ds, ["label", "dim"],
-                                  ["s", "n"], AGG_PARTIALS_DRIVER_LIMIT)
+                                  ["s", "n"], "agg_partials")
 
     def finalize(df: pd.DataFrame) -> pd.DataFrame:
         out = pd.DataFrame()
@@ -1353,7 +1284,7 @@ def corpus_stats(sf_dir: str):
         .map_batches(partial, batch_format="pandas")
         .materialize())
     vocab_ds = grouped_sum_by_key(partials_ds, "term", ["n"],
-                                  TERMS_DRIVER_LIMIT)
+                                  "terms")
 
     def block_stat(df: pd.DataFrame) -> pd.DataFrame:
         if df.empty:
@@ -1409,12 +1340,6 @@ def docs_bpe_encode(sf_dir: str, n_merges: int = 20):
 
 # -- Per-domain aggregation + domain-level filtering ------------------------
 
-# above this many partial (domain, counts) rows the stats combine
-# leaves the driver for a domain-hash partition exchange (tests patch
-# to 0). A web crawl has ~10^8 registered domains with a heavy tail of
-# singletons, so neither the combine nor the kept-domain set may
-# assume driver residency.
-DOMAIN_DRIVER_LIMIT = 5_000_000
 
 def _plant_domains(ids: pd.Series) -> pd.Series:
     """Deterministic registered-domain plant (the documents table has
@@ -1447,18 +1372,16 @@ def _domain_partials(sf_dir: str):
 
 
 def grouped_sum_by_key(partials_ds, key_col, sum_cols: list[str],
-                       driver_limit: int, num_parts: int = 32):
+                       gate: str, num_parts: int = 32):
     """Exact per-key sums over a stream of PARTIAL aggregate rows —
     the shared combine behind the domain-stats, host-indegree,
     lineitem-pricing and hourly-window aggregates. ``key_col`` is one
     column name or a list (string / int / timestamp keys all work);
     key and sum dtypes come from the partials schema, so int sums stay
-    exact and float sums combine per-part. Below ``driver_limit``
-    partial rows: a small driver groupby. Beyond: a key-hash partition
+    exact and float sums combine per-part. Partial rows that fit
+    ``gate``: a small driver groupby. Beyond: a key-hash partition
     exchange whose per-part combine output STAYS distributed (keys
     co-locate, so per-part sums are exact global totals)."""
-    from ..stages import exchange as ex
-
     key_cols = [key_col] if isinstance(key_col, str) else list(key_col)
     partials_ds = partials_ds.select_columns(
         key_cols + sum_cols).materialize()
@@ -1472,18 +1395,10 @@ def grouped_sum_by_key(partials_ds, key_col, sum_cols: list[str],
                 .sum().reset_index())
 
     return ex.combine_by_key(partials_ds, key_cols, combine, schema,
-                             driver_limit, num_parts)
-
-
-# partial HLL register rows are key-cardinality x batches sized (one
-# 2^p-byte blob per key per batch); beyond this the max-combine leaves
-# the driver for a key-hash partition exchange (tests patch to 0 and
-# assert path equality).
-HLL_GROUP_PARTIALS_DRIVER_LIMIT = 2_000_000
+                             gate, num_parts)
 
 
 def hll_distinct_by_key(pre_ds, key_col: str, val_col: str, p: int = 12,
-                        driver_limit: int | None = None,
                         num_parts: int = 32):
     """Approximate ``COUNT(DISTINCT val_col) GROUP BY key_col`` — the
     sketch-PER-KEY merge primitive (one HLL register array per key;
@@ -1491,18 +1406,16 @@ def hll_distinct_by_key(pre_ds, key_col: str, val_col: str, p: int = 12,
     commutative, so per-key merges are exact across any batch or part
     split). Per-batch partial rows (key, regs[2^p] bytes) are
     bounded by key-cardinality x batches, never the row stream; the
-    combine is a vectorized driver groupby-max below ``driver_limit``
-    partial rows and a key-hash partition exchange beyond (keys
-    co-locate, so per-part maxima are exact global registers).
+    combine is a vectorized driver groupby-max below
+    ``ROUTES['hll_group_partials']`` partial rows and a key-hash
+    partition exchange beyond (keys co-locate, so per-part maxima are
+    exact global registers).
 
     ``val_col`` must be an integer column (self-owned splitmix64
     hashing — estimates pinned independent of library versions). Output
     (key_col, n_distinct_est), one row per key."""
-    from ..stages import exchange as ex
     from ..stages.sketch import hll_estimate, hll_partial, splitmix64
 
-    if driver_limit is None:
-        driver_limit = HLL_GROUP_PARTIALS_DRIVER_LIMIT
     m = 1 << p
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -1552,7 +1465,7 @@ def hll_distinct_by_key(pre_ds, key_col: str, val_col: str, p: int = 12,
     out_schema = pa.schema([pa.field(key_col, key_type),
                             pa.field("n_distinct_est", pa.int64())])
     return ex.combine_by_key(partials, [key_col], combine, out_schema,
-                             driver_limit, num_parts)
+                             "hll_group_partials", num_parts)
 
 
 def events_user_hll_hourly(sf_dir: str, p: int = 12):
@@ -1586,18 +1499,18 @@ def docs_domain_stats(sf_dir: str):
     hygiene (RefinedWeb/C4-style). Per-batch partial aggregate first
     (rows bounded by distinct domains per batch, never the doc
     stream), then the shared ``grouped_sum_by_key`` combine (driver
-    below ``DOMAIN_DRIVER_LIMIT``, distributed-output domain-hash
+    below ``ROUTES['domain']``, distributed-output domain-hash
     exchange above)."""
     return grouped_sum_by_key(
         _domain_partials(sf_dir), "domain",
-        ["n_docs", "total_chars", "n_en"], DOMAIN_DRIVER_LIMIT)
+        ["n_docs", "total_chars", "n_en"], "domain")
 
 
 def docs_domain_filter(sf_dir: str, min_docs: int = 5):
     """Domain-level document filter: keep docs whose registered domain
     has at least ``min_docs`` documents corpus-wide (drops the crawl's
     singleton-domain tail). Two-pass: the ``docs_domain_stats``
-    aggregate, then — below ``DOMAIN_DRIVER_LIMIT`` kept domains — a
+    aggregate, then — below ``ROUTES['domain']`` kept domains — a
     broadcast of the kept-domain strings as a sorted numpy array
     (exact membership, no hash step); beyond it, docs and kept domains
     co-partition by domain hash through the exchange and the semi-join
@@ -1609,7 +1522,7 @@ def docs_domain_filter(sf_dir: str, min_docs: int = 5):
         lambda b: b.filter(pc.greater_equal(b["n_docs"], min_docs))
                    .select(["domain"]),
         batch_format="pyarrow").materialize()
-    if kept_ds.count() > DOMAIN_DRIVER_LIMIT:
+    if not ex.fits("domain", kept_ds.count()):
         return _domain_filter_exchanged(sf_dir, kept_ds)
     kept = np.sort(
         kept_ds.to_pandas()["domain"].to_numpy(dtype=object))
@@ -1638,8 +1551,6 @@ def docs_domain_filter(sf_dir: str, min_docs: int = 5):
 def _domain_filter_exchanged(sf_dir: str, kept_ds, num_parts: int = 32):
     """Scale path: co-partition (doc_id, domain, n_chars) rows and kept
     domains by domain hash; exact string semi-join per part."""
-    from ..stages import exchange as ex
-
     docs_schema = pa.schema([("doc_id", pa.int64()), ("domain", pa.string()),
                              ("n_chars", pa.int64())])
     kept_schema = pa.schema([("domain", pa.string())])
@@ -1680,10 +1591,6 @@ def _domain_filter_exchanged(sf_dir: str, kept_ds, num_parts: int = 32):
 
 # -- Domain-level boilerplate line removal (CCNet/RefinedWeb-style) ----------
 
-# boilerplate (domain, line) keys collected to the driver / broadcast
-# as a sorted int64 array below this; beyond it docs and keys
-# co-partition by domain hash through the exchange (no broadcast).
-BOILERPLATE_KEYS_BROADCAST_LIMIT = 20_000_000
 
 _BP_SEP = "\x1f"  # never occurs in planted domains; separates domain|line
 
@@ -1767,12 +1674,11 @@ def _bp_boilerplate_keys(line_counts, dom_counts, ratio_num: int,
     """(domain, line_key) rows whose doc count n satisfies
     ``n >= min_docs AND n * ratio_den >= n_docs(domain) * ratio_num``
     — integer-exact on both sides (no float ratio), mirrored verbatim
-    in the SQL oracle. Below ``DOMAIN_DRIVER_LIMIT`` domain rows the
+    in the SQL oracle. Below ``ROUTES['domain']`` domain rows the
     per-domain totals broadcast as sorted arrays; beyond, candidates
     and totals co-partition by domain hash and join per part."""
     import ray
 
-    from ..stages import exchange as ex
     from ..stages.broadcast import get_broadcast
 
     filtered = line_counts.map_batches(
@@ -1805,7 +1711,7 @@ def _bp_boilerplate_keys(line_counts, dom_counts, ratio_num: int,
             "domain": d[keep],
             "line_key": df["line_key"].to_numpy(np.int64)[keep]})
 
-    if dom_counts.count() <= DOMAIN_DRIVER_LIMIT:
+    if ex.fits("domain", dom_counts.count()):
         dp = dom_counts.to_pandas().sort_values("domain", kind="stable")
         doms = dp["domain"].to_numpy(dtype=object)
         nd = dp["n_docs"].to_numpy(np.int64)
@@ -1893,32 +1799,31 @@ def strip_boilerplate(ds, ratio_num: int = 1, ratio_den: int = 2,
     output (doc_id, domain, n_lines, n_removed, clean_text).
 
     Scale shape: two ``grouped_sum_by_key`` combines (per-(domain,
-    line-hash) doc counts under ``TERMS_DRIVER_LIMIT``; per-domain doc
-    totals under ``DOMAIN_DRIVER_LIMIT``), the integer-exact ratio
+    line-hash) doc counts under ``ROUTES['terms']``; per-domain doc
+    totals under ``ROUTES['domain']``), the integer-exact ratio
     join (broadcast totals / domain-hash co-partition beyond the
     gate), then the strip pass: the boilerplate key set broadcasts as
-    ONE sorted int64 array below ``BOILERPLATE_KEYS_BROADCAST_LIMIT``,
+    ONE sorted int64 array below ``ROUTES['boilerplate_keys']``,
     beyond it docs and keys co-partition by domain hash through the
     exchange (a pathological single domain lands in one part — the
     same documented skew assumption as ``docs_domain_cap``). Text
     never shuffles on the broadcast path."""
     import ray
 
-    from ..stages import exchange as ex
     from ..stages.broadcast import get_broadcast
 
     ds = ds.materialize()
     line_counts = grouped_sum_by_key(
         _bp_count_partials(ds), ["domain", "line_key"], ["n"],
-        TERMS_DRIVER_LIMIT)
+        "terms")
     dom_counts = grouped_sum_by_key(
         _bp_domain_partials(ds), "domain", ["n_docs"],
-        DOMAIN_DRIVER_LIMIT)
+        "domain")
     bp = _bp_boilerplate_keys(line_counts, dom_counts, ratio_num,
                               ratio_den, min_docs, num_parts
                               ).materialize()
 
-    if bp.count() <= BOILERPLATE_KEYS_BROADCAST_LIMIT:
+    if ex.fits("boilerplate_keys", bp.count()):
         kp = bp.to_pandas()
         keys = (np.sort(kp["line_key"].to_numpy(np.int64))
                 if len(kp) else np.array([], dtype=np.int64))
@@ -1991,9 +1896,6 @@ def docs_boilerplate_strip(sf_dir: str):
 
 # -- Per-domain percentile filter ---------------------------------------------
 
-# kept (domain, value, pr) rows above which the filter pass stops
-# broadcasting and co-partitions docs + kept rows by domain hash
-PCTL_KEPT_BROADCAST_LIMIT = 20_000_000
 
 _PCTL_KEPT_SCHEMA = pa.schema([("domain", pa.string()), ("v", pa.int64()),
                                ("pr", pa.float64())])
@@ -2039,19 +1941,18 @@ def docs_domain_percentile_filter(sf_dir: str, p: float = 0.5,
 
     Scale shape: one pass emits per-batch distinct-value count
     partials (domain, v, cnt) — value-level rows, never the doc
-    stream; below ``TERMS_DRIVER_LIMIT`` partial rows the rank math is
+    stream; below ``ROUTES['terms']`` partial rows the rank math is
     a driver groupby, beyond it partials co-partition by DOMAIN hash
     through the exchange (a domain's values co-locate, so per-part
     ranks are exact) and the kept rows stay distributed. The filter
     pass broadcasts kept rows as ONE sorted int64 composite key array
     (blake2b of ``domain\\x1fv``, the boilerplate-strip convention —
     64-bit collision argument documented there) below
-    ``PCTL_KEPT_BROADCAST_LIMIT``; beyond it docs + kept rows
+    ``ROUTES['pctl_kept']``; beyond it docs + kept rows
     co-partition by domain hash and every part merges on exact
     (domain, v). Exact ANSI-SQL oracle."""
     import ray
 
-    from ..stages import exchange as ex
     from ..stages.broadcast import get_broadcast
 
     out_schema = pa.schema([("doc_id", pa.int64()), ("domain", pa.string()),
@@ -2072,7 +1973,7 @@ def docs_domain_percentile_filter(sf_dir: str, p: float = 0.5,
     kept_ds = ex.combine_by_key(
         docs.map_batches(partial, batch_format="pandas"), ["domain"],
         lambda df: _pctl_kept_frame(df, p), _PCTL_KEPT_SCHEMA,
-        TERMS_DRIVER_LIMIT, num_parts)
+        "terms", num_parts)
 
     def doc_rows(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -2080,7 +1981,7 @@ def docs_domain_percentile_filter(sf_dir: str, p: float = 0.5,
             "domain": _plant_domains(df["doc_id"]),
             "n_chars": df["n_chars"].astype("int64")})
 
-    if kept_ds.count() <= PCTL_KEPT_BROADCAST_LIMIT:
+    if ex.fits("pctl_kept", kept_ds.count()):
         kp = kept_ds.to_pandas()
         combos = np.add(np.add(kp["domain"].to_numpy(dtype=object),
                                _BP_SEP),
@@ -2141,10 +2042,6 @@ def docs_domain_percentile_filter(sf_dir: str, p: float = 0.5,
 
 # -- Dataset diff / reconciliation -------------------------------------------
 
-# (key, row-hash) pairs of the B side collected + broadcast below this;
-# beyond it both sides co-partition by key hash through the exchange.
-DIFF_BROADCAST_LIMIT = 20_000_000
-
 
 def _diff_sig_partials(ds, key_col: str, val_cols: list[str]):
     """(key, sig) per row: sig = blake2b-64 of the unit-separated
@@ -2183,7 +2080,7 @@ def dataset_diff(a, b, key_col: str, val_cols: list[str],
     must be unique int64 per side.
 
     Scale shape: each side reduces to (key, blake2b-64 sig) pairs —
-    payloads never move. Below ``DIFF_BROADCAST_LIMIT`` B-side rows,
+    payloads never move. Below ``ROUTES['diff']`` B-side rows,
     B's pairs broadcast as sorted arrays and A streams once (B-only
     keys need one bounded driver pass over the broadcast table to
     subtract A's matches); beyond it both pair streams co-partition by
@@ -2193,7 +2090,6 @@ def dataset_diff(a, b, key_col: str, val_cols: list[str],
     import ray
     import ray.data as rd
 
-    from ..stages import exchange as ex
     from ..stages.broadcast import get_broadcast
 
     out_schema = pa.schema([("key", pa.int64()), ("status", pa.string())])
@@ -2223,7 +2119,7 @@ def dataset_diff(a, b, key_col: str, val_cols: list[str],
         return pd.DataFrame({"key": out_k.astype(np.int64),
                              "status": out_s})
 
-    if b_sigs.count() <= DIFF_BROADCAST_LIMIT:
+    if ex.fits("diff", b_sigs.count()):
         a_sigs = a_sigs.materialize()  # consumed by two streamed passes
         bp = b_sigs.to_pandas().sort_values("key", kind="stable")
         bk_sorted = bp["key"].to_numpy(np.int64)
@@ -2272,7 +2168,7 @@ def dataset_diff(a, b, key_col: str, val_cols: list[str],
         hit_partials = a_sigs.map_batches(
             hits, batch_format="pandas").materialize()
         hit_df = grouped_sum_by_key(hit_partials, "idx", ["n"],
-                                    DIFF_BROADCAST_LIMIT).to_pandas()
+                                    "diff").to_pandas()
         hit_mask = np.zeros(len(bk_sorted), dtype=bool)
         if len(hit_df):
             hit_mask[hit_df["idx"].to_numpy(np.int64)] = True
@@ -2356,8 +2252,6 @@ def docs_domain_cap(sf_dir: str, cap: int = 3, num_parts: int = 32):
     exchange ~8 bytes/row at any corpus size. Per-part kernel is one
     factorize + lexsort + offset cumcount — no per-domain Python
     loop."""
-    from ..stages import exchange as ex
-
     out_schema = pa.schema([("doc_id", pa.int64()), ("domain", pa.string())])
 
     def check_ids(b: pa.Table) -> pa.Table:
@@ -2543,7 +2437,6 @@ def pack_shards(ds, key_col: str, weight_col: str, budget: int,
     import ray
     import ray.data as rd
 
-    from ..stages import exchange as ex
     from ..stages.broadcast import get_broadcast
 
     out_schema = pa.schema([
@@ -2652,7 +2545,6 @@ def pack_sequences(ds, key_col: str = "doc_id", text_col: str = "text",
     import ray.data as rd
     from ray.data.aggregate import Max, Min
 
-    from ..stages import exchange as ex
     from ..stages.broadcast import get_broadcast
 
     out_schema = pa.schema([
@@ -2782,7 +2674,6 @@ def global_rank(ds, key_col: str, tie_col: str, descending: bool = False,
     import ray
     import ray.data as rd
 
-    from ..stages import exchange as ex
     from ..stages.broadcast import get_broadcast
 
     out_schema = pa.schema([
@@ -2889,19 +2780,10 @@ def normalize_part_names(sf_dir: str):
 # -- Engine sanity: grouped aggregate + windowed stream ---------------------
 
 
-# above this many partial (group-key, sums) rows the pricing/window
-# combines leave the driver for the shared grouped_sum_by_key exchange
-# (tests patch to 0). Group cardinality is structurally tiny here
-# (returnflag x linestatus = 6; event_type x hour), but the repo rule
-# is that NO driver collect goes ungated — a pathological key domain
-# (e.g. per-second windows over years) must not OOM the driver.
-AGG_PARTIALS_DRIVER_LIMIT = 5_000_000
-
-
 def lineitem_agg(sf_dir: str):
     """TPC-H Q1-style pricing summary: vectorized derived column +
     per-batch partial aggregate, then the shared ``grouped_sum_by_key``
-    combine (driver groupby below ``AGG_PARTIALS_DRIVER_LIMIT`` partial
+    combine (driver groupby below ``ROUTES['agg_partials']`` partial
     rows, key-hash partition exchange beyond). The fact stream itself
     never shuffles — only one partial row per (flag, status) per batch
     moves."""
@@ -2928,7 +2810,7 @@ def lineitem_agg(sf_dir: str):
     summed = grouped_sum_by_key(
         partials, ["l_returnflag", "l_linestatus"],
         ["sum_qty", "sum_revenue", "sum_disc", "n_rows"],
-        AGG_PARTIALS_DRIVER_LIMIT)
+        "agg_partials")
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()
@@ -2980,13 +2862,13 @@ def lineitem_rollup(sf_dir: str):
     sums = ["sum_qty", "sum_revenue", "n_rows"]
     level2 = grouped_sum_by_key(
         ds.map_batches(partial, batch_format="pandas").materialize(),
-        ["l_returnflag", "l_linestatus"], sums, AGG_PARTIALS_DRIVER_LIMIT)
+        ["l_returnflag", "l_linestatus"], sums, "agg_partials")
 
     level1 = grouped_sum_by_key(
         level2.map_batches(
             lambda df: _lattice_partial(df, ["l_returnflag"], sums),
             batch_format="pandas").materialize(),
-        "l_returnflag", sums, AGG_PARTIALS_DRIVER_LIMIT)
+        "l_returnflag", sums, "agg_partials")
     # the grand total has no group key: a constant-key gated combine
     # (one partial row per batch of level-1 rows)
     level0 = grouped_sum_by_key(
@@ -2994,7 +2876,7 @@ def lineitem_rollup(sf_dir: str):
             lambda df: _lattice_partial(df, [], sums)
             .assign(all=np.int64(0)),
             batch_format="pandas").materialize(),
-        "all", sums, AGG_PARTIALS_DRIVER_LIMIT)
+        "all", sums, "agg_partials")
 
     finish = _lattice_finish(out_schema)
     return (level2.map_batches(finish, batch_format="pandas")
@@ -3052,7 +2934,7 @@ def lineitem_cube(sf_dir: str):
         finest.map_batches(
             lambda df: _lattice_partial(df, ["l_linestatus"], sums),
             batch_format="pandas").materialize(),
-        "l_linestatus", sums, AGG_PARTIALS_DRIVER_LIMIT)
+        "l_linestatus", sums, "agg_partials")
     return rollup.union(status_level.map_batches(
         _lattice_finish(out_schema), batch_format="pandas"))
 
@@ -3061,7 +2943,7 @@ def events_hourly(sf_dir: str):
     """Tumbling 1-hour window per event_type: count + value sum.
     Event-time windows via truncation + per-batch partial aggregate,
     then the shared ``grouped_sum_by_key`` combine (driver below
-    ``AGG_PARTIALS_DRIVER_LIMIT`` partial rows, (type, hour)-hash
+    ``ROUTES['agg_partials']`` partial rows, (type, hour)-hash
     partition exchange beyond — tumbling windows need no ordering
     assumption, so the window key partitions like any other key)."""
     import ray.data as rd
@@ -3086,7 +2968,7 @@ def events_hourly(sf_dir: str):
     partials = ds.map_batches(partial, batch_format="pyarrow").materialize()
     return grouped_sum_by_key(
         partials, ["event_type", "hour"], ["n_events", "sum_value"],
-        AGG_PARTIALS_DRIVER_LIMIT)
+        "agg_partials")
 
 
 def events_hourly_top(sf_dir: str, num_parts: int = 32):
@@ -3095,11 +2977,9 @@ def events_hourly_top(sf_dir: str, num_parts: int = 32):
     over ``events_hourly``'s combined counts. The combined (type,
     hour) table is group-cardinality-sized but hours grow with the
     time range, so the argmax has both paths: a driver groupby below
-    ``AGG_PARTIALS_DRIVER_LIMIT`` combined rows, an hour-hash
+    ``ROUTES['agg_partials']`` combined rows, an hour-hash
     partition exchange beyond it (hours co-locate, so per-part argmax
     is exact). Output (hour, event_type, n_events)."""
-    from ..stages import exchange as ex
-
     out_schema = pa.schema([
         ("hour", pa.timestamp("us")), ("event_type", pa.string()),
         ("n_events", pa.int64())])
@@ -3111,24 +2991,17 @@ def events_hourly_top(sf_dir: str, num_parts: int = 32):
 
     return ex.combine_by_key(
         events_hourly(sf_dir).select_columns(out_schema.names), ["hour"],
-        argmax, out_schema, AGG_PARTIALS_DRIVER_LIMIT, num_parts)
+        argmax, out_schema, "agg_partials", num_parts)
 
 
-# distinct (user, day) pair rows; beyond this the retention kernel
-# leaves the driver for a user-hash partition exchange (tests patch to
-# 0 and assert path equality)
-USER_DAYS_DRIVER_LIMIT = 5_000_000
-
-
-def events_user_retention(sf_dir: str, num_parts: int = 32,
-                          driver_limit: int | None = None):
+def events_user_retention(sf_dir: str, num_parts: int = 32):
     """Day-over-day retention: for every active day, the count of
     distinct active users and how many of them return the NEXT day —
     the cohort-retention primitive behind DAU/stickiness reports.
     Phase 1 streams per-batch DISTINCT (user_id, day) pairs (repeats
     across batches are fine: the consumer re-dedups). The retention kernel runs through
     ``combine_by_key`` on the user: on the driver below
-    ``USER_DAYS_DRIVER_LIMIT`` pairs, per USER-hash part beyond it
+    ``ROUTES['user_days']`` pairs, per USER-hash part beyond it
     (each user's full day set lands in one part, so the per-part
     next-day flags are exact); the bounded per-day partial counts then
     sum through ``grouped_sum_by_key``. The kernel is one vectorized
@@ -3136,11 +3009,6 @@ def events_user_retention(sf_dir: str, num_parts: int = 32,
     comparison — no per-user Python loop. Output (day, n_active,
     n_retained_next)."""
     import ray.data as rd
-
-    from ..stages import exchange as ex
-
-    if driver_limit is None:
-        driver_limit = USER_DAYS_DRIVER_LIMIT
 
     def pairs(batch: pa.Table) -> pa.Table:
         t = pa.table({
@@ -3179,10 +3047,10 @@ def events_user_retention(sf_dir: str, num_parts: int = 32,
         pair_ds, ["user_id"], retention,
         pa.schema([("day", pa.timestamp("us")), ("n_active", pa.int64()),
                    ("n_retained_next", pa.int64())]),
-        driver_limit, num_parts)
+        "user_days", num_parts)
     return grouped_sum_by_key(
         partials, "day", ["n_active", "n_retained_next"],
-        AGG_PARTIALS_DRIVER_LIMIT)
+        "agg_partials")
 
 
 # -- Streaming-shaped: session windows (gap-based) --------------------------
@@ -3198,8 +3066,6 @@ def events_sessionize(sf_dir: str, gap_minutes: int = 30, num_parts: int = 32):
     Python loop). Output (event_id, user_id, session_id,
     session_start)."""
     import ray.data as rd
-
-    from ..stages import exchange as ex
 
     ds = rd.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"]
@@ -3249,8 +3115,6 @@ def events_rolling_count(sf_dir: str, window_minutes: int = 60,
     int64 (pathological user-count x time-span; equivalence
     unit-tested). Output (event_id, user_id, ts, n_window)."""
     import ray.data as rd
-
-    from ..stages import exchange as ex
 
     ds = rd.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"]
@@ -3316,11 +3180,6 @@ def events_rolling_count(sf_dir: str, window_minutes: int = 60,
 # -- As-of join: each event matched to the user's latest prior order --------
 
 
-# above this many order rows the orders side stops broadcasting and
-# both sides hash-bucket on the user key (tests patch to 0)
-ORDERS_BROADCAST_LIMIT = 5_000_000
-
-
 def _orders_asof_arrays(orders: pd.DataFrame):
     """Deduped orders frame -> three flat sorted numpy arrays
     (BASELINE.md rule: never big python dicts): a composite
@@ -3366,7 +3225,7 @@ def events_asof_orders(sf_dir: str, num_parts: int = 32):
     date) — max orderkey wins — makes the as-of tie-break well-defined
     on both sides of the oracle.
 
-    Below ``ORDERS_BROADCAST_LIMIT`` order rows the orders side is
+    Below ``ROUTES['orders']`` order rows the orders side is
     broadcast as sorted composite arrays and events stream with no
     shuffle; beyond it BOTH sides hash-bucket on the user key through
     the filesystem exchange and the identical vectorized lookup runs
@@ -3381,7 +3240,7 @@ def events_asof_orders(sf_dir: str, num_parts: int = 32):
     n_orders = con.execute(
         f"SELECT count(*) FROM read_parquet('{sf_dir}/orders.parquet')"
     ).fetchone()[0]
-    if n_orders <= ORDERS_BROADCAST_LIMIT:
+    if ex.fits("orders", n_orders):
         orders = con.execute(
             f"SELECT o_custkey, o_orderdate, max(o_orderkey) AS o_orderkey FROM "
             f"read_parquet('{sf_dir}/orders.parquet') "
@@ -3409,8 +3268,6 @@ def _events_asof_exchanged(sf_dir: str, num_parts: int):
     and the vectorized as-of lookup both run inside each part (keys
     co-locate, so per-part results equal the global ones)."""
     import ray.data as rd
-
-    from ..stages import exchange as ex
 
     ev_schema = pa.schema([
         ("event_id", pa.int64()), ("user_id", pa.int64()),
@@ -3619,13 +3476,6 @@ def _gopher_frame(df: pd.DataFrame) -> pd.DataFrame:
 # -- Multi-way broadcast join + aggregate (Q5-style) ------------------------
 
 
-# above this many customer rows the customer dimension stops
-# broadcasting (~2.4 GB at sf1000) and orders+customer hash-bucket on
-# custkey through the filesystem exchange; nation/region (25 rows)
-# always broadcast. Tests patch to 0.
-CUSTOMER_BROADCAST_LIMIT = 5_000_000
-
-
 def _nation_names(sf_dir: str):
     """(n_name_by_key, r_name_by_key) arrays indexed by nationkey, plus
     the raw nation frame — tiny (25 rows), always driver-side."""
@@ -3649,7 +3499,7 @@ def _nation_names(sf_dir: str):
 
 def revenue_by_nation(sf_dir: str):
     """orders ⋈ customer ⋈ nation ⋈ region -> revenue per nation.
-    Below ``CUSTOMER_BROADCAST_LIMIT`` the dimension tables
+    Below ``ROUTES['customer']`` the dimension tables
     (customer/nation/region) are broadcast once as sorted numpy arrays
     and applied with one searchsorted + fancy-index pass per batch; the
     per-batch partial aggregate is combined in one tiny final pass
@@ -3665,7 +3515,7 @@ def revenue_by_nation(sf_dir: str):
     n_cust = con.execute(
         f"SELECT count(*) FROM read_parquet('{sf_dir}/customer.parquet')"
     ).fetchone()[0]
-    if n_cust > CUSTOMER_BROADCAST_LIMIT:
+    if not ex.fits("customer", n_cust):
         con.close()
         return _revenue_by_nation_exchanged(sf_dir)
     cust = con.execute(
@@ -3740,8 +3590,6 @@ def _revenue_by_nation_exchanged(sf_dir: str, num_parts: int = 32):
     commutes with the per-nationkey aggregation."""
     import ray.data as rd
 
-    from ..stages import exchange as ex
-
     ord_schema = pa.schema([
         ("o_custkey", pa.int64()), ("o_totalprice", pa.float64()),
     ])
@@ -3809,13 +3657,6 @@ def _revenue_by_nation_exchanged(sf_dir: str, num_parts: int = 32):
     return rd.from_pandas(final)
 
 
-# the per-customer order aggregate is customer-cardinality-sized;
-# beyond this many aggregate rows the zero-fill join stops
-# broadcasting and co-partitions both sides by custkey hash through
-# the filesystem exchange (tests patch to 0 and assert path equality)
-ORDER_COUNTS_BROADCAST_LIMIT = 20_000_000
-
-
 def customer_order_counts(sf_dir: str,
                           min_totalprice: float = 450_000.0,
                           num_parts: int = 32):
@@ -3828,14 +3669,12 @@ def customer_order_counts(sf_dir: str,
     never shuffles — one partial row per custkey per batch); the
     aggregate side then joins to customer either as a broadcast of
     sorted numpy arrays (searchsorted probe, miss -> zero-fill; below
-    ``ORDER_COUNTS_BROADCAST_LIMIT`` aggregate rows) or, beyond the
+    ``ROUTES['order_counts']`` aggregate rows) or, beyond the
     budget, via custkey-hash co-partitioning of BOTH sides through the
     filesystem exchange with the identical vectorized per-part join.
     Output (c_custkey, c_name, n_orders, total_spent)."""
     import ray
     import ray.data as rd
-
-    from ..stages import exchange as ex
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         big = df[df["o_totalprice"] > min_totalprice]
@@ -3850,7 +3689,7 @@ def customer_order_counts(sf_dir: str,
                         columns=["o_custkey", "o_totalprice"])
         .map_batches(partial, batch_format="pandas").materialize(),
         "o_custkey", ["n_orders", "sum_total"],
-        AGG_PARTIALS_DRIVER_LIMIT).materialize()
+        "agg_partials").materialize()
 
     cust = rd.read_parquet(f"{sf_dir}/customer.parquet",
                            columns=["c_custkey", "c_name"])
@@ -3874,7 +3713,7 @@ def customer_order_counts(sf_dir: str,
                          "n_orders": pa.array(n_out),
                          "total_spent": pa.array(s_out)})
 
-    if agg.count() <= ORDER_COUNTS_BROADCAST_LIMIT:
+    if ex.fits("order_counts", agg.count()):
         adf = agg.to_pandas()
         order = np.argsort(adf["o_custkey"].to_numpy(), kind="stable")
         ref = ray.put((adf["o_custkey"].to_numpy(np.int64)[order],
@@ -3936,7 +3775,7 @@ def distinct_langs(sf_dir: str):
     """DISTINCT over a column without a Ray-native shuffle: per-batch
     unique (vectorized), then the shared ``grouped_sum_by_key``
     combine keyed by the value itself (driver below
-    ``AGG_PARTIALS_DRIVER_LIMIT`` partial rows, value-hash exchange
+    ``ROUTES['agg_partials']`` partial rows, value-hash exchange
     with distributed output beyond — DISTINCT over a high-cardinality
     column must not assume driver residency)."""
     import ray.data as rd
@@ -3951,7 +3790,7 @@ def distinct_langs(sf_dir: str):
         .materialize()
     )
     return grouped_sum_by_key(partials, "lang", [],
-                              AGG_PARTIALS_DRIVER_LIMIT)
+                              "agg_partials")
 
 
 # -- Top-k (partial top-k per batch + merge) --------------------------------
@@ -3998,7 +3837,7 @@ def docs_sample_weighted(sf_dir: str, k: int = 100):
             ["priority", "doc_id"], ascending=[False, True]).head(k)
 
     final = _topk_combine(partials_ds, local_topk,
-                          TOPK_PARTIALS_DRIVER_LIMIT)
+                          "topk_partials")
     final["priority"] = final["priority"].round(6)
     return rd.from_pandas(final.reset_index(drop=True))
 
@@ -4019,18 +3858,11 @@ def top_docs_by_length(sf_dir: str, k: int = 10):
         .materialize()
     )
     final = _topk_combine(partials_ds, lambda df: _topk_rows(df, k, None),
-                          TOPK_PARTIALS_DRIVER_LIMIT)
+                          "topk_partials")
     return rd.from_pandas(final)
 
 
 # -- Naive-Bayes quality classifier (fastText-style filter) ------------------
-
-# hard ceiling on the model rows (per-term class counts) the scoring
-# pass may broadcast — classifier scoring fundamentally requires the
-# vocabulary everywhere, so past this budget the fix is semantic
-# (prune the vocabulary / hash features), same contract as
-# TFIDF_VOCAB_DRIVER_LIMIT. Tests patch to 0.
-NB_MODEL_BROADCAST_LIMIT = 20_000_000
 
 
 def docs_nb_quality(sf_dir: str, positive_lang: str = "en"):
@@ -4053,7 +3885,7 @@ def docs_nb_quality(sf_dir: str, positive_lang: str = "en"):
     per-batch PARTIAL (term, c1, c0) rows — never the token stream —
     plus a NULL-term sentinel row carrying the per-batch class DOC
     counts, all through the shared gated ``grouped_sum_by_key``
-    combine; the model is hard-gated by ``NB_MODEL_BROADCAST_LIMIT``
+    combine; the model is hard-gated by ``BUDGETS['nb_model']``
     and broadcast once as sorted term-hash/weight arrays."""
     import ray
     import ray.data as rd
@@ -4088,12 +3920,8 @@ def docs_nb_quality(sf_dir: str, positive_lang: str = "en"):
     partials = docs.map_batches(
         count_partial, batch_format="pandas").materialize()
     summed = grouped_sum_by_key(partials, "term", ["c1", "c0"],
-                                TERMS_DRIVER_LIMIT).materialize()
-    if summed.count() > NB_MODEL_BROADCAST_LIMIT:
-        raise RuntimeError(
-            "NB vocabulary exceeds the broadcast budget "
-            f"({NB_MODEL_BROADCAST_LIMIT} model rows): prune the "
-            "vocabulary or raise NB_MODEL_BROADCAST_LIMIT")
+                                "terms").materialize()
+    ex.check_budget("nb_model", summed.count(), "prune the vocabulary")
     mdf = summed.to_pandas()
     if mdf.empty:
         mdf = pd.DataFrame({"term": pd.Series(dtype=object),
@@ -4164,13 +3992,11 @@ def term_postings(sf_dir: str, k: int = 32):
 
     Scale shape: each document lives in exactly one batch, so per-batch
     DISTINCT (term, doc_id) rows are globally distinct postings — no
-    cross-batch dedup needed. Below ``TERMS_DRIVER_LIMIT`` posting rows the combine is
-    a driver groupby; beyond, rows term-hash-partition through the
+    cross-batch dedup needed. Below ``ROUTES['terms']`` posting rows the
+    combine is a driver groupby; beyond, rows term-hash-partition through the
     filesystem exchange and each part computes exact df + head-k
     locally (a term's rows all co-locate). Postings-string assembly is
     O(output) by construction (k ids per term)."""
-    from ..stages import exchange as ex
-
     out_schema = pa.schema([("term", pa.string()), ("df", pa.int64()),
                             ("postings", pa.string())])
 
@@ -4196,17 +4022,11 @@ def term_postings(sf_dir: str, k: int = 32):
     return ex.combine_by_key(
         _docs(sf_dir, ["doc_id", "text"]).map_batches(
             pairs, batch_format="pandas"),
-        ["term"], combine, out_schema, TERMS_DRIVER_LIMIT)
+        ["term"], combine, out_schema, "terms")
 
 
 # -- Sharded Bloom seen-set (crawl-frontier membership) ----------------------
 
-# above this many distinct set-bit partial rows the filter leaves the
-# driver for a shard-co-partitioned exchange (tests patch to 0). The
-# row count is bounded by the filter's total bit size, so this is
-# equivalently a cap on the broadcastable filter (uint64 words) — a
-# 10^12-key filter is ~1.25 TB and must be sharded, never broadcast.
-BLOOM_SEEN_PARTIALS_DRIVER_LIMIT = 50_000_000
 BLOOM_SEEN_SHARDS = 64
 
 
@@ -4240,7 +4060,7 @@ def docs_bloom_seen(sf_dir: str, bits_per_key: int = 10,
     Scale shape: the filter is PARTITIONED into ``shards`` fixed
     sub-filters by a key hash that is independent of the in-shard bit
     hashes, so both paths set identical bits:
-    - below ``BLOOM_SEEN_PARTIALS_DRIVER_LIMIT`` distinct set-bit
+    - below ``ROUTES['bloom_seen_partials']`` distinct set-bit
       partial rows (== filter bits), the driver assembles one global
       word array and broadcasts it once (``ray.put``);
     - beyond, build keys and probe rows co-partition by shard through
@@ -4276,7 +4096,7 @@ def docs_bloom_seen(sf_dir: str, bits_per_key: int = 10,
     partials = docs.map_batches(
         bit_partial, batch_format="pandas").materialize()
 
-    if partials.count() <= BLOOM_SEEN_PARTIALS_DRIVER_LIMIT:
+    if ex.fits("bloom_seen_partials", partials.count()):
         pdf = partials.to_pandas()
         bits = (np.unique(pdf["bit"].to_numpy().astype(np.int64))
                 if len(pdf) else np.empty(0, dtype=np.int64))
@@ -4315,7 +4135,6 @@ def _docs_bloom_seen_exchanged(sf_dir: str, m_shard: int, k_hashes: int,
     probes its probe rows locally. In-shard bit positions depend only
     on (key, m_shard), so the bits — and therefore every probe answer
     — are identical to the broadcast path's."""
-    from ..stages import exchange as ex
     from ..stages.sketch import bloom_shard, build_bloom, bloom_contains
 
     b_schema = pa.schema([("key", pa.int64())])
@@ -4365,13 +4184,6 @@ def _docs_bloom_seen_exchanged(sf_dir: str, m_shard: int, k_hashes: int,
 
 # -- Bigram-LM quality scoring (CCNet-style perplexity filter) ---------------
 
-# hard ceiling on the model rows (unigram + bigram counts) the scoring
-# pass may broadcast. LM scoring fundamentally requires the model
-# everywhere — past this budget the fix is semantic (raise min_count to
-# prune rare bigrams), not a bigger driver; raising loudly beats an OOM
-# mid-job (same contract as TFIDF_VOCAB_DRIVER_LIMIT). Tests patch to 0.
-LM_MODEL_BROADCAST_LIMIT = 20_000_000
-
 
 def docs_lm_score(sf_dir: str, min_count: int = 1):
     """Language-model quality scoring in the CCNet/RedPajama mold: fit
@@ -4390,13 +4202,13 @@ def docs_lm_score(sf_dir: str, min_count: int = 1):
     1. one tokenize pass emits per-batch PARTIAL unigram rows
        (w2 NULL) and bigram rows with exact counts — never the token
        stream; the shared ``grouped_sum_by_key`` combine (driver below
-       ``TERMS_DRIVER_LIMIT`` partial rows, term-hash exchange beyond;
+       ``ROUTES['terms']`` partial rows, term-hash exchange beyond;
        NULL w2 is a group key like any other). ``min_count`` prunes
        rare bigrams DISTRIBUTED (exact: all of a key's rows co-locate
        per part) before the collect; pruned/unseen bigrams score with
        count 0 under the same smoothing, so the estimate degrades
        gracefully instead of breaking.
-    2. the combined model is hard-gated by ``LM_MODEL_BROADCAST_LIMIT``
+    2. the combined model is hard-gated by ``BUDGETS['lm_model']``
        and broadcast once as sorted numpy arrays (term-hash ->
        unigram count; vocab-id-pair int64 key -> bigram count;
        BASELINE.md rule: searchsorted arrays, never python dicts);
@@ -4436,18 +4248,15 @@ def docs_lm_score(sf_dir: str, min_count: int = 1):
     partials_ds = docs.map_batches(
         count_partial, batch_format="pandas").materialize()
     summed = grouped_sum_by_key(partials_ds, ["w1", "w2"], ["n"],
-                                TERMS_DRIVER_LIMIT)
+                                "terms")
     if min_count > 1:
         summed = summed.map_batches(
             lambda t: t.filter(pc.or_(pc.is_null(t["w2"]),
                                       pc.greater_equal(t["n"], min_count))),
             batch_format="pyarrow")
     kept = summed.materialize()
-    if kept.count() > LM_MODEL_BROADCAST_LIMIT:
-        raise RuntimeError(
-            "bigram LM exceeds the broadcast budget "
-            f"({LM_MODEL_BROADCAST_LIMIT} model rows): raise min_count "
-            "or raise LM_MODEL_BROADCAST_LIMIT")
+    ex.check_budget("lm_model", kept.count(),
+                    "raise min_count to prune rare bigrams")
     mdf = kept.to_pandas()
     if mdf.empty:
         mdf = pd.DataFrame({"w1": pd.Series(dtype=object),
@@ -4571,9 +4380,6 @@ def docs_chunk_windows(sf_dir: str, window: int = 64, stride: int = 48):
 
 # -- Range (interval) self-join: same-user event co-occurrence ---------------
 
-# above this many event rows the build side stops broadcasting and both
-# join roles hash-bucket on the user key (tests patch to 0)
-RANGE_EVENTS_BROADCAST_LIMIT = 5_000_000
 
 _RANGE_PAIRS_SCHEMA = pa.schema([
     ("a_id", pa.int64()), ("b_id", pa.int64()), ("user_id", pa.int64()),
@@ -4650,7 +4456,7 @@ def events_range_join(sf_dir: str, window_minutes: int = 10,
     ns_extract/dataset.py:80-96 is an equality join — this is the
     event-time generalization a crawl/clickstream corpus needs).
 
-    Below ``RANGE_EVENTS_BROADCAST_LIMIT`` events (and while the global
+    Below ``ROUTES['range_events']`` events (and while the global
     composite key fits int64) the build side broadcasts as sorted
     composite arrays and probe batches stream with no shuffle; beyond
     either bound, BOTH roles co-partition by user hash through the
@@ -4670,7 +4476,7 @@ def events_range_join(sf_dir: str, window_minutes: int = 10,
         f"SELECT count(*), count(DISTINCT user_id), min(ts), max(ts) "
         f"FROM read_parquet('{sf_dir}/events.parquet')").fetchone()
     state = None
-    if 0 < n_events <= RANGE_EVENTS_BROADCAST_LIMIT:
+    if 0 < n_events and ex.fits("range_events", n_events):
         span = (int(pd.Timestamp(ts_hi).value - pd.Timestamp(ts_lo).value)
                 // 1000 + window_us + 1)
         if int(n_users) < (1 << 62) // span:
@@ -4699,8 +4505,6 @@ def _events_range_join_exchanged(sf_dir: str, window_us: int,
     both build and probe side (a user's full event set lands in one
     part, so per-part pairs equal the global ones)."""
     import ray.data as rd
-
-    from ..stages import exchange as ex
 
     in_schema = pa.schema([
         ("event_id", pa.int64()), ("user_id", pa.int64()),
@@ -4746,8 +4550,6 @@ def events_user_running_total(sf_dir: str, num_parts: int = 32):
     subtraction at group starts (no per-user Python loop). Output
     (event_id, user_id, ts, run_n, run_cents)."""
     import ray.data as rd
-
-    from ..stages import exchange as ex
 
     out_schema = pa.schema([
         ("event_id", pa.int64()), ("user_id", pa.int64()),
@@ -4811,8 +4613,6 @@ def events_funnel(sf_dir: str,
     (stage, n_users)."""
     import ray.data as rd
 
-    from ..stages import exchange as ex
-
     stage_list = list(stages)
     in_schema = pa.schema([
         ("user_id", pa.int64()), ("ts", pa.timestamp("us")),
@@ -4859,15 +4659,11 @@ def events_funnel(sf_dir: str,
         partials = ex.map_parts(stage_dir, num_parts, part_counts,
                                 out_schema)
         return grouped_sum_by_key(partials, "stage", ["n_users"],
-                                  AGG_PARTIALS_DRIVER_LIMIT)
+                                  "agg_partials")
 
 
 # -- PMI collocations: phrase mining over corpus bigrams ---------------------
 
-# above this many combined (gram, n) vocabulary rows the PMI scoring
-# join leaves the driver for the two-round co-partitioned exchange
-# (tests patch to 0)
-PMI_SCORE_DRIVER_LIMIT = 5_000_000
 
 _PMI_SCHEMA = pa.schema([
     ("bigram", pa.string()), ("n", pa.int64()), ("pmi", pa.float64()),
@@ -4899,7 +4695,7 @@ def docs_pmi_bigrams(sf_dir: str, k: int = 20, min_count: int = 5,
     totals — ``#`` cannot appear in a ``\\w`` token), all combined by
     the shared gated ``grouped_sum_by_key``. Scoring joins each
     bigram's count with both words' counts: a driver merge below
-    ``PMI_SCORE_DRIVER_LIMIT`` combined vocabulary rows; beyond it a
+    ``ROUTES['pmi_score']`` combined vocabulary rows; beyond it a
     two-round co-partitioned exchange join (bigrams by hash(word1)
     against unigrams by hash(word), then re-keyed by hash(word2) —
     the verify_pairs attach shape), each part taking its local top-k
@@ -4941,7 +4737,7 @@ def docs_pmi_bigrams(sf_dir: str, k: int = 20, min_count: int = 5,
         .materialize()
     )
     combined = grouped_sum_by_key(
-        partials_ds, "gram", ["n"], TERMS_DRIVER_LIMIT).materialize()
+        partials_ds, "gram", ["n"], "terms").materialize()
     tot = (combined
            .map_batches(lambda df: df[df["gram"].isin(["#T", "#B"])],
                         batch_format="pandas")
@@ -4951,7 +4747,7 @@ def docs_pmi_bigrams(sf_dir: str, k: int = 20, min_count: int = 5,
     if tot_b == 0.0 or tot_t == 0.0:
         return rd.from_arrow(_PMI_SCHEMA.empty_table())
 
-    if combined.count() <= PMI_SCORE_DRIVER_LIMIT:
+    if ex.fits("pmi_score", combined.count()):
         df = combined.to_pandas()
         is_big = df["gram"].str.contains(" ", regex=False)
         uni = df[~is_big & ~df["gram"].str.startswith("#")]
@@ -4981,8 +4777,6 @@ def _pmi_scored_exchanged(combined, k: int, min_count: int,
     re-exchange to word-2's part for the second count, score, and take
     a per-part top-k under the global total order."""
     import ray.data as rd
-
-    from ..stages import exchange as ex
 
     uni_schema = pa.schema([("gram", pa.string()), ("n", pa.int64())])
     b1_schema = pa.schema([
@@ -5134,7 +4928,7 @@ def docs_lang_corr(sf_dir: str, num_parts: int = 32):
         _docs(sf_dir, ["doc_id", "lang", "n_chars", "text"])
         .map_batches(partial, batch_format="pandas").materialize(),
         "lang", ["n", "sx", "sy", "sxx", "syy", "sxy"],
-        AGG_PARTIALS_DRIVER_LIMIT, num_parts=num_parts)
+        "agg_partials", num_parts=num_parts)
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         moments = df[["n", "sx", "sy", "sxx", "syy", "sxy"]].to_numpy()
@@ -5185,8 +4979,6 @@ def events_global_rolling_sum(sf_dir: str, window_minutes: int = 60,
     import math
 
     import ray.data as rd
-
-    from ..stages import exchange as ex
 
     w_us = int(window_minutes) * 60_000_000
     out_schema = pa.schema([
@@ -5278,13 +5070,11 @@ def events_user_top_type(sf_dir: str, num_parts: int = 32):
     ``grouped_sum_by_key`` combine; the argmax then needs each user's
     rows co-located, which the (user, type) combine does NOT give
     beyond its gate — so the argmax has both paths: a driver groupby
-    below ``AGG_PARTIALS_DRIVER_LIMIT`` combined rows, a USER-hash
+    below ``ROUTES['agg_partials']`` combined rows, a USER-hash
     partition exchange beyond it (per-part argmax exact). Output
     (user_id, event_type, n_events); a NULL event type is a value like
     any other, as in SQL's GROUP BY."""
     import ray.data as rd
-
-    from ..stages import exchange as ex
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         g = (df.groupby(["user_id", "event_type"], sort=False, dropna=False)
@@ -5297,7 +5087,7 @@ def events_user_top_type(sf_dir: str, num_parts: int = 32):
                         columns=["user_id", "event_type"])
         .map_batches(partial, batch_format="pandas").materialize(),
         ["user_id", "event_type"], ["n_events"],
-        AGG_PARTIALS_DRIVER_LIMIT, num_parts=num_parts)
+        "agg_partials", num_parts=num_parts)
 
     out_schema = pa.schema([
         ("user_id", pa.int64()), ("event_type", pa.string()),
@@ -5309,7 +5099,7 @@ def events_user_top_type(sf_dir: str, num_parts: int = 32):
         return df.groupby("user_id", sort=False).head(1)
 
     return ex.combine_by_key(combined, ["user_id"], argmax, out_schema,
-                             AGG_PARTIALS_DRIVER_LIMIT, num_parts)
+                             "agg_partials", num_parts)
 
 
 # -- Pivot / crosstab: lang x length-quartile counts, wide --------------------
@@ -5356,4 +5146,4 @@ def docs_lang_bucket_pivot(sf_dir: str, num_parts: int = 32):
     return grouped_sum_by_key(
         _docs(sf_dir, ["doc_id", "lang", "n_chars"])
         .map_batches(partial, batch_format="pandas").materialize(),
-        "lang", cols, AGG_PARTIALS_DRIVER_LIMIT, num_parts=num_parts)
+        "lang", cols, "agg_partials", num_parts=num_parts)

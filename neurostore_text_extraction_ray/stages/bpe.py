@@ -20,7 +20,7 @@ Scale design — the corpus-sized pass is ONLY the word count (partial
 ``value_counts`` per batch through the gated ``grouped_sum_by_key``
 combine); the BPE iterations run over the vocabulary, which is
 language-bounded and orders of magnitude smaller than the corpus.
-Below ``BPE_VOCAB_DRIVER_LIMIT`` vocabulary rows the loop runs on the
+Below ``ROUTES['bpe_vocab']`` vocabulary rows the loop runs on the
 driver with the classic incremental pair-index update (O(affected
 words) per merge, not O(vocab)). Beyond it, ``_bpe_distributed``
 hash-partitions the vocabulary once through the filesystem exchange
@@ -33,8 +33,8 @@ O(n_merges^2 * vocab/parts) total — the price of keeping every
 iteration stateless over one immutable exchange; the vocabulary never
 sits on the driver.
 
-Tests patch both limits to 0 and assert merge-list equality with the
-driver path (the repo's budget-gate contract)."""
+Tests force both routes to the exchange and assert merge-list
+equality with the driver path."""
 
 from __future__ import annotations
 
@@ -42,10 +42,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-# vocabulary rows above which the BPE iteration leaves the driver
-BPE_VOCAB_DRIVER_LIMIT = 200_000
-# per-iteration pair-partial rows routed through grouped_sum_by_key
-BPE_PAIRS_DRIVER_LIMIT = 2_000_000
+from . import exchange as ex
 
 _EOW = "</w>"
 
@@ -124,7 +121,6 @@ def _bpe_distributed(vocab_ds, n_merges: int,
     import ray
 
     from ..pipelines.steps import grouped_sum_by_key
-    from ..stages import exchange as ex
     from ..stages.broadcast import get_broadcast
 
     in_schema = pa.schema([("term", pa.string()), ("n", pa.int64())])
@@ -166,7 +162,7 @@ def _bpe_distributed(vocab_ds, n_merges: int,
             gs = grouped_sum_by_key(
                 ex.map_parts(stage, num_parts, pair_partials,
                              partial_schema),
-                ["left", "right"], ["cnt"], BPE_PAIRS_DRIVER_LIMIT)
+                ["left", "right"], ["cnt"], "bpe_pairs")
 
             def block_argmax(df: pd.DataFrame) -> pd.DataFrame:
                 if df.empty:
@@ -244,7 +240,7 @@ def bpe_learn(vocab_ds, n_merges: int):
     Dataset. Returns a Dataset (rank, left, right, pair_count)."""
     import ray.data as rd
 
-    if vocab_ds.count() <= BPE_VOCAB_DRIVER_LIMIT:
+    if ex.fits("bpe_vocab", vocab_ds.count()):
         vocab = vocab_ds.to_pandas()
         if vocab.empty:  # zero-row datasets drop column metadata
             return rd.from_arrow(_MERGES_SCHEMA.empty_table())

@@ -18,10 +18,10 @@ Scale design:
   n-grams), so the default path broadcasts its sorted unique hash
   array once (``ray.put`` + searchsorted per batch). The budget gate
   counts the per-batch-unique partial rows BEFORE any driver collect;
-  beyond ``DECON_BROADCAST_LIMIT`` the operator routes through a
+  beyond ``ROUTES['decon']`` the operator routes through a
   hash-co-partitioned exchange semi-join with NO corpus- or
   benchmark-sized driver state (equivalence asserted by
-  tests/test_exchange_paths.py with the budget patched to 0).
+  tests/test_decontam.py and the forced-exchange oracle sweep).
 - The corpus is streamed twice in the exchange path (shingle rows by
   hash, id rows by doc_id) — both passes are map_batches over the
   pruned (id, text) projection; nothing materializes on the driver.
@@ -42,9 +42,6 @@ from ..functions import hashing as H
 from ..functions.textstats import shingles
 from . import exchange as ex
 
-# max distinct-ish benchmark shingle hashes collected on the driver /
-# broadcast to every worker (8 bytes each -> ~40 MB at the default)
-DECON_BROADCAST_LIMIT = 5_000_000
 
 OUT_SCHEMA = pa.schema([
     ("doc_id", pa.int64()),
@@ -85,7 +82,7 @@ def decontaminate(
     partials = benchmark.map_batches(
         bench_partial, batch_format="pyarrow").materialize()
     # conservative gate: per-batch-unique rows >= global distinct count
-    if partials.count() <= DECON_BROADCAST_LIMIT:
+    if ex.fits("decon", partials.count()):
         return _decontaminate_broadcast(
             corpus, partials, id_col, text_col, k_shingle)
     return _decontaminate_exchanged(

@@ -10,7 +10,7 @@ reference's exact-by-key dedup, which lives in pipelines/flagship.py):
 
 Scale shape: a vectorized ``map_batches`` sketch stage; ONE combine on
 the bucket key (band rows are ids + 8-byte keys, never text), on the
-driver below ``BAND_ROWS_DRIVER_LIMIT`` and through the filesystem
+driver below ``ROUTES['band_rows']`` and through the filesystem
 partition exchange above it; pairwise verification (driver-vectorized
 below ``max_pairs`` for minhash/simhash, ALWAYS exchange-joined for the
 payload-heavy jaccard/cosine variants — stages/pairs.verify_pairs);
@@ -28,6 +28,7 @@ import pyarrow as pa
 
 from ..functions import hashing as H
 from ..functions.textstats import shingles
+from . import exchange as ex
 from . import pairs as P
 
 # payload separator for serialized shingle sets (see ngram_jaccard_pairs)
@@ -112,12 +113,6 @@ def _label_edges(ds, id_col: str, out_id_name: str, edges, max_pairs: int,
     return P.label_ids(ds, labels, id_col, out_id_name, num_parts)
 
 
-# above this many band rows the bucket combine leaves the driver and
-# goes through the filesystem partition exchange (tests patch it down
-# to force the scale path)
-BAND_ROWS_DRIVER_LIMIT = 50_000_000
-
-
 def _bucket_pairs_exchanged(mat, num_parts: int):
     """Scale path for the bucket combine: (band, key)-hash partition
     exchange through shared storage (stages/exchange.py — Ray-native
@@ -128,8 +123,6 @@ def _bucket_pairs_exchanged(mat, num_parts: int):
     in different parts may repeat — consumers dedup (the driver path
     with ``drop_duplicates``, the exchange path inside
     ``pairs.verify_pairs``'s a-side part)."""
-    from . import exchange as ex
-
     with ex.stage("nse_bands_") as stage:
         def part_fn(batch: pa.Table) -> np.ndarray:
             return ex.int_part(
@@ -164,7 +157,7 @@ def _bucket_pairs(band_rows_ds, num_parts: int = 64):
     collection, and the materialized blocks feed whichever path wins so
     the sketch stage never recomputes."""
     mat = band_rows_ds.materialize()
-    if mat.count() > BAND_ROWS_DRIVER_LIMIT:
+    if not ex.fits("band_rows", mat.count()):
         return _bucket_pairs_exchanged(mat, num_parts)
     return _pairs_from_band_rows(mat.to_pandas())
 

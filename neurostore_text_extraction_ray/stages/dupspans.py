@@ -35,7 +35,7 @@ Scale design (mirrors ``stages/linededup.py``):
   join-then-blake2b-per-window loop.
 - Pass 1 computes per-batch ``(h, min doc_id)`` partials; the budget
   gate counts the partial rows BEFORE any driver collect. Within
-  ``DUPSPANS_BROADCAST_LIMIT`` the driver combines them into two
+  ``ROUTES['dupspans']`` the driver combines them into two
   sorted numpy arrays broadcast once via ``ray.put`` (CLAUDE.md rule:
   sorted arrays + searchsorted, never dicts).
 - Beyond the budget: pure exchange with NO corpus-sized driver state —
@@ -43,7 +43,7 @@ Scale design (mirrors ``stages/linededup.py``):
   min doc_id IS the global winner), loser rows ``(doc_id, start,
   end)`` (sparse: only duplicated windows travel) co-partition by
   doc_id against the corpus text rows for the rebuild. Equivalence of
-  the two paths is asserted by tests with the budget patched to 0.
+  the two paths is asserted by tests with the route forced.
 - The window exchange carries one 32-byte row per word (stride-1
   windows), i.e. the same volume class as the corpus text itself —
   the honest cost of exact substring-level dedup; doc-level sketches
@@ -67,10 +67,6 @@ from ..functions import hashing as H
 from ..functions.textstats import WORD_RE
 from . import exchange as ex
 
-# max per-batch-unique (hash, min-doc) partial rows collected on the
-# driver / broadcast to every worker (16 bytes each -> ~80 MB at the
-# default). Beyond it the exchange path runs.
-DUPSPANS_BROADCAST_LIMIT = 5_000_000
 
 OUT_SCHEMA = pa.schema([
     ("doc_id", pa.int64()),
@@ -209,7 +205,7 @@ def dup_spans(
 
     partials = corpus.map_batches(
         partial, batch_format="pyarrow").materialize()
-    if partials.count() <= DUPSPANS_BROADCAST_LIMIT:
+    if ex.fits("dupspans", partials.count()):
         return _dup_spans_broadcast(corpus, partials, k, id_col, text_col)
     return _dup_spans_exchanged(corpus, k, id_col, text_col, num_parts)
 

@@ -29,6 +29,12 @@ Operators compose two primitives on top of ``write_exchange`` /
 - ``combine_by_key``: the one gated keyed combine — the driver runs
   the combine over the whole input at or below a row limit, a key-hash
   exchange runs it per part beyond it.
+
+Every "collect below a row limit, exchange above it" decision reads one
+registry here: ``ROUTES`` (gate name -> row limit, asked through
+``fits``) and ``BUDGETS`` (hard ceilings a step cannot route around,
+enforced by ``check_budget``). Both are looked up at call time, on the
+driver, so a test forces a path by patching the dict.
 """
 
 from __future__ import annotations
@@ -44,7 +50,155 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..exceptions import BudgetError
+
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # 64-bit golden-ratio mixer
+
+
+# -- gates: driver (or broadcast) at or below the limit, exchange above -----
+
+ROUTES: dict[str, int] = {
+    # dedup_pages' winner-partial rows; beyond, the broadcast-semijoin
+    # dedup auto-switches to the url-hash partitioned path (the driver
+    # would otherwise collect a corpus-sized winner table)
+    "winners": 50_000_000,
+    # LSH band rows; beyond, the bucket combine leaves the driver for the
+    # partition exchange
+    "band_rows": 50_000_000,
+    # distinct-ish benchmark shingle hashes of decontaminate, collected
+    # on the driver / broadcast to every worker (8 bytes each -> ~40 MB)
+    "decon": 5_000_000,
+    # per-batch-unique (hash, min-doc) partial rows of dup_spans /
+    # line_dedup, collected on the driver / broadcast to every worker
+    # (16 bytes each -> ~80 MB)
+    "dupspans": 5_000_000,
+    "linededup": 5_000_000,
+    # fuzzy-join blocking rows; beyond, the bucket->pairs combine
+    # leaves the driver and the whole join runs through the exchange
+    "fuzzy_blocks": 5_000_000,
+    # vocabulary rows above which the BPE iteration leaves the driver,
+    # and per-iteration pair-partial rows routed through
+    # grouped_sum_by_key
+    "bpe_vocab": 200_000,
+    "bpe_pairs": 2_000_000,
+    # upstream (embeddings) rows; beyond, the join side stops
+    # broadcasting and both sides hash-bucket on the id (the reference's
+    # add_pipeline join side is one row per DOCUMENT at corpus scale)
+    "join": 5_000_000,
+    # partial (hash, min-id) rows; beyond, the dedup_exact winner
+    # combine leaves the driver for the content-hash partition exchange
+    "dedup_winners": 5_000_000,
+    # partial top-k rows; beyond, a two-level combine: doc-hash
+    # exchange, per-part top-k under the SAME total order (top-k of a
+    # union equals the top-k of per-part top-ks), then a driver merge of
+    # at most num_parts x k x groups rows. Partial top-k streams are
+    # k x groups x BATCHES sized, no longer driver-sized at 10^6+ blocks
+    "topk_partials": 5_000_000,
+    # grouped-quantile histogram partials, (group x distinct-value x
+    # batches) sized; beyond, a group-hash partition exchange
+    "lang_quantiles": 5_000_000,
+    # partial (term, n) rows; beyond, a term-hash partition exchange.
+    # Web-scale text has an effectively unbounded vocabulary
+    # (typos/urls/ids), so the driver combine cannot be the only path
+    "terms": 5_000_000,
+    # partial (domain, counts) rows and kept domains; beyond, a
+    # domain-hash partition exchange. A web crawl has ~10^8 registered
+    # domains with a heavy tail of singletons
+    "domain": 5_000_000,
+    # partial HLL register rows, key-cardinality x batches sized (one
+    # 2^p-byte blob per key per batch); beyond, a key-hash exchange
+    "hll_group_partials": 2_000_000,
+    # boilerplate (domain, line) keys broadcast as a sorted int64
+    # array; beyond, docs and keys co-partition by domain hash
+    "boilerplate_keys": 20_000_000,
+    # kept (domain, value, pr) rows; beyond, the percentile filter
+    # co-partitions docs + kept rows by domain hash
+    "pctl_kept": 20_000_000,
+    # (key, row-hash) pairs of the diff's B side; beyond, both sides
+    # co-partition by key hash
+    "diff": 20_000_000,
+    # partial (group-key, sums) rows of the pricing/window/graph
+    # combines; beyond, the shared grouped_sum_by_key exchange. Group
+    # cardinality is tiny here (returnflag x linestatus = 6), but no
+    # driver collect goes ungated: a pathological key domain (per-second
+    # windows over years) must not OOM the driver
+    "agg_partials": 5_000_000,
+    # distinct (user, day) rows; beyond, the retention kernel runs per
+    # user-hash part
+    "user_days": 5_000_000,
+    # order rows; beyond, the orders side of the as-of join stops
+    # broadcasting and both sides hash-bucket on the user key
+    "orders": 5_000_000,
+    # customer rows; beyond, the customer dimension stops broadcasting
+    # (~2.4 GB at sf1000) and orders+customer hash-bucket on custkey;
+    # nation/region (25 rows) always broadcast
+    "customer": 5_000_000,
+    # per-customer order aggregate rows; beyond, the zero-fill join
+    # co-partitions both sides by custkey hash
+    "order_counts": 20_000_000,
+    # distinct set-bit partial rows of the bloom filter, bounded by its
+    # bit size; beyond, a shard-co-partitioned build+probe (a
+    # 10^12-key filter is ~1.25 TB and must be sharded, never broadcast)
+    "bloom_seen_partials": 50_000_000,
+    # event rows of the range self-join's build side; beyond, both join
+    # roles hash-bucket on the user key
+    "range_events": 5_000_000,
+    # combined (gram, n) vocabulary rows; beyond, the PMI scoring join
+    # runs as a two-round co-partitioned exchange
+    "pmi_score": 5_000_000,
+    # (src, dst, w) host-graph edges; beyond, the whole PageRank
+    # iteration runs as a per-iteration co-partitioned exchange. Hosts
+    # are registered domains (~10^8 on a full crawl), so neither the
+    # edge list nor the rank vector may assume driver residency
+    "pagerank_edges": 20_000_000,
+    # deduped host-pair edges; below, component labeling is a vectorized
+    # driver min-propagation (the ~10 exchange rounds are pure overhead
+    # on a small graph); beyond, O(log n) pointer jumping with labels
+    # never on the driver
+    "component_edges": 20_000_000,
+    # (host, label) decorate rows; beyond, the component
+    # representative/size aggregate and the decorate join run
+    # label-co-partitioned instead of one driver groupby
+    "hostlabel": 20_000_000,
+}
+
+# Hard ceilings. Scoring fundamentally broadcasts these tables (or, for
+# the fuzzy join, allocates the pairs at once), so past the budget the
+# fix is semantic, not a bigger driver: raising loudly beats an OOM
+# mid-job.
+BUDGETS: dict[str, int] = {
+    # tfidf: post-min_df vocabulary terms (16 bytes each as sorted
+    # hash+idf arrays)
+    "tfidf_vocab": 20_000_000,
+    # docs_importance_weights: vocabulary rows of the per-term
+    # log-ratio table
+    "dsir_vocab": 20_000_000,
+    # docs_lm_score: model rows (unigram + bigram counts)
+    "lm_model": 20_000_000,
+    # docs_nb_quality: model rows (per-term class counts)
+    "nb_model": 20_000_000,
+    # part_name_fuzzy_pairs: pairs per emission (driver path: the whole
+    # join; exchange path: per part). The pair mass is quadratic in a
+    # hot bucket's size, so a degenerate vocabulary raises before the
+    # allocation
+    "fuzzy_pairs": 200_000_000,
+}
+
+
+def fits(gate: str, n: int) -> bool:
+    """True when ``n`` rows may take gate ``gate``'s driver (or
+    broadcast) path: ``n <= ROUTES[gate]``."""
+    return n <= ROUTES[gate]
+
+
+def check_budget(name: str, n: int, hint: str) -> None:
+    """Raise ``BudgetError`` when ``n`` rows exceed ``BUDGETS[name]``;
+    the message names the key and ``hint``, the semantic fix."""
+    limit = BUDGETS[name]
+    if n > limit:
+        raise BudgetError(
+            f"{n} rows exceed the broadcast budget BUDGETS[{name!r}] "
+            f"({limit}) in stages/exchange.py: {hint}, or raise the budget")
 
 
 def exchange_root() -> str:
@@ -377,10 +531,10 @@ def arrow_schema_of(ds) -> pa.Schema:
 
 
 def combine_by_key(ds, key_cols: list[str], fn, out_schema: pa.Schema,
-                   driver_limit: int, num_parts: int = 32):
+                   gate: str, num_parts: int = 32):
     """The gated keyed combine. ``fn`` maps a pandas frame to a pandas
     frame and must be exact on any subset that holds ALL rows of each
-    key it sees. At most ``driver_limit`` input rows: one driver call
+    key it sees. Input rows that ``fits`` gate ``gate``: one driver call
     ``fn(ds.to_pandas())``. Beyond: rows key-hash-partition on
     ``key_cols`` through the exchange (cast to the input's Arrow
     schema) and ``fn`` runs once per part. Both paths return a
@@ -393,7 +547,7 @@ def combine_by_key(ds, key_cols: list[str], fn, out_schema: pa.Schema,
                                     preserve_index=False)
 
     ds = ds.materialize()
-    if ds.count() <= driver_limit:
+    if fits(gate, ds.count()):
         pdf = ds.to_pandas()
         if pdf.empty:
             return rd.from_arrow(out_schema.empty_table())

@@ -11,7 +11,7 @@ titles / product names / urls differing by one typo).
 
 Scale shape: blocking rows are (block-hash, string-id, string) — one
 per character plus one per string, over the DISTINCT vocabulary, never
-the corpus. Below ``FUZZY_BLOCKS_DRIVER_LIMIT`` rows the bucket->pairs
+the corpus. Below ``ROUTES['fuzzy_blocks']`` rows the bucket->pairs
 combine runs on the driver with the shared vectorized kernel
 (``stages.dedup._pairs_from_band_rows``); beyond it, block rows
 hash-partition on the block hash through the filesystem exchange,
@@ -29,16 +29,8 @@ import pandas as pd
 import pyarrow as pa
 
 from ..functions.hashing import _token_hashes
+from . import exchange as ex
 
-# above this many blocking rows the bucket->pairs combine leaves the
-# driver and the whole join runs through the exchange (tests patch to 0)
-FUZZY_BLOCKS_DRIVER_LIMIT = 5_000_000
-
-# hard memory budget per pair emission (driver path: the whole join;
-# exchange path: per part). The EXACT kernel's pair mass is quadratic
-# in a hot bucket's size, so a degenerate vocabulary raises loudly
-# before the allocation instead of OOMing a worker.
-FUZZY_PAIRS_HARD_LIMIT = 200_000_000
 
 _OUT_SCHEMA = pa.schema([("nm_a", pa.string()), ("nm_b", pa.string())])
 
@@ -141,13 +133,14 @@ def part_name_fuzzy_pairs(sf_dir: str, num_parts: int = 32):
     from . import dedup as dd
     from . import pairs as pr
 
+    max_pairs = ex.BUDGETS["fuzzy_pairs"]
     blocks_ds = (
         _candidate_names(sf_dir)
         .map_batches(lambda df: _deletion_blocks(df["nm"]),
                      batch_format="pandas")
         .materialize()
     )
-    if blocks_ds.count() <= FUZZY_BLOCKS_DRIVER_LIMIT:
+    if ex.fits("fuzzy_blocks", blocks_ds.count()):
         rows = blocks_ds.to_pandas().drop_duplicates()
         id_to_nm = rows[["id", "nm"]].drop_duplicates().set_index("id")["nm"]
         band_rows = pd.DataFrame({
@@ -156,7 +149,7 @@ def part_name_fuzzy_pairs(sf_dir: str, num_parts: int = 32):
             "key": rows["bh"].to_numpy(),
         })
         p = dd._pairs_from_band_rows(band_rows, bucket_cap=None,
-                                     max_pairs=FUZZY_PAIRS_HARD_LIMIT)
+                                     max_pairs=max_pairs)
         p = p[p["a"] != p["b"]]
         cand = pd.DataFrame({
             "nm_a": id_to_nm.reindex(p["a"].to_numpy()).to_numpy(),
@@ -166,16 +159,15 @@ def part_name_fuzzy_pairs(sf_dir: str, num_parts: int = 32):
         return rd.from_arrow(
             pa.Table.from_pandas(out, preserve_index=False).cast(_OUT_SCHEMA))
 
-    return _fuzzy_pairs_exchanged(blocks_ds, num_parts, dd, pr)
+    return _fuzzy_pairs_exchanged(blocks_ds, num_parts, dd, pr, max_pairs)
 
 
-def _fuzzy_pairs_exchanged(blocks_ds, num_parts: int, dd, pr):
+def _fuzzy_pairs_exchanged(blocks_ds, num_parts: int, dd, pr,
+                           max_pairs: int):
     """Scale path: block rows hash-partition on the block hash (buckets
     co-locate, per-part duplicate rows collapse before pairing);
     payloads (id -> string) dedupe in their id-part; the verify runs
     through the co-partitioned two-round payload join."""
-    from . import exchange as ex
-
     blk_schema = pa.schema([
         ("bh", pa.int64()), ("id", pa.int64()), ("nm", pa.string())])
     with ex.stage("nse_fz_blk_") as blk_stage:
@@ -192,7 +184,7 @@ def _fuzzy_pairs_exchanged(blocks_ds, num_parts: int, dd, pr):
                 "doc_id": rows["id"].to_numpy(),
                 "band": np.zeros(len(rows), dtype=np.int64),
                 "key": rows["bh"].to_numpy(),
-            }), bucket_cap=None, max_pairs=FUZZY_PAIRS_HARD_LIMIT)
+            }), bucket_cap=None, max_pairs=max_pairs)
             p = p[p["a"] != p["b"]]
             return pa.Table.from_pandas(
                 p, preserve_index=False).cast(pr.PAIR_SCHEMA)

@@ -27,7 +27,7 @@ Scale design (mirrors ``stages/decontam.py``):
   never as strings.
 - Pass 1 computes per-batch ``(h, min doc_id)`` partials. The budget
   gate counts the partial rows BEFORE any driver collect; within
-  ``LINEDEDUP_BROADCAST_LIMIT`` the driver combines them into two
+  ``ROUTES['linededup']`` the driver combines them into two
   sorted numpy arrays (hash -> winner) broadcast once via ``ray.put``
   (CLAUDE.md rule: sorted arrays + searchsorted, never dicts).
 - Beyond the budget the operator routes through a pure exchange with
@@ -36,7 +36,7 @@ Scale design (mirrors ``stages/decontam.py``):
   the hash fixes the part), removed ``(doc_id, pos)`` rows (sparse by
   nature: only duplicated lines travel) co-partition by doc_id against
   the corpus text rows for the rebuild. Equivalence of the two paths
-  is asserted by tests with the budget patched to 0.
+  is asserted by tests with the route forced.
 
 Hash collisions: a 64-bit collision can only REMOVE a spurious line
 (two distinct lines sharing a hash collapse to one winner). The SQL
@@ -52,10 +52,6 @@ import pyarrow as pa
 from ..functions import hashing as H
 from . import exchange as ex
 
-# max per-batch-unique (hash, min-doc) partial rows collected on the
-# driver / broadcast to every worker (16 bytes each -> ~80 MB at the
-# default). Beyond it the exchange path runs.
-LINEDEDUP_BROADCAST_LIMIT = 5_000_000
 
 OUT_SCHEMA = pa.schema([
     ("doc_id", pa.int64()),
@@ -112,7 +108,7 @@ def line_dedup(
 
     partials = corpus.map_batches(
         partial, batch_format="pyarrow").materialize()
-    if partials.count() <= LINEDEDUP_BROADCAST_LIMIT:
+    if ex.fits("linededup", partials.count()):
         return _line_dedup_broadcast(corpus, partials, id_col, text_col)
     return _line_dedup_exchanged(corpus, id_col, text_col, num_parts)
 

@@ -20,6 +20,27 @@ for p in (_REPO, _TESTS):
         sys.path.insert(0, p)
 
 
+def force_routes(monkeypatch, *names, limit=0):
+    """Set each named gate of ``exchange.ROUTES`` to ``limit`` (0: every
+    non-empty input takes the exchange path) for the test's lifetime.
+    A name that is not a gate fails the test, so a renamed or removed
+    gate cannot turn an exchange test into a driver-vs-driver one."""
+    from neurostore_text_extraction_ray.stages import exchange as ex
+
+    for name in names:
+        assert name in ex.ROUTES, f"{name!r} is not a gate in exchange.ROUTES"
+        monkeypatch.setitem(ex.ROUTES, name, limit)
+
+
+def force_budget(monkeypatch, name, limit=0):
+    """Set ``exchange.BUDGETS[name]`` to ``limit`` for the test's
+    lifetime; the name must be a budget."""
+    from neurostore_text_extraction_ray.stages import exchange as ex
+
+    assert name in ex.BUDGETS, f"{name!r} is not a budget in exchange.BUDGETS"
+    monkeypatch.setitem(ex.BUDGETS, name, limit)
+
+
 @pytest.fixture(scope="session")
 def ray_session():
     import ray

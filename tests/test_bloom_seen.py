@@ -10,6 +10,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from conftest import force_routes
 from neurostore_text_extraction_ray.pipelines import steps
 
 
@@ -69,7 +70,7 @@ def test_default_sizing_keeps_fp_low(ray_session, tmp_path):
 def test_exchange_path_equivalence(ray_session, monkeypatch):
     sf = "/root/testdata/sf0.001"
     base = _run(sf)
-    monkeypatch.setattr(steps, "BLOOM_SEEN_PARTIALS_DRIVER_LIMIT", 0)
+    force_routes(monkeypatch, "bloom_seen_partials")
     exchanged = _run(sf)
     pd.testing.assert_frame_equal(base, exchanged)
 
@@ -80,7 +81,7 @@ def test_exchange_path_equivalence_tight(ray_session, tmp_path, monkeypatch):
     texts = [f"document number {i} body {i * i}" for i in range(1200)]
     sf = _write(texts, tmp_path)
     base = _run(sf, bits_per_key=1, k_hashes=1, shards=4)
-    monkeypatch.setattr(steps, "BLOOM_SEEN_PARTIALS_DRIVER_LIMIT", 0)
+    force_routes(monkeypatch, "bloom_seen_partials")
     exchanged = _run(sf, bits_per_key=1, k_hashes=1, shards=4)
     pd.testing.assert_frame_equal(base, exchanged)
     assert base[base.doc_id % 2 == 1]["maybe_seen"].any()

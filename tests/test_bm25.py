@@ -8,6 +8,8 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from conftest import force_routes
+
 SF = "/root/testdata/sf0.001"
 
 
@@ -91,6 +93,6 @@ def test_gate_path_equivalence(ray_session, monkeypatch):
 
     base = canon(steps.docs_bm25(SF))
     assert len(base) > 0
-    monkeypatch.setattr(steps, "TERMS_DRIVER_LIMIT", 0)
+    force_routes(monkeypatch, "terms")
     exch = canon(steps.docs_bm25(SF))
     pd.testing.assert_frame_equal(base, exch)

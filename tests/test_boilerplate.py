@@ -7,6 +7,8 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from conftest import force_routes
+
 SF = "/root/testdata/sf0.001"
 
 
@@ -78,16 +80,21 @@ def _canon(df: pd.DataFrame) -> pd.DataFrame:
                           kind="stable").reset_index(drop=True)
 
 
+# one gate forced at a time; the ids keep the names the gates had as
+# module constants
 @pytest.mark.parametrize("gate", [
-    "TERMS_DRIVER_LIMIT",        # line-count combine -> exchange
-    "DOMAIN_DRIVER_LIMIT",       # domain totals + ratio join -> exchange
-    "BOILERPLATE_KEYS_BROADCAST_LIMIT",  # strip pass -> co-partition
+    # line-count combine -> exchange
+    pytest.param("terms", id="TERMS_DRIVER_LIMIT"),
+    # domain totals + ratio join -> exchange
+    pytest.param("domain", id="DOMAIN_DRIVER_LIMIT"),
+    # strip pass -> co-partition
+    pytest.param("boilerplate_keys", id="BOILERPLATE_KEYS_BROADCAST_LIMIT"),
 ])
 def test_query_gate_path_equivalence(ray_session, monkeypatch, gate):
     from neurostore_text_extraction_ray.pipelines import steps
 
     base = _canon(steps.docs_boilerplate_strip(SF).to_pandas())
     assert len(base) == 500 and base["n_removed"].sum() > 0
-    monkeypatch.setattr(steps, gate, 0)
+    force_routes(monkeypatch, gate)
     gated = _canon(steps.docs_boilerplate_strip(SF).to_pandas())
     pd.testing.assert_frame_equal(base, gated)

@@ -12,6 +12,7 @@ import pyarrow.parquet as pq
 import pytest
 import ray.data as rd
 
+from conftest import force_routes
 from neurostore_text_extraction_ray.stages import bpe
 
 
@@ -109,9 +110,7 @@ def test_distributed_path_equals_driver(ray_session, tmp_path, monkeypatch):
 
     driver = (steps.docs_bpe_merges(str(d), n_merges=8).to_pandas()
               .sort_values("rank").reset_index(drop=True))
-    monkeypatch.setattr(bpe, "BPE_VOCAB_DRIVER_LIMIT", 0)
-    monkeypatch.setattr(bpe, "BPE_PAIRS_DRIVER_LIMIT", 0)
-    monkeypatch.setattr(steps, "TERMS_DRIVER_LIMIT", 0)
+    force_routes(monkeypatch, "bpe_vocab", "bpe_pairs", "terms")
     dist = (steps.docs_bpe_merges(str(d), n_merges=8).to_pandas()
             .sort_values("rank").reset_index(drop=True))
     pd.testing.assert_frame_equal(driver, dist, check_dtype=False)

@@ -6,6 +6,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from conftest import force_routes
 from neurostore_text_extraction_ray.pipelines import extras
 
 SF = "/root/testdata/sf0.001"
@@ -38,12 +39,8 @@ def test_exchange_paths_equivalence(ray_session, monkeypatch):
     pointer-jumping propagation, decorate + (min host, size) through
     the label-co-partitioned exchange — byte-equal to the driver
     paths."""
-    from neurostore_text_extraction_ray.pipelines import steps
-
     drv = _canon(extras._host_components(SF).to_pandas())
-    monkeypatch.setattr(steps, "AGG_PARTIALS_DRIVER_LIMIT", 0)
-    monkeypatch.setattr(extras, "COMPONENT_EDGES_DRIVER_LIMIT", 0)
-    monkeypatch.setattr(extras, "HOSTLABEL_DRIVER_LIMIT", 0)
+    force_routes(monkeypatch, "agg_partials", "component_edges", "hostlabel")
     exch = _canon(extras._host_components(SF).to_pandas())
     pd.testing.assert_frame_equal(drv, exch)
 

@@ -13,6 +13,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from conftest import force_routes
+
 SF = "/root/testdata/sf0.001"
 
 
@@ -54,7 +56,7 @@ def test_lang_corr_gate_equivalence(ray_session, monkeypatch):
         return df.sort_values("lang").reset_index(drop=True)
 
     drv = canon(steps.docs_lang_corr(SF).to_pandas())
-    monkeypatch.setattr(steps, "AGG_PARTIALS_DRIVER_LIMIT", 0)
+    force_routes(monkeypatch, "agg_partials")
     exch = canon(steps.docs_lang_corr(SF, num_parts=5).to_pandas())
     pd.testing.assert_frame_equal(drv, exch)
     assert len(drv) > 0
@@ -105,6 +107,6 @@ def test_lang_bucket_pivot_matches_sql_and_gate(ray_session, monkeypatch):
     pd.testing.assert_frame_equal(drv, canon(gold))
     assert (drv[["n_b0", "n_b1", "n_b2", "n_b3"]].sum(axis=1)
             == drv["n_total"]).all()
-    monkeypatch.setattr(steps, "AGG_PARTIALS_DRIVER_LIMIT", 0)
+    force_routes(monkeypatch, "agg_partials")
     exch = canon(steps.docs_lang_bucket_pivot(SF, num_parts=5).to_pandas())
     pd.testing.assert_frame_equal(exch, canon(gold))

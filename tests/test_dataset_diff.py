@@ -1,11 +1,13 @@
 """Dataset reconciliation (steps.dataset_diff): hand-computed
 statuses, null semantics (null == null is unchanged; null vs '' is
 changed), multi-column signatures, and broadcast/exchange path
-equivalence via the DIFF_BROADCAST_LIMIT gate."""
+equivalence via the ``diff`` gate."""
 
 import numpy as np
 import pandas as pd
 import pytest
+
+from conftest import force_routes
 
 SF = "/root/testdata/sf0.001"
 
@@ -69,6 +71,6 @@ def test_query_gate_path_equivalence(ray_session, monkeypatch):
     base = canon(steps.docs_diff_planted(SF).to_pandas())
     # the plant guarantees every status appears
     assert set(base["status"]) == {"added", "removed", "changed"}
-    monkeypatch.setattr(steps, "DIFF_BROADCAST_LIMIT", 0)
+    force_routes(monkeypatch, "diff")
     exch = canon(steps.docs_diff_planted(SF).to_pandas())
     pd.testing.assert_frame_equal(base, exch)

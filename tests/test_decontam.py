@@ -6,6 +6,8 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
+from conftest import force_routes
+
 
 def _ds(rows):
     import ray.data as rd
@@ -39,7 +41,7 @@ def test_planted_overlap_flagged(ray_session, monkeypatch, budget):
     from neurostore_text_extraction_ray.stages import decontam
 
     if budget is not None:
-        monkeypatch.setattr(decontam, "DECON_BROADCAST_LIMIT", budget)
+        force_routes(monkeypatch, "decon", limit=budget)
     got = _run(decontam, CORPUS, BENCH)
     by_id = dict(zip(got["doc_id"], got["contaminated"]))
     assert by_id[1] is True or by_id[1] == True  # noqa: E712

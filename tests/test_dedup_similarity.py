@@ -4,6 +4,8 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
+from conftest import force_routes
+
 
 def _docs_ds(ray_session, texts):
     import ray.data as rd
@@ -192,7 +194,7 @@ def test_bucket_pairs_exchange_path_equivalence(ray_session, monkeypatch):
     ds = _docs_ds(ray_session, texts)
     small = {r["doc_id"]: r["dup_group"]
              for r in dedup.minhash_near_dup(ds, threshold=0.5, bands=32).iter_rows()}
-    monkeypatch.setattr(dedup, "BAND_ROWS_DRIVER_LIMIT", 0)
+    force_routes(monkeypatch, "band_rows")
     big = {r["doc_id"]: r["dup_group"]
            for r in dedup.minhash_near_dup(ds, threshold=0.5, bands=32).iter_rows()}
     assert small == big

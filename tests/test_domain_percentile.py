@@ -7,6 +7,8 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from conftest import force_routes
+
 SF = "/root/testdata/sf0.001"
 
 
@@ -61,7 +63,6 @@ def test_gate_path_equivalence(ray_session, monkeypatch):
     assert len(base) > 0
     # singleton tail domains must all be dropped at p = 0.5
     assert not base["domain"].str.startswith("tail").any()
-    monkeypatch.setattr(steps, "TERMS_DRIVER_LIMIT", 0)
-    monkeypatch.setattr(steps, "PCTL_KEPT_BROADCAST_LIMIT", 0)
+    force_routes(monkeypatch, "terms", "pctl_kept")
     exch = canon(steps.docs_domain_percentile_filter(SF))
     pd.testing.assert_frame_equal(base, exch)

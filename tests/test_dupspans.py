@@ -10,6 +10,7 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
+from conftest import force_routes
 from neurostore_text_extraction_ray.stages import dupspans
 from neurostore_text_extraction_ray.stages.dupspans import dup_spans
 
@@ -85,7 +86,7 @@ def test_exchange_equals_broadcast_on_corpus(ray_session, monkeypatch):
     sf = "/root/testdata/sf0.001"
     drv = _docs_dup_spans(sf).to_pandas().sort_values(
         "doc_id").reset_index(drop=True)
-    monkeypatch.setattr(dupspans, "DUPSPANS_BROADCAST_LIMIT", 0)
+    force_routes(monkeypatch, "dupspans")
     exch = _docs_dup_spans(sf).to_pandas().sort_values(
         "doc_id").reset_index(drop=True)
     pd.testing.assert_frame_equal(drv, exch)
@@ -99,7 +100,7 @@ def test_exchange_equals_broadcast_on_corpus(ray_session, monkeypatch):
 def test_large_ids_exact(ray_session, monkeypatch, limit):
     """Winner selection on ids above 2^53 stays exact int64 on both
     paths (a float round-trip would collapse adjacent huge ids)."""
-    monkeypatch.setattr(dupspans, "DUPSPANS_BROADCAST_LIMIT", limit)
+    force_routes(monkeypatch, "dupspans", limit=limit)
     base = (1 << 62) + 11
     shared = "omega psi chi phi upsilon"
     df = _run([(base, shared + " tail words here"),

@@ -1,6 +1,9 @@
-"""Beyond-the-guard exchange fallbacks must equal the broadcast/driver
-paths (VERDICT r02 next-round #3/#4): dedup_exact winner combine and
-the events->orders as-of join."""
+"""Exchange plumbing (stage lifecycle, commit list, multi-node guards),
+the gate registry, and driver-vs-forced-exchange equivalence tests.
+``test_oracle_parity``'s forced cases check every query's exchange
+paths against the oracle; the equivalence tests here add what those
+cannot see (queries whose wrapper rounds floats, extra invariants,
+NULL keys, the budget raise), and a few still repeat a forced case."""
 
 import os
 import re
@@ -11,6 +14,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from conftest import force_budget, force_routes
+
 SF = "/root/testdata/sf0.001"
 
 
@@ -19,42 +24,12 @@ def _canon(df: pd.DataFrame) -> pd.DataFrame:
     return df.sort_values(list(df.columns), kind="stable").reset_index(drop=True)
 
 
-def test_dedup_exact_exchange_equivalence(ray_session, monkeypatch):
-    from neurostore_text_extraction_ray.pipelines import steps
-
-    drv = _canon(steps.dedup_exact(SF).to_pandas())
-    monkeypatch.setattr(steps, "DEDUP_WINNERS_DRIVER_LIMIT", 0)
-    exch = _canon(steps.dedup_exact(SF).to_pandas())
-    pd.testing.assert_frame_equal(drv, exch)
-    assert len(drv) > 0
-
-
 def test_events_asof_exchange_equivalence(ray_session, monkeypatch):
     from neurostore_text_extraction_ray.pipelines import steps
 
     drv = _canon(steps.events_asof_orders(SF).to_pandas())
-    monkeypatch.setattr(steps, "ORDERS_BROADCAST_LIMIT", 0)
+    force_routes(monkeypatch, "orders")
     exch = _canon(steps.events_asof_orders(SF).to_pandas())
-    pd.testing.assert_frame_equal(drv, exch)
-    assert len(drv) > 0
-
-
-def test_docs_join_embeddings_exchange_equivalence(ray_session, monkeypatch):
-    from neurostore_text_extraction_ray.pipelines import steps
-
-    drv = _canon(steps.docs_join_embeddings(SF).to_pandas())
-    monkeypatch.setattr(steps, "JOIN_BROADCAST_LIMIT", 0)
-    exch = _canon(steps.docs_join_embeddings(SF).to_pandas())
-    pd.testing.assert_frame_equal(drv, exch)
-    assert len(drv) > 0
-
-
-def test_filter_unprocessed_exchange_equivalence(ray_session, monkeypatch):
-    from neurostore_text_extraction_ray.pipelines import steps
-
-    drv = _canon(steps.filter_unprocessed(SF).to_pandas())
-    monkeypatch.setattr(steps, "JOIN_BROADCAST_LIMIT", 0)
-    exch = _canon(steps.filter_unprocessed(SF).to_pandas())
     pd.testing.assert_frame_equal(drv, exch)
     assert len(drv) > 0
 
@@ -63,7 +38,7 @@ def test_revenue_by_nation_exchange_equivalence(ray_session, monkeypatch):
     from neurostore_text_extraction_ray.pipelines import steps
 
     drv = _canon(steps.revenue_by_nation(SF).to_pandas())
-    monkeypatch.setattr(steps, "CUSTOMER_BROADCAST_LIMIT", 0)
+    force_routes(monkeypatch, "customer")
     exch = _canon(steps.revenue_by_nation(SF).to_pandas())
     pd.testing.assert_frame_equal(drv, exch)
     assert len(drv) == 25
@@ -109,10 +84,9 @@ def test_stage_removed_when_body_raises(tmp_path, monkeypatch):
 def test_decontaminate_exchange_equivalence(ray_session, monkeypatch):
     from neurostore_text_extraction_ray.pipelines.extras import (
         _docs_decontaminate)
-    from neurostore_text_extraction_ray.stages import decontam
 
     drv = _canon(_docs_decontaminate(SF).to_pandas())
-    monkeypatch.setattr(decontam, "DECON_BROADCAST_LIMIT", 0)
+    force_routes(monkeypatch, "decon")
     exch = _canon(_docs_decontaminate(SF).to_pandas())
     pd.testing.assert_frame_equal(drv, exch)
     assert len(drv) == 500
@@ -125,7 +99,7 @@ def test_top_terms_exchange_equivalence(ray_session, monkeypatch):
     from neurostore_text_extraction_ray.pipelines import steps
 
     drv = _canon(steps.top_terms(SF).to_pandas())
-    monkeypatch.setattr(steps, "TERMS_DRIVER_LIMIT", 0)
+    force_routes(monkeypatch, "terms")
     exch = _canon(steps.top_terms(SF).to_pandas())
     pd.testing.assert_frame_equal(drv, exch)
     assert len(drv) == 20
@@ -135,7 +109,7 @@ def test_domain_stats_exchange_equivalence(ray_session, monkeypatch):
     from neurostore_text_extraction_ray.pipelines import steps
 
     drv = _canon(steps.docs_domain_stats(SF).to_pandas())
-    monkeypatch.setattr(steps, "DOMAIN_DRIVER_LIMIT", 0)
+    force_routes(monkeypatch, "domain")
     exch = _canon(steps.docs_domain_stats(SF).to_pandas())
     pd.testing.assert_frame_equal(drv, exch)
     # seven head domains + the doc_id % 11 singleton tail
@@ -147,7 +121,7 @@ def test_lineitem_agg_exchange_equivalence(ray_session, monkeypatch):
     from neurostore_text_extraction_ray.pipelines import steps
 
     drv = _canon(steps.lineitem_agg(SF).to_pandas())
-    monkeypatch.setattr(steps, "AGG_PARTIALS_DRIVER_LIMIT", 0)
+    force_routes(monkeypatch, "agg_partials")
     exch = _canon(steps.lineitem_agg(SF).to_pandas())
     pd.testing.assert_frame_equal(drv, exch)
     assert len(drv) == 6
@@ -160,7 +134,7 @@ def test_lineitem_rollup_exchange_equivalence(ray_session, monkeypatch):
     from neurostore_text_extraction_ray.pipelines import steps
 
     drv = _canon(steps.lineitem_rollup(SF).to_pandas())
-    monkeypatch.setattr(steps, "AGG_PARTIALS_DRIVER_LIMIT", 0)
+    force_routes(monkeypatch, "agg_partials")
     exch = _canon(steps.lineitem_rollup(SF).to_pandas())
     pd.testing.assert_frame_equal(drv, exch)
     finest = drv[drv["l_linestatus"].notna()]
@@ -180,7 +154,7 @@ def test_lineitem_cube_exchange_equivalence(ray_session, monkeypatch):
     from neurostore_text_extraction_ray.pipelines import steps
 
     drv = _canon(steps.lineitem_cube(SF).to_pandas())
-    monkeypatch.setattr(steps, "AGG_PARTIALS_DRIVER_LIMIT", 0)
+    force_routes(monkeypatch, "agg_partials")
     exch = _canon(steps.lineitem_cube(SF).to_pandas())
     pd.testing.assert_frame_equal(drv, exch)
     finest = drv[drv["l_returnflag"].notna() & drv["l_linestatus"].notna()]
@@ -199,8 +173,7 @@ def test_customer_order_counts_exchange_equivalence(ray_session, monkeypatch):
     from neurostore_text_extraction_ray.pipelines import steps
 
     drv = _canon(steps.customer_order_counts(SF).to_pandas())
-    monkeypatch.setattr(steps, "AGG_PARTIALS_DRIVER_LIMIT", 0)
-    monkeypatch.setattr(steps, "ORDER_COUNTS_BROADCAST_LIMIT", 0)
+    force_routes(monkeypatch, "agg_partials", "order_counts")
     exch = _canon(steps.customer_order_counts(SF).to_pandas())
     pd.testing.assert_frame_equal(drv, exch)
     assert len(drv) == 150  # every customer kept (outer semantics)
@@ -213,7 +186,7 @@ def test_events_hourly_exchange_equivalence(ray_session, monkeypatch):
     from neurostore_text_extraction_ray.pipelines import steps
 
     drv = _canon(steps.events_hourly(SF).to_pandas())
-    monkeypatch.setattr(steps, "AGG_PARTIALS_DRIVER_LIMIT", 0)
+    force_routes(monkeypatch, "agg_partials")
     exch = _canon(steps.events_hourly(SF).to_pandas())
     pd.testing.assert_frame_equal(drv, exch)
     assert len(drv) > 0
@@ -224,7 +197,7 @@ def test_domain_filter_exchange_equivalence(ray_session, monkeypatch):
     from neurostore_text_extraction_ray.pipelines import steps
 
     drv = _canon(steps.docs_domain_filter(SF).to_pandas())
-    monkeypatch.setattr(steps, "DOMAIN_DRIVER_LIMIT", 0)
+    force_routes(monkeypatch, "domain")
     exch = _canon(steps.docs_domain_filter(SF).to_pandas())
     pd.testing.assert_frame_equal(drv, exch)
     # every tail singleton dropped, every kept domain is a head domain
@@ -259,7 +232,7 @@ def test_exchange_multinode_guard_raises(ray_session, monkeypatch):
     _fake_two_nodes(monkeypatch)
     with pytest.raises(RuntimeError, match="shared"):
         ex._assert_single_node()
-    monkeypatch.setattr(steps, "DOMAIN_DRIVER_LIMIT", 0)
+    force_routes(monkeypatch, "domain")
     with pytest.raises(RuntimeError, match="shared"):
         steps.docs_domain_stats(SF).to_pandas()
 
@@ -285,7 +258,7 @@ def test_exchange_shared_root_multinode_rehearsal(ray_session, tmp_path,
         return s
 
     monkeypatch.setattr(ex, "make_stage", recording_make)
-    monkeypatch.setattr(steps, "DOMAIN_DRIVER_LIMIT", 0)
+    force_routes(monkeypatch, "domain")
     exch = _canon(steps.docs_domain_stats(SF).to_pandas())
     pd.testing.assert_frame_equal(drv, exch)
     assert made and all(s.startswith(str(root)) for s in made)
@@ -342,6 +315,39 @@ def test_fragment_writers_route_through_validation():
     assert not offenders, offenders
 
 
+def test_gates_live_in_the_registry():
+    """Static invariant: every driver-or-exchange limit is a key of
+    ``exchange.ROUTES`` / ``exchange.BUDGETS``. No module defines its
+    own ``*_LIMIT`` (``SEMDEDUP_CLUSTER_LIMIT`` is a tiling block size,
+    not a gate), and no test or tool patches one by attribute: such a
+    patch would set an attribute nothing reads and compare the driver
+    path with itself."""
+    import glob
+
+    import neurostore_text_extraction_ray as pkg
+
+    pkg_dir = os.path.dirname(pkg.__file__)
+    repo = os.path.dirname(pkg_dir)
+    offenders = []
+    for path in glob.glob(f"{pkg_dir}/**/*.py", recursive=True):
+        if path.endswith(os.path.join("stages", "exchange.py")):
+            continue
+        for name in re.findall(r"^([A-Z_]*_LIMIT)\s*=", open(path).read(),
+                               re.M):
+            if name != "SEMDEDUP_CLUSTER_LIMIT":
+                offenders.append(f"{path}: {name}")
+    scripts = (glob.glob(f"{repo}/tests/*.py")
+               + glob.glob(f"{repo}/tools/*.py"))
+    for path in scripts:
+        src = open(path).read()
+        for m in re.finditer(r"setattr\([^)]*[\"'][A-Z_]*_LIMIT[\"']", src):
+            if "SEMDEDUP_CLUSTER_LIMIT" not in m.group(0):
+                offenders.append(f"{path}: {m.group(0)}")
+        for m in re.finditer(r"^\s*\w+\.[A-Z_]*_LIMIT\s*=", src, re.M):
+            offenders.append(f"{path}: {m.group(0).strip()}")
+    assert not offenders, offenders
+
+
 def test_docs_domain_cap_semantics(ray_session):
     """Per-domain cap: at most `cap` docs per domain, chosen by the
     sampling hash then doc_id; kept set invariant to the part count."""
@@ -373,17 +379,18 @@ def test_tfidf_df_combine_exchange_equivalence(ray_session, monkeypatch):
     from neurostore_text_extraction_ray.pipelines import steps
 
     drv = _canon(steps.tfidf(SF).to_pandas())
-    monkeypatch.setattr(steps, "TERMS_DRIVER_LIMIT", 0)
+    force_routes(monkeypatch, "terms")
     exch = _canon(steps.tfidf(SF).to_pandas())
     pd.testing.assert_frame_equal(drv, exch)
     assert len(drv) > 0
 
 
 def test_tfidf_vocab_budget_raises(ray_session, monkeypatch):
+    from neurostore_text_extraction_ray.exceptions import BudgetError
     from neurostore_text_extraction_ray.pipelines import steps
 
-    monkeypatch.setattr(steps, "TFIDF_VOCAB_DRIVER_LIMIT", 0)
-    with pytest.raises(RuntimeError, match="broadcast budget"):
+    force_budget(monkeypatch, "tfidf_vocab")
+    with pytest.raises(BudgetError, match=r"BUDGETS\['tfidf_vocab'\]"):
         steps.tfidf(SF).to_pandas()
 
 
@@ -391,30 +398,10 @@ def test_distinct_langs_exchange_equivalence(ray_session, monkeypatch):
     from neurostore_text_extraction_ray.pipelines import steps
 
     drv = _canon(steps.distinct_langs(SF).to_pandas())
-    monkeypatch.setattr(steps, "AGG_PARTIALS_DRIVER_LIMIT", 0)
+    force_routes(monkeypatch, "agg_partials")
     exch = _canon(steps.distinct_langs(SF).to_pandas())
     pd.testing.assert_frame_equal(drv, exch)
     assert len(drv) == 5
-
-
-def test_topk_combine_exchange_equivalence(ray_session, monkeypatch):
-    """The three partial top-k merges (global, per-group, weighted
-    priority) beyond the driver budget equal the driver path."""
-    from neurostore_text_extraction_ray.pipelines import steps
-
-    drv = {
-        "bylen": _canon(steps.top_docs_by_length(SF).to_pandas()),
-        "perlang": _canon(steps.top_docs_per_lang(SF).to_pandas()),
-        "weighted": _canon(steps.docs_sample_weighted(SF).to_pandas()),
-    }
-    monkeypatch.setattr(steps, "TOPK_PARTIALS_DRIVER_LIMIT", 0)
-    pd.testing.assert_frame_equal(
-        drv["bylen"], _canon(steps.top_docs_by_length(SF).to_pandas()))
-    pd.testing.assert_frame_equal(
-        drv["perlang"], _canon(steps.top_docs_per_lang(SF).to_pandas()))
-    pd.testing.assert_frame_equal(
-        drv["weighted"], _canon(steps.docs_sample_weighted(SF).to_pandas()))
-    assert len(drv["bylen"]) == 10 and len(drv["weighted"]) == 100
 
 
 def test_training_mix_dedup_exchange_equivalence(ray_session, monkeypatch):
@@ -426,7 +413,7 @@ def test_training_mix_dedup_exchange_equivalence(ray_session, monkeypatch):
         _docs_training_mix)
 
     drv = _canon(_docs_training_mix(SF).to_pandas())
-    monkeypatch.setattr(steps, "DEDUP_WINNERS_DRIVER_LIMIT", 0)
+    force_routes(monkeypatch, "dedup_winners")
     exch = _canon(_docs_training_mix(SF).to_pandas())
     pd.testing.assert_frame_equal(drv, exch)
     assert len(drv) > 0
@@ -443,7 +430,7 @@ def test_key_part_negative_zero_colocates():
     assert parts[0] == parts[1]
 
 
-def test_grouped_sum_null_keys_kept(ray_session):
+def test_grouped_sum_null_keys_kept(ray_session, monkeypatch):
     """SQL GROUP BY keeps NULL keys; the shared combine must too, on
     BOTH the driver and the exchange path (pandas groupby's default
     dropna=True silently dropped them — regression)."""
@@ -458,11 +445,14 @@ def test_grouped_sum_null_keys_kept(ray_session):
         "n": pa.array([1, 2, 3, 4, 5], pa.int64()),
         "b0": pa.array([0, 1, 2, 3, 4], pa.int64()),
     }))
-    for limit in (10**9, 0):  # driver path, then exchange path
-        out = grouped_sum_by_key(partials, "lang", ["n"], limit)
-        df = out.to_pandas()
+    for path in ("driver", "exchange"):
+        with monkeypatch.context() as mp:
+            if path == "exchange":
+                force_routes(mp, "agg_partials")
+            df = grouped_sum_by_key(partials, "lang", ["n"],
+                                    "agg_partials").to_pandas()
         null_rows = df[df["lang"].isna()]
-        assert len(null_rows) == 1, f"limit={limit}: null key dropped"
+        assert len(null_rows) == 1, f"{path} path: null key dropped"
         assert int(null_rows["n"].iloc[0]) == 6
         assert int(df["n"].sum()) == 15 and len(df) == 3
 
@@ -476,7 +466,7 @@ def test_lang_quantiles_exchange_equivalence(ray_session, monkeypatch):
     from neurostore_text_extraction_ray.pipelines import steps
 
     drv = _canon(steps.docs_lang_quantiles(SF).to_pandas())
-    monkeypatch.setattr(steps, "LANG_QUANTILES_DRIVER_LIMIT", 0)
+    force_routes(monkeypatch, "lang_quantiles")
     exch = _canon(steps.docs_lang_quantiles(SF).to_pandas())
     pd.testing.assert_frame_equal(drv, exch)
     assert len(drv) > 0
@@ -499,7 +489,7 @@ def test_user_retention_exchange_equivalence(ray_session, monkeypatch):
     from neurostore_text_extraction_ray.pipelines import steps
 
     drv = _canon(steps.events_user_retention(SF).to_pandas())
-    monkeypatch.setattr(steps, "USER_DAYS_DRIVER_LIMIT", 0)
+    force_routes(monkeypatch, "user_days")
     exch = _canon(steps.events_user_retention(SF).to_pandas())
     pd.testing.assert_frame_equal(drv, exch)
     assert len(drv) > 0 and (drv["n_retained_next"] <= drv["n_active"]).all()

@@ -11,6 +11,7 @@ import shutil
 import pyarrow.parquet as pq
 import pytest
 
+from conftest import force_routes
 from neurostore_text_extraction_ray.sources import pages as pages_src
 from neurostore_text_extraction_ray.pipelines import flagship
 
@@ -268,14 +269,14 @@ def test_partitioned_dedup_matches_broadcast(ray_session):
 
 
 def test_dedup_pages_auto_switch_past_broadcast_bound(ray_session, monkeypatch):
-    """Beyond WINNERS_BROADCAST_LIMIT winner-partial rows, dedup_pages
+    """Beyond the ``winners`` gate's winner-partial rows, dedup_pages
     must auto-route to the partitioned path (not driver-collect a
     corpus-sized winner table) and produce the identical result —
     end-to-end through the extract stage (VERDICT r03 next-round #2)."""
     from neurostore_text_extraction_ray.pipelines import extras
 
     base = extras._flagship(SF).to_pandas().sort_values("url").reset_index(drop=True)
-    monkeypatch.setattr(flagship, "WINNERS_BROADCAST_LIMIT", 0)
+    force_routes(monkeypatch, "winners")
     switched = extras._flagship(SF).to_pandas().sort_values("url").reset_index(drop=True)
     import pandas as pd
 

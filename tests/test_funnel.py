@@ -12,6 +12,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from conftest import force_routes
+
 SF = "/root/testdata/sf0.001"
 
 
@@ -81,7 +83,7 @@ def test_funnel_combine_gate_equivalence(ray_session, monkeypatch):
     from neurostore_text_extraction_ray.pipelines import steps
 
     drv = _canon(steps.events_funnel(SF).to_pandas())
-    monkeypatch.setattr(steps, "AGG_PARTIALS_DRIVER_LIMIT", 0)
+    force_routes(monkeypatch, "agg_partials")
     exch = _canon(steps.events_funnel(SF, num_parts=5).to_pandas())
     pd.testing.assert_frame_equal(drv, exch)
     assert drv["n_users"].sum() > 0
@@ -103,6 +105,6 @@ def test_user_top_type_matches_sql_and_gates(ray_session, monkeypatch):
     drv = _canon(steps.events_user_top_type(SF).to_pandas())
     pd.testing.assert_frame_equal(drv, gold)
     assert len(drv) > 0
-    monkeypatch.setattr(steps, "AGG_PARTIALS_DRIVER_LIMIT", 0)
+    force_routes(monkeypatch, "agg_partials")
     exch = _canon(steps.events_user_top_type(SF, num_parts=5).to_pandas())
     pd.testing.assert_frame_equal(exch, gold)

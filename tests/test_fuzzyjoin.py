@@ -8,6 +8,8 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from conftest import force_budget, force_routes
+
 SF = "/root/testdata/sf0.001"
 
 
@@ -95,7 +97,7 @@ def test_fuzzy_pairs_matches_oracle_and_exchange_path(ray_session,
     drv = _canon(fuzzyjoin.part_name_fuzzy_pairs(SF).to_pandas())
     pd.testing.assert_frame_equal(drv, gold)
     assert len(drv) > 0
-    monkeypatch.setattr(fuzzyjoin, "FUZZY_BLOCKS_DRIVER_LIMIT", 0)
+    force_routes(monkeypatch, "fuzzy_blocks")
     exch = _canon(fuzzyjoin.part_name_fuzzy_pairs(SF, num_parts=7).to_pandas())
     pd.testing.assert_frame_equal(exch, gold)
 
@@ -138,7 +140,7 @@ def test_hot_bucket_completeness(ray_session, tmp_path):
 
 
 def test_pair_budget_raises_loudly(ray_session, tmp_path, monkeypatch):
-    """FUZZY_PAIRS_HARD_LIMIT must raise BEFORE the quadratic pair
+    """The ``fuzzy_pairs`` budget must raise BEFORE the quadratic pair
     allocation, not OOM."""
     import os
 
@@ -155,6 +157,6 @@ def test_pair_budget_raises_loudly(ray_session, tmp_path, monkeypatch):
     d = str(tmp_path)
     pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
                    os.path.join(d, "part.parquet"))
-    monkeypatch.setattr(fuzzyjoin, "FUZZY_PAIRS_HARD_LIMIT", 3)
+    force_budget(monkeypatch, "fuzzy_pairs", 3)
     with pytest.raises(ValueError, match="max_pairs"):
         fuzzyjoin.part_name_fuzzy_pairs(d).to_pandas()

@@ -1,7 +1,7 @@
 """DSIR-style unigram importance weights: hand-computed tiny case,
 sign sanity (target-exclusive words score positive), empty/None
-edges, the hard vocabulary gate, and count-combine path equality
-(TERMS_DRIVER_LIMIT patched to 0)."""
+edges, the hard vocabulary budget, and count-combine path equality
+(the ``terms`` route forced to the exchange)."""
 
 import math
 import os
@@ -12,7 +12,9 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from conftest import force_budget, force_routes
 from neurostore_text_extraction_ray.pipelines import steps
+from neurostore_text_extraction_ray.exceptions import BudgetError
 
 
 def _write(tmp_path, rows):
@@ -48,8 +50,8 @@ def test_hand_computed_weights(ray_session, tmp_path):
 
 def test_vocab_gate_raises(ray_session, tmp_path, monkeypatch):
     d = _write(tmp_path, [("en", "aa bb"), ("de", "cc")])
-    monkeypatch.setattr(steps, "DSIR_VOCAB_DRIVER_LIMIT", 0)
-    with pytest.raises(ValueError, match="DSIR_VOCAB_DRIVER_LIMIT"):
+    force_budget(monkeypatch, "dsir_vocab")
+    with pytest.raises(BudgetError, match=r"BUDGETS\['dsir_vocab'\]"):
         steps.docs_importance_weights(d).materialize()
 
 
@@ -61,7 +63,7 @@ def test_count_combine_path_equality(ray_session, tmp_path, monkeypatch):
     d = _write(tmp_path, rows)
     a = (steps.docs_importance_weights(d).to_pandas()
          .sort_values("doc_id").reset_index(drop=True))
-    monkeypatch.setattr(steps, "TERMS_DRIVER_LIMIT", 0)
+    force_routes(monkeypatch, "terms")
     b = (steps.docs_importance_weights(d).to_pandas()
          .sort_values("doc_id").reset_index(drop=True))
     pd.testing.assert_frame_equal(a, b, check_dtype=False)
@@ -101,7 +103,7 @@ def test_hashed_count_combine_path_equality(ray_session, tmp_path,
     d = _write(tmp_path, rows)
     a = (steps.docs_importance_weights_hashed(d).to_pandas()
          .sort_values("doc_id").reset_index(drop=True))
-    monkeypatch.setattr(steps, "TERMS_DRIVER_LIMIT", 0)
+    force_routes(monkeypatch, "terms")
     b = (steps.docs_importance_weights_hashed(d).to_pandas()
          .sort_values("doc_id").reset_index(drop=True))
     pd.testing.assert_frame_equal(a, b, check_dtype=False)

@@ -6,6 +6,8 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
+from conftest import force_routes
+
 
 def _ds(rows):
     import ray.data as rd
@@ -47,7 +49,7 @@ def test_keep_first_semantics(ray_session, monkeypatch, budget):
     from neurostore_text_extraction_ray.stages import linededup
 
     if budget is not None:
-        monkeypatch.setattr(linededup, "LINEDEDUP_BROADCAST_LIMIT", budget)
+        force_routes(monkeypatch, "linededup", limit=budget)
     got = _run(linededup, CORPUS)
     assert sorted(got["doc_id"]) == sorted(EXPECT)
     for _, row in got.iterrows():
@@ -61,12 +63,11 @@ def test_exchange_equals_broadcast_on_corpus(ray_session, monkeypatch):
     """Both paths over the real sf0.001 planted corpus (the query's
     own input) must agree row-for-row."""
     from neurostore_text_extraction_ray.pipelines.extras import _docs_line_dedup
-    from neurostore_text_extraction_ray.stages import linededup
 
     sf = "/root/testdata/sf0.001"
     drv = _docs_line_dedup(sf).to_pandas().sort_values(
         "doc_id").reset_index(drop=True)
-    monkeypatch.setattr(linededup, "LINEDEDUP_BROADCAST_LIMIT", 0)
+    force_routes(monkeypatch, "linededup")
     exch = _docs_line_dedup(sf).to_pandas().sort_values(
         "doc_id").reset_index(drop=True)
     pd.testing.assert_frame_equal(drv, exch)

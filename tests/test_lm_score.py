@@ -12,7 +12,9 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from conftest import force_budget, force_routes
 from neurostore_text_extraction_ray.pipelines import steps
+from neurostore_text_extraction_ray.exceptions import BudgetError
 
 
 def _write(texts, tmp_path):
@@ -79,15 +81,15 @@ def test_min_count_prunes_gracefully(ray_session, tmp_path):
 def test_exchange_path_equivalence(ray_session, tmp_path, monkeypatch):
     sf = "/root/testdata/sf0.001"
     base = _run(sf)
-    monkeypatch.setattr(steps, "TERMS_DRIVER_LIMIT", 0)
+    force_routes(monkeypatch, "terms")
     exchanged = _run(sf)
     pd.testing.assert_frame_equal(base, exchanged)
 
 
 def test_model_broadcast_gate_raises(ray_session, tmp_path, monkeypatch):
     sf = _write(["aa bb cc"], tmp_path)
-    monkeypatch.setattr(steps, "LM_MODEL_BROADCAST_LIMIT", 0)
-    with pytest.raises(RuntimeError, match="broadcast budget"):
+    force_budget(monkeypatch, "lm_model")
+    with pytest.raises(BudgetError, match=r"BUDGETS\['lm_model'\]"):
         steps.docs_lm_score(sf).to_pandas()
 
 

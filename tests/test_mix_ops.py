@@ -12,6 +12,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from conftest import force_routes
+
 
 @pytest.fixture(scope="module")
 def synth_dir(tmp_path_factory):
@@ -290,7 +292,7 @@ def test_corpus_stats_gate_path_equality(ray_session, synth_dir, monkeypatch):
     from neurostore_text_extraction_ray.pipelines import steps
 
     a = steps.corpus_stats(synth_dir).to_pandas()
-    monkeypatch.setattr(steps, "TERMS_DRIVER_LIMIT", 0)
+    force_routes(monkeypatch, "terms")
     b = steps.corpus_stats(synth_dir).to_pandas()
     pd.testing.assert_frame_equal(a, b, check_dtype=False)
     assert a.loc[0, "n_docs"] == 400 and a.loc[0, "n_tokens"] > 0
@@ -305,7 +307,7 @@ def test_label_centroids_gate_path_equality(ray_session, monkeypatch):
     SF = "/root/testdata/sf0.001"
     a = (steps.embeddings_label_centroids(SF).to_pandas()
          .sort_values(["label", "dim"]).reset_index(drop=True))
-    monkeypatch.setattr(steps, "AGG_PARTIALS_DRIVER_LIMIT", 0)
+    force_routes(monkeypatch, "agg_partials")
     b = (steps.embeddings_label_centroids(SF).to_pandas()
          .sort_values(["label", "dim"]).reset_index(drop=True))
     pd.testing.assert_frame_equal(a, b, check_dtype=False)
@@ -321,7 +323,7 @@ def test_events_hourly_top_gate_path_equality(ray_session, monkeypatch):
     SF = "/root/testdata/sf0.001"
     a = (steps.events_hourly_top(SF).to_pandas()
          .sort_values("hour").reset_index(drop=True))
-    monkeypatch.setattr(steps, "AGG_PARTIALS_DRIVER_LIMIT", 0)
+    force_routes(monkeypatch, "agg_partials")
     b = (steps.events_hourly_top(SF).to_pandas()
          .sort_values("hour").reset_index(drop=True))
     pd.testing.assert_frame_equal(a, b, check_dtype=False)

@@ -6,7 +6,9 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from conftest import force_budget, force_routes
 from neurostore_text_extraction_ray.pipelines import steps
+from neurostore_text_extraction_ray.exceptions import BudgetError
 
 SF = "/root/testdata/sf0.001"
 
@@ -66,14 +68,14 @@ def test_single_class_raises(ray_session, tmp_path):
 
 def test_exchange_path_equivalence(ray_session, monkeypatch):
     base = _run(SF)
-    monkeypatch.setattr(steps, "TERMS_DRIVER_LIMIT", 0)
+    force_routes(monkeypatch, "terms")
     exchanged = _run(SF)
     pd.testing.assert_frame_equal(base, exchanged)
 
 
 def test_model_broadcast_gate_raises(ray_session, monkeypatch):
-    monkeypatch.setattr(steps, "NB_MODEL_BROADCAST_LIMIT", 0)
-    with pytest.raises(RuntimeError, match="broadcast budget"):
+    force_budget(monkeypatch, "nb_model")
+    with pytest.raises(BudgetError, match=r"BUDGETS\['nb_model'\]"):
         steps.docs_nb_quality(SF).to_pandas()
 
 

@@ -11,18 +11,19 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
+from conftest import force_routes
 from test_oracle_parity import SF
 from tools.parity_sweep import TABLES, _canon, _compare, _oracle
 
 pytestmark = pytest.mark.skipif(not os.path.isdir(SF),
                                 reason="testdata unavailable")
 
-# query -> the gates that route it through the exchange when set to 0
+# query -> the gates that route it through the exchange when forced
 CASES = {
-    "docs_lang_corr": ["AGG_PARTIALS_DRIVER_LIMIT"],
-    "events_user_top_type": ["AGG_PARTIALS_DRIVER_LIMIT"],
-    "docs_lang_bucket_pivot": ["AGG_PARTIALS_DRIVER_LIMIT"],
-    "docs_pmi_bigrams": ["TERMS_DRIVER_LIMIT", "PMI_SCORE_DRIVER_LIMIT"],
+    "docs_lang_corr": ["agg_partials"],
+    "events_user_top_type": ["agg_partials"],
+    "docs_lang_bucket_pivot": ["agg_partials"],
+    "docs_pmi_bigrams": ["terms", "pmi_score"],
 }
 
 
@@ -58,11 +59,9 @@ def null_sf(tmp_path_factory):
 def test_null_inputs_match_oracle(name, path, null_sf, ray_session,
                                   monkeypatch):
     import __ray_entry__ as e
-    from neurostore_text_extraction_ray.pipelines import steps
 
     if path == "exchange":
-        for gate in CASES[name]:
-            monkeypatch.setattr(steps, gate, 0)
+        force_routes(monkeypatch, *CASES[name])
     mine = _canon(e.queries()[name](null_sf).to_pandas())
     gold = _canon(_oracle(e.oracle_sql()[name], null_sf))
     err = _compare(name, mine, gold)

@@ -2,7 +2,9 @@
 ``queries()`` entry and its ``oracle_sql()`` side by side at sf0.001
 with the canonicalization and comparison of ``tools/parity_sweep.py``
 (columns sorted by name, rows sorted by all columns, floats within
-1e-9)."""
+1e-9). Every entry runs twice: on the default gates, and forced (every
+gate of ``exchange.ROUTES`` at 0, so each gated step takes its
+exchange path)."""
 
 import os
 
@@ -10,6 +12,8 @@ import pandas as pd
 import pytest
 
 import __ray_entry__
+from conftest import force_routes
+from neurostore_text_extraction_ray.stages import exchange as ex
 from test_evaluation import REF_RESULTS
 from tools.parity_sweep import _canon, _compare, _oracle
 
@@ -33,23 +37,60 @@ def _to_pandas(result) -> pd.DataFrame:
     raise TypeError(type(result))
 
 
+def _needs_missing_reference(name) -> bool:
+    need = _NEEDS_REFERENCE.get(name)
+    return bool(need) and not os.path.isdir(need)
+
+
 def _query_params():
-    for name in __ray_entry__.queries():
-        need = _NEEDS_REFERENCE.get(name)
-        marks = [pytest.mark.skipif(not os.path.isdir(need),
-                                    reason="reference goldens unavailable")
-                 ] if need else []
-        yield pytest.param(name, marks=marks, id=name)
+    for forced in (False, True):
+        for name in __ray_entry__.queries():
+            marks = ([pytest.mark.skip(reason="reference goldens unavailable")]
+                     if _needs_missing_reference(name) else [])
+            yield pytest.param(name, forced, marks=marks,
+                               id=f"{name}-forced" if forced else name)
 
 
-@pytest.mark.parametrize("name", list(_query_params()))
-def test_query_matches_oracle(name, ray_session):
+# the forced cases' ``fits`` decisions, query -> [(gate, rows, fits)]
+_FORCED_DECISIONS: dict[str, list] = {}
+
+
+@pytest.mark.parametrize("name,forced", list(_query_params()))
+def test_query_matches_oracle(name, forced, ray_session, monkeypatch):
     fn = __ray_entry__.queries()[name]
     sql = __ray_entry__.oracle_sql().get(name)
+    if forced:
+        force_routes(monkeypatch, *ex.ROUTES)
+        decisions = []
+        real_fits = ex.fits
+
+        def recording_fits(gate, n):
+            decisions.append((gate, n, real_fits(gate, n)))
+            return decisions[-1][2]
+
+        monkeypatch.setattr(ex, "fits", recording_fits)
     mine = _canon(_to_pandas(fn(SF)))
     assert sql is not None, f"{name} lacks an oracle"
     err = _compare(name, mine, _canon(_oracle(sql, SF)))
     assert err is None, f"{name}: {err}"
+    if forced:
+        _FORCED_DECISIONS[name] = decisions
+
+
+def test_forced_sweep_decides_every_gate():
+    """Over the forced cases: every gate in ``exchange.ROUTES`` is
+    decided at least once, and every decision is the exchange path.
+    Fails when a new gate bypasses the registry or no query reaches
+    it."""
+    expected = {n for n in __ray_entry__.queries()
+                if not _needs_missing_reference(n)}
+    if not expected <= set(_FORCED_DECISIONS):
+        pytest.skip("the forced cases did not all pass in this session")
+    seen = [d for ds in _FORCED_DECISIONS.values() for d in ds]
+    assert set(ex.ROUTES) - {g for g, _, _ in seen} == set()
+    on_driver = sorted({(q, g) for q, ds in _FORCED_DECISIONS.items()
+                        for g, _, fit in ds if fit})
+    assert not on_driver, on_driver
 
 
 def test_entry_smoke(ray_session):

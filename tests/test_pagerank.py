@@ -4,7 +4,8 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from neurostore_text_extraction_ray.pipelines import extras, steps
+from conftest import force_routes
+from neurostore_text_extraction_ray.pipelines import extras
 
 SF = "/root/testdata/sf0.001"
 
@@ -47,7 +48,7 @@ def test_more_iterations_converge(ray_session):
 
 def test_edge_combine_exchange_equivalence(ray_session, monkeypatch):
     base = _run()
-    monkeypatch.setattr(steps, "DOMAIN_DRIVER_LIMIT", 0)
+    force_routes(monkeypatch, "domain")
     exchanged = _run()
     pd.testing.assert_frame_equal(base, exchanged)
 
@@ -57,13 +58,13 @@ def test_distributed_iteration_equals_driver(ray_session, monkeypatch):
     co-partitioned exchange (the rank vector never on the driver);
     the rounded output must equal the driver scatter-add path."""
     base = _run()
-    monkeypatch.setattr(extras, "PAGERANK_EDGES_DRIVER_LIMIT", 0)
+    force_routes(monkeypatch, "pagerank_edges")
     exchanged = _run()
     pd.testing.assert_frame_equal(base, exchanged)
 
 
 def test_distributed_iteration_zero_iters(ray_session, monkeypatch):
-    monkeypatch.setattr(extras, "PAGERANK_EDGES_DRIVER_LIMIT", 0)
+    force_routes(monkeypatch, "pagerank_edges")
     df = _run(n_iter=0)
     assert (df["pagerank"] == round(1.0 / len(df), 6)).all()
 

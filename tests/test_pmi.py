@@ -11,6 +11,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from conftest import force_routes
+
 SF = "/root/testdata/sf0.001"
 
 
@@ -72,9 +74,9 @@ def test_pmi_gate_equivalence(ray_session, monkeypatch):
 
     drv = _canon(steps.docs_pmi_bigrams(SF).to_pandas())
     assert len(drv) == 20
-    monkeypatch.setattr(steps, "PMI_SCORE_DRIVER_LIMIT", 0)
+    force_routes(monkeypatch, "pmi_score")
     exch = _canon(steps.docs_pmi_bigrams(SF, num_parts=5).to_pandas())
     pd.testing.assert_frame_equal(drv, exch)
-    monkeypatch.setattr(steps, "TERMS_DRIVER_LIMIT", 0)
+    force_routes(monkeypatch, "terms")
     both = _canon(steps.docs_pmi_bigrams(SF, num_parts=5).to_pandas())
     pd.testing.assert_frame_equal(drv, both)

@@ -10,6 +10,7 @@ import json
 import pandas as pd
 import pytest
 
+from conftest import force_routes
 from neurostore_text_extraction_ray.pipelines import steps
 
 
@@ -70,7 +71,7 @@ def test_case_fold_and_short_tokens_excluded(ray_session, tmp_path):
 def test_exchange_path_equivalence(ray_session, monkeypatch):
     sf = "/root/testdata/sf0.001"
     base = _run(sf)
-    monkeypatch.setattr(steps, "TERMS_DRIVER_LIMIT", 0)
+    force_routes(monkeypatch, "terms")
     exchanged = _run(sf)
     pd.testing.assert_frame_equal(base, exchanged)
 

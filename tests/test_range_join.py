@@ -14,6 +14,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from conftest import force_routes
+
 SF = "/root/testdata/sf0.001"
 
 
@@ -78,7 +80,7 @@ def test_range_join_exchange_equivalence(ray_session, monkeypatch):
     from neurostore_text_extraction_ray.pipelines import steps
 
     drv = _canon(steps.events_range_join(SF).to_pandas())
-    monkeypatch.setattr(steps, "RANGE_EVENTS_BROADCAST_LIMIT", 0)
+    force_routes(monkeypatch, "range_events")
     exch = _canon(steps.events_range_join(SF, num_parts=7).to_pandas())
     pd.testing.assert_frame_equal(drv, exch)
     assert len(drv) > 0

@@ -5,6 +5,8 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
+from conftest import force_routes
+
 
 def test_hll_accuracy_known_cardinalities():
     """Estimate within ~5 sigma (sigma ~ 1.04/sqrt(m)) across three
@@ -187,7 +189,7 @@ def test_hll_distinct_by_key_accuracy_and_gates(ray_session, monkeypatch):
     rel = (j["n_distinct_est"] - j["n"]).abs() / j["n"].clip(lower=1)
     assert (rel < 0.09).all(), j[rel >= 0.09]
     # exchange path equality
-    monkeypatch.setattr(steps, "HLL_GROUP_PARTIALS_DRIVER_LIMIT", 0)
+    force_routes(monkeypatch, "hll_group_partials")
     exch = steps.events_user_hll_hourly(sf).to_pandas()
     pd.testing.assert_frame_equal(
         out.sort_values("hour").reset_index(drop=True),

@@ -3,6 +3,7 @@
 import pandas as pd
 import pytest
 
+from conftest import force_routes
 from neurostore_text_extraction_ray.functions.weblinks import (
     extract_hrefs, href_host, outlinks_frame)
 
@@ -95,7 +96,6 @@ def test_outlinks_query_semantics(ray_session):
 
 
 def test_host_indegree_hub_and_equivalence(ray_session, monkeypatch):
-    from neurostore_text_extraction_ray.pipelines import steps
     from neurostore_text_extraction_ray.pipelines.extras import (
         _host_indegree)
 
@@ -106,7 +106,7 @@ def test_host_indegree_hub_and_equivalence(ray_session, monkeypatch):
     hub = drv.set_index("host")
     assert hub.loc["site0.example", "n_links"] == hub["n_links"].max()
     assert (drv["n_links"] > drv["n_docs"]).any()
-    monkeypatch.setattr(steps, "DOMAIN_DRIVER_LIMIT", 0)
+    force_routes(monkeypatch, "domain")
     exch = _host_indegree(SF).to_pandas().sort_values("host") \
         .reset_index(drop=True)
     pd.testing.assert_frame_equal(drv, exch)
@@ -157,7 +157,6 @@ def test_anchors_query_semantics(ray_session):
 
 
 def test_host_anchor_topk_semantics_and_gates(ray_session, monkeypatch):
-    from neurostore_text_extraction_ray.pipelines import steps
     from neurostore_text_extraction_ray.pipelines.extras import (
         _docs_outlinks_anchored, _host_anchor_topk)
 
@@ -181,7 +180,6 @@ def test_host_anchor_topk_semantics_and_gates(ray_session, monkeypatch):
     assert (out.groupby("host")["rnk"].min() == 1).all()
     assert (out.groupby("host")["rnk"].max() <= k).all()
     # both budget gates forced onto the exchange paths: identical output
-    monkeypatch.setattr(steps, "TERMS_DRIVER_LIMIT", 0)
-    monkeypatch.setattr(steps, "TOPK_PARTIALS_DRIVER_LIMIT", 0)
+    force_routes(monkeypatch, "terms", "topk_partials")
     exch = _host_anchor_topk(SF, k=k).to_pandas()
     pd.testing.assert_frame_equal(out, exch)

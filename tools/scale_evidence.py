@@ -2,8 +2,8 @@
 evidence" table): run the wide operators' EXCHANGE paths over a
 2M-doc synthetic corpus on /dev/shm at 32 CPUs, reporting wall time
 and peak worker RSS (max summed VmRSS over ray workers at 2 Hz).
-Driver limits are patched to 0 so the scale path — not the driver
-combine — is what's measured. Reproduce with:
+The gates in ``exchange.ROUTES`` are set to 0 so the scale path — not
+the driver combine — is what's measured. Reproduce with:
 
     PYTHONPATH=. python tools/scale_evidence.py
 """
@@ -189,11 +189,12 @@ def main():
     ray.init(address="local", num_cpus=32, include_dashboard=False)
     from neurostore_text_extraction_ray.pipelines import steps
     from neurostore_text_extraction_ray.stages import dupspans
+    from neurostore_text_extraction_ray.stages import exchange as ex
 
-    steps.TERMS_DRIVER_LIMIT = 0
-    steps.DOMAIN_DRIVER_LIMIT = 0
-    steps.BLOOM_SEEN_PARTIALS_DRIVER_LIMIT = 0
-    dupspans.DUPSPANS_BROADCAST_LIMIT = 0
+    ex.ROUTES["terms"] = 0
+    ex.ROUTES["domain"] = 0
+    ex.ROUTES["bloom_seen_partials"] = 0
+    ex.ROUTES["dupspans"] = 0
 
     results = {}
     only = set(sys.argv[1:])  # optional: run only the named measurements
@@ -243,10 +244,9 @@ def main():
         # force the distributed iteration (vocab gate to 0): 50k-word
         # vocab exchange, 10 merge iterations of stateless pair-count
         # passes; the 2M-doc word count itself also takes the
-        # exchange combine (TERMS_DRIVER_LIMIT already 0 above)
-        from neurostore_text_extraction_ray.stages import bpe
-        bpe.BPE_VOCAB_DRIVER_LIMIT = 0
-        bpe.BPE_PAIRS_DRIVER_LIMIT = 0
+        # exchange combine (the terms gate is already 0 above)
+        ex.ROUTES["bpe_vocab"] = 0
+        ex.ROUTES["bpe_pairs"] = 0
         return steps.docs_bpe_merges(OUT, n_merges=10).count()
 
     run("docs_bpe_merges_distributed", _bpe_distributed)
@@ -282,7 +282,7 @@ def main():
 
     # round-5d additions (TERMS/AGG gates 0 above/below force the
     # exchange combines — the scale path, not the driver groupby)
-    steps.AGG_PARTIALS_DRIVER_LIMIT = 0
+    ex.ROUTES["agg_partials"] = 0
     run("docs_winnow_fingerprints",
         lambda: steps.docs_winnow_fingerprints(OUT).materialize().count())
     run("docs_importance_weights_hashed",
@@ -306,7 +306,7 @@ def main():
         # strip, TERMS/DOMAIN gates 0 (above) force the exchange
         # combines. ~200k distinct body lines per domain.
         import ray.data as rd
-        steps.BOILERPLATE_KEYS_BROADCAST_LIMIT = 0
+        ex.ROUTES["boilerplate_keys"] = 0
 
         def plant(df):
             dom = "site" + (df["doc_id"] % 7).astype(str) + ".example"
@@ -332,7 +332,7 @@ def main():
         import ray.data as rd
 
         def fn():
-            steps.DIFF_BROADCAST_LIMIT = limit
+            ex.ROUTES["diff"] = limit
             a = rd.read_parquet(f"{OUT}/documents.parquet",
                                 columns=["doc_id", "text"])
 
@@ -358,7 +358,7 @@ def main():
 
         return fn
 
-    run("dataset_diff_broadcast", _dataset_diff(steps.DIFF_BROADCAST_LIMIT))
+    run("dataset_diff_broadcast", _dataset_diff(ex.ROUTES["diff"]))
     run("dataset_diff_exchange", _dataset_diff(0))
 
     def _anchor_topk_exchange():
@@ -366,12 +366,12 @@ def main():
         # exchange AND the per-host top-k through the two-level
         # exchange merge — 2M docs -> ~3M planted anchor rows
         from neurostore_text_extraction_ray.pipelines import extras
-        saved = steps.TOPK_PARTIALS_DRIVER_LIMIT
-        steps.TOPK_PARTIALS_DRIVER_LIMIT = 0
+        saved = ex.ROUTES["topk_partials"]
+        ex.ROUTES["topk_partials"] = 0
         try:
             return extras._host_anchor_topk(OUT).materialize().count()
         finally:
-            steps.TOPK_PARTIALS_DRIVER_LIMIT = saved
+            ex.ROUTES["topk_partials"] = saved
 
     run("host_anchor_topk_exchange", _anchor_topk_exchange)
 
@@ -379,7 +379,7 @@ def main():
         # 2M events / ~1000 hours x 100k users; gate 0 forces the
         # key-hash register exchange (one 4 KiB blob per hour per
         # batch moves, never the event stream)
-        steps.HLL_GROUP_PARTIALS_DRIVER_LIMIT = 0
+        ex.ROUTES["hll_group_partials"] = 0
         return steps.events_user_hll_hourly(OUT).materialize().count()
 
     run("events_user_hll_hourly_exchange", _hll_by_key_exchange)
@@ -387,7 +387,7 @@ def main():
     def _rollup_exchange():
         # AGG gate 0: all three lattice levels combine through the
         # key-hash exchange; the 2M-row fact stream itself never moves
-        steps.AGG_PARTIALS_DRIVER_LIMIT = 0
+        ex.ROUTES["agg_partials"] = 0
         return steps.lineitem_rollup(OUT).materialize().count()
 
     run("lineitem_rollup_exchange", _rollup_exchange)
@@ -395,8 +395,8 @@ def main():
     def _outer_join_exchange():
         # both gates 0: per-custkey aggregate through the exchange AND
         # the 1M-customer zero-fill join custkey-hash co-partitioned
-        steps.AGG_PARTIALS_DRIVER_LIMIT = 0
-        steps.ORDER_COUNTS_BROADCAST_LIMIT = 0
+        ex.ROUTES["agg_partials"] = 0
+        ex.ROUTES["order_counts"] = 0
         return steps.customer_order_counts(OUT).materialize().count()
 
     run("customer_order_counts_exchange", _outer_join_exchange)
@@ -404,7 +404,7 @@ def main():
     def _range_join_exchange():
         # gate 0: 2M events co-partition by user hash; per-part
         # composite-key searchsorted probe (100k users x 42 days)
-        steps.RANGE_EVENTS_BROADCAST_LIMIT = 0
+        ex.ROUTES["range_events"] = 0
         return steps.events_range_join(OUT).materialize().count()
 
     run("events_range_join_exchange", _range_join_exchange)
@@ -419,7 +419,7 @@ def main():
         # through the block-hash exchange + the two-round payload verify
         from neurostore_text_extraction_ray.stages import fuzzyjoin
 
-        fuzzyjoin.FUZZY_BLOCKS_DRIVER_LIMIT = 0
+        ex.ROUTES["fuzzy_blocks"] = 0
         return fuzzyjoin.part_name_fuzzy_pairs(OUT).count()
 
     run("part_name_fuzzy_pairs_exchange", _fuzzy_join_exchange)
@@ -427,7 +427,7 @@ def main():
     def _funnel_exchange():
         # AGG gate 0: the 6-row-per-part stage counts combine through
         # the key-hash exchange; the 2M-event stream crosses once
-        steps.AGG_PARTIALS_DRIVER_LIMIT = 0
+        ex.ROUTES["agg_partials"] = 0
         return steps.events_funnel(
             OUT, stages=("view", "click", "buy")).materialize().count()
 
@@ -436,8 +436,8 @@ def main():
     def _pmi_exchange():
         # both gates 0: ~2.4M-row gram vocabulary combines and scores
         # entirely through term-hash exchanges (two-round attach join)
-        steps.TERMS_DRIVER_LIMIT = 0
-        steps.PMI_SCORE_DRIVER_LIMIT = 0
+        ex.ROUTES["terms"] = 0
+        ex.ROUTES["pmi_score"] = 0
         return steps.docs_pmi_bigrams(OUT).materialize().count()
 
     run("docs_pmi_bigrams_exchange", _pmi_exchange)
