@@ -1,29 +1,39 @@
 """The flagship pipeline: Common-Crawl-style pages -> dedup-by-url ->
-extract -> (url, extracted_text, spans, metadata, counters), optionally
-written as resumable partitioned Parquet with per-partition manifests.
+extract -> (url, extracted_text, spans, metadata, counters), either as
+a streaming Dataset or written as resumable partitioned Parquet with
+per-partition manifests.
 
-Shape (north rule):
+Streaming (``flagship_dataset``), no all-to-all:
 
-    read_parquet(pages)                       # columns pruned at the read
-      -> map_batches(partial_dedup)           # combiner: drop within-batch
-                                              #   stale fetches (cheap, cuts
-                                              #   shuffle volume when dups
-                                              #   arrive co-located)
-      -> groupby(url).map_groups(latest)      # THE shuffle: url is the one
-                                              #   partitioning key
+    map_batches(_winner_partials)             # (url, max warc_ts) per batch
+      -> driver combine, broadcast            # sorted url-hash/ts arrays
+      -> map_batches(keep_winner)             # semi-join + partial dedup
       -> map_batches(ExtractActor(...), ...)  # plain tasks (a callable
                                               #   instance, no actor pool)
-      [-> per-part atomic write + manifest]   # resumable sink
 
-Scale notes: the single all-to-all exchange is the groupby on ``url``
-(semantically required by dedup); the partial-dedup combiner shrinks it
-and the extract stage streams block-by-block after it with backpressure.
-For the manifest sink the partition key is ``hash(url) % num_parts`` —
-a deterministic function of the data, so reruns/retries produce
-identical part files and resume is a part-id anti-join
-(state/manifest.py). Oversized html blobs are bounded per-batch by
-``batch_size`` rows and Ray's target block size; the one multi-MB blob
-in the synthetic corpus rides through a normal batch.
+Beyond ``ROUTES['winners']`` partial rows the dedup takes the url-hash
+exchange instead (``dedup_pages_partitioned``).
+
+Resumable sink (``run_flagship_to_parquet``), one url-hash exchange
+through ``stages/exchange.py``:
+
+    phase A: map_batches(dedup_batch)         # project (url, warc_ts,
+                                              #   payload), partial dedup,
+                                              #   drop parts already done
+      -> write_exchange(hash(url) % num_parts)  # fragments + commit list
+    phase B: one Ray task per part            # read its fragments, exact
+                                              #   latest-per-url dedup,
+                                              #   extract, md5 sidecar,
+                                              #   atomic part + manifest
+
+Scale notes: url is the one partitioning key (dedup needs it); the
+partial-dedup combiner and the projection shrink phase A's bytes, and
+only the exchange moves page payloads. The sink's part id is
+``hash(url) % num_parts`` — a deterministic function of the data, so
+reruns/retries produce identical part files and resume is a part-id
+anti-join (state/manifest.py). Oversized html blobs are bounded
+per-batch by ``batch_size`` rows and Ray's target block size; the one
+multi-MB blob in the synthetic corpus rides through a normal batch.
 """
 
 from __future__ import annotations
@@ -269,15 +279,16 @@ def _input_sidecar_table(deduped: pa.Table, payload_column: str) -> pa.Table:
 
 def _process_part(
     part: int,
-    stage_dir: str,
+    files: list[str],
     run_dir: str,
     input_path: str,
     payload_column: str,
     mode: str,
     incremental: bool = False,
 ):
-    """Phase B: read one part's fragments, dedup, extract, write the
-    final part file + manifest atomically. Returns a summary dict.
+    """Phase B: read one part's fragments (``files``, its entry of the
+    stage's commit list), dedup, extract, write the final part file +
+    manifest atomically. Returns a summary dict.
 
     ``incremental``: per-url change detection (reference
     ``base.py:372-411`` at url granularity) — compare the part's
@@ -298,7 +309,7 @@ def _process_part(
         "warc_ts": pa.array([], pa.timestamp("us")),
         payload_column: pa.array([], pa.binary()),
     })
-    group = ex.read_part(stage_dir, part, empty_pages.schema)
+    group = ex.read_files(files, empty_pages.schema)
     data_path, man_path = mf.part_paths(run_dir, part)
     side_path = mf.inputs_sidecar_path(run_dir, part)
     if group.num_rows == 0:
@@ -405,10 +416,10 @@ def _process_part(
     }
 
 
-def _run_part(*args):
+def _run_part(part: int, files: dict, *args):
     # resolve _process_part through the module attribute at call time,
     # so a wrapper installed on it in the worker process sees every part
-    return _process_part(*args)
+    return _process_part(part, files.get(part, []), *args)
 
 
 def run_flagship_to_parquet(
@@ -426,15 +437,16 @@ def run_flagship_to_parquet(
 
     The partition exchange is FILESYSTEM-MEDIATED, not a Ray Data
     all-to-all: phase A is ``exchange.write_exchange`` of the
-    batch-deduped pages of the parts not yet done into
-    ``<run_dir>/stage``, by url hash; phase B runs one plain Ray task
-    per part (``exchange.part_tasks``) — read the part's committed
-    fragments (``exchange.read_part``), exact url-dedup, extract,
-    atomic part+manifest write — and the summary has one int64 row
-    per part it ran (none when every part was done). Phase B reads
-    only the fragments this run's phase A committed, so fragments
-    left in the stage by a crashed run or an earlier input never mix
-    in. On shared storage this is the standard external-shuffle
+    batch-deduped (url, warc_ts, payload) columns of the pages of the
+    parts not yet done into ``<run_dir>/stage``, by url hash; the
+    driver reads the stage's commit list once, and phase B runs one
+    plain Ray task per part (``exchange.part_tasks``) — read the
+    fragments the list names for it (``exchange.read_files``), exact
+    url-dedup, extract, atomic part+manifest write — and the summary
+    has one int64 row per part it ran (none when every part was done).
+    Phase B reads only the fragments this run's phase A committed, so
+    fragments left in the stage by a crashed run or an earlier input
+    never mix in. On shared storage this is the standard external-shuffle
     layout and every phase is embarrassingly parallel; Ray Data's
     native groupby shuffle is avoided on the heavy payloads (measured
     ~50x slower in this environment). A re-run with the same config
@@ -466,13 +478,16 @@ def run_flagship_to_parquet(
     done = set() if incremental else mf.completed_parts(run_dir)
 
     done_arr = np.array(sorted(done), dtype=np.int64)
+    # phase B reads only these columns: no other page column (text,
+    # lang, ...) goes through the dedup, the fragments or phase B
+    columns = ["url", "warc_ts", payload_column]
 
     def dedup_batch(batch: pa.Table) -> pa.Table:
         # the run dir is a caller-supplied path: on a cluster it must be
         # shared storage (write_exchange's own check covers only its
         # default node-local root)
         ex.assert_shared_visibility("flagship stage dir")
-        batch = partial_dedup_batch(batch)
+        batch = partial_dedup_batch(batch.select(columns))
         if len(done_arr):
             parts = _url_hash_mod(batch["url"], num_parts).to_numpy(
                 zero_copy_only=False)
@@ -491,11 +506,13 @@ def run_flagship_to_parquet(
             zero_copy_only=False),
         batch_size=4096)
 
-    # phase B: one plain Ray task per remaining part
+    # phase B: one plain Ray task per remaining part, handed its
+    # fragment files from one read of the commit list
     import ray
 
+    files = ray.put(ex.part_files(stage_dir))
     todo = [p for p in range(num_parts) if p not in done]
-    refs = ex.part_tasks(_run_part, todo, stage_dir, run_dir, input_path,
+    refs = ex.part_tasks(_run_part, todo, files, run_dir, input_path,
                          payload_column, mode, incremental)
     sdf = pd.DataFrame(ray.get(refs), columns=[
         "partition_id", "rows", "n_parse_failed", "n_empty", "n_extracted",

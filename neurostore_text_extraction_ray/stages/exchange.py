@@ -3,11 +3,23 @@
 Ray Data's native ``groupby``/``sort`` all-to-all measured 46-104 s for
 a 237 MB exchange in this environment (BASELINE.md), so wide operators
 here exchange through shared storage instead: phase A streams the
-input and writes each batch's rows into per-part parquet fragments;
-phase B runs one plain Ray task per part over its fragments
-(``part_tasks``). On a cluster this is the standard external-shuffle
-layout — every phase is embarrassingly parallel and the exchange is
-bounded by storage bandwidth, not an in-memory all-to-all.
+input and writes each batch's rows into per-part fragments; phase B
+runs one plain Ray task per part over its fragments (``part_tasks``).
+On a cluster this is the standard external-shuffle layout — every
+phase is embarrassingly parallel and the exchange is bounded by
+storage bandwidth, not an in-memory all-to-all.
+
+A fragment is an LZ4-compressed Arrow IPC file named by a hash of its
+bytes. Fragments are transient and each is read once, by one phase-B
+task, so the format is the one that is cheapest to write and to read
+back: IPC needs no encoding pass and keeps each batch's Arrow schema
+exactly (parquet renamed list children ``item`` -> ``element``), and
+LZ4 keeps the bytes on the tmpfs default root below parquet's
+(measurements in BASELINE.md, "Exchange fragments as LZ4 Arrow IPC").
+The content name fixes the order of a part's fragments in the sorted
+commit list, so a rerun over the same batches concatenates a part's
+rows in the same order and row-position tie-breaks (the sink's
+latest-per-url on equal warc_ts) pick the same row.
 
 Retry safety comes from a commit list, not from the directory: each
 phase-A batch returns the (part, fragment) pairs it wrote, and once
@@ -16,8 +28,8 @@ the successful task attempts only, to ``<stage>/_fragments.parquet``.
 Phase B reads exactly that list (``part_files`` / ``read_part``) and
 never globs a ``part=`` dir, so a fragment left by a failed attempt or
 by an earlier run into the same dir is never read, and two batches
-with identical rows are two list entries, read twice. This module is
-the one reader and writer of ``part=`` fragment dirs.
+with identical rows write one file that the list names twice. This
+module is the one reader and writer of ``part=`` fragment dirs.
 
 Operators compose two primitives on top of ``write_exchange`` /
 ``map_parts`` (eager: it returns after every part has run):
@@ -339,13 +351,15 @@ def write_exchange(ds, stage_dir: str, part_fn, batch_size: int = 8192) -> int:
 
     ``part_fn(batch: pa.Table) -> np.ndarray[int64]`` assigns each row
     a part id. Each batch is sorted by part once and every part's
-    slice is written to ``<stage>/part=NNNNN/<hash>.parquet``, named by
-    a hash of its bytes (a task retry rewrites the same file). The
-    batch returns one (part, path) row per fragment; after the last
-    batch the driver writes those rows, sorted, as the stage's
-    ``FRAGMENT_LIST`` (atomically, replacing any earlier list), and
-    phase B reads only what it names. Returns the number of rows
-    exchanged."""
+    slice is written, as an LZ4 Arrow IPC file, straight to
+    ``<stage>/part=NNNNN/<hash>.arrow``, named by a hash of the bytes
+    it serialised in memory: no temp file, no rename, no read-back. A
+    task retry rewrites the same file, and an attempt that dies leaves
+    files that no list names. The batch returns one (part, path) row
+    per fragment; after the last batch the driver writes those rows,
+    sorted, as the stage's ``FRAGMENT_LIST`` (atomically, replacing
+    any earlier list), and phase B reads only what it names. Returns
+    the number of rows exchanged."""
     import pyarrow.parquet as pq
 
     os.makedirs(stage_dir, exist_ok=True)
@@ -373,16 +387,19 @@ def write_exchange(ds, stage_dir: str, part_fn, batch_size: int = 8192) -> int:
         batch = batch.take(pa.array(order))
         _, starts = np.unique(parts_np, return_index=True)
         ends = np.r_[starts[1:], len(parts_np)]
+        options = pa.ipc.IpcWriteOptions(compression="lz4")
         out_parts, out_paths, out_rows = [], [], []
         for s, e in zip(starts, ends):
             part_dir = f"part={int(parts_np[s]):05d}"
             os.makedirs(os.path.join(stage_dir, part_dir), exist_ok=True)
-            tmp = os.path.join(stage_dir, part_dir, f".tmp-{uuid.uuid4().hex}")
-            pq.write_table(batch.slice(s, e - s), tmp)
-            with open(tmp, "rb") as f:
-                fid = hashlib.blake2b(f.read(), digest_size=10).hexdigest()
-            name = os.path.join(part_dir, f"{fid}.parquet")
-            os.replace(tmp, os.path.join(stage_dir, name))
+            sink = pa.BufferOutputStream()
+            with pa.ipc.new_file(sink, batch.schema, options=options) as w:
+                w.write_table(batch.slice(s, e - s))
+            buf = sink.getvalue()
+            fid = hashlib.sha256(buf).hexdigest()[:20]  # CPU-accelerated sha256
+            name = os.path.join(part_dir, f"{fid}.arrow")
+            with open(os.path.join(stage_dir, name), "wb") as f:
+                f.write(buf)
             out_parts.append(int(parts_np[s]))
             out_paths.append(name)
             out_rows.append(int(e - s))
@@ -447,18 +464,24 @@ def part_files(stage_dir: str) -> dict[int, list[str]]:
     return files
 
 
-def _read_files(files: list[str], schema: pa.Schema) -> pa.Table:
-    import pyarrow.parquet as pq
-
+def read_files(files: list[str], schema: pa.Schema) -> pa.Table:
+    """The fragments ``files`` (one part's ``part_files`` entry)
+    concatenated, or an empty table of ``schema`` when there are none.
+    Read into memory, not mapped: no returned table points into a file
+    that ``stage()`` later removes."""
     if not files:
         return schema.empty_table()
-    return pa.concat_tables([pq.read_table(f) for f in files])
+    tables = []
+    for f in files:
+        with pa.OSFile(f) as src:
+            tables.append(pa.ipc.open_file(src).read_all())
+    return pa.concat_tables(tables)
 
 
 def read_part(stage_dir: str, p: int, schema: pa.Schema) -> pa.Table:
     """Part ``p`` of a stage: its committed fragments concatenated, or
     an empty table of ``schema`` when the list names none."""
-    return _read_files(part_files(stage_dir).get(p, []), schema)
+    return read_files(part_files(stage_dir).get(p, []), schema)
 
 
 def map_parts(stage_dir, num_parts: int, fn, empty_schema: pa.Schema,
@@ -481,7 +504,7 @@ def map_parts(stage_dir, num_parts: int, fn, empty_schema: pa.Schema,
     schemas = in_schemas or [None]
 
     def run_part(p: int) -> pa.Table:
-        tables = [_read_files(fs.get(p, []), s)
+        tables = [read_files(fs.get(p, []), s)
                   for fs, s in zip(files, schemas)]
         if multi and all(t.num_rows == 0 for t in tables):
             return empty_schema.empty_table()

@@ -576,3 +576,86 @@ def test_phase_a_task_retry_commits_once(ray_session, tmp_path):
     seen = ex.map_parts(stage, 3, lambda tb: tb,
                         pa.schema([("v", pa.int64())])).to_pandas()
     assert sorted(seen["v"]) == list(range(40))
+
+
+def _odd_schema_table() -> pa.Table:
+    schema = pa.schema([
+        ("l", pa.list_(pa.int64())),
+        ("ts", pa.timestamp("ns")),
+        ("d", pa.dictionary(pa.int32(), pa.string())),
+        ("b", pa.large_binary()),
+        ("z", pa.null()),
+    ], metadata={b"origin": b"exchange-test"})
+    n = 10
+    return pa.table({
+        "l": pa.array([list(range(i % 3)) for i in range(n)],
+                      pa.list_(pa.int64())),
+        "ts": pa.array(np.arange(n).astype("datetime64[ns]")),
+        "d": pa.array(["a", "b"] * (n // 2)).dictionary_encode(),
+        "b": pa.array([bytes([i]) * i for i in range(n)], pa.large_binary()),
+        "z": pa.nulls(n),
+    }, schema=schema)
+
+
+def test_fragments_keep_the_input_schema(ray_session, tmp_path):
+    """A fragment round trip keeps the Arrow schema exactly, metadata
+    and the list child's name (``item``) included, for what parquet
+    rewrote or could not hold; a part without fragments reads as an
+    empty table of the caller's schema."""
+    import ray.data as rd
+
+    from neurostore_text_extraction_ray.stages import exchange as ex
+
+    t = _odd_schema_table()
+    stage = str(tmp_path / "stage")
+    # parts 0 and 1 get rows; part 2 gets none
+    assert ex.write_exchange(rd.from_arrow(t), stage,
+                             lambda b: np.arange(b.num_rows) % 2) == 10
+    for p in (0, 1, 2):
+        got = ex.read_part(stage, p, t.schema)
+        assert got.schema.equals(t.schema, check_metadata=True), got.schema
+        assert got.num_rows == (5 if p < 2 else 0)
+    assert ex.read_part(stage, 0, t.schema).to_pylist() == t.take(
+        [0, 2, 4, 6, 8]).to_pylist()
+    out = ex.map_parts(
+        stage, 3,
+        lambda tb: pa.table({
+            "ok": [tb.schema.equals(t.schema, check_metadata=True)],
+            "n": [tb.num_rows]}),
+        pa.schema([("ok", pa.bool_()), ("n", pa.int64())])).to_pandas()
+    assert out["ok"].all() and sorted(out["n"]) == [5, 5]
+
+
+def test_fragment_files_are_content_named_ipc(ray_session, tmp_path):
+    """Fragments are compressed Arrow IPC files named by a hash of their
+    bytes, written in place (no temp file left behind): the same input
+    commits the same fragment list into a second stage."""
+    import ray.data as rd
+
+    from neurostore_text_extraction_ray.stages import exchange as ex
+
+    n = 100_000
+    t = pa.table({"k": pa.array(np.arange(n), pa.int64()),
+                  "zeros": pa.array(np.zeros(n), pa.float64())})
+
+    def listing(stage):
+        ex.write_exchange(rd.from_arrow(t), stage,
+                          lambda b: b["k"].to_numpy() % 4, batch_size=n)
+        return {p: [os.path.relpath(f, stage) for f in fs]
+                for p, fs in ex.part_files(stage).items()}
+
+    stage = str(tmp_path / "stage")
+    first = listing(stage)
+    files = [os.path.join(stage, f) for fs in first.values() for f in fs]
+    assert len(files) == 4
+    # 1.6 MB of int64 and float64 values; the zeros compress away
+    assert sum(os.path.getsize(f) for f in files) < 1_000_000
+    for f in files:
+        assert re.fullmatch(r"[0-9a-f]{20}\.arrow", os.path.basename(f)), f
+        with pa.OSFile(f) as src:
+            reader = pa.ipc.open_file(src)
+            assert reader.num_record_batches == 1
+    leftovers = [n for _, _, names in os.walk(stage) for n in names
+                 if ".tmp" in n]
+    assert not leftovers, leftovers
+    assert listing(str(tmp_path / "again")) == first

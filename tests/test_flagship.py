@@ -397,3 +397,96 @@ def test_incremental_crash_resume_re_extracts_part(ray_session, tmp_path):
     # the marker-less part re-extracted fully; the other three are clean
     assert int(s2["n_extracted"].sum()) == part_rows
     assert os.path.exists(man)
+
+
+def test_sink_exchanges_only_what_phase_b_reads(ray_session, tmp_path, monkeypatch):
+    """Page columns phase B does not read (``text``, ``lang`` and an
+    unknown one) change nothing the sink writes, and its committed
+    fragments hold only (url, warc_ts, html)."""
+    import numpy as np
+    import pyarrow as pa
+    import ray.data as rd
+
+    from neurostore_text_extraction_ray.stages import exchange as ex
+
+    n = 200
+    texts = [f"doc {i} words &amp; more" for i in range(n)]
+    base = pa.table({
+        "url": pa.array([pages_src.url_for(i % 150) for i in range(n)],
+                        pa.string()),
+        "warc_ts": pa.array([pages_src.ts_for(i % 150, i // 150)
+                             for i in range(n)], pa.timestamp("us")),
+        "html": pa.array([pages_src.html_for(i, texts[i], 0)
+                          for i in range(n)], pa.binary()),
+    })
+    wide = base.append_column("text", pa.array(texts)) \
+        .append_column("lang", pa.array(["en"] * n)) \
+        .append_column("extra", pa.array(np.arange(n), pa.int64()))
+
+    fragment_columns = []
+    real_part_files = ex.part_files
+
+    def recording_part_files(stage_dir):
+        files = real_part_files(stage_dir)
+        for fs in files.values():
+            for f in fs:
+                with pa.OSFile(f) as src:
+                    fragment_columns.append(pa.ipc.open_file(src).schema.names)
+        return files
+
+    monkeypatch.setattr(ex, "part_files", recording_part_files)
+
+    def run(table, out):
+        run_dir, _ = flagship.run_flagship_to_parquet(
+            rd.from_arrow([table.slice(0, 120), table.slice(120)]),
+            str(tmp_path / out), num_parts=4, input_path="<columns>")
+        files = sorted(
+            glob.glob(os.path.join(run_dir, "parts", "*.parquet"))
+            + glob.glob(os.path.join(run_dir, "manifests", "inputs-*.parquet")))
+        return {os.path.relpath(f, run_dir): open(f, "rb").read()
+                for f in files}
+
+    narrow_out = run(base, "narrow")
+    fragment_columns.clear()
+    wide_out = run(wide, "wide")
+    assert len(narrow_out) == 8  # 4 parts + 4 sidecars
+    assert wide_out == narrow_out
+    assert fragment_columns
+    assert all(c == ["url", "warc_ts", "html"] for c in fragment_columns)
+
+
+def test_sink_breaks_timestamp_ties_the_same_on_every_run(ray_session, tmp_path):
+    """Two fetches of a url with one warc_ts and different html, in
+    different phase-A batches, resolve to the same winner on every run:
+    two runs over the same input write byte-identical part files."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    n, tied = 4100, 40  # each block is at least one whole phase-A batch
+    ts = pages_src.ts_for(0, 0)
+
+    def block(tag: str, first: int) -> pa.Table:
+        ids = list(range(tied)) + list(range(first, first + n - tied))
+        return pa.table({
+            "url": pa.array([pages_src.url_for(i) for i in ids], pa.string()),
+            "warc_ts": pa.array([ts] * n, pa.timestamp("us")),
+            "html": pa.array([f"<p>{tag} {i}</p>".encode() for i in ids],
+                             pa.binary()),
+        })
+
+    blocks = [block("first", 1_000), block("second", 10_000)]
+
+    def run(out):
+        run_dir, summary = flagship.run_flagship_to_parquet(
+            rd.from_arrow(blocks), str(tmp_path / out), num_parts=8,
+            input_path="<ties>")
+        assert int(summary["rows"].sum()) == 2 * n - tied
+        files = sorted(
+            glob.glob(os.path.join(run_dir, "parts", "*.parquet"))
+            + glob.glob(os.path.join(run_dir, "manifests", "inputs-*.parquet")))
+        return {os.path.relpath(f, run_dir): open(f, "rb").read()
+                for f in files}
+
+    first = run("a")
+    assert len(first) == 16  # 8 parts + 8 sidecars
+    assert run("b") == first
