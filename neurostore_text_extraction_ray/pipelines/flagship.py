@@ -17,14 +17,27 @@ exchange instead (``dedup_pages_partitioned``).
 Resumable sink (``run_flagship_to_parquet``), one url-hash exchange
 through ``stages/exchange.py``:
 
-    phase A: map_batches(dedup_batch)         # project (url, warc_ts,
-                                              #   payload), partial dedup,
-                                              #   drop parts already done
+    phase A, from a bare read_parquet of files:
+      one Ray task per file (or row-group    # read (url, warc_ts,
+        range of a large file)               #   payload), dedup_batch,
+                                             #   write_fragments
+      -> driver commit_fragments             # the commit list
+    phase A, from any other Dataset:
+      map_batches(dedup_batch)               # project, partial dedup,
+                                             #   drop parts already done
       -> write_exchange(hash(url) % num_parts)  # fragments + commit list
-    phase B: one Ray task per part            # read its fragments, exact
-                                              #   latest-per-url dedup,
-                                              #   extract, md5 sidecar,
-                                              #   atomic part + manifest
+    phase B: one Ray task per part           # read its fragments, exact
+                                             #   latest-per-url dedup,
+                                             #   extract, md5 sidecar,
+                                             #   atomic part + manifest
+
+The sink reads its own parquet files when it can recognise them
+(``_plain_parquet_files``): Ray Data's parquet read cost about 0.2 s
+per job on eight small files against 0.03 s for plain
+``pq.read_table`` tasks, and Ray Data ran the phase-A map of all eight
+in one task. Every other Dataset (synthesised pages, ``from_arrow``, a
+mapped, filtered or limited read) keeps the Ray Data map, with the
+same batch function and fragment writer.
 
 Scale notes: url is the one partitioning key (dedup needs it); the
 partial-dedup combiner and the projection shrink phase A's bytes, and
@@ -32,8 +45,9 @@ only the exchange moves page payloads. The sink's part id is
 ``hash(url) % num_parts`` — a deterministic function of the data, so
 reruns/retries produce identical part files and resume is a part-id
 anti-join (state/manifest.py). Oversized html blobs are bounded
-per-batch by ``batch_size`` rows and Ray's target block size; the one
-multi-MB blob in the synthetic corpus rides through a normal batch.
+per-batch by ``batch_size`` rows and Ray's target block size, or per
+file task by ``PHASE_A_TASK_BYTES``; the one multi-MB blob in the
+synthetic corpus rides through a normal batch.
 """
 
 from __future__ import annotations
@@ -134,7 +148,10 @@ def dedup_pages(ds, winners_ds=None, num_parts: int = 64):
     arrive in different batches ``flagship_dataset`` returns 2 rows
     for that url. The resumable sink (``run_flagship_to_parquet``) returns
     1 row, and which fetch wins is decided by the order of its
-    exchange fragments, not by the data.
+    exchange fragments, not by the data: the later row within one
+    phase-A batch or file task, and across batches or input files the
+    fetch whose fragment's content name sorts last. The two paths still
+    disagree here (ROADMAP item 2).
 
     ``winners_ds``: optionally pass a (url, warc_ts) projection of the
     same corpus (e.g. a column-pruned re-read of the input parquet) so
@@ -422,6 +439,112 @@ def _run_part(part: int, files: dict, *args):
     return _process_part(part, files.get(part, []), *args)
 
 
+# A phase-A file task holds at most about this many bytes of the
+# (url, warc_ts, payload) columns, uncompressed as the parquet footer
+# counts them (one row group over it is still one task): the file-task
+# analog of the Ray Data path's 4,096-row batches.
+PHASE_A_TASK_BYTES = 64 << 20
+
+
+def _plain_parquet_files(ds, columns: list[str]) -> list[str] | None:
+    """The input files of ``ds`` when it is a bare
+    ``ray.data.read_parquet`` of local files that reads every row of
+    them as stored and keeps ``columns``; ``None`` for any other
+    Dataset.
+
+    It inspects Ray Data's logical plan, the sink's one use of Ray
+    Data internals: a single ``Read`` over a
+    ``ParquetDatasource`` with no upstream op, no ``to_batches``
+    arguments (a row ``filter=``), no ``_block_udf``, no
+    ``include_paths``, no user schema, no file shuffle, no partition
+    values in the paths, and a column projection, if any, that keeps
+    ``columns``. The public ``Dataset.input_files()`` cannot tell: it
+    names every file of ``read_parquet(...).limit(n)`` too. An
+    attribute it does not find reads as unknown and gives ``None``, so
+    a Ray upgrade can cost the sink speed but cannot change its rows.
+    """
+    try:
+        import pyarrow.fs as pafs
+        from ray.data._internal.datasource.parquet_datasource import (
+            ParquetDatasource)
+        from ray.data._internal.logical.operators.read_operator import Read
+        from ray.data.datasource.partitioning import PathPartitionParser
+    except ImportError:
+        return None
+    unknown = object()
+    op = getattr(getattr(ds, "_logical_plan", None), "dag", None)
+    if type(op) is not Read or getattr(op, "input_dependencies", None) != []:
+        return None
+    src = getattr(op, "_datasource", None)
+    if type(src) is not ParquetDatasource:
+        return None
+    projected = getattr(src, "_data_columns", unknown)
+    paths = getattr(src, "_pq_paths", None)
+    partitioning = getattr(src, "_partitioning", unknown)
+    if (getattr(src, "_to_batches_kwargs", None) != {}
+            or getattr(src, "_block_udf", unknown) is not None
+            or getattr(src, "_include_paths", True) is not False
+            or getattr(src, "_read_schema", unknown) is not None
+            or getattr(src, "_file_metadata_shuffler", unknown) is not None
+            or getattr(src, "_supports_distributed_reads", False) is not True
+            or not isinstance(getattr(src, "_filesystem", None),
+                              pafs.LocalFileSystem)
+            or not (projected is None or (isinstance(projected, list)
+                                          and set(columns) <= set(projected)))
+            or not isinstance(paths, list) or partitioning is unknown):
+        return None
+    if partitioning is not None:
+        try:
+            parse = PathPartitionParser(partitioning)
+            if any(parse(f) for f in paths):
+                return None
+        except ValueError:  # a path the partitioning cannot parse
+            return None
+    return list(paths)
+
+
+def _phase_a_pieces(files: list[str], columns: list[str]) -> list:
+    """(file, row groups) per phase-A file task, from the parquet
+    footers: a file's row groups in order, cut into a new piece before
+    the ``columns``' uncompressed bytes pass ``PHASE_A_TASK_BYTES``.
+    A file without rows gives no piece."""
+    import pyarrow.parquet as pq
+
+    pieces = []
+    for path in files:
+        md = pq.read_metadata(path)
+        groups, size = [], 0
+        for r in range(md.num_row_groups):
+            rg = md.row_group(r)
+            if not rg.num_rows:
+                continue
+            nbytes = sum(
+                rg.column(c).total_uncompressed_size
+                for c in range(rg.num_columns)
+                if rg.column(c).path_in_schema.split(".")[0] in columns)
+            if groups and size + nbytes > PHASE_A_TASK_BYTES:
+                pieces.append((path, groups))
+                groups, size = [], 0
+            groups.append(r)
+            size += nbytes
+        if groups:
+            pieces.append((path, groups))
+    return pieces
+
+
+def _phase_a_piece(i: int, pieces: list, columns: list[str], stage_dir: str,
+                   batch_fn, part_fn) -> pa.Table:
+    """Phase A from a file: read ``columns`` of piece ``i``'s row
+    groups, run the sink's phase-A batch function over them and write
+    the result's fragments. Returns the fragment rows to commit."""
+    import pyarrow.parquet as pq
+
+    path, row_groups = pieces[i]
+    with pq.ParquetFile(path) as f:
+        table = f.read_row_groups(row_groups, columns=columns)
+    return ex.write_fragments(batch_fn(table), stage_dir, part_fn)
+
+
 def run_flagship_to_parquet(
     pages_ds,
     out_dir: str,
@@ -436,22 +559,41 @@ def run_flagship_to_parquet(
     manifests. Returns (run_dir, per-part summary DataFrame).
 
     The partition exchange is FILESYSTEM-MEDIATED, not a Ray Data
-    all-to-all: phase A is ``exchange.write_exchange`` of the
-    batch-deduped (url, warc_ts, payload) columns of the pages of the
-    parts not yet done into ``<run_dir>/stage``, by url hash; the
-    driver reads the stage's commit list once, and phase B runs one
-    plain Ray task per part (``exchange.part_tasks``) — read the
-    fragments the list names for it (``exchange.read_files``), exact
-    url-dedup, extract, atomic part+manifest write — and the summary
-    has one int64 row per part it ran (none when every part was done).
-    Phase B reads only the fragments this run's phase A committed, so
-    fragments left in the stage by a crashed run or an earlier input
-    never mix in. On shared storage this is the standard external-shuffle
-    layout and every phase is embarrassingly parallel; Ray Data's
-    native groupby shuffle is avoided on the heavy payloads (measured
-    ~50x slower in this environment). A re-run with the same config
-    skips completed parts (manifest anti-join).
+    all-to-all. Phase A batch-dedups the (url, warc_ts, payload)
+    columns of the pages of the parts not yet done and writes them into
+    ``<run_dir>/stage`` by url hash (``exchange.write_fragments``), and
+    the driver commits the fragment list. Its source depends on
+    ``pages_ds``:
+
+    - a bare ``ray.data.read_parquet`` of files (what ``bench.py`` and
+      perfbench pass): one plain Ray task per file, or per row-group
+      range of a file over ``PHASE_A_TASK_BYTES``, reads the three
+      columns with ``pyarrow.parquet`` and writes its fragments. No
+      page block enters the object store, and the job skips Ray Data's
+      read, which cost about 0.2 s per job on eight small files and ran
+      the phase-A map in one task;
+    - any other Dataset (the CLI's synthesised pages, ``from_arrow``, a
+      mapped, filtered or limited read): ``exchange.write_exchange``
+      over ``pages_ds.map_batches`` in 4,096-row batches.
+
+    Both run the same batch function and the same fragment writer, so
+    the two give the same parts for the same rows. The driver then
+    reads the stage's commit list once, and phase B runs one plain Ray
+    task per part (``exchange.part_tasks``) — read the fragments the
+    list names for it (``exchange.read_files``), exact url-dedup,
+    extract, atomic part+manifest write — and the summary has one
+    int64 row per part it ran (none when every part was done). A stage
+    left by a crashed run is removed before phase A. On shared storage
+    this is the standard external-shuffle layout and every phase is
+    embarrassingly parallel; Ray Data's native groupby shuffle is
+    avoided on the heavy payloads (measured ~50x slower in this
+    environment). A re-run with the same config skips completed parts
+    (manifest anti-join).
     """
+    import shutil
+
+    import ray
+
     from ..functions.hashing import config_hash
 
     config = dict(config or {})
@@ -494,22 +636,35 @@ def run_flagship_to_parquet(
             batch = batch.filter(pa.array(~np.isin(parts, done_arr)))
         return batch
 
-    # phase A: the url-hash exchange into <run_dir>/stage. Large batches:
-    # each task writes at most one fragment per part, keeping the
-    # fragment-file count (and fs metadata traffic) low.
+    def part_fn(batch: pa.Table) -> np.ndarray:
+        return _url_hash_mod(batch["url"], num_parts).to_numpy(
+            zero_copy_only=False)
+
+    # phase A: the url-hash exchange into <run_dir>/stage. A stage left
+    # by a crashed run goes first: phase B would never read it, and a
+    # stage takes one commit
     stage_dir = os.path.join(run_dir, "stage")
-    ex.write_exchange(
-        pages_ds.map_batches(dedup_batch, batch_format="pyarrow",
-                             batch_size=4096),
-        stage_dir,
-        lambda b: _url_hash_mod(b["url"], num_parts).to_numpy(
-            zero_copy_only=False),
-        batch_size=4096)
+    shutil.rmtree(stage_dir, ignore_errors=True)
+    inputs = _plain_parquet_files(pages_ds, columns)
+    if inputs is None:
+        # large batches: each task writes at most one fragment per part,
+        # keeping the fragment-file count (and fs metadata traffic) low
+        ex.write_exchange(
+            pages_ds.map_batches(dedup_batch, batch_format="pyarrow",
+                                 batch_size=4096),
+            stage_dir, part_fn, batch_size=4096)
+    else:
+        pieces = _phase_a_pieces(inputs, columns)
+        written = ray.get(ex.part_tasks(
+            _phase_a_piece, range(len(pieces)), ray.put(pieces), columns,
+            stage_dir, dedup_batch, part_fn))
+        ex.commit_fragments(
+            stage_dir,
+            pa.concat_tables(written).to_pandas() if written
+            else pd.DataFrame())
 
     # phase B: one plain Ray task per remaining part, handed its
     # fragment files from one read of the commit list
-    import ray
-
     files = ray.put(ex.part_files(stage_dir))
     todo = [p for p in range(num_parts) if p not in done]
     refs = ex.part_tasks(_run_part, todo, files, run_dir, input_path,
@@ -519,8 +674,6 @@ def run_flagship_to_parquet(
         "n_reused"]).astype("int64")
     # drop the exchange fragments once every part has a manifest
     if len(mf.completed_parts(run_dir)) >= num_parts:
-        import shutil
-
         shutil.rmtree(stage_dir, ignore_errors=True)
     return run_dir, sdf
 

@@ -215,9 +215,12 @@ def minhash_near_dup_incremental(
         n_docs = ex.write_exchange(
             ds.map_batches(hash_batch, batch_format="pyarrow"),
             cur_stage, by_id)
+        # one read of the commit list; each part task gets its files
+        # through the task closure, which ``ex.part_tasks`` ships once
+        cur_files = ex.part_files(cur_stage)
 
         def diff_part(p: int) -> pa.Table:
-            cur = ex.read_part(cur_stage, p, _SIDECAR_SCHEMA)
+            cur = ex.read_files(cur_files.get(p, []), _SIDECAR_SCHEMA)
             # the new sidecar part is staged now; promoted only at the end
             _write_part_file(_part_file(staging, "sidecar", p), cur)
             old = (_read_part_file(_part_file(state_dir, "sidecar", p),
@@ -266,7 +269,8 @@ def minhash_near_dup_incremental(
                 state_parts,
                 lambda p: (_write_part_file(
                     _part_file(staging, "sidecar", p),
-                    ex.read_part(cur_stage, p, _SIDECAR_SCHEMA)) or None),
+                    ex.read_files(cur_files.get(p, []), _SIDECAR_SCHEMA))
+                    or None),
                 _DIFF_SCHEMA).count()
             changed_ids = None  # sentinel: all docs
             removed_ids = np.array([], dtype=np.int64)
@@ -316,6 +320,7 @@ def minhash_near_dup_incremental(
         ex.write_exchange(
             to_sketch.map_batches(sketch, batch_format="pyarrow"),
             new_stage, by_id)
+        new_files = ex.part_files(new_stage)
 
         # ---- phase 3: per-part state update (sigs + bands) ----
         drop_ids = np.concatenate([
@@ -330,7 +335,7 @@ def minhash_near_dup_incremental(
             from .broadcast import get_broadcast
 
             drop = get_broadcast(drop_ref)
-            new = ex.read_part(new_stage, p, _SKETCH_SCHEMA)
+            new = ex.read_files(new_files.get(p, []), _SKETCH_SCHEMA)
             new_bands = new.filter(
                 pa.compute.greater_equal(new["band"], 0)).select(
                     ["doc_id", "band", "key"])

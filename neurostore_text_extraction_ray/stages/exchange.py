@@ -25,11 +25,16 @@ Retry safety comes from a commit list, not from the directory: each
 phase-A batch returns the (part, fragment) pairs it wrote, and once
 phase A has finished the driver writes those pairs, as reported by
 the successful task attempts only, to ``<stage>/_fragments.parquet``.
-Phase B reads exactly that list (``part_files`` / ``read_part``) and
+Phase B reads exactly that list (``part_files`` / ``read_files``) and
 never globs a ``part=`` dir, so a fragment left by a failed attempt or
 by an earlier run into the same dir is never read, and two batches
-with identical rows write one file that the list names twice. This
-module is the one reader and writer of ``part=`` fragment dirs.
+with identical rows write one file that the list names twice. A stage
+has one writer: committing into a stage that already holds a list
+raises. This module is the one reader and writer of ``part=``
+fragment dirs: ``write_exchange`` runs phase A as a Ray Data map, and
+a caller that drives its own phase-A tasks (the flagship sink's
+parquet file tasks) calls the same ``write_fragments`` and
+``commit_fragments``.
 
 Operators compose two primitives on top of ``write_exchange`` /
 ``map_parts`` (eager: it returns after every part has run):
@@ -345,23 +350,78 @@ def int_part(cols: list[np.ndarray], num_parts: int) -> np.ndarray:
 FRAGMENT_LIST = "_fragments.parquet"  # a stage's committed (part, path) rows
 
 
-def write_exchange(ds, stage_dir: str, part_fn, batch_size: int = 8192) -> int:
-    """Phase A: stream ``ds`` into per-part fragment files and commit
-    the list of them.
+def write_fragments(batch: pa.Table, stage_dir: str, part_fn) -> pa.Table:
+    """Write ``batch``'s rows into ``stage_dir``'s per-part fragments
+    and return one (part, path, n) row per fragment written.
 
-    ``part_fn(batch: pa.Table) -> np.ndarray[int64]`` assigns each row
-    a part id. Each batch is sorted by part once and every part's
-    slice is written, as an LZ4 Arrow IPC file, straight to
-    ``<stage>/part=NNNNN/<hash>.arrow``, named by a hash of the bytes
-    it serialised in memory: no temp file, no rename, no read-back. A
-    task retry rewrites the same file, and an attempt that dies leaves
-    files that no list names. The batch returns one (part, path) row
-    per fragment; after the last batch the driver writes those rows,
-    sorted, as the stage's ``FRAGMENT_LIST`` (atomically, replacing
-    any earlier list), and phase B reads only what it names. Returns
-    the number of rows exchanged."""
+    ``part_fn(batch) -> np.ndarray[int64]`` assigns each row a part id.
+    The batch is sorted by part once and every part's slice is written,
+    as an LZ4 Arrow IPC file, straight to
+    ``<stage>/part=NNNNN/<hash>.arrow``, named by a hash of the bytes it
+    serialised in memory: no temp file, no rename, no read-back. A
+    retried writer rewrites the same files, and an attempt that dies
+    leaves files that no commit list names."""
+    parts_np = np.asarray(part_fn(batch), dtype=np.int64)
+    order = np.argsort(parts_np, kind="stable")
+    parts_np = parts_np[order]
+    batch = batch.take(pa.array(order))
+    _, starts = np.unique(parts_np, return_index=True)
+    ends = np.r_[starts[1:], len(parts_np)]
+    options = pa.ipc.IpcWriteOptions(compression="lz4")
+    out_parts, out_paths, out_rows = [], [], []
+    for s, e in zip(starts, ends):
+        part_dir = f"part={int(parts_np[s]):05d}"
+        os.makedirs(os.path.join(stage_dir, part_dir), exist_ok=True)
+        sink = pa.BufferOutputStream()
+        with pa.ipc.new_file(sink, batch.schema, options=options) as w:
+            w.write_table(batch.slice(s, e - s))
+        buf = sink.getvalue()
+        fid = hashlib.sha256(buf).hexdigest()[:20]  # CPU-accelerated sha256
+        name = os.path.join(part_dir, f"{fid}.arrow")
+        with open(os.path.join(stage_dir, name), "wb") as f:
+            f.write(buf)
+        out_parts.append(int(parts_np[s]))
+        out_paths.append(name)
+        out_rows.append(int(e - s))
+    return pa.table({"part": pa.array(out_parts, pa.int64()),
+                     "path": pa.array(out_paths, pa.string()),
+                     "n": pa.array(out_rows, pa.int64())})
+
+
+def _assert_uncommitted(stage_dir: str) -> None:
+    if os.path.exists(os.path.join(stage_dir, FRAGMENT_LIST)):
+        raise ValueError(
+            f"exchange stage {stage_dir} already holds a commit list: a "
+            "stage has one writer, so write into a fresh stage")
+
+
+def commit_fragments(stage_dir: str, frags: pd.DataFrame) -> int:
+    """Write the (part, path, n) rows ``frags`` that the successful
+    ``write_fragments`` calls returned, sorted, as the stage's
+    ``FRAGMENT_LIST`` (atomically), and return the rows exchanged.
+    Phase B reads only what the list names. A stage has one writer: a
+    stage that already holds a list raises ``ValueError``."""
     import pyarrow.parquet as pq
 
+    _assert_uncommitted(stage_dir)
+    os.makedirs(stage_dir, exist_ok=True)
+    frags = frags.reindex(columns=["part", "path", "n"])  # no batch: no columns
+    frags = frags.sort_values(["part", "path"], kind="stable")
+    listing = pa.table({"part": pa.array(frags["part"], pa.int64()),
+                        "path": pa.array(frags["path"], pa.string())})
+    tmp = os.path.join(stage_dir, f"{FRAGMENT_LIST}.tmp-{uuid.uuid4().hex}")
+    pq.write_table(listing, tmp)
+    os.replace(tmp, os.path.join(stage_dir, FRAGMENT_LIST))
+    return int(frags["n"].sum())
+
+
+def write_exchange(ds, stage_dir: str, part_fn, batch_size: int = 8192) -> int:
+    """Phase A: stream ``ds`` through ``write_fragments`` (one call per
+    batch of ``batch_size`` rows, in a Ray Data map) and, after the
+    last batch, ``commit_fragments`` what the successful task attempts
+    wrote. Returns the number of rows exchanged. A stage that already
+    holds a commit list raises ``ValueError`` before any batch runs."""
+    _assert_uncommitted(stage_dir)
     os.makedirs(stage_dir, exist_ok=True)
     # re-validate the single-node precondition at execution time: the
     # stage dir may have been created before Ray connected (ADVICE r03).
@@ -373,7 +433,7 @@ def write_exchange(ds, stage_dir: str, part_fn, batch_size: int = 8192) -> int:
     if local:
         _assert_single_node()
 
-    def write_fragments(batch: pa.Table) -> pa.Table:
+    def write(batch: pa.Table) -> pa.Table:
         global _NODE_CHECKED
         if local and not _NODE_CHECKED:
             # worker-side check (once per worker process): catches the
@@ -381,48 +441,18 @@ def write_exchange(ds, stage_dir: str, part_fn, batch_size: int = 8192) -> int:
             # above ran unconnected
             _assert_single_node()
             _NODE_CHECKED = True
-        parts_np = np.asarray(part_fn(batch), dtype=np.int64)
-        order = np.argsort(parts_np, kind="stable")
-        parts_np = parts_np[order]
-        batch = batch.take(pa.array(order))
-        _, starts = np.unique(parts_np, return_index=True)
-        ends = np.r_[starts[1:], len(parts_np)]
-        options = pa.ipc.IpcWriteOptions(compression="lz4")
-        out_parts, out_paths, out_rows = [], [], []
-        for s, e in zip(starts, ends):
-            part_dir = f"part={int(parts_np[s]):05d}"
-            os.makedirs(os.path.join(stage_dir, part_dir), exist_ok=True)
-            sink = pa.BufferOutputStream()
-            with pa.ipc.new_file(sink, batch.schema, options=options) as w:
-                w.write_table(batch.slice(s, e - s))
-            buf = sink.getvalue()
-            fid = hashlib.sha256(buf).hexdigest()[:20]  # CPU-accelerated sha256
-            name = os.path.join(part_dir, f"{fid}.arrow")
-            with open(os.path.join(stage_dir, name), "wb") as f:
-                f.write(buf)
-            out_parts.append(int(parts_np[s]))
-            out_paths.append(name)
-            out_rows.append(int(e - s))
-        return pa.table({"part": pa.array(out_parts, pa.int64()),
-                         "path": pa.array(out_paths, pa.string()),
-                         "n": pa.array(out_rows, pa.int64())})
+        return write_fragments(batch, stage_dir, part_fn)
 
     frags = ds.map_batches(
-        write_fragments, batch_format="pyarrow", batch_size=batch_size
-    ).to_pandas().reindex(columns=["part", "path", "n"])  # no batch: no columns
-    frags = frags.sort_values(["part", "path"], kind="stable")
-    listing = pa.table({"part": pa.array(frags["part"], pa.int64()),
-                        "path": pa.array(frags["path"], pa.string())})
-    tmp = os.path.join(stage_dir, f"{FRAGMENT_LIST}.tmp-{uuid.uuid4().hex}")
-    pq.write_table(listing, tmp)
-    os.replace(tmp, os.path.join(stage_dir, FRAGMENT_LIST))
-    return int(frags["n"].sum())
+        write, batch_format="pyarrow", batch_size=batch_size).to_pandas()
+    return commit_fragments(stage_dir, frags)
 
 
 def part_tasks(fn, parts, *args) -> list:
-    """The phase-B fan-out: one plain ``ray.remote(num_cpus=1)`` task
-    ``fn(p, *args)`` per part id, ``fn`` shipped once; returns the
-    object refs in ``parts`` order."""
+    """The fan-out over a known list of ids (phase B's part ids, or the
+    flagship sink's phase-A file pieces): one plain
+    ``ray.remote(num_cpus=1)`` task ``fn(p, *args)`` per int id, ``fn``
+    shipped once; returns the object refs in ``parts`` order."""
     import ray
 
     task = ray.remote(num_cpus=1)(_call_part)
@@ -476,12 +506,6 @@ def read_files(files: list[str], schema: pa.Schema) -> pa.Table:
         with pa.OSFile(f) as src:
             tables.append(pa.ipc.open_file(src).read_all())
     return pa.concat_tables(tables)
-
-
-def read_part(stage_dir: str, p: int, schema: pa.Schema) -> pa.Table:
-    """Part ``p`` of a stage: its committed fragments concatenated, or
-    an empty table of ``schema`` when the list names none."""
-    return read_files(part_files(stage_dir).get(p, []), schema)
 
 
 def map_parts(stage_dir, num_parts: int, fn, empty_schema: pa.Schema,

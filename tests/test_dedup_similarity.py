@@ -242,9 +242,11 @@ def test_exchange_utility_roundtrip(ray_session, tmp_path):
 
 
 def test_exchange_idempotent_rewrite(ray_session, tmp_path):
-    """A retried phase A (same rows, same batching) rewrites identical
-    content-addressed fragments — no duplicate rows reach phase B."""
-    import ray.data as rd
+    """A retried phase-A writer (same rows, same batching) rewrites
+    identical content-addressed fragments — no duplicate rows reach
+    phase B. A stage takes one commit, so the retry is a second
+    ``write_fragments`` of the batch, not a second ``write_exchange``."""
+    import os
 
     from neurostore_text_extraction_ray.stages import exchange as ex
 
@@ -254,8 +256,11 @@ def test_exchange_idempotent_rewrite(ray_session, tmp_path):
     })
     stage = str(tmp_path / "stage")
     part_fn = lambda b: ex.int_part([b["k"].to_numpy(zero_copy_only=False)], 4)
-    ex.write_exchange(rd.from_arrow(table), stage, part_fn)
-    ex.write_exchange(rd.from_arrow(table), stage, part_fn)  # retry
+    first = ex.write_fragments(table, stage, part_fn)
+    retry = ex.write_fragments(table, stage, part_fn)  # retry
+    assert retry.equals(first)
+    assert sum(len(fs) for _, _, fs in os.walk(stage)) == first.num_rows
+    assert ex.commit_fragments(stage, retry.to_pandas()) == 1000
     empty = pa.schema([("n", pa.int64())])
     out = ex.map_parts(
         stage, 4, lambda t: pa.table({"n": pa.array([t.num_rows], pa.int64())}),

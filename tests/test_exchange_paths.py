@@ -5,6 +5,7 @@ paths against the oracle; the equivalence tests here add what those
 cannot see (queries whose wrapper rounds floats, extra invariants,
 NULL keys, the budget raise), and a few still repeat a forced case."""
 
+import glob
 import os
 import re
 
@@ -578,6 +579,31 @@ def test_phase_a_task_retry_commits_once(ray_session, tmp_path):
     assert sorted(seen["v"]) == list(range(40))
 
 
+def test_a_stage_has_one_writer(ray_session, tmp_path):
+    """A second ``write_exchange`` into a committed stage raises before
+    it writes a fragment, and so does a second commit; the first list
+    stays as it was."""
+    import ray.data as rd
+
+    from neurostore_text_extraction_ray.stages import exchange as ex
+
+    t = pa.table({"v": pa.array(np.arange(30), pa.int64())})
+    stage = str(tmp_path / "stage")
+    ex.write_exchange(rd.from_arrow(t), stage, lambda b: np.zeros(
+        b.num_rows, np.int64))
+    listing = os.path.join(stage, ex.FRAGMENT_LIST)
+    before = open(listing, "rb").read()
+    frags = sorted(glob.glob(os.path.join(stage, "part=*", "*")))
+    with pytest.raises(ValueError, match="already holds a commit list"):
+        ex.write_exchange(rd.from_arrow(t.slice(5)), stage,
+                          lambda b: np.ones(b.num_rows, np.int64))
+    with pytest.raises(ValueError, match="already holds a commit list"):
+        ex.commit_fragments(stage, ex.write_fragments(
+            t, stage, lambda b: np.zeros(b.num_rows, np.int64)).to_pandas())
+    assert open(listing, "rb").read() == before
+    assert sorted(glob.glob(os.path.join(stage, "part=*", "*"))) == frags
+
+
 def _odd_schema_table() -> pa.Table:
     schema = pa.schema([
         ("l", pa.list_(pa.int64())),
@@ -612,11 +638,11 @@ def test_fragments_keep_the_input_schema(ray_session, tmp_path):
     assert ex.write_exchange(rd.from_arrow(t), stage,
                              lambda b: np.arange(b.num_rows) % 2) == 10
     for p in (0, 1, 2):
-        got = ex.read_part(stage, p, t.schema)
+        got = ex.read_files(ex.part_files(stage).get(p, []), t.schema)
         assert got.schema.equals(t.schema, check_metadata=True), got.schema
         assert got.num_rows == (5 if p < 2 else 0)
-    assert ex.read_part(stage, 0, t.schema).to_pylist() == t.take(
-        [0, 2, 4, 6, 8]).to_pylist()
+    part0 = ex.read_files(ex.part_files(stage).get(0, []), t.schema)
+    assert part0.to_pylist() == t.take([0, 2, 4, 6, 8]).to_pylist()
     out = ex.map_parts(
         stage, 3,
         lambda tb: pa.table({
