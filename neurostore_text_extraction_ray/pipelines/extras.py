@@ -456,22 +456,18 @@ def _docs_training_mix(sf_dir: str, quality_min: float = 0.5,
          the filter applies to the ROUNDED score on both sides),
          keep lang_pred == 'en' AND quality_score >= ``quality_min``;
       2. exact-dedup survivors (min doc_id per 16-byte blake2b content
-         hash — per-batch partials, then driver combine + broadcast
-         winner ids below ``ROUTES['dedup_winners']`` partial
-         rows, or ``dedup_exact``'s co-partitioned exchange beyond);
+         hash — per-batch partials, then ``dedup_exact``'s
+         ``steps.keep_content_winners``);
       3. pack winners into ~``budget``-char shards in doc_id order via
          the generic two-phase ``steps.pack_shards``.
 
     Output (doc_id, n_chars, shard). Oracled end-to-end as one ANSI-SQL
     CTE chain (langid SQL -> GROUP BY text -> SUM() OVER window)."""
-    import hashlib
-
     import numpy as np_
-    import ray
     import ray.data as rd
 
     from ..functions.textstats import lang_id, quality_features
-    from ..pipelines.steps import pack_shards
+    from ..pipelines.steps import keep_content_winners, pack_shards
 
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet",
                            columns=["doc_id", "text", "n_chars"])
@@ -487,48 +483,7 @@ def _docs_training_mix(sf_dir: str, quality_min: float = 0.5,
 
     surv = docs.map_batches(survivors, batch_format="pandas").materialize()
 
-    def hash_partial(df: pd.DataFrame) -> pd.DataFrame:
-        h1 = np_.empty(len(df), dtype=np_.uint64)
-        h2 = np_.empty(len(df), dtype=np_.uint64)
-        for i, t in enumerate(df["text"].tolist()):
-            d = hashlib.blake2b((t or "").encode(), digest_size=16).digest()
-            h1[i] = int.from_bytes(d[:8], "little")
-            h2[i] = int.from_bytes(d[8:], "little")
-        out = pd.DataFrame({"h1": h1, "h2": h2,
-                            "doc_id": df["doc_id"].to_numpy()})
-        return out.groupby(["h1", "h2"], sort=False)["doc_id"].min().reset_index()
-
-    partials_ds = surv.map_batches(
-        hash_partial, batch_format="pandas").materialize()
-    from . import steps as _steps
-
-    if not ex.fits("dedup_winners", partials_ds.count()):
-        # same budget + exchange fallback as the standalone dedup_exact
-        # (winner combine content-hash-partitioned, semi-join filter
-        # co-partitioned on doc_id; text never enters the exchange)
-        kept = _steps._dedup_exact_exchanged(surv, partials_ds)
-        return pack_shards(kept, "doc_id", "n_chars", budget)
-
-    partials = partials_ds.to_pandas()
-    if len(partials):
-        winners = partials.groupby(["h1", "h2"], sort=False)["doc_id"].min()
-        ref = ray.put(np_.sort(winners.to_numpy().astype(np_.int64)))
-    else:
-        ref = ray.put(np_.empty(0, dtype=np_.int64))
-
-    def keep_winners(b: pa.Table) -> pa.Table:
-        from ..stages.broadcast import get_broadcast
-
-        keep = get_broadcast(ref)
-        ids = b["doc_id"].to_numpy(zero_copy_only=False).astype("int64")
-        if not len(keep):
-            return b.select(["doc_id", "n_chars"]).filter(
-                pa.array(np_.zeros(len(ids), dtype=bool)))
-        j = np_.clip(np_.searchsorted(keep, ids), 0, len(keep) - 1)
-        return b.select(["doc_id", "n_chars"]).filter(
-            pa.array(keep[j] == ids))
-
-    kept = surv.map_batches(keep_winners, batch_format="pyarrow")
+    kept = keep_content_winners(surv, surv)
     return pack_shards(kept, "doc_id", "n_chars", budget)
 
 

@@ -32,7 +32,7 @@ through ``stages/exchange.py``:
                                              #   atomic part + manifest
 
 The sink reads its own parquet files when it can recognise them
-(``_plain_parquet_files``): Ray Data's parquet read cost about 0.2 s
+(``ex.plain_parquet_files``): Ray Data's parquet read cost about 0.2 s
 per job on eight small files against 0.03 s for plain
 ``pq.read_table`` tasks, and Ray Data ran the phase-A map of all eight
 in one task. Every other Dataset (synthesised pages, ``from_arrow``, a
@@ -446,63 +446,6 @@ def _run_part(part: int, files: dict, *args):
 PHASE_A_TASK_BYTES = 64 << 20
 
 
-def _plain_parquet_files(ds, columns: list[str]) -> list[str] | None:
-    """The input files of ``ds`` when it is a bare
-    ``ray.data.read_parquet`` of local files that reads every row of
-    them as stored and keeps ``columns``; ``None`` for any other
-    Dataset.
-
-    It inspects Ray Data's logical plan, the sink's one use of Ray
-    Data internals: a single ``Read`` over a
-    ``ParquetDatasource`` with no upstream op, no ``to_batches``
-    arguments (a row ``filter=``), no ``_block_udf``, no
-    ``include_paths``, no user schema, no file shuffle, no partition
-    values in the paths, and a column projection, if any, that keeps
-    ``columns``. The public ``Dataset.input_files()`` cannot tell: it
-    names every file of ``read_parquet(...).limit(n)`` too. An
-    attribute it does not find reads as unknown and gives ``None``, so
-    a Ray upgrade can cost the sink speed but cannot change its rows.
-    """
-    try:
-        import pyarrow.fs as pafs
-        from ray.data._internal.datasource.parquet_datasource import (
-            ParquetDatasource)
-        from ray.data._internal.logical.operators.read_operator import Read
-        from ray.data.datasource.partitioning import PathPartitionParser
-    except ImportError:
-        return None
-    unknown = object()
-    op = getattr(getattr(ds, "_logical_plan", None), "dag", None)
-    if type(op) is not Read or getattr(op, "input_dependencies", None) != []:
-        return None
-    src = getattr(op, "_datasource", None)
-    if type(src) is not ParquetDatasource:
-        return None
-    projected = getattr(src, "_data_columns", unknown)
-    paths = getattr(src, "_pq_paths", None)
-    partitioning = getattr(src, "_partitioning", unknown)
-    if (getattr(src, "_to_batches_kwargs", None) != {}
-            or getattr(src, "_block_udf", unknown) is not None
-            or getattr(src, "_include_paths", True) is not False
-            or getattr(src, "_read_schema", unknown) is not None
-            or getattr(src, "_file_metadata_shuffler", unknown) is not None
-            or getattr(src, "_supports_distributed_reads", False) is not True
-            or not isinstance(getattr(src, "_filesystem", None),
-                              pafs.LocalFileSystem)
-            or not (projected is None or (isinstance(projected, list)
-                                          and set(columns) <= set(projected)))
-            or not isinstance(paths, list) or partitioning is unknown):
-        return None
-    if partitioning is not None:
-        try:
-            parse = PathPartitionParser(partitioning)
-            if any(parse(f) for f in paths):
-                return None
-        except ValueError:  # a path the partitioning cannot parse
-            return None
-    return list(paths)
-
-
 def _phase_a_pieces(files: list[str], columns: list[str]) -> list:
     """(file, row groups) per phase-A file task, from the parquet
     footers: a file's row groups in order, cut into a new piece before
@@ -629,7 +572,15 @@ def run_flagship_to_parquet(
         # shared storage (write_exchange's own check covers only its
         # default node-local root)
         ex.assert_shared_visibility("flagship stage dir")
-        batch = partial_dedup_batch(batch.select(columns))
+        batch = batch.select(columns)
+        ts = batch["warc_ts"]
+        if pa.types.is_timestamp(ts.type) and ts.type.unit in ("s", "ms"):
+            # a row-based Dataset.filter turns whole-day timestamp[us]
+            # into [s]; widen (exactly) so the same rows write the same
+            # part files whatever the source
+            batch = batch.set_column(1, "warc_ts", pc.cast(
+                ts, pa.timestamp("us", ts.type.tz)))
+        batch = partial_dedup_batch(batch)
         if len(done_arr):
             parts = _url_hash_mod(batch["url"], num_parts).to_numpy(
                 zero_copy_only=False)
@@ -645,7 +596,7 @@ def run_flagship_to_parquet(
     # stage takes one commit
     stage_dir = os.path.join(run_dir, "stage")
     shutil.rmtree(stage_dir, ignore_errors=True)
-    inputs = _plain_parquet_files(pages_ds, columns)
+    inputs = ex.plain_parquet_files(pages_ds, columns)
     if inputs is None:
         # large batches: each task writes at most one fragment per part,
         # keeping the fragment-file count (and fs metadata traffic) low

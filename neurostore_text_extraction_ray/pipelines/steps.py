@@ -230,57 +230,30 @@ def docs_en_quality(sf_dir: str):
 # -- J1: upstream-results join (broadcast below budget, exchange above) -----
 
 
-def _upstream_count(sf_dir: str, where: str = "") -> int:
-    import duckdb
+def _probe_sorted(keys_s: np.ndarray, keys: np.ndarray):
+    """(index, hit) of every value of ``keys`` in the SORTED array
+    ``keys_s``: ``keys_s[index] == key`` where ``hit``."""
+    if not len(keys_s):
+        return (np.zeros(len(keys), dtype=np.int64),
+                np.zeros(len(keys), dtype=bool))
+    j = np.clip(np.searchsorted(keys_s, keys), 0, len(keys_s) - 1)
+    return j, keys_s[j] == keys
 
-    con = duckdb.connect()
-    n = con.execute(
-        f"SELECT count(*) FROM read_parquet('{sf_dir}/embeddings.parquet') {where}"
-    ).fetchone()[0]
-    con.close()
-    return int(n)
+
+def _sorted_by(t: pa.Table, key: str, *cols: str) -> tuple:
+    """Column ``key`` of ``t`` sorted, then ``cols`` in the same order:
+    the broadcast-rule lookup state (sorted numpy arrays, searched with
+    ``_probe_sorted``) of a build side."""
+    k = t[key].to_numpy(zero_copy_only=False)
+    order = np.argsort(k, kind="stable")
+    return (k[order], *(t[c].to_numpy(zero_copy_only=False)[order]
+                        for c in cols))
 
 
-def docs_join_embeddings(sf_dir: str):
-    """documents ⋈ embeddings on doc_id = vec_id — the upstream-results
-    join (Dataset.add_pipeline analog, dataset.py:243-382). Below
-    ``ROUTES['join']`` upstream rows the label side broadcasts as
-    sorted numpy arrays (searchsorted semi-join, no shuffle); above it
-    BOTH sides hash-bucket on the id through the filesystem exchange
-    and the identical vectorized lookup runs per part (the
-    ``_dedup_exact_exchanged`` shape)."""
-    import duckdb
-    import ray
+def _embeddings(sf_dir: str, columns: list[str]):
+    import ray.data as rd
 
-    if not ex.fits("join", _upstream_count(sf_dir)):
-        return _docs_join_embeddings_exchanged(sf_dir)
-    con = duckdb.connect()
-    lab = con.execute(
-        f"SELECT vec_id, label FROM read_parquet('{sf_dir}/embeddings.parquet') "
-        f"ORDER BY vec_id"
-    ).fetchdf()
-    con.close()
-    # sorted id/label arrays + searchsorted (BASELINE.md broadcast rule)
-    ref = ray.put((
-        lab["vec_id"].to_numpy().astype(np.int64),
-        lab["label"].to_numpy().astype(np.int32),
-    ))
-
-    def join(df: pd.DataFrame) -> pd.DataFrame:
-        from ..stages.broadcast import get_broadcast
-
-        ids_s, labels_s = get_broadcast(ref)
-        ids = df["doc_id"].to_numpy().astype(np.int64)
-        j = np.clip(np.searchsorted(ids_s, ids), 0, len(ids_s) - 1)
-        hit = len(ids_s) > 0
-        mask = (ids_s[j] == ids) if hit else np.zeros(len(ids), dtype=bool)
-        out = df[["doc_id", "lang", "n_chars"]][mask].copy()
-        out["label"] = labels_s[j[mask]]
-        return out
-
-    return _docs(sf_dir, ["doc_id", "lang", "n_chars"]).map_batches(
-        join, batch_format="pandas"
-    )
+    return rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=columns)
 
 
 _DOCS_SCHEMA = pa.schema([
@@ -288,53 +261,24 @@ _DOCS_SCHEMA = pa.schema([
 ])
 
 
-def _write_docs_exchange(sf_dir: str, ex, stage: str, num_parts: int):
-    """Phase A for the doc-side of the J1 joins: hash-bucket the pruned
-    documents stream on doc_id."""
-    ex.write_exchange(
-        _docs(sf_dir, ["doc_id", "lang", "n_chars"]).map_batches(
-            lambda b: b.cast(_DOCS_SCHEMA), batch_format="pyarrow"),
-        stage,
-        lambda b: ex.int_part(
-            [b["doc_id"].to_numpy(zero_copy_only=False)], num_parts))
+def docs_join_embeddings(sf_dir: str):
+    """documents ⋈ embeddings on doc_id = vec_id — the upstream-results
+    join (Dataset.add_pipeline analog, dataset.py:243-382) through
+    ``ex.join_by_key`` gated on ``ROUTES['join']`` embedding rows:
+    a searchsorted probe of the sorted (vec_id, label) arrays."""
 
+    def join(docs_t: pa.Table, lab) -> pa.Table:
+        ids_s, labels_s = lab
+        j, hit = _probe_sorted(
+            ids_s, docs_t["doc_id"].to_numpy(zero_copy_only=False))
+        return docs_t.filter(pa.array(hit)).append_column(
+            "label", pa.array(labels_s[j[hit]], pa.int32()))
 
-def _docs_join_embeddings_exchanged(sf_dir: str, num_parts: int = 32):
-    """Scale path: co-partition documents and the (vec_id, label)
-    upstream side by id hash; the sorted-array inner join runs per
-    part (keys co-locate, so per-part results equal the global join)."""
-    import ray.data as rd
-
-    lab_schema = pa.schema([("vec_id", pa.int64()), ("label", pa.int32())])
-    out_schema = _DOCS_SCHEMA.append(pa.field("label", pa.int32()))
-    with (ex.stage("nse_j1_docs_") as docs_stage,
-          ex.stage("nse_j1_lab_") as lab_stage):
-        _write_docs_exchange(sf_dir, ex, docs_stage, num_parts)
-        ex.write_exchange(
-            rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                            columns=["vec_id", "label"])
-            .map_batches(lambda b: b.cast(lab_schema), batch_format="pyarrow"),
-            lab_stage,
-            lambda b: ex.int_part(
-                [b["vec_id"].to_numpy(zero_copy_only=False)], num_parts))
-
-        def join_part(docs_t: pa.Table, lab_t: pa.Table) -> pa.Table:
-            ids_s = lab_t["vec_id"].to_numpy(zero_copy_only=False)
-            order = np.argsort(ids_s, kind="stable")
-            ids_s = ids_s[order]
-            labels_s = lab_t["label"].to_numpy(zero_copy_only=False)[order]
-            ids = docs_t["doc_id"].to_numpy(zero_copy_only=False)
-            if not len(ids_s):
-                return out_schema.empty_table()
-            j = np.clip(np.searchsorted(ids_s, ids), 0, len(ids_s) - 1)
-            mask = ids_s[j] == ids
-            sub = docs_t.filter(pa.array(mask))
-            return sub.append_column(
-                "label", pa.array(labels_s[j[mask]], pa.int32()))
-
-        return ex.map_parts([docs_stage, lab_stage], num_parts, join_part,
-                            out_schema,
-                            in_schemas=[_DOCS_SCHEMA, lab_schema])
+    return ex.join_by_key(
+        _docs(sf_dir, ["doc_id", "lang", "n_chars"]),
+        _embeddings(sf_dir, ["vec_id", "label"]), ["doc_id"], ["vec_id"],
+        lambda t: _sorted_by(t, "vec_id", "label"), join,
+        _DOCS_SCHEMA.append(pa.field("label", pa.int32())), "join")
 
 
 # -- M14/J3: change-detection anti-join -------------------------------------
@@ -342,65 +286,23 @@ def _docs_join_embeddings_exchanged(sf_dir: str, num_parts: int = 32):
 
 def filter_unprocessed(sf_dir: str):
     """documents whose doc_id is NOT among embeddings vec_ids with
-    label = 0 — the resume anti-join shape (base.py:509-532). Below
-    ``ROUTES['join']`` done-rows the done-key set broadcasts as a
-    sorted array; above it both sides hash-bucket on the id through the
-    filesystem exchange and the anti-join runs per part."""
-    import duckdb
-    import ray
+    label = 0 — the resume anti-join shape (base.py:509-532) through
+    ``ex.join_by_key`` gated on ``ROUTES['join']`` embeddings rows. The
+    build side is the bare embeddings read (footer row count, driver
+    read below the gate); ``prepare`` keeps its label-0 ids."""
 
-    if not ex.fits("join", _upstream_count(sf_dir, "WHERE label = 0")):
-        return _filter_unprocessed_exchanged(sf_dir)
-    con = duckdb.connect()
-    done = con.execute(
-        f"SELECT DISTINCT vec_id FROM read_parquet('{sf_dir}/embeddings.parquet') "
-        f"WHERE label = 0 ORDER BY vec_id"
-    ).fetchdf()
-    con.close()
-    ref = ray.put(done["vec_id"].to_numpy().astype(np.int64))
+    def done_ids(t: pa.Table) -> np.ndarray:
+        return _sorted_by(t.filter(pc.equal(t["label"], 0)), "vec_id")[0]
 
-    def f(batch: pa.Table) -> pa.Table:
-        from ..stages.broadcast import get_broadcast
+    def anti(docs_t: pa.Table, done: np.ndarray) -> pa.Table:
+        _, hit = _probe_sorted(
+            done, docs_t["doc_id"].to_numpy(zero_copy_only=False))
+        return docs_t.filter(pa.array(~hit))
 
-        done_arr = get_broadcast(ref)
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        return batch.filter(pa.array(~np.isin(ids, done_arr)))
-
-    return _docs(sf_dir, ["doc_id", "lang", "n_chars"]).map_batches(
-        f, batch_format="pyarrow"
-    )
-
-
-def _filter_unprocessed_exchanged(sf_dir: str, num_parts: int = 32):
-    """Scale path: co-partition documents and done-ids by id hash; the
-    vectorized anti-join (np.isin invert) runs per part."""
-    import ray.data as rd
-
-    done_schema = pa.schema([("vec_id", pa.int64())])
-    with (ex.stage("nse_fu_docs_") as docs_stage,
-          ex.stage("nse_fu_done_") as done_stage):
-        _write_docs_exchange(sf_dir, ex, docs_stage, num_parts)
-
-        def done_ids(b: pa.Table) -> pa.Table:
-            sub = b.filter(pc.equal(b["label"], 0))
-            return pa.table({"vec_id": pc.cast(sub["vec_id"], pa.int64())})
-
-        ex.write_exchange(
-            rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                            columns=["vec_id", "label"])
-            .map_batches(done_ids, batch_format="pyarrow"),
-            done_stage,
-            lambda b: ex.int_part(
-                [b["vec_id"].to_numpy(zero_copy_only=False)], num_parts))
-
-        def anti_part(docs_t: pa.Table, done_t: pa.Table) -> pa.Table:
-            done_arr = np.sort(done_t["vec_id"].to_numpy(zero_copy_only=False))
-            ids = docs_t["doc_id"].to_numpy(zero_copy_only=False)
-            return docs_t.filter(pa.array(~np.isin(ids, done_arr)))
-
-        return ex.map_parts([docs_stage, done_stage], num_parts, anti_part,
-                            _DOCS_SCHEMA,
-                            in_schemas=[_DOCS_SCHEMA, done_schema])
+    return ex.join_by_key(
+        _docs(sf_dir, ["doc_id", "lang", "n_chars"]),
+        _embeddings(sf_dir, ["vec_id", "label"]),
+        ["doc_id"], ["vec_id"], done_ids, anti, _DOCS_SCHEMA, "join")
 
 
 # -- D1: exact dedup by content ---------------------------------------------
@@ -408,99 +310,58 @@ def _filter_unprocessed_exchanged(sf_dir: str, num_parts: int = 32):
 
 def dedup_exact(sf_dir: str):
     """Exact dedup on text content: keep the lowest doc_id per distinct
-    text (SURVEY D1). A per-batch partial (min doc_id per 16-byte
-    content hash) always runs first, so document text never enters any
-    exchange. Below ``ROUTES['dedup_winners']`` partial rows, the
-    combine is driver-side and the winner ids broadcast (the
-    aggregate+broadcast-semijoin shape); beyond it, partials
-    hash-partition on the content hash through the filesystem exchange
-    (per-part min) and the winner filter is a co-partitioned semi-join
-    on doc_id — the driver only ever sees block counts (VERDICT r02
-    next-round #3). 128-bit content hashing stands in for byte
-    equality (collision probability ~ n^2 / 2^128)."""
+    text (SURVEY D1) through ``keep_content_winners``. The winner
+    filter reads only (doc_id, n_chars); the text column is read
+    exactly once, by the hashing pass."""
+    return keep_content_winners(_docs(sf_dir, ["doc_id", "n_chars"]),
+                                _docs(sf_dir, ["doc_id", "text"]))
+
+
+def _content_partials(df: pd.DataFrame) -> pd.DataFrame:
+    """Per-batch (h1, h2, min doc_id) of a (doc_id, text) frame: the
+    full 16-byte blake2b digest of each text as two uint64 columns,
+    one digest per row over a plain list (not pandas iteration)."""
     import hashlib
 
-    import ray
-
-    def _hashes(texts: list) -> tuple[np.ndarray, np.ndarray]:
-        """Full 16-byte blake2b digest as two uint64 columns — one
-        digest computation per row over a plain list (not pandas
-        iteration), 128-bit collision resistance as documented."""
-        h1 = np.empty(len(texts), dtype=np.uint64)
-        h2 = np.empty(len(texts), dtype=np.uint64)
-        for i, t in enumerate(texts):
-            d = hashlib.blake2b((t or "").encode(), digest_size=16).digest()
-            h1[i] = int.from_bytes(d[:8], "little")
-            h2[i] = int.from_bytes(d[8:], "little")
-        return h1, h2
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        h1, h2 = _hashes(df["text"].tolist())
-        out = pd.DataFrame({"h1": h1, "h2": h2, "doc_id": df["doc_id"].to_numpy()})
-        return out.groupby(["h1", "h2"], sort=False)["doc_id"].min().reset_index()
-
-    # the winner-filter stream needs only (doc_id, n_chars) — the text
-    # column is read exactly once, by the hashing pass below
-    docs = _docs(sf_dir, ["doc_id", "n_chars"])
-    partials_ds = (
-        _docs(sf_dir, ["doc_id", "text"])
-        .map_batches(partial, batch_format="pandas")
-        .materialize()
-    )
-    if ex.fits("dedup_winners", partials_ds.count()):
-        partials = partials_ds.to_pandas()
-        winners = partials.groupby(["h1", "h2"], sort=False)["doc_id"].min()
-        ref = ray.put(np.sort(winners.to_numpy().astype(np.int64)))
-
-        def filt(df: pd.DataFrame) -> pd.DataFrame:
-            from ..stages.broadcast import get_broadcast
-
-            keep = get_broadcast(ref)
-            sub = df[np.isin(df["doc_id"].to_numpy(), keep)]
-            return sub[["doc_id", "n_chars"]]
-
-        return docs.map_batches(filt, batch_format="pandas")
-    return _dedup_exact_exchanged(docs, partials_ds)
+    texts = df["text"].tolist()
+    h1 = np.empty(len(texts), dtype=np.uint64)
+    h2 = np.empty(len(texts), dtype=np.uint64)
+    for i, t in enumerate(texts):
+        d = hashlib.blake2b((t or "").encode(), digest_size=16).digest()
+        h1[i] = int.from_bytes(d[:8], "little")
+        h2[i] = int.from_bytes(d[8:], "little")
+    out = pd.DataFrame({"h1": h1, "h2": h2, "doc_id": df["doc_id"].to_numpy()})
+    return out.groupby(["h1", "h2"], sort=False)["doc_id"].min().reset_index()
 
 
-def _dedup_exact_exchanged(docs, partials_ds, num_parts: int = 32):
-    """Scale path: content-hash partition exchange for the winner
-    combine, doc_id partition exchange for the semi-join filter."""
+def keep_content_winners(docs, texts):
+    """The (doc_id, n_chars) rows of ``docs`` whose doc_id is the lowest
+    of its text's content hash, the text read from the (doc_id, text)
+    rows of ``texts``. Per-batch ``_content_partials`` always run first,
+    so text never enters an exchange; they combine to one winner per
+    hash (``ex.combine_by_key``), and the winner ids semi-join ``docs``
+    (``ex.join_by_key``), both gated on ``ROUTES['dedup_winners']``.
+    128-bit content hashing stands in for byte equality (collision
+    probability ~ n^2 / 2^128)."""
     win_schema = pa.schema([("doc_id", pa.int64())])
-    docs_schema = pa.schema([("doc_id", pa.int64()), ("n_chars", pa.int64())])
-    with (ex.stage("nse_dx_hash_") as hash_stage,
-          ex.stage("nse_dx_win_") as win_stage,
-          ex.stage("nse_dx_docs_") as docs_stage):
-        ex.write_exchange(
-            partials_ds, hash_stage,
-            lambda b: ex.int_part([
-                b["h1"].to_numpy(zero_copy_only=False),
-                b["h2"].to_numpy(zero_copy_only=False),
-            ], num_parts))
+    winners = ex.combine_by_key(
+        texts.map_batches(_content_partials, batch_format="pandas"),
+        ["h1", "h2"],
+        lambda df: df.groupby(["h1", "h2"], sort=False)["doc_id"].min()
+        .to_frame(), win_schema, "dedup_winners")
 
-        def winners_of_part(t: pa.Table) -> pa.Table:
-            g = t.to_pandas().groupby(["h1", "h2"], sort=False)["doc_id"].min()
-            return pa.table({"doc_id": pa.array(
-                g.to_numpy().astype(np.int64), pa.int64())})
+    def semi(docs_t: pa.Table, keep: np.ndarray) -> pa.Table:
+        _, hit = _probe_sorted(
+            keep, docs_t["doc_id"].to_numpy(zero_copy_only=False))
+        return docs_t.filter(pa.array(hit))
 
-        winners_ds = ex.map_parts(hash_stage, num_parts, winners_of_part,
-                                  win_schema)
-        by_id = lambda b: ex.int_part(  # noqa: E731
-            [b["doc_id"].to_numpy(zero_copy_only=False)], num_parts)
-        ex.write_exchange(winners_ds, win_stage, by_id)
-        ex.write_exchange(
-            docs.map_batches(lambda b: b.select(["doc_id", "n_chars"]),
-                             batch_format="pyarrow"),
-            docs_stage, by_id)
-
-        def semi_join(docs_t: pa.Table, win_t: pa.Table) -> pa.Table:
-            keep = np.sort(win_t["doc_id"].to_numpy(zero_copy_only=False))
-            ids = docs_t["doc_id"].to_numpy(zero_copy_only=False)
-            return docs_t.filter(pa.array(np.isin(ids, keep)))
-
-        return ex.map_parts([docs_stage, win_stage], num_parts, semi_join,
-                            docs_schema,
-                            in_schemas=[docs_schema, win_schema])
+    return ex.join_by_key(
+        docs.map_batches(lambda b: b.select(["doc_id", "n_chars"]),
+                         batch_format="pyarrow"),
+        winners, ["doc_id"], ["doc_id"],
+        lambda t: _sorted_by(t, "doc_id")[0], semi,
+        pa.schema([("doc_id", pa.int64()), ("n_chars", pa.int64())]),
+        "dedup_winners")
 
 
 # -- Dataset.slice(ids) analog ----------------------------------------------
@@ -1506,87 +1367,40 @@ def docs_domain_stats(sf_dir: str):
         ["n_docs", "total_chars", "n_en"], "domain")
 
 
+def _domain_rows(df: pd.DataFrame) -> pd.DataFrame:
+    """(doc_id, domain, n_chars) of a (doc_id, n_chars) frame, with the
+    planted registered domain."""
+    return pd.DataFrame({
+        "doc_id": df["doc_id"].astype("int64"),
+        "domain": _plant_domains(df["doc_id"]),
+        "n_chars": df["n_chars"].astype("int64")})
+
+
 def docs_domain_filter(sf_dir: str, min_docs: int = 5):
     """Domain-level document filter: keep docs whose registered domain
     has at least ``min_docs`` documents corpus-wide (drops the crawl's
     singleton-domain tail). Two-pass: the ``docs_domain_stats``
-    aggregate, then — below ``ROUTES['domain']`` kept domains — a
-    broadcast of the kept-domain strings as a sorted numpy array
-    (exact membership, no hash step); beyond it, docs and kept domains
-    co-partition by domain hash through the exchange and the semi-join
-    runs per part on exact strings. Output (doc_id, domain, n_chars)."""
-    import ray
-
-    stats = docs_domain_stats(sf_dir)
-    kept_ds = stats.map_batches(
+    aggregate, then an exact-string semi-join of the docs on the kept
+    domains (sorted numpy strings, searchsorted) through
+    ``ex.join_by_key`` gated on ``ROUTES['domain']`` kept domains.
+    Output (doc_id, domain, n_chars)."""
+    kept_ds = docs_domain_stats(sf_dir).map_batches(
         lambda b: b.filter(pc.greater_equal(b["n_docs"], min_docs))
                    .select(["domain"]),
-        batch_format="pyarrow").materialize()
-    if not ex.fits("domain", kept_ds.count()):
-        return _domain_filter_exchanged(sf_dir, kept_ds)
-    kept = np.sort(
-        kept_ds.to_pandas()["domain"].to_numpy(dtype=object))
-    ref = ray.put(kept)
+        batch_format="pyarrow")
 
-    def filt(df: pd.DataFrame) -> pd.DataFrame:
-        from ..stages.broadcast import get_broadcast
+    def semi(docs_t: pa.Table, kept_s: np.ndarray) -> pa.Table:
+        _, hit = _probe_sorted(
+            kept_s, docs_t["domain"].to_numpy(zero_copy_only=False))
+        return docs_t.filter(pa.array(hit))
 
-        kept_s = get_broadcast(ref)
-        dom = _plant_domains(df["doc_id"])
-        out = pd.DataFrame({
-            "doc_id": df["doc_id"].astype("int64"),
-            "domain": dom,
-            "n_chars": df["n_chars"].astype("int64"),
-        })
-        j = np.clip(np.searchsorted(kept_s, dom.to_numpy(dtype=object)),
-                    0, max(len(kept_s) - 1, 0))
-        mask = (kept_s[j] == dom.to_numpy(dtype=object)) if len(kept_s) \
-            else np.zeros(len(out), dtype=bool)
-        return out[mask]
-
-    return _docs(sf_dir, ["doc_id", "n_chars"]).map_batches(
-        filt, batch_format="pandas")
-
-
-def _domain_filter_exchanged(sf_dir: str, kept_ds, num_parts: int = 32):
-    """Scale path: co-partition (doc_id, domain, n_chars) rows and kept
-    domains by domain hash; exact string semi-join per part."""
-    docs_schema = pa.schema([("doc_id", pa.int64()), ("domain", pa.string()),
-                             ("n_chars", pa.int64())])
-    kept_schema = pa.schema([("domain", pa.string())])
-    by_domain = lambda b: ex.key_part(b, ["domain"], num_parts)  # noqa: E731
-    with (ex.stage("nse_domf_docs_") as docs_stage,
-          ex.stage("nse_domf_kept_") as kept_stage):
-        def with_domain(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame({
-                "doc_id": df["doc_id"].astype("int64"),
-                "domain": _plant_domains(df["doc_id"]),
-                "n_chars": df["n_chars"].astype("int64"),
-            })
-
-        ex.write_exchange(
-            _docs(sf_dir, ["doc_id", "n_chars"]).map_batches(
-                with_domain, batch_format="pandas"),
-            docs_stage, by_domain)
-        ex.write_exchange(
-            kept_ds.map_batches(
-                lambda b: pa.table({"domain": pc.cast(b["domain"],
-                                                      pa.string())}),
-                batch_format="pyarrow"),
-            kept_stage, by_domain)
-
-        def semi_join(docs_t: pa.Table, kept_t: pa.Table) -> pa.Table:
-            kept_s = np.sort(np.asarray(kept_t["domain"].to_pylist(),
-                                        dtype=object))
-            dom = np.asarray(docs_t["domain"].to_pylist(), dtype=object)
-            if not len(kept_s):
-                return docs_schema.empty_table()
-            j = np.clip(np.searchsorted(kept_s, dom), 0, len(kept_s) - 1)
-            return docs_t.filter(pa.array(kept_s[j] == dom))
-
-        return ex.map_parts([docs_stage, kept_stage], num_parts, semi_join,
-                            docs_schema,
-                            in_schemas=[docs_schema, kept_schema])
+    return ex.join_by_key(
+        _docs(sf_dir, ["doc_id", "n_chars"]).map_batches(
+            _domain_rows, batch_format="pandas"),
+        kept_ds, ["domain"], ["domain"],
+        lambda t: _sorted_by(t, "domain")[0], semi,
+        pa.schema([("doc_id", pa.int64()), ("domain", pa.string()),
+                   ("n_chars", pa.int64())]), "domain")
 
 
 # -- Domain-level boilerplate line removal (CCNet/RefinedWeb-style) ----------
@@ -1674,98 +1488,42 @@ def _bp_boilerplate_keys(line_counts, dom_counts, ratio_num: int,
     """(domain, line_key) rows whose doc count n satisfies
     ``n >= min_docs AND n * ratio_den >= n_docs(domain) * ratio_num``
     — integer-exact on both sides (no float ratio), mirrored verbatim
-    in the SQL oracle. Below ``ROUTES['domain']`` domain rows the
-    per-domain totals broadcast as sorted arrays; beyond, candidates
-    and totals co-partition by domain hash and join per part."""
-    import ray
+    in the SQL oracle. The candidates probe the sorted per-domain
+    totals through ``ex.join_by_key`` gated on ``ROUTES['domain']``
+    domain rows."""
 
-    from ..stages.broadcast import get_broadcast
-
-    filtered = line_counts.map_batches(
-        lambda b: b.filter(pc.greater_equal(b["n"], min_docs)),
-        batch_format="pyarrow").materialize()
-    out_schema = pa.schema([("domain", pa.string()),
-                            ("line_key", pa.int64())])
-
-    def mark(df: pd.DataFrame, doms: np.ndarray,
-             nd: np.ndarray) -> pd.DataFrame:
-        if df.empty:
-            return pd.DataFrame({"domain": pd.Series([], dtype=object),
-                                 "line_key": pd.Series([], dtype="int64")})
-        if not len(doms):
-            # non-empty candidates with no co-partitioned totals means
-            # the two partial streams disagree — fail loudly, never
-            # silently emit "no boilerplate"
-            raise RuntimeError(
-                "boilerplate ratio join: candidate part has no domain "
-                "totals — partial streams disagree")
-        d = df["domain"].to_numpy(dtype=object)
-        j = np.clip(np.searchsorted(doms, d), 0, len(doms) - 1)
-        if not (doms[j] == d).all():
+    def mark(cand: pa.Table, dom_totals) -> pa.Table:
+        doms, nd = dom_totals
+        j, hit = _probe_sorted(
+            doms, cand["domain"].to_numpy(zero_copy_only=False))
+        if not hit.all():
+            # a candidate domain without totals means the two partial
+            # streams disagree: fail loudly, never silently emit "no
+            # boilerplate"
             raise RuntimeError(
                 "boilerplate ratio join: line-count domain missing from "
                 "the domain totals — partial streams disagree")
-        keep = (df["n"].to_numpy(np.int64) * ratio_den
-                >= nd[j] * np.int64(ratio_num))
-        return pd.DataFrame({
-            "domain": d[keep],
-            "line_key": df["line_key"].to_numpy(np.int64)[keep]})
+        n = cand["n"].to_numpy(zero_copy_only=False)
+        return cand.filter(pa.array(n * ratio_den >= nd[j] * ratio_num))
 
-    if ex.fits("domain", dom_counts.count()):
-        dp = dom_counts.to_pandas().sort_values("domain", kind="stable")
-        doms = dp["domain"].to_numpy(dtype=object)
-        nd = dp["n_docs"].to_numpy(np.int64)
-        ref = ray.put((doms, nd))
-
-        def mark_b(df: pd.DataFrame) -> pd.DataFrame:
-            bd, bn = get_broadcast(ref)
-            return mark(df, bd, bn)
-
-        return filtered.map_batches(mark_b, batch_format="pandas")
-
-    cand_schema = pa.schema([("domain", pa.string()),
-                             ("line_key", pa.int64()), ("n", pa.int64())])
-    dom_schema = pa.schema([("domain", pa.string()), ("n_docs", pa.int64())])
-    by_domain = lambda b: ex.key_part(b, ["domain"], num_parts)  # noqa: E731
-    with (ex.stage("nse_bp_cand_") as cand_stage,
-          ex.stage("nse_bp_dom_") as dom_stage):
-        ex.write_exchange(
-            filtered.map_batches(lambda b: b.select(cand_schema.names)
-                                 .cast(cand_schema),
-                                 batch_format="pyarrow"),
-            cand_stage, by_domain)
-        ex.write_exchange(
-            dom_counts.map_batches(lambda b: b.select(dom_schema.names)
-                                   .cast(dom_schema),
-                                   batch_format="pyarrow"),
-            dom_stage, by_domain)
-
-        def join(cand_t: pa.Table, dom_t: pa.Table) -> pa.Table:
-            dp = dom_t.to_pandas().sort_values("domain", kind="stable")
-            out = mark(cand_t.to_pandas(),
-                       dp["domain"].to_numpy(dtype=object),
-                       dp["n_docs"].to_numpy(np.int64))
-            return pa.Table.from_pandas(out, schema=out_schema,
-                                        preserve_index=False)
-
-        return ex.map_parts([cand_stage, dom_stage], num_parts, join,
-                            out_schema,
-                            in_schemas=[cand_schema, dom_schema])
+    return ex.join_by_key(
+        line_counts.map_batches(
+            lambda b: b.filter(pc.greater_equal(b["n"], min_docs)),
+            batch_format="pyarrow"),
+        dom_counts, ["domain"], ["domain"],
+        lambda t: _sorted_by(t, "domain", "n_docs"), mark,
+        pa.schema([("domain", pa.string()), ("line_key", pa.int64())]),
+        "domain", num_parts)
 
 
 def _bp_strip_frame(df: pd.DataFrame,
                     bp_keys: np.ndarray) -> pd.DataFrame:
     """Strip boilerplate lines from a (doc_id, domain, text) frame
     given the SORTED int64 boilerplate key array. Blank lines are
-    always kept; remaining lines keep their original order."""
+    always kept; remaining lines keep their original order. ``df`` has
+    at least one row (``ex.join_by_key`` never calls a kernel without
+    probe rows)."""
     df = df.reset_index(drop=True)
-    if df.empty:
-        return pd.DataFrame({
-            "doc_id": pd.Series([], dtype="int64"),
-            "domain": pd.Series([], dtype=object),
-            "n_lines": pd.Series([], dtype="int64"),
-            "n_removed": pd.Series([], dtype="int64"),
-            "clean_text": pd.Series([], dtype=object)})
     ridx, lines, dom, n_lines = _bp_explode(df)
     nb = pd.Series(lines).str.strip().ne("").to_numpy()
     is_bp = np.zeros(len(lines), dtype=bool)
@@ -1800,18 +1558,12 @@ def strip_boilerplate(ds, ratio_num: int = 1, ratio_den: int = 2,
 
     Scale shape: two ``grouped_sum_by_key`` combines (per-(domain,
     line-hash) doc counts under ``ROUTES['terms']``; per-domain doc
-    totals under ``ROUTES['domain']``), the integer-exact ratio
-    join (broadcast totals / domain-hash co-partition beyond the
-    gate), then the strip pass: the boilerplate key set broadcasts as
-    ONE sorted int64 array below ``ROUTES['boilerplate_keys']``,
-    beyond it docs and keys co-partition by domain hash through the
-    exchange (a pathological single domain lands in one part — the
-    same documented skew assumption as ``docs_domain_cap``). Text
-    never shuffles on the broadcast path."""
-    import ray
-
-    from ..stages.broadcast import get_broadcast
-
+    totals under ``ROUTES['domain']``), the integer-exact ratio join,
+    then the strip pass: docs probe the sorted int64 boilerplate key
+    array through ``ex.join_by_key`` gated on
+    ``ROUTES['boilerplate_keys']`` (beyond it a pathological single
+    domain lands in one part — the same documented skew assumption as
+    ``docs_domain_cap``). Text never shuffles on the broadcast path."""
     ds = ds.materialize()
     line_counts = grouped_sum_by_key(
         _bp_count_partials(ds), ["domain", "line_key"], ["n"],
@@ -1820,51 +1572,15 @@ def strip_boilerplate(ds, ratio_num: int = 1, ratio_den: int = 2,
         _bp_domain_partials(ds), "domain", ["n_docs"],
         "domain")
     bp = _bp_boilerplate_keys(line_counts, dom_counts, ratio_num,
-                              ratio_den, min_docs, num_parts
-                              ).materialize()
-
-    if ex.fits("boilerplate_keys", bp.count()):
-        kp = bp.to_pandas()
-        keys = (np.sort(kp["line_key"].to_numpy(np.int64))
-                if len(kp) else np.array([], dtype=np.int64))
-        ref = ray.put(keys)
-
-        def strip_b(df: pd.DataFrame) -> pd.DataFrame:
-            return _bp_strip_frame(df, get_broadcast(ref))
-
-        return ds.map_batches(strip_b, batch_format="pandas")
-
-    docs_schema = pa.schema([("doc_id", pa.int64()),
-                             ("domain", pa.string()),
-                             ("text", pa.string())])
-    keys_schema = pa.schema([("domain", pa.string()),
-                             ("line_key", pa.int64())])
-    out_schema = pa.schema([
-        ("doc_id", pa.int64()), ("domain", pa.string()),
-        ("n_lines", pa.int64()), ("n_removed", pa.int64()),
-        ("clean_text", pa.string())])
-    by_domain = lambda b: ex.key_part(b, ["domain"], num_parts)  # noqa: E731
-    with (ex.stage("nse_bp_docs_") as docs_stage,
-          ex.stage("nse_bp_keys_") as keys_stage):
-        ex.write_exchange(
-            ds.map_batches(lambda b: b.select(docs_schema.names)
-                           .cast(docs_schema), batch_format="pyarrow"),
-            docs_stage, by_domain)
-        ex.write_exchange(
-            bp.map_batches(lambda b: b.select(keys_schema.names)
-                           .cast(keys_schema), batch_format="pyarrow"),
-            keys_stage, by_domain)
-
-        def strip_part(docs_t: pa.Table, keys_t: pa.Table) -> pa.Table:
-            keys = np.sort(keys_t["line_key"].to_numpy(
-                zero_copy_only=False).astype(np.int64))
-            out = _bp_strip_frame(docs_t.to_pandas(), keys)
-            return pa.Table.from_pandas(out, schema=out_schema,
-                                        preserve_index=False)
-
-        return ex.map_parts([docs_stage, keys_stage], num_parts,
-                            strip_part, out_schema,
-                            in_schemas=[docs_schema, keys_schema])
+                              ratio_den, min_docs, num_parts)
+    return ex.join_by_key(
+        ds, bp, ["domain"], ["domain"],
+        lambda t: _sorted_by(t, "line_key")[0],
+        lambda t, keys: _bp_strip_frame(t.to_pandas(), keys),
+        pa.schema([("doc_id", pa.int64()), ("domain", pa.string()),
+                   ("n_lines", pa.int64()), ("n_removed", pa.int64()),
+                   ("clean_text", pa.string())]),
+        "boilerplate_keys", num_parts)
 
 
 def docs_boilerplate_strip(sf_dir: str):
@@ -1945,18 +1661,9 @@ def docs_domain_percentile_filter(sf_dir: str, p: float = 0.5,
     a driver groupby, beyond it partials co-partition by DOMAIN hash
     through the exchange (a domain's values co-locate, so per-part
     ranks are exact) and the kept rows stay distributed. The filter
-    pass broadcasts kept rows as ONE sorted int64 composite key array
-    (blake2b of ``domain\\x1fv``, the boilerplate-strip convention —
-    64-bit collision argument documented there) below
-    ``ROUTES['pctl_kept']``; beyond it docs + kept rows
-    co-partition by domain hash and every part merges on exact
-    (domain, v). Exact ANSI-SQL oracle."""
-    import ray
-
-    from ..stages.broadcast import get_broadcast
-
-    out_schema = pa.schema([("doc_id", pa.int64()), ("domain", pa.string()),
-                            ("n_chars", pa.int64()), ("pr", pa.float64())])
+    pass joins docs to the kept rows on exact (domain, v) (an Arrow
+    hash join, no hashed composite key) through ``ex.join_by_key``
+    gated on ``ROUTES['pctl_kept']``. Exact ANSI-SQL oracle."""
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         if df.empty:
@@ -1974,70 +1681,15 @@ def docs_domain_percentile_filter(sf_dir: str, p: float = 0.5,
         docs.map_batches(partial, batch_format="pandas"), ["domain"],
         lambda df: _pctl_kept_frame(df, p), _PCTL_KEPT_SCHEMA,
         "terms", num_parts)
-
-    def doc_rows(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "doc_id": df["doc_id"].astype("int64"),
-            "domain": _plant_domains(df["doc_id"]),
-            "n_chars": df["n_chars"].astype("int64")})
-
-    if ex.fits("pctl_kept", kept_ds.count()):
-        kp = kept_ds.to_pandas()
-        combos = np.add(np.add(kp["domain"].to_numpy(dtype=object),
-                               _BP_SEP),
-                        kp["v"].astype(str).to_numpy(dtype=object))
-        keys = (_bp_combo_keys(combos) if len(kp)
-                else np.array([], dtype=np.int64))
-        order = np.argsort(keys, kind="stable")
-        ref = ray.put((keys[order],
-                       kp["pr"].to_numpy(np.float64)[order]))
-
-        def filt(df: pd.DataFrame) -> pa.Table:
-            bk, bpr = get_broadcast(ref)
-            out = doc_rows(df)
-            if out.empty or not len(bk):
-                return out_schema.empty_table()
-            combos = np.add(np.add(out["domain"].to_numpy(dtype=object),
-                                   _BP_SEP),
-                            out["n_chars"].astype(str)
-                            .to_numpy(dtype=object))
-            k = _bp_combo_keys(combos)
-            j = np.clip(np.searchsorted(bk, k), 0, len(bk) - 1)
-            hit = bk[j] == k
-            out = out[hit].assign(pr=bpr[j[hit]])
-            return pa.Table.from_pandas(out, schema=out_schema,
-                                        preserve_index=False)
-
-        return docs.map_batches(filt, batch_format="pandas")
-
-    docs_schema = pa.schema([("doc_id", pa.int64()),
-                             ("domain", pa.string()),
-                             ("n_chars", pa.int64())])
-    by_dom = lambda t: ex.key_part(t, ["domain"], num_parts)  # noqa: E731
-    with (ex.stage("nse_pctl_docs_") as d_stage,
-          ex.stage("nse_pctl_kept_") as k_stage):
-        ex.write_exchange(
-            docs.map_batches(doc_rows, batch_format="pandas")
-                .map_batches(lambda t: t.select(docs_schema.names)
-                             .cast(docs_schema), batch_format="pyarrow"),
-            d_stage, by_dom)
-        ex.write_exchange(
-            kept_ds.map_batches(lambda t: t.select(_PCTL_KEPT_SCHEMA.names)
-                                .cast(_PCTL_KEPT_SCHEMA),
-                                batch_format="pyarrow"),
-            k_stage, by_dom)
-
-        def part(dt: pa.Table, kt: pa.Table) -> pa.Table:
-            dd, kk = dt.to_pandas(), kt.to_pandas()
-            m = dd.merge(kk, left_on=["domain", "n_chars"],
-                         right_on=["domain", "v"], how="inner")
-            return pa.Table.from_pandas(
-                m[["doc_id", "domain", "n_chars", "pr"]],
-                schema=out_schema, preserve_index=False)
-
-        return ex.map_parts([d_stage, k_stage], num_parts, part,
-                            out_schema,
-                            in_schemas=[docs_schema, _PCTL_KEPT_SCHEMA])
+    return ex.join_by_key(
+        docs.map_batches(_domain_rows, batch_format="pandas"), kept_ds,
+        ["domain", "n_chars"], ["domain", "v"], lambda t: t,
+        lambda t, kept: t.join(kept, ["domain", "n_chars"],
+                               right_keys=["domain", "v"],
+                               join_type="inner"),
+        pa.schema([("doc_id", pa.int64()), ("domain", pa.string()),
+                   ("n_chars", pa.int64()), ("pr", pa.float64())]),
+        "pctl_kept", num_parts)
 
 
 # -- Dataset diff / reconciliation -------------------------------------------
@@ -3202,7 +2854,7 @@ def _orders_asof_arrays(orders: pd.DataFrame):
 
 def _asof_lookup(df: pd.DataFrame, comp_s, okey_s, odate_s) -> pd.DataFrame:
     """Vectorized backward-as-of lookup of an events frame against the
-    sorted composite order arrays (shared by both join paths)."""
+    sorted composite order arrays."""
     if not len(comp_s):
         return df[["event_id", "user_id", "ts"]].iloc[:0].assign(
             o_orderkey=pd.Series(dtype="int64"),
@@ -3223,94 +2875,30 @@ def events_asof_orders(sf_dir: str, num_parts: int = 32):
     o_orderdate <= ts) — the composition the Dataset API lacks natively
     (custom operator per SURVEY guidance). One order per (custkey,
     date) — max orderkey wins — makes the as-of tie-break well-defined
-    on both sides of the oracle.
-
-    Below ``ROUTES['orders']`` order rows the orders side is
-    broadcast as sorted composite arrays and events stream with no
-    shuffle; beyond it BOTH sides hash-bucket on the user key through
-    the filesystem exchange and the identical vectorized lookup runs
-    per part (VERDICT r02 next-round #4 — sessionize already proved
-    the shape). Output: (event_id, user_id, ts, o_orderkey,
+    on both sides of the oracle. Events probe the sorted composite
+    order arrays through ``ex.join_by_key`` gated on
+    ``ROUTES['orders']`` order rows; the per-(custkey, date) max
+    runs in ``prepare``. Output: (event_id, user_id, ts, o_orderkey,
     o_orderdate)."""
-    import duckdb
-    import ray
     import ray.data as rd
 
-    con = duckdb.connect()
-    n_orders = con.execute(
-        f"SELECT count(*) FROM read_parquet('{sf_dir}/orders.parquet')"
-    ).fetchone()[0]
-    if ex.fits("orders", n_orders):
-        orders = con.execute(
-            f"SELECT o_custkey, o_orderdate, max(o_orderkey) AS o_orderkey FROM "
-            f"read_parquet('{sf_dir}/orders.parquet') "
-            f"GROUP BY o_custkey, o_orderdate ORDER BY o_custkey, o_orderdate"
-        ).fetchdf()
-        con.close()
-        ref = ray.put(_orders_asof_arrays(orders))
+    def prepare(ord_t: pa.Table):
+        return _orders_asof_arrays(
+            ord_t.to_pandas()
+            .groupby(["o_custkey", "o_orderdate"], sort=False)["o_orderkey"]
+            .max().reset_index())
 
-        def asof(df: pd.DataFrame) -> pd.DataFrame:
-            from ..stages.broadcast import get_broadcast
-
-            comp_s, okey_s, odate_s = get_broadcast(ref)
-            return _asof_lookup(df, comp_s, okey_s, odate_s)
-
-        return rd.read_parquet(
-            f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"]
-        ).map_batches(asof, batch_format="pandas")
-    con.close()
-    return _events_asof_exchanged(sf_dir, num_parts)
-
-
-def _events_asof_exchanged(sf_dir: str, num_parts: int):
-    """Scale path: co-partition events by hash(user_id) and orders by
-    hash(o_custkey); the per-(custkey, date) max-orderkey pre-aggregate
-    and the vectorized as-of lookup both run inside each part (keys
-    co-locate, so per-part results equal the global ones)."""
-    import ray.data as rd
-
-    ev_schema = pa.schema([
-        ("event_id", pa.int64()), ("user_id", pa.int64()),
-        ("ts", pa.timestamp("us")),
-    ])
-    ord_schema = pa.schema([
-        ("o_orderkey", pa.int64()), ("o_custkey", pa.int64()),
-        ("o_orderdate", pa.timestamp("us")),
-    ])
-    out_schema = pa.schema([
-        ("event_id", pa.int64()), ("user_id", pa.int64()),
-        ("ts", pa.timestamp("us")), ("o_orderkey", pa.int64()),
-        ("o_orderdate", pa.timestamp("us")),
-    ])
-    with (ex.stage("nse_asof_ev_") as ev_stage,
-          ex.stage("nse_asof_ord_") as ord_stage):
-        ex.write_exchange(
-            rd.read_parquet(f"{sf_dir}/events.parquet",
-                            columns=["event_id", "user_id", "ts"])
-            .map_batches(lambda b: b.cast(ev_schema), batch_format="pyarrow"),
-            ev_stage,
-            lambda b: ex.int_part(
-                [b["user_id"].to_numpy(zero_copy_only=False)], num_parts))
-        ex.write_exchange(
-            rd.read_parquet(f"{sf_dir}/orders.parquet",
-                            columns=["o_orderkey", "o_custkey", "o_orderdate"])
-            .map_batches(lambda b: b.cast(ord_schema), batch_format="pyarrow"),
-            ord_stage,
-            lambda b: ex.int_part(
-                [b["o_custkey"].to_numpy(zero_copy_only=False)], num_parts))
-
-        def asof_part(ev_t: pa.Table, ord_t: pa.Table) -> pa.Table:
-            orders = (
-                ord_t.to_pandas()
-                .groupby(["o_custkey", "o_orderdate"], sort=False)["o_orderkey"]
-                .max().reset_index()
-            )
-            out = _asof_lookup(ev_t.to_pandas(), *_orders_asof_arrays(orders))
-            return pa.Table.from_pandas(out, preserve_index=False).cast(out_schema)
-
-        return ex.map_parts([ev_stage, ord_stage], num_parts, asof_part,
-                            out_schema,
-                            in_schemas=[ev_schema, ord_schema])
+    return ex.join_by_key(
+        rd.read_parquet(f"{sf_dir}/events.parquet",
+                        columns=["event_id", "user_id", "ts"]),
+        rd.read_parquet(f"{sf_dir}/orders.parquet",
+                        columns=["o_orderkey", "o_custkey", "o_orderdate"]),
+        ["user_id"], ["o_custkey"], prepare,
+        lambda t, arrays: _asof_lookup(t.to_pandas(), *arrays),
+        pa.schema([("event_id", pa.int64()), ("user_id", pa.int64()),
+                   ("ts", pa.timestamp("us")), ("o_orderkey", pa.int64()),
+                   ("o_orderdate", pa.timestamp("us"))]),
+        "orders", num_parts)
 
 
 # -- Similarity search over the embeddings table ----------------------------
@@ -3477,8 +3065,8 @@ def _gopher_frame(df: pd.DataFrame) -> pd.DataFrame:
 
 
 def _nation_names(sf_dir: str):
-    """(n_name_by_key, r_name_by_key) arrays indexed by nationkey, plus
-    the raw nation frame — tiny (25 rows), always driver-side."""
+    """(n_name_by_key, r_name_by_key) arrays indexed by nationkey —
+    tiny (25 rows), always driver-side."""
     import duckdb
 
     con = duckdb.connect()
@@ -3499,146 +3087,36 @@ def _nation_names(sf_dir: str):
 
 def revenue_by_nation(sf_dir: str):
     """orders ⋈ customer ⋈ nation ⋈ region -> revenue per nation.
-    Below ``ROUTES['customer']`` the dimension tables
-    (customer/nation/region) are broadcast once as sorted numpy arrays
-    and applied with one searchsorted + fancy-index pass per batch; the
-    per-batch partial aggregate is combined in one tiny final pass
-    (25 nations), so the fact table streams with NO shuffle. Beyond the
-    budget (customer scales with SF) orders and customer hash-bucket on
-    custkey through the filesystem exchange and the identical join +
-    partial aggregate run per part (VERDICT r03 next-round #3)."""
-    import duckdb
-    import ray
+    Orders probe the sorted customer (custkey, nationkey) arrays
+    through ``ex.join_by_key`` gated on ``ROUTES['customer']``
+    customer rows (customer scales with SF), pre-aggregating each
+    batch or part to (nationkey, sum, count) — at most 25 rows — so the
+    fact table never shuffles below the gate. One driver combine over
+    those partials maps the nation/region names (always driver-side)
+    and drops nationkeys outside or in a gap of the nation dimension
+    (inner-join semantics), which commutes with the per-nationkey
+    aggregation."""
     import ray.data as rd
 
-    con = duckdb.connect()
-    n_cust = con.execute(
-        f"SELECT count(*) FROM read_parquet('{sf_dir}/customer.parquet')"
-    ).fetchone()[0]
-    if not ex.fits("customer", n_cust):
-        con.close()
-        return _revenue_by_nation_exchanged(sf_dir)
-    cust = con.execute(
-        f"SELECT c_custkey, c_nationkey FROM "
-        f"read_parquet('{sf_dir}/customer.parquet') ORDER BY c_custkey"
-    ).fetchdf()
-    nation = con.execute(
-        f"SELECT n_nationkey, n_name, r_name FROM "
-        f"read_parquet('{sf_dir}/nation.parquet') n JOIN "
-        f"read_parquet('{sf_dir}/region.parquet') r "
-        f"ON n.n_regionkey = r.r_regionkey"
-    ).fetchdf()
-    con.close()
-    # broadcast the customer dimension as SORTED custkey/nationkey
-    # numpy arrays (searchsorted lookup; BASELINE.md rule — a python
-    # dict here cost ~1 s deserialize per worker and scales with SF)
-    # plus tiny nationkey-indexed name arrays (25 rows)
-    n_slots = int(nation["n_nationkey"].max()) + 1
-    n_name_by_key = np.empty(n_slots, dtype=object)
-    r_name_by_key = np.empty(n_slots, dtype=object)
-    n_name_by_key[nation["n_nationkey"].to_numpy()] = nation["n_name"].to_numpy()
-    r_name_by_key[nation["n_nationkey"].to_numpy()] = nation["r_name"].to_numpy()
-    ref = ray.put((
-        cust["c_custkey"].to_numpy().astype(np.int64),
-        cust["c_nationkey"].to_numpy().astype(np.int64),
-        n_name_by_key, r_name_by_key,
-    ))
+    def agg(ord_t: pa.Table, cust) -> pd.DataFrame:
+        ck_s, cnat_s = cust
+        j, hit = _probe_sorted(
+            ck_s, ord_t["o_custkey"].to_numpy(zero_copy_only=False))
+        price = ord_t["o_totalprice"].to_numpy(zero_copy_only=False)[hit]
+        g = pd.DataFrame({"n_nationkey": cnat_s[j[hit]], "price": price}
+                         ).groupby("n_nationkey", sort=False)["price"]
+        return g.agg(s="sum", c="count").reset_index()
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        from ..stages.broadcast import get_broadcast
-
-        ck_s, cnat_s, n_names, r_names = get_broadcast(ref)
-        custs = df["o_custkey"].to_numpy().astype(np.int64)
-        j = np.clip(np.searchsorted(ck_s, custs), 0, len(ck_s) - 1)
-        hit = len(ck_s) > 0
-        mask = (ck_s[j] == custs) if hit else np.zeros(len(custs), dtype=bool)
-        nk = cnat_s[j[mask]]
-        # inner-join semantics (oracle parity): drop rows whose
-        # nationkey is outside or a gap of the nation dimension instead
-        # of IndexError / None-named groups
-        in_range = (nk >= 0) & (nk < len(n_names))
-        nk_c = np.clip(nk, 0, max(0, len(n_names) - 1))
-        names = n_names[nk_c]
-        ok = in_range & pd.notna(names)
-        out = pd.DataFrame({
-            "n_name": names[ok], "r_name": r_names[nk_c][ok],
-            "o_totalprice": df["o_totalprice"].to_numpy()[mask][ok],
-        })
-        g = out.groupby(["n_name", "r_name"], sort=False)["o_totalprice"].agg(
-            ["sum", "count"]).reset_index()
-        g.columns = ["n_name", "r_name", "s", "c"]
-        return g
-
-    partials = (
-        rd.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"])
-        .map_batches(partial, batch_format="pandas")
-        .to_pandas()
-    )
-    final = partials.groupby(["n_name", "r_name"], sort=False).agg(
-        total_revenue=("s", "sum"), n_orders=("c", "sum")).reset_index()
-    final["total_revenue"] = final["total_revenue"].round(4)
-    final["n_orders"] = final["n_orders"].astype("int64")
-    return rd.from_pandas(final)
-
-
-def _revenue_by_nation_exchanged(sf_dir: str, num_parts: int = 32):
-    """Scale path: orders and customer co-partition on hash(custkey)
-    through the filesystem exchange; each part joins and pre-aggregates
-    to (nationkey, sum, count) — at most 25 rows per part — so the
-    driver combine is nations × parts regardless of SF. The name
-    mapping + inner-join validity filter run at the combine, which
-    commutes with the per-nationkey aggregation."""
-    import ray.data as rd
-
-    ord_schema = pa.schema([
-        ("o_custkey", pa.int64()), ("o_totalprice", pa.float64()),
-    ])
-    cust_schema = pa.schema([
-        ("c_custkey", pa.int64()), ("c_nationkey", pa.int64()),
-    ])
-    agg_schema = pa.schema([
-        ("n_nationkey", pa.int64()), ("s", pa.float64()), ("c", pa.int64()),
-    ])
-    with (ex.stage("nse_rev_ord_") as ord_stage,
-          ex.stage("nse_rev_cust_") as cust_stage):
-        ex.write_exchange(
-            rd.read_parquet(f"{sf_dir}/orders.parquet",
-                            columns=["o_custkey", "o_totalprice"])
-            .map_batches(lambda b: b.cast(ord_schema), batch_format="pyarrow"),
-            ord_stage,
-            lambda b: ex.int_part(
-                [b["o_custkey"].to_numpy(zero_copy_only=False)], num_parts))
-        ex.write_exchange(
-            rd.read_parquet(f"{sf_dir}/customer.parquet",
-                            columns=["c_custkey", "c_nationkey"])
-            .map_batches(lambda b: b.cast(cust_schema), batch_format="pyarrow"),
-            cust_stage,
-            lambda b: ex.int_part(
-                [b["c_custkey"].to_numpy(zero_copy_only=False)], num_parts))
-
-        def agg_part(ord_t: pa.Table, cust_t: pa.Table) -> pa.Table:
-            ck = cust_t["c_custkey"].to_numpy(zero_copy_only=False)
-            order = np.argsort(ck, kind="stable")
-            ck_s = ck[order]
-            cnat_s = cust_t["c_nationkey"].to_numpy(zero_copy_only=False)[order]
-            custs = ord_t["o_custkey"].to_numpy(zero_copy_only=False)
-            if not len(ck_s) or not len(custs):
-                return agg_schema.empty_table()
-            j = np.clip(np.searchsorted(ck_s, custs), 0, len(ck_s) - 1)
-            mask = ck_s[j] == custs
-            nk = cnat_s[j[mask]]
-            price = ord_t["o_totalprice"].to_numpy(zero_copy_only=False)[mask]
-            g = pd.DataFrame({"n_nationkey": nk, "price": price}).groupby(
-                "n_nationkey", sort=False)["price"].agg(["sum", "count"]).reset_index()
-            return pa.table({
-                "n_nationkey": pa.array(g["n_nationkey"].to_numpy(np.int64)),
-                "s": pa.array(g["sum"].to_numpy(np.float64)),
-                "c": pa.array(g["count"].to_numpy(np.int64)),
-            })
-
-        partials = ex.map_parts([ord_stage, cust_stage], num_parts, agg_part,
-                                agg_schema,
-                                in_schemas=[ord_schema, cust_schema]).to_pandas()
+    partials = ex.join_by_key(
+        rd.read_parquet(f"{sf_dir}/orders.parquet",
+                        columns=["o_custkey", "o_totalprice"]),
+        rd.read_parquet(f"{sf_dir}/customer.parquet",
+                        columns=["c_custkey", "c_nationkey"]),
+        ["o_custkey"], ["c_custkey"],
+        lambda t: _sorted_by(t, "c_custkey", "c_nationkey"), agg,
+        pa.schema([("n_nationkey", pa.int64()), ("s", pa.float64()),
+                   ("c", pa.int64())]),
+        "customer").to_pandas()
     n_names, r_names = _nation_names(sf_dir)
     nk = partials["n_nationkey"].to_numpy()
     in_range = (nk >= 0) & (nk < len(n_names))
@@ -3666,14 +3144,10 @@ def customer_order_counts(sf_dir: str,
     the outer-join semantics an inner join or semi-join cannot
     express. Shape: the orders stream aggregates per custkey through
     the shared gated ``grouped_sum_by_key`` combine (the fact stream
-    never shuffles — one partial row per custkey per batch); the
-    aggregate side then joins to customer either as a broadcast of
-    sorted numpy arrays (searchsorted probe, miss -> zero-fill; below
-    ``ROUTES['order_counts']`` aggregate rows) or, beyond the
-    budget, via custkey-hash co-partitioning of BOTH sides through the
-    filesystem exchange with the identical vectorized per-part join.
-    Output (c_custkey, c_name, n_orders, total_spent)."""
-    import ray
+    never shuffles — one partial row per custkey per batch); customers
+    then probe the sorted aggregate arrays (miss -> zero-fill) through
+    ``ex.join_by_key`` gated on ``ROUTES['order_counts']`` aggregate
+    rows. Output (c_custkey, c_name, n_orders, total_spent)."""
     import ray.data as rd
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -3688,84 +3162,28 @@ def customer_order_counts(sf_dir: str,
         rd.read_parquet(f"{sf_dir}/orders.parquet",
                         columns=["o_custkey", "o_totalprice"])
         .map_batches(partial, batch_format="pandas").materialize(),
-        "o_custkey", ["n_orders", "sum_total"],
-        "agg_partials").materialize()
+        "o_custkey", ["n_orders", "sum_total"], "agg_partials")
 
-    cust = rd.read_parquet(f"{sf_dir}/customer.parquet",
-                           columns=["c_custkey", "c_name"])
-    out_schema = pa.schema([
-        ("c_custkey", pa.int64()), ("c_name", pa.string()),
-        ("n_orders", pa.int64()), ("total_spent", pa.float64()),
-    ])
+    def left_join(cust_t: pa.Table, agg_arrays) -> pa.Table:
+        ak_s, n_s, s_s = agg_arrays
+        j, hit = _probe_sorted(
+            ak_s, cust_t["c_custkey"].to_numpy(zero_copy_only=False))
+        n_out = np.zeros(len(hit), np.int64)
+        s_out = np.zeros(len(hit), np.float64)
+        n_out[hit] = n_s[j[hit]]
+        s_out[hit] = s_s[j[hit]]
+        return cust_t.append_column("n_orders", pa.array(n_out)) \
+            .append_column("total_spent", pa.array(s_out))
 
-    def left_join(ck: np.ndarray, names: np.ndarray, ak_s: np.ndarray,
-                  n_s: np.ndarray, s_s: np.ndarray) -> pa.Table:
-        # ak_s sorted by custkey; probe + zero-fill the misses
-        n_out = np.zeros(len(ck), np.int64)
-        s_out = np.zeros(len(ck), np.float64)
-        if len(ak_s):
-            j = np.clip(np.searchsorted(ak_s, ck), 0, len(ak_s) - 1)
-            hit = ak_s[j] == ck
-            n_out[hit] = n_s[j[hit]]
-            s_out[hit] = s_s[j[hit]]
-        return pa.table({"c_custkey": pa.array(ck, pa.int64()),
-                         "c_name": pa.array(names, pa.string()),
-                         "n_orders": pa.array(n_out),
-                         "total_spent": pa.array(s_out)})
-
-    if ex.fits("order_counts", agg.count()):
-        adf = agg.to_pandas()
-        order = np.argsort(adf["o_custkey"].to_numpy(), kind="stable")
-        ref = ray.put((adf["o_custkey"].to_numpy(np.int64)[order],
-                       adf["n_orders"].to_numpy(np.int64)[order],
-                       adf["sum_total"].to_numpy(np.float64)[order]))
-
-        def probe(batch: pa.Table) -> pa.Table:
-            from ..stages.broadcast import get_broadcast
-
-            ak_s, n_s, s_s = get_broadcast(ref)
-            return left_join(
-                batch["c_custkey"].to_numpy(zero_copy_only=False)
-                .astype(np.int64),
-                batch["c_name"].to_numpy(zero_copy_only=False),
-                ak_s, n_s, s_s)
-
-        return cust.map_batches(probe, batch_format="pyarrow")
-
-    agg_schema = pa.schema([("o_custkey", pa.int64()),
-                            ("n_orders", pa.int64()),
-                            ("sum_total", pa.float64())])
-    cust_schema = pa.schema([("c_custkey", pa.int64()),
-                             ("c_name", pa.string())])
-    with (ex.stage("nse_coc_agg_") as agg_stage,
-          ex.stage("nse_coc_cust_") as cust_stage):
-        ex.write_exchange(
-            agg.map_batches(lambda b: b.cast(agg_schema),
-                            batch_format="pyarrow"),
-            agg_stage,
-            lambda b: ex.int_part(
-                [b["o_custkey"].to_numpy(zero_copy_only=False)], num_parts))
-        ex.write_exchange(
-            cust.map_batches(lambda b: b.cast(cust_schema),
-                             batch_format="pyarrow"),
-            cust_stage,
-            lambda b: ex.int_part(
-                [b["c_custkey"].to_numpy(zero_copy_only=False)], num_parts))
-
-        def join_part(cust_t: pa.Table, agg_t: pa.Table) -> pa.Table:
-            ak = agg_t["o_custkey"].to_numpy(zero_copy_only=False)
-            order = np.argsort(ak, kind="stable")
-            return left_join(
-                cust_t["c_custkey"].to_numpy(zero_copy_only=False)
-                .astype(np.int64),
-                cust_t["c_name"].to_numpy(zero_copy_only=False),
-                ak[order],
-                agg_t["n_orders"].to_numpy(zero_copy_only=False)[order],
-                agg_t["sum_total"].to_numpy(zero_copy_only=False)[order])
-
-        return ex.map_parts([cust_stage, agg_stage], num_parts, join_part,
-                            out_schema,
-                            in_schemas=[cust_schema, agg_schema])
+    return ex.join_by_key(
+        rd.read_parquet(f"{sf_dir}/customer.parquet",
+                        columns=["c_custkey", "c_name"]),
+        agg, ["c_custkey"], ["o_custkey"],
+        lambda t: _sorted_by(t, "o_custkey", "n_orders", "sum_total"),
+        left_join,
+        pa.schema([("c_custkey", pa.int64()), ("c_name", pa.string()),
+                   ("n_orders", pa.int64()), ("total_spent", pa.float64())]),
+        "order_counts", num_parts)
 
 
 # -- Set op: distinct values (partial-unique + combine) ---------------------

@@ -35,7 +35,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .similarity import _topk_group
+from .similarity import _topk_group, vector_matrix
 
 SEMDEDUP_CLUSTER_LIMIT = 8192
 """Max rows whose pairwise similarity is materialized at once inside
@@ -63,7 +63,7 @@ SEMDEDUP_SCHEMA = pa.schema([
 
 
 def _unit_rows(batch: pa.Table, id_col: str, vec_col: str):
-    vecs = np.array(batch[vec_col].to_pylist(), dtype=np.float64)
+    vecs = vector_matrix(batch[vec_col])
     ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
     norms = np.linalg.norm(vecs, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
@@ -125,7 +125,7 @@ def kmeans_assign(ds, n_clusters: int = 10, iters: int = 10,
 
     def assign(batch: pa.Table) -> pa.Table:
         c = ray.get(cent_ref)
-        vecs = np.array(batch[vec_col].to_pylist(), dtype=np.float64)
+        vecs = vector_matrix(batch[vec_col])
         ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
         d = ((vecs[:, None, :] - c[None, :, :]) ** 2).sum(-1)
         cl = d.argmin(1)

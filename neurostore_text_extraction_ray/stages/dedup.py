@@ -30,6 +30,7 @@ from ..functions import hashing as H
 from ..functions.textstats import shingles
 from . import exchange as ex
 from . import pairs as P
+from .similarity import vector_matrix
 
 # payload separator for serialized shingle sets (see ngram_jaccard_pairs)
 _SHINGLE_SEP = "\x1f"
@@ -587,7 +588,7 @@ def embedding_cosine_dup(
     rng_cls = np.random.RandomState
 
     def _unit(batch: pa.Table) -> tuple[list, np.ndarray]:
-        vecs = np.array(batch[vec_col].to_pylist(), dtype=np.float64)
+        vecs = vector_matrix(batch[vec_col])
         norms = np.linalg.norm(vecs, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
         return batch[id_col].to_pylist(), vecs / norms

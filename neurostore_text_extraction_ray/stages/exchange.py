@@ -36,7 +36,7 @@ a caller that drives its own phase-A tasks (the flagship sink's
 parquet file tasks) calls the same ``write_fragments`` and
 ``commit_fragments``.
 
-Operators compose two primitives on top of ``write_exchange`` /
+Operators compose three primitives on top of ``write_exchange`` /
 ``map_parts`` (eager: it returns after every part has run):
 
 - ``stage(prefix)``: the one stage-directory lifecycle. A ``with``
@@ -46,6 +46,10 @@ Operators compose two primitives on top of ``write_exchange`` /
 - ``combine_by_key``: the one gated keyed combine — the driver runs
   the combine over the whole input at or below a row limit, a key-hash
   exchange runs it per part beyond it.
+- ``join_by_key``: the one gated probe-driven join — at or below a
+  build-side row limit the prepared build side broadcasts to a map
+  over the probe side, beyond it both sides co-partition on their keys
+  and the same kernel runs per part.
 
 Every "collect below a row limit, exchange above it" decision reads one
 registry here: ``ROUTES`` (gate name -> row limit, asked through
@@ -66,6 +70,7 @@ import uuid
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..exceptions import BudgetError
 
@@ -102,8 +107,9 @@ ROUTES: dict[str, int] = {
     # broadcasting and both sides hash-bucket on the id (the reference's
     # add_pipeline join side is one row per DOCUMENT at corpus scale)
     "join": 5_000_000,
-    # partial (hash, min-id) rows; beyond, the dedup_exact winner
-    # combine leaves the driver for the content-hash partition exchange
+    # partial (hash, min-id) rows, then winner ids; beyond, the
+    # dedup_exact winner combine leaves the driver for the content-hash
+    # partition exchange, and the winner semi-join co-partitions on id
     "dedup_winners": 5_000_000,
     # partial top-k rows; beyond, a two-level combine: doc-hash
     # exchange, per-part top-k under the SAME total order (top-k of a
@@ -544,10 +550,15 @@ def key_part(batch: pa.Table, key_cols: list[str],
     the pandas 64-bit string hash, fixed-width values (ints,
     timestamps, floats) ride their bit patterns — all mixed through
     ``int_part``, so equal multi-column keys always co-locate within a
-    run."""
+    run. NULL integer keys hash as 0: ``to_numpy`` would turn the
+    whole column into float64, moving its non-NULL keys to other parts
+    than the same keys without a NULL beside them."""
     cols = []
     for c in key_cols:
-        arr = batch[c].to_numpy(zero_copy_only=False)
+        col = batch[c]
+        if col.null_count and pa.types.is_integer(col.type):
+            col = pc.fill_null(col, 0)
+        arr = col.to_numpy(zero_copy_only=False)
         if arr.dtype.kind in "iu":
             cols.append(arr.astype(np.int64))
         elif arr.dtype.kind == "f" and arr.dtype.itemsize == 8:
@@ -559,6 +570,65 @@ def key_part(batch: pa.Table, key_cols: list[str],
         else:
             cols.append(pd.util.hash_array(arr.astype(object)))
     return int_part(cols, num_parts)
+
+
+def plain_parquet_files(ds, columns: list[str] = ()) -> list[str] | None:
+    """The input files of ``ds`` when it is a bare
+    ``ray.data.read_parquet`` of local files that reads every row of
+    them as stored and keeps ``columns``; ``None`` for any other
+    Dataset.
+
+    The flagship sink reads such files in its own phase-A tasks and
+    ``join_by_key`` reads such a build side on the driver, both to skip
+    a Ray Data job. It inspects Ray Data's logical plan, the package's
+    one use of Ray Data internals: a single ``Read`` over a
+    ``ParquetDatasource`` with no upstream op, no ``to_batches``
+    arguments (a row ``filter=``), no ``_block_udf``, no
+    ``include_paths``, no user schema, no file shuffle, no partition
+    values in the paths, and a column projection, if any, that keeps
+    ``columns``. The public ``Dataset.input_files()`` cannot tell: it
+    names every file of ``read_parquet(...).limit(n)`` too. An
+    attribute it does not find reads as unknown and gives ``None``, so
+    a Ray upgrade can cost speed but cannot change rows.
+    """
+    try:
+        import pyarrow.fs as pafs
+        from ray.data._internal.datasource.parquet_datasource import (
+            ParquetDatasource)
+        from ray.data._internal.logical.operators.read_operator import Read
+        from ray.data.datasource.partitioning import PathPartitionParser
+    except ImportError:
+        return None
+    unknown = object()
+    op = getattr(getattr(ds, "_logical_plan", None), "dag", None)
+    if type(op) is not Read or getattr(op, "input_dependencies", None) != []:
+        return None
+    src = getattr(op, "_datasource", None)
+    if type(src) is not ParquetDatasource:
+        return None
+    projected = getattr(src, "_data_columns", unknown)
+    paths = getattr(src, "_pq_paths", None)
+    partitioning = getattr(src, "_partitioning", unknown)
+    if (getattr(src, "_to_batches_kwargs", None) != {}
+            or getattr(src, "_block_udf", unknown) is not None
+            or getattr(src, "_include_paths", True) is not False
+            or getattr(src, "_read_schema", unknown) is not None
+            or getattr(src, "_file_metadata_shuffler", unknown) is not None
+            or getattr(src, "_supports_distributed_reads", False) is not True
+            or not isinstance(getattr(src, "_filesystem", None),
+                              pafs.LocalFileSystem)
+            or not (projected is None or (isinstance(projected, list)
+                                          and set(columns) <= set(projected)))
+            or not isinstance(paths, list) or partitioning is unknown):
+        return None
+    if partitioning is not None:
+        try:
+            parse = PathPartitionParser(partitioning)
+            if any(parse(f) for f in paths):
+                return None
+        except ValueError:  # a path the partitioning cannot parse
+            return None
+    return list(paths)
 
 
 def arrow_schema_of(ds) -> pa.Schema:
@@ -575,6 +645,13 @@ def arrow_schema_of(ds) -> pa.Schema:
         else:
             fields.append((name, pa.from_numpy_dtype(dt)))
     return pa.schema(fields)
+
+
+def _cast_to(schema: pa.Schema):
+    """A batch function that selects and casts to ``schema``. An empty
+    block may carry no columns at all, so it gives an empty table."""
+    return lambda b: (b.select(schema.names).cast(schema) if b.num_rows
+                      else schema.empty_table())
 
 
 def combine_by_key(ds, key_cols: list[str], fn, out_schema: pa.Schema,
@@ -601,9 +678,67 @@ def combine_by_key(ds, key_cols: list[str], fn, out_schema: pa.Schema,
         return rd.from_arrow(to_out(fn(pdf)))
     in_schema = arrow_schema_of(ds)
     with stage("nse_combine_") as s:
-        write_exchange(
-            ds.map_batches(lambda b: b.select(in_schema.names).cast(in_schema),
-                           batch_format="pyarrow"),
-            s, lambda b: key_part(b, key_cols, num_parts))
+        write_exchange(ds.map_batches(_cast_to(in_schema),
+                                      batch_format="pyarrow"),
+                       s, lambda b: key_part(b, key_cols, num_parts))
         return map_parts(s, num_parts, lambda t: to_out(fn(t.to_pandas())),
                          out_schema)
+
+
+def join_by_key(probe, build, probe_keys: list[str], build_keys: list[str],
+                prepare, kernel, out_schema: pa.Schema, gate: str,
+                num_parts: int = 32):
+    """The gated probe-driven join. ``prepare(build_table) -> state``
+    builds the lookup state (sorted numpy arrays, never big python
+    dicts); ``kernel(probe_table, state)`` returns a pyarrow table or
+    pandas frame of ``out_schema`` whose rows all come from probe rows,
+    and must be exact given ALL build rows of the keys its probe rows
+    carry. Build rows that ``fits`` gate ``gate``: the build side is
+    collected once (a bare local ``read_parquet`` is counted from its
+    footers and read on the driver, see ``plain_parquet_files``),
+    ``prepare`` runs once on the driver, and its result broadcasts to a
+    lazy map of ``kernel`` over ``probe``. Beyond: both sides
+    key-hash-partition on their key columns through the exchange (each
+    cast to its own Arrow schema; the probe streams in, never
+    materialized) and ``kernel(probe_part, prepare(build_part))`` runs
+    once per part (materialized). A probe batch or part without rows
+    gives an empty ``out_schema`` table."""
+    import pyarrow.parquet as pq
+    import ray
+
+    from .broadcast import get_broadcast
+
+    def run(probe_t: pa.Table, state) -> pa.Table:
+        if probe_t.num_rows == 0:
+            return out_schema.empty_table()
+        out = kernel(probe_t, state)
+        if isinstance(out, pd.DataFrame):
+            return pa.Table.from_pandas(out, schema=out_schema,
+                                        preserve_index=False)
+        return out.select(out_schema.names).cast(out_schema)
+
+    # a bare parquet read needs no Ray Data job below the gate
+    files = plain_parquet_files(build)
+    if files is None:
+        build = build.materialize()
+    build_schema = arrow_schema_of(build)
+    if fits(gate, build.count()):
+        tables = ([pq.read_table(f, columns=build_schema.names)
+                   for f in files] if files is not None
+                  else ray.get(build.to_arrow_refs()))
+        ref = ray.put(prepare(pa.concat_tables(
+            [_cast_to(build_schema)(t) for t in tables]) if tables
+            else build_schema.empty_table()))
+        return probe.map_batches(lambda b: run(b, get_broadcast(ref)),
+                                 batch_format="pyarrow")
+    # only the probe's schema is resolved up front (from its first block)
+    probe_schema = arrow_schema_of(probe)
+    with stage("nse_join_probe_") as ps, stage("nse_join_build_") as bs:
+        for ds, schema, keys, s in ((probe, probe_schema, probe_keys, ps),
+                                    (build, build_schema, build_keys, bs)):
+            write_exchange(
+                ds.map_batches(_cast_to(schema), batch_format="pyarrow"), s,
+                lambda b, keys=keys: key_part(b, keys, num_parts))
+        return map_parts([ps, bs], num_parts,
+                         lambda p, b: run(p, prepare(b)), out_schema,
+                         in_schemas=[probe_schema, build_schema])

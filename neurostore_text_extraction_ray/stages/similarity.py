@@ -21,6 +21,20 @@ import pandas as pd
 import pyarrow as pa
 
 
+def vector_matrix(col) -> np.ndarray:
+    """The (n, dim) float64 matrix of a list<float> column, decoded
+    without a python list per row: a fixed-size-list cast (ragged rows
+    raise), one flatten, a reshape. float32 -> float64 is exact."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    if not len(col):
+        return np.empty((0, 0))
+    dim = len(col[0])
+    flat = col.cast(pa.list_(col.type.value_type, dim)).flatten()
+    return flat.to_numpy(zero_copy_only=False).reshape(
+        len(col), dim).astype(np.float64)
+
+
 def _topk_group(g: pd.DataFrame, k: int) -> pd.DataFrame:
     g = g.sort_values(["score", "vec_id"], ascending=[False, True], kind="stable")
     return g.head(k)
@@ -40,7 +54,7 @@ def knn_brute_force(ds, queries: np.ndarray, query_ids: list[int], k: int = 10,
 
     def score(batch: pa.Table) -> pa.Table:
         qu, qids = ray.get(q_ref)
-        vecs = np.array(batch[vec_col].to_pylist(), dtype=np.float64)
+        vecs = vector_matrix(batch[vec_col])
         ids = batch[id_col].to_numpy(zero_copy_only=False)
         vn = np.linalg.norm(vecs, axis=1, keepdims=True)
         vn[vn == 0] = 1.0
@@ -107,7 +121,7 @@ def knn_ivf(ds, queries: np.ndarray, query_ids: list[int], k: int = 10,
 
     def score(batch: pa.Table) -> pa.Table:
         cent_l, qu, qids, probe_l = ray.get(state)
-        vecs = np.array(batch[vec_col].to_pylist(), dtype=np.float64)
+        vecs = vector_matrix(batch[vec_col])
         ids = batch[id_col].to_numpy(zero_copy_only=False)
         d = ((vecs[:, None, :] - cent_l[None, :, :]) ** 2).sum(-1)
         cell = d.argmin(1)

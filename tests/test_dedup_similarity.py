@@ -266,3 +266,24 @@ def test_exchange_idempotent_rewrite(ray_session, tmp_path):
         stage, 4, lambda t: pa.table({"n": pa.array([t.num_rows], pa.int64())}),
         empty).to_pandas()
     assert int(out["n"].sum()) == 1000  # not 2000
+
+
+def test_vector_matrix_matches_the_python_decode():
+    """``vector_matrix`` equals ``np.array(col.to_pylist(), float64)``
+    on a chunked, sliced float32 column, and ragged rows raise."""
+    import numpy as np
+    import pyarrow as pa
+
+    from neurostore_text_extraction_ray.stages.similarity import vector_matrix
+
+    rng = np.random.default_rng(0)
+    rows = rng.standard_normal((7, 5)).astype(np.float32).tolist()
+    col = pa.chunked_array([
+        pa.array(rows[:4], pa.list_(pa.float32())).slice(1),
+        pa.array(rows[4:], pa.list_(pa.float32()))])
+    got = vector_matrix(col)
+    want = np.array(col.to_pylist(), dtype=np.float64)
+    assert got.dtype == np.float64 and got.shape == (6, 5)
+    assert got.tobytes() == want.tobytes()
+    with pytest.raises(pa.ArrowInvalid):
+        vector_matrix(pa.array([[1.0], [2.0, 3.0]], pa.list_(pa.float32())))

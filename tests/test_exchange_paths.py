@@ -1,5 +1,6 @@
 """Exchange plumbing (stage lifecycle, commit list, multi-node guards),
-the gate registry, and driver-vs-forced-exchange equivalence tests.
+the gate registry, ``join_by_key`` on both paths, and
+driver-vs-forced-exchange equivalence tests.
 ``test_oracle_parity``'s forced cases check every query's exchange
 paths against the oracle; the equivalence tests here add what those
 cannot see (queries whose wrapper rounds floats, extra invariants,
@@ -23,26 +24,6 @@ SF = "/root/testdata/sf0.001"
 def _canon(df: pd.DataFrame) -> pd.DataFrame:
     df = df[sorted(df.columns)].copy()
     return df.sort_values(list(df.columns), kind="stable").reset_index(drop=True)
-
-
-def test_events_asof_exchange_equivalence(ray_session, monkeypatch):
-    from neurostore_text_extraction_ray.pipelines import steps
-
-    drv = _canon(steps.events_asof_orders(SF).to_pandas())
-    force_routes(monkeypatch, "orders")
-    exch = _canon(steps.events_asof_orders(SF).to_pandas())
-    pd.testing.assert_frame_equal(drv, exch)
-    assert len(drv) > 0
-
-
-def test_revenue_by_nation_exchange_equivalence(ray_session, monkeypatch):
-    from neurostore_text_extraction_ray.pipelines import steps
-
-    drv = _canon(steps.revenue_by_nation(SF).to_pandas())
-    force_routes(monkeypatch, "customer")
-    exch = _canon(steps.revenue_by_nation(SF).to_pandas())
-    pd.testing.assert_frame_equal(drv, exch)
-    assert len(drv) == 25
 
 
 def test_exchange_root_env_override(ray_session, tmp_path, monkeypatch):
@@ -192,18 +173,6 @@ def test_events_hourly_exchange_equivalence(ray_session, monkeypatch):
     pd.testing.assert_frame_equal(drv, exch)
     assert len(drv) > 0
     assert int(drv["n_events"].sum()) == 1000  # every sf0.001 event counted once
-
-
-def test_domain_filter_exchange_equivalence(ray_session, monkeypatch):
-    from neurostore_text_extraction_ray.pipelines import steps
-
-    drv = _canon(steps.docs_domain_filter(SF).to_pandas())
-    force_routes(monkeypatch, "domain")
-    exch = _canon(steps.docs_domain_filter(SF).to_pandas())
-    pd.testing.assert_frame_equal(drv, exch)
-    # every tail singleton dropped, every kept domain is a head domain
-    assert len(drv) > 0
-    assert drv["domain"].str.startswith("site").all()
 
 
 # ---------------------------------------------------------------------------
@@ -403,21 +372,6 @@ def test_distinct_langs_exchange_equivalence(ray_session, monkeypatch):
     exch = _canon(steps.distinct_langs(SF).to_pandas())
     pd.testing.assert_frame_equal(drv, exch)
     assert len(drv) == 5
-
-
-def test_training_mix_dedup_exchange_equivalence(ray_session, monkeypatch):
-    """The composite training-mix pipeline's embedded winner combine
-    beyond the budget routes through dedup_exact's exchange and stays
-    byte-equal."""
-    from neurostore_text_extraction_ray.pipelines import steps
-    from neurostore_text_extraction_ray.pipelines.extras import (
-        _docs_training_mix)
-
-    drv = _canon(_docs_training_mix(SF).to_pandas())
-    force_routes(monkeypatch, "dedup_winners")
-    exch = _canon(_docs_training_mix(SF).to_pandas())
-    pd.testing.assert_frame_equal(drv, exch)
-    assert len(drv) > 0
 
 
 def test_key_part_negative_zero_colocates():
@@ -685,3 +639,249 @@ def test_fragment_files_are_content_named_ipc(ray_session, tmp_path):
                  if ".tmp" in n]
     assert not leftovers, leftovers
     assert listing(str(tmp_path / "again")) == first
+
+
+# ---------------------------------------------------------------------------
+# ex.join_by_key on both paths: the broadcast map and the co-partitioned
+# exchange. ``-1`` routes the "join" gate to the exchange even for an
+# empty build side (0 rows fit a limit of 0).
+# ---------------------------------------------------------------------------
+
+_JOIN_PATHS = {"broadcast": None, "exchange": -1}
+
+
+def _sorted_state(t: pa.Table):
+    k = t["bk"].to_numpy(zero_copy_only=False)
+    order = np.argsort(k, kind="stable")
+    return k[order], t["b"].to_numpy(zero_copy_only=False)[order]
+
+
+def _lookup(t: pa.Table, state):
+    ks, _ = state
+    keys = t["k"].to_numpy(zero_copy_only=False)
+    if not len(ks):
+        return np.zeros(len(keys), np.int64), np.zeros(len(keys), bool)
+    j = np.clip(np.searchsorted(ks, keys), 0, len(ks) - 1)
+    return j, ks[j] == keys
+
+
+def _inner(t, state):
+    assert t.num_rows > 0, "a kernel ran without probe rows"
+    j, hit = _lookup(t, state)
+    return t.filter(pa.array(hit)).append_column(
+        "b", pa.array(state[1][j[hit]], pa.int64()))
+
+
+def _semi(t, state):
+    assert t.num_rows > 0, "a kernel ran without probe rows"
+    return t.filter(pa.array(_lookup(t, state)[1]))
+
+
+def _anti(t, state):
+    assert t.num_rows > 0, "a kernel ran without probe rows"
+    return t.filter(pa.array(~_lookup(t, state)[1]))
+
+
+def _left_zero(t, state):
+    assert t.num_rows > 0, "a kernel ran without probe rows"
+    j, hit = _lookup(t, state)
+    b = np.zeros(t.num_rows, np.int64)
+    b[hit] = state[1][j[hit]]
+    return t.append_column("b", pa.array(b))
+
+
+_PROBE_SCHEMA = pa.schema([("k", pa.int64()), ("a", pa.int64())])
+_WITH_B = _PROBE_SCHEMA.append(pa.field("b", pa.int64()))
+_KERNELS = {"inner": (_inner, _WITH_B), "semi": (_semi, _PROBE_SCHEMA),
+            "anti": (_anti, _PROBE_SCHEMA), "left": (_left_zero, _WITH_B)}
+
+
+def _expected(kind: str, probe: pa.Table, build: pa.Table) -> list:
+    """The join's rows, computed with exact python ints."""
+    lookup = dict(zip(build["bk"].to_pylist(), build["b"].to_pylist()))
+    rows = []
+    for k, a in zip(probe["k"].to_pylist(), probe["a"].to_pylist()):
+        hit = k is not None and k in lookup
+        if kind == "inner" and hit:
+            rows.append((k, a, lookup[k]))
+        elif (kind == "semi" and hit) or (kind == "anti" and not hit):
+            rows.append((k, a))
+        elif kind == "left":
+            rows.append((k, a, lookup[k] if hit else 0))
+    return sorted(rows, key=repr)
+
+
+def _run_join(monkeypatch, path, probe_tables, build, kernel, out_schema,
+              prepare=_sorted_state, num_parts=4) -> list:
+    import ray.data as rd
+
+    from neurostore_text_extraction_ray.stages import exchange as ex
+
+    if _JOIN_PATHS[path] is not None:
+        force_routes(monkeypatch, "join", limit=_JOIN_PATHS[path])
+    out = ex.join_by_key(rd.from_arrow(probe_tables), rd.from_arrow(build),
+                         ["k"], ["bk"], prepare, kernel, out_schema, "join",
+                         num_parts=num_parts)
+    rows = [t for t in out.iter_batches(batch_format="pyarrow")]
+    table = (pa.concat_tables(rows) if rows else out_schema.empty_table())
+    assert table.schema.equals(out_schema)
+    return sorted((tuple(r.values()) for r in table.to_pylist()), key=repr)
+
+
+def _probe(keys) -> pa.Table:
+    return pa.table({"k": pa.array(keys, pa.int64()),
+                     "a": pa.array(np.arange(len(keys)), pa.int64())})
+
+
+def _build(keys) -> pa.Table:
+    return pa.table({"bk": pa.array(keys, pa.int64()),
+                     "b": pa.array([10 * k + 1 for k in keys], pa.int64())})
+
+
+@pytest.mark.parametrize("path", list(_JOIN_PATHS))
+@pytest.mark.parametrize("kind", list(_KERNELS))
+def test_join_by_key_kernels(ray_session, monkeypatch, kind, path):
+    """Inner, semi, anti and left-zero-fill kernels: the same rows on
+    both paths, equal to the exact python join. Build keys 100-139
+    match no probe row, so with 4 parts some part has build rows and
+    no probe rows (the kernels assert they never see an empty probe)."""
+    probe = _probe([i % 30 for i in range(90)])
+    build = _build(list(range(0, 30, 2)) + list(range(100, 140)))
+    kernel, schema = _KERNELS[kind]
+    got = _run_join(monkeypatch, path, [probe.slice(0, 45), probe.slice(45)],
+                    build, kernel, schema)
+    assert got == _expected(kind, probe, build)
+
+
+@pytest.mark.parametrize("path", list(_JOIN_PATHS))
+@pytest.mark.parametrize("case", ["empty_build", "empty_probe", "both_empty"])
+def test_join_by_key_empty_sides(ray_session, monkeypatch, case, path):
+    probe = _probe([] if case != "empty_build" else [1, 2, 3])
+    build = _build([] if case != "empty_probe" else [1, 2])
+    for kind in ("inner", "anti", "left"):
+        kernel, schema = _KERNELS[kind]
+        with monkeypatch.context() as mp:
+            got = _run_join(mp, path, probe, build, kernel, schema)
+        assert got == _expected(kind, probe, build), kind
+
+
+@pytest.mark.parametrize("path", list(_JOIN_PATHS))
+def test_join_by_key_ids_above_2_53_exact(ray_session, monkeypatch, path):
+    """int64 keys and payloads above 2^53 stay exact on both paths: a
+    float64 step would merge 2^53 + 1 into 2^53."""
+    big = [2**53, 2**53 + 1, 2**62 + 7, -(2**62) - 3]
+    probe = _probe(big + [2**53 + 3])
+    build = pa.table({"bk": pa.array(big[1:], pa.int64()),
+                      "b": pa.array([k ^ 1 for k in big[1:]], pa.int64())})
+    got = _run_join(monkeypatch, path, probe, build, _left_zero, _WITH_B)
+    assert got == _expected("left", probe, build)
+    assert (2**53, 0, 0) in got and (2**53 + 1, 1, 2**53) in got
+
+
+@pytest.mark.parametrize("path", list(_JOIN_PATHS))
+def test_join_by_key_null_keys(ray_session, monkeypatch, path):
+    """NULL probe keys match nothing, and a NULL beside an integer key
+    does not move that key's rows to another part (``to_numpy`` of an
+    int column with a NULL is float64)."""
+    import pyarrow.compute as pc
+
+    def semi_is_in(t, keys):
+        return t.filter(pc.fill_null(pc.is_in(t["k"], value_set=keys), False))
+
+    def key_set(t):
+        return pc.unique(t["bk"]).drop_null()
+
+    probe = pa.table({"k": pa.array([1, None, 2, 3, None, 4] * 5, pa.int64()),
+                      "a": pa.array(np.arange(30), pa.int64())})
+    build = pa.table({"bk": pa.array([1, 3, None], pa.int64()),
+                      "b": pa.array([0, 0, 0], pa.int64())})
+    got = _run_join(monkeypatch, path, probe, build, semi_is_in,
+                    _PROBE_SCHEMA, prepare=key_set, num_parts=8)
+    assert got == _expected("semi", probe, build)
+    assert len(got) == 10
+
+    strings = pa.table({"k": pa.array(["x", None, "y", "z"] * 4),
+                        "a": pa.array(np.arange(16), pa.int64())})
+    s_build = pa.table({"bk": pa.array(["y", None, "z"]),
+                        "b": pa.array([0, 0, 0], pa.int64())})
+    with monkeypatch.context() as mp:
+        got = _run_join(mp, path, strings, s_build, semi_is_in,
+                        pa.schema([("k", pa.string()), ("a", pa.int64())]),
+                        prepare=key_set, num_parts=8)
+    assert got == _expected("semi", strings, s_build)
+    assert len(got) == 8
+
+
+@pytest.mark.parametrize("path", list(_JOIN_PATHS))
+def test_join_by_key_hot_key(ray_session, monkeypatch, path):
+    """One key holds half the probe rows."""
+    probe = _probe([7] * 100 + list(range(100)))
+    build = _build([7, 8, 9, 500])
+    got = _run_join(monkeypatch, path, [probe.slice(0, 120), probe.slice(120)],
+                    build, _inner, _WITH_B)
+    assert got == _expected("inner", probe, build)
+    assert len(got) == 103
+
+
+def test_join_by_key_prepares_once_when_broadcast(ray_session):
+    """The broadcast path runs ``prepare`` once, on the driver, however
+    many probe batches there are."""
+    calls = []
+
+    def counting_prepare(t):
+        calls.append(t.num_rows)
+        return _sorted_state(t)
+
+    probe = _probe(list(range(60)))
+    build = _build(list(range(0, 60, 3)))
+    got = _run_join(None, "broadcast", [probe.slice(i, 10)
+                                        for i in range(0, 60, 10)],
+                    build, _semi, _PROBE_SCHEMA, prepare=counting_prepare)
+    assert got == _expected("semi", probe, build)
+    assert calls == [20]
+
+
+def test_join_by_key_exchange_leaves_no_stage(ray_session, monkeypatch):
+    from neurostore_text_extraction_ray.stages import exchange as ex
+
+    def stages():
+        return set(glob.glob(os.path.join(ex.exchange_root(), "nse_join_*")))
+
+    before = stages()
+    probe, build = _probe(list(range(50))), _build(list(range(25)))
+    got = _run_join(monkeypatch, "exchange", probe, build, _inner, _WITH_B)
+    assert got == _expected("inner", probe, build)
+    assert stages() == before
+
+
+@pytest.mark.parametrize("path", list(_JOIN_PATHS))
+def test_join_by_key_parquet_build_lazy_probe(ray_session, monkeypatch,
+                                             tmp_path, path):
+    """A bare ``read_parquet`` build side (counted from its footers and,
+    below the gate, read on the driver) gives the rows of the same
+    build in memory, and neither path materializes the probe side: it
+    streams into the broadcast map or the exchange."""
+    import ray.data as rd
+
+    from neurostore_text_extraction_ray.stages import exchange as ex
+
+    build = _build(list(range(0, 40, 2)) + [100, 101])
+    for i, piece in enumerate([build.slice(0, 9), build.slice(9)]):
+        pq.write_table(piece, str(tmp_path / f"build-{i}.parquet"))
+    parquet_build = rd.read_parquet(str(tmp_path), columns=["bk", "b"])
+    assert ex.plain_parquet_files(parquet_build) is not None
+    probe = _probe([i % 45 for i in range(90)])
+    probe_ds = rd.from_arrow([probe.slice(0, 45), probe.slice(45)]) \
+        .map_batches(lambda b: b, batch_format="pyarrow")
+
+    materialized = []
+    real = rd.Dataset.materialize
+    monkeypatch.setattr(rd.Dataset, "materialize",
+                        lambda self: materialized.append(self) or real(self))
+    if _JOIN_PATHS[path] is not None:
+        force_routes(monkeypatch, "join", limit=_JOIN_PATHS[path])
+    out = ex.join_by_key(probe_ds, parquet_build, ["k"], ["bk"],
+                         _sorted_state, _inner, _WITH_B, "join", num_parts=4)
+    got = sorted((tuple(r.values()) for r in out.take_all()), key=repr)
+    assert got == _expected("inner", probe, build)
+    assert all(d is not probe_ds for d in materialized)

@@ -168,7 +168,7 @@ def test_a_projection_without_a_sink_column_is_not_a_plain_read(
     import ray.data as rd
 
     d, _ = page_files
-    assert flagship._plain_parquet_files(
+    assert ex.plain_parquet_files(
         rd.read_parquet(d, columns=["url", "html"]), COLUMNS) is None
 
 
@@ -298,3 +298,38 @@ def test_file_task_pieces_skip_empty_files(tmp_path):
     pq.write_table(_pages()[0].slice(0, 0), empty)
     pq.write_table(_pages()[0], full)
     assert flagship._phase_a_pieces([empty, full], COLUMNS) == [(full, [0])]
+
+
+@pytest.mark.parametrize("unit", ["s", "ms"])
+@pytest.mark.parametrize("source", ["from_arrow", "read_parquet"])
+def test_sink_parts_ignore_the_input_timestamp_unit(ray_session, tmp_path,
+                                                    source, unit):
+    """Pages whose ``warc_ts`` is ``timestamp[s]`` or ``timestamp[ms]``
+    give part files and sidecars byte-identical to the same rows as
+    ``timestamp[us]``, on both phase-A sources."""
+    import ray.data as rd
+
+    def dataset(tables, name):
+        if source == "from_arrow":
+            return rd.from_arrow(tables)
+        d = tmp_path / name
+        d.mkdir()
+        for i, t in enumerate(tables):
+            pq.write_table(t, str(d / f"pages-{i}.parquet"))
+        return rd.read_parquet(str(d))
+
+    tables = _pages()
+    coarse = [t.set_column(1, "warc_ts", t["warc_ts"].cast(pa.timestamp(unit)))
+              for t in tables]
+    assert _sink(dataset(coarse, "coarse"), tmp_path / "out_coarse") \
+        == _sink(dataset(tables, "us"), tmp_path / "out_us")
+
+
+def test_sink_passes_a_non_timestamp_warc_ts_through(ray_session, tmp_path):
+    """Only a timestamp ``warc_ts`` is widened: a ``date32`` one still
+    runs through the sink, as it did before the unit cast."""
+    import ray.data as rd
+
+    tables = [t.set_column(1, "warc_ts", t["warc_ts"].cast(pa.date32()))
+              for t in _pages()]
+    assert _sink(rd.from_arrow(tables), tmp_path / "out")
