@@ -276,8 +276,6 @@ def _docs_decontaminate(sf_dir: str):
     distinct 5-word shingle with it. Oracled as exact ANSI SQL (the
     shingle construction is re-expressed with regexp_extract_all +
     list slicing; corpus is ASCII so RE2 ``\\w`` == Python ``\\w``)."""
-    import numpy as np
-
     import ray.data as rd
 
     from ..stages.decontam import decontaminate
@@ -1041,8 +1039,6 @@ def _abbrev_expand(sf_dir: str):
 def _entity_linking(sf_dir: str):
     """Demographics extraction -> candidate entity linking (T4/K1
     chain; rows-only)."""
-    import ray.data as rd
-
     from ..stages.linker import LinkActor
     from ..stages.llm import (
         LLMExtractActor, clean_groups_batch)
@@ -1218,8 +1214,6 @@ def _umls_disease_groups(sf_dir: str):
     """UMLS-disease positional pipeline (umls_disease/model.py:289-319):
     demographics -> abbreviation-aware mention expansion -> candidate
     linking -> UMLSDiseaseSchema-shaped groups."""
-    import ray.data as rd
-
     from ..stages.linker import PositionalLinkActor
     from ..stages.llm import LLMExtractActor, clean_groups_batch
 
@@ -1411,7 +1405,6 @@ def _host_pagerank(sf_dir: str, n_iter: int = 5, damping: float = 0.85):
     driver). Both paths agree at the rounded output
     (equivalence-tested)."""
     import numpy as np_
-    import ray
     import ray.data as rd
 
     from ..functions.weblinks import outlinks_frame
@@ -1928,7 +1921,6 @@ def _host_indegree(sf_dir: str):
     shared ``grouped_sum_by_key`` combine (driver below
     ``ROUTES['domain']``, distributed-output host-hash exchange
     above)."""
-    import numpy as np
     import ray.data as rd
 
     from ..functions.weblinks import outlinks_frame

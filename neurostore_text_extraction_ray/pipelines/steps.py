@@ -1862,8 +1862,6 @@ def docs_diff_planted(sf_dir: str):
     doc_id + 10_000_000 for doc_id % 29 == 0 (precedence: a dropped
     row is dropped even if divisible by 17). Output (key, status) for
     the non-identical keys only; exact FULL-OUTER-JOIN SQL oracle."""
-    import ray.data as rd
-
     a = _docs(sf_dir, ["doc_id", "text"])
 
     def perturb(df: pd.DataFrame) -> pd.DataFrame:
@@ -3306,7 +3304,6 @@ def docs_nb_quality(sf_dir: str, positive_lang: str = "en"):
     combine; the model is hard-gated by ``BUDGETS['nb_model']``
     and broadcast once as sorted term-hash/weight arrays."""
     import ray
-    import ray.data as rd
 
     docs = _docs(sf_dir, ["doc_id", "lang", "text"])
 
@@ -3633,7 +3630,6 @@ def docs_lm_score(sf_dir: str, min_count: int = 1):
        scoring is a stateless vectorized map (searchsorted + log +
        bincount per-doc reduction)."""
     import ray
-    import ray.data as rd
 
     if min_count < 1:
         raise ValueError("min_count must be >= 1")

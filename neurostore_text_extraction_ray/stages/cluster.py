@@ -35,7 +35,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .similarity import _topk_group, vector_matrix
+from .similarity import topk_per_query, vector_matrix
 
 SEMDEDUP_CLUSTER_LIMIT = 8192
 """Max rows whose pairwise similarity is materialized at once inside
@@ -343,17 +343,10 @@ def knn_lsh(ds, queries: np.ndarray, query_ids: list[int], k: int = 10,
         })
 
     partial = ds.map_batches(score, batch_format="pyarrow")
-    if with_stats:
-        # test-only path: the partial top-k is bounded (batches*nq*k
-        # rows), so a driver collect is safe here
-        df = partial.to_pandas()
-        sent = df[df["query_id"] == -1]
-        stats = (int(sent["vec_id"].sum()), int(sent["score"].sum()))
-        top = (df[df["query_id"] != -1]
-               .sort_values(["query_id", "score", "vec_id"],
-                            ascending=[True, False, True], kind="stable")
-               .groupby("query_id", sort=False).head(k)
-               .reset_index(drop=True))
-        return top, stats
-    return partial.groupby("query_id").map_groups(
-        lambda g: _topk_group(g, k), batch_format="pandas")
+    if not with_stats:
+        return topk_per_query(partial, k)
+    partial = partial.materialize()
+    sent = partial.filter(expr="query_id == -1").to_pandas()
+    stats = (int(sent["vec_id"].sum()), int(sent["score"].sum()))
+    top = topk_per_query(partial.filter(expr="query_id != -1"), k)
+    return top.to_pandas(), stats

@@ -2,9 +2,9 @@
 
 - ``knn_brute_force``: exact cosine top-k — the query matrix is
   broadcast once (``ray.put``), each batch does one numpy matmul and
-  emits its per-batch top-k rows; a final small groupby(query) merge
-  yields the global top-k. Scales as a single pass over the vectors
-  with no all-to-all.
+  emits its per-batch top-k rows; ``topk_per_query`` merges them into
+  the global top-k. Scales as a single pass over the vectors with no
+  all-to-all.
 - ``knn_ivf``: the scale path — k-means-style coarse quantizer
   (deterministic init, fit on a driver-side sample), vectors assigned
   to cells in one pass, queries probe the ``n_probe`` nearest cells so
@@ -19,6 +19,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+
+from . import exchange as ex
 
 
 def vector_matrix(col) -> np.ndarray:
@@ -35,9 +37,24 @@ def vector_matrix(col) -> np.ndarray:
         len(col), dim).astype(np.float64)
 
 
-def _topk_group(g: pd.DataFrame, k: int) -> pd.DataFrame:
-    g = g.sort_values(["score", "vec_id"], ascending=[False, True], kind="stable")
-    return g.head(k)
+KNN_SCHEMA = pa.schema([
+    ("query_id", pa.int64()), ("vec_id", pa.int64()), ("score", pa.float64()),
+])
+
+
+def topk_per_query(partial, k: int):
+    """The global top-``k`` per query of per-batch top-k rows
+    ``(query_id, vec_id, score)``, ties by vec_id asc: one gated
+    ``combine_by_key`` on query_id (``ROUTES['topk_partials']``), no
+    native groupby. Returns a materialized Dataset of ``KNN_SCHEMA``."""
+
+    def topk(df: pd.DataFrame) -> pd.DataFrame:
+        return (df.sort_values(["query_id", "score", "vec_id"],
+                               ascending=[True, False, True], kind="stable")
+                .groupby("query_id", sort=False).head(k))
+
+    return ex.combine_by_key(partial, ["query_id"], topk, KNN_SCHEMA,
+                             "topk_partials")
 
 
 def knn_brute_force(ds, queries: np.ndarray, query_ids: list[int], k: int = 10,
@@ -74,10 +91,7 @@ def knn_brute_force(ds, queries: np.ndarray, query_ids: list[int], k: int = 10,
             "score": pa.array(np.asarray(out_s, dtype=np.float64)),
         })
 
-    partial = ds.map_batches(score, batch_format="pyarrow")
-    return partial.groupby("query_id").map_groups(
-        lambda g: _topk_group(g, k), batch_format="pandas"
-    )
+    return topk_per_query(ds.map_batches(score, batch_format="pyarrow"), k)
 
 
 def fit_coarse_centroids(sample: np.ndarray, n_cells: int, iters: int = 10,
@@ -146,7 +160,4 @@ def knn_ivf(ds, queries: np.ndarray, query_ids: list[int], k: int = 10,
             "score": pa.array(np.asarray(out_s, dtype=np.float64), pa.float64()),
         })
 
-    partial = ds.map_batches(score, batch_format="pyarrow")
-    return partial.groupby("query_id").map_groups(
-        lambda g: _topk_group(g, k), batch_format="pandas"
-    )
+    return topk_per_query(ds.map_batches(score, batch_format="pyarrow"), k)

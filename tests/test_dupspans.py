@@ -112,6 +112,23 @@ def test_large_ids_exact(ray_session, monkeypatch, limit):
     assert ("head words then " + shared)[s:e] == shared
 
 
+@pytest.mark.parametrize("limit", [10**9, -1])
+def test_empty_and_all_null_corpora(ray_session, monkeypatch, limit):
+    """A corpus without rows gives no rows; an all-NULL text column
+    gives one window-free row per doc. Both paths: limit -1 sends even
+    zero partial rows to the exchange."""
+    import ray.data as rd
+
+    force_routes(monkeypatch, "dupspans", limit=limit)
+    assert len(dup_spans(rd.from_arrow(pa.table({
+        "doc_id": pa.array([], pa.int64()),
+        "text": pa.array([], pa.string())}))).to_pandas()) == 0
+    df = _run([(2, None), (1, None)])
+    assert df.doc_id.tolist() == [1, 2]
+    assert (df.n_windows == 0).all() and (df.n_dup_windows == 0).all()
+    assert (df.dup_nchars == 0).all() and (df.dup_spans == "[]").all()
+
+
 def test_doc_windows_offsets():
     """Kernel-level: spans index the ORIGINAL text (tokenization only
     lowercases for hashing, never shifts offsets)."""

@@ -63,42 +63,6 @@ def test_stage_removed_when_body_raises(tmp_path, monkeypatch):
     assert stage not in ex._LIVE_STAGES
 
 
-def test_decontaminate_exchange_equivalence(ray_session, monkeypatch):
-    from neurostore_text_extraction_ray.pipelines.extras import (
-        _docs_decontaminate)
-
-    drv = _canon(_docs_decontaminate(SF).to_pandas())
-    force_routes(monkeypatch, "decon")
-    exch = _canon(_docs_decontaminate(SF).to_pandas())
-    pd.testing.assert_frame_equal(drv, exch)
-    assert len(drv) == 500
-    # the benchmark docs overlap themselves: all flagged
-    flagged = set(drv[drv["contaminated"]]["doc_id"])
-    assert set(range(0, 500, 50)) <= flagged
-
-
-def test_top_terms_exchange_equivalence(ray_session, monkeypatch):
-    from neurostore_text_extraction_ray.pipelines import steps
-
-    drv = _canon(steps.top_terms(SF).to_pandas())
-    force_routes(monkeypatch, "terms")
-    exch = _canon(steps.top_terms(SF).to_pandas())
-    pd.testing.assert_frame_equal(drv, exch)
-    assert len(drv) == 20
-
-
-def test_domain_stats_exchange_equivalence(ray_session, monkeypatch):
-    from neurostore_text_extraction_ray.pipelines import steps
-
-    drv = _canon(steps.docs_domain_stats(SF).to_pandas())
-    force_routes(monkeypatch, "domain")
-    exch = _canon(steps.docs_domain_stats(SF).to_pandas())
-    pd.testing.assert_frame_equal(drv, exch)
-    # seven head domains + the doc_id % 11 singleton tail
-    assert (drv["n_docs"] > 1).sum() == 7
-    assert (drv["n_docs"] == 1).any()
-
-
 def test_lineitem_agg_exchange_equivalence(ray_session, monkeypatch):
     from neurostore_text_extraction_ray.pipelines import steps
 
@@ -285,6 +249,21 @@ def test_fragment_writers_route_through_validation():
     assert not offenders, offenders
 
 
+def test_no_native_groupby():
+    """Static invariant: no module calls Ray Data's
+    ``groupby(...).map_groups``, a native all-to-all (46-104 s for a
+    237 MB exchange in BASELINE.md); per-key work goes through
+    ``ex.combine_by_key``."""
+    import neurostore_text_extraction_ray as pkg
+
+    pkg_dir = os.path.dirname(pkg.__file__)
+    offenders = [
+        f"{path}:{n}"
+        for path in glob.glob(f"{pkg_dir}/**/*.py", recursive=True)
+        for n, line in enumerate(open(path), 1) if "map_groups(" in line]
+    assert not offenders, offenders
+
+
 def test_gates_live_in_the_registry():
     """Static invariant: every driver-or-exchange limit is a key of
     ``exchange.ROUTES`` / ``exchange.BUDGETS``. No module defines its
@@ -362,16 +341,6 @@ def test_tfidf_vocab_budget_raises(ray_session, monkeypatch):
     force_budget(monkeypatch, "tfidf_vocab")
     with pytest.raises(BudgetError, match=r"BUDGETS\['tfidf_vocab'\]"):
         steps.tfidf(SF).to_pandas()
-
-
-def test_distinct_langs_exchange_equivalence(ray_session, monkeypatch):
-    from neurostore_text_extraction_ray.pipelines import steps
-
-    drv = _canon(steps.distinct_langs(SF).to_pandas())
-    force_routes(monkeypatch, "agg_partials")
-    exch = _canon(steps.distinct_langs(SF).to_pandas())
-    pd.testing.assert_frame_equal(drv, exch)
-    assert len(drv) == 5
 
 
 def test_key_part_negative_zero_colocates():
