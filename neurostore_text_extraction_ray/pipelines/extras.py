@@ -1657,11 +1657,11 @@ def _host_components(sf_dir: str, num_parts: int = 32):
     min-propagation below ``ROUTES['component_edges']`` deduped
     edges and the O(log n) pointer-jumping exchange propagation
     (``pairs.label_components_exchanged`` — labels never on the
-    driver) beyond it; the (host, label) decorate and the
-    per-label (min host, size) aggregate run node- then
-    label-co-partitioned through the exchange beyond
-    ``ROUTES['hostlabel']`` (labels co-locate, so per-part min/size
-    are exact global values), or as one driver groupby below it."""
+    driver) beyond it; the (host, label) decorate is a ``join_by_key``
+    on the node and the per-label (min host, size) aggregate a
+    ``combine_by_key`` on the label, both on ``ROUTES['hostlabel']``
+    (broadcast and one driver groupby below it, node- then
+    label-co-partitioned beyond it)."""
     import ray.data as rd
 
     from ..functions.hashing import _token_hashes
@@ -1687,8 +1687,8 @@ def _host_components(sf_dir: str, num_parts: int = 32):
 
     edges = grouped_sum_by_key(
         rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-        .map_batches(edge_partial, batch_format="pandas").materialize(),
-        ["src", "dst"], ["n"], "agg_partials").materialize()
+        .map_batches(edge_partial, batch_format="pandas"),
+        ["src", "dst"], ["n"], "agg_partials")
 
     def to_int_edges(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -1712,32 +1712,35 @@ def _host_components(sf_dir: str, num_parts: int = 32):
         return g
 
     nodes = grouped_sum_by_key(
-        edges.map_batches(node_partial, batch_format="pandas").materialize(),
-        ["node", "host"], ["n"], "agg_partials").materialize()
+        edges.map_batches(node_partial, batch_format="pandas"),
+        ["node", "host"], ["n"], "agg_partials")
 
     out_schema = pa.schema([
         ("host", pa.string()), ("component", pa.string()),
         ("n_hosts", pa.int64()),
     ])
+    hl_schema = pa.schema([("label", pa.int64()), ("host", pa.string())])
 
-    def decorate(nodes_df: pd.DataFrame, lab_df: pd.DataFrame
-                 ) -> pd.DataFrame:
+    def sorted_labels(lab: pa.Table):
+        ln = lab["node"].to_numpy(zero_copy_only=False).astype(np.int64)
+        order = np.argsort(ln, kind="stable")
+        return ln[order], lab["label"].to_numpy(
+            zero_copy_only=False).astype(np.int64)[order]
+
+    def decorate(nodes_t: pa.Table, state) -> pa.Table:
         # pure-int64 searchsorted join (never a pandas merge — the
         # float64 NaN path silently rounds 64-bit hash ids); nodes
         # absent from labels (edgeless — impossible here, kept for
         # robustness) default to self
-        nid = nodes_df["node"].to_numpy(dtype=np.int64)
+        ln_s, ll_s = state
+        nid = nodes_t["node"].to_numpy(zero_copy_only=False).astype(np.int64)
         lab = nid.copy()
-        ln = lab_df["node"].to_numpy(dtype=np.int64)
-        if len(ln):
-            order = np.argsort(ln, kind="stable")
-            ln_s = ln[order]
-            ll_s = lab_df["label"].to_numpy(dtype=np.int64)[order]
+        if len(ln_s):
             j = np.clip(np.searchsorted(ln_s, nid), 0, len(ln_s) - 1)
             hit = ln_s[j] == nid
             lab[hit] = ll_s[j[hit]]
-        return pd.DataFrame({
-            "label": lab, "host": nodes_df["host"].to_numpy(dtype=object)})
+        return pa.table({"label": pa.array(lab, pa.int64()),
+                         "host": nodes_t["host"]})
 
     def finish(hl: pd.DataFrame) -> pd.DataFrame:
         g = hl.groupby("label", sort=False)
@@ -1747,45 +1750,11 @@ def _host_components(sf_dir: str, num_parts: int = 32):
             "n_hosts": g["host"].transform("size").to_numpy(np.int64),
         })
 
-    if ex.fits("hostlabel", nodes.count()):
-        return rd.from_pandas(finish(decorate(nodes.to_pandas(),
-                                              labels.to_pandas())))
-
-    node_schema = pa.schema([("node", pa.int64()), ("host", pa.string())])
-    lab_schema = pa.schema([("node", pa.int64()), ("label", pa.int64())])
-    hl_schema = pa.schema([("label", pa.int64()), ("host", pa.string())])
-    with (ex.stage("nse_hc_nodes_") as nodes_stage,
-          ex.stage("nse_hc_lab_") as lab_stage,
-          ex.stage("nse_hc_hl_") as hl_stage):
-        ex.write_exchange(
-            nodes.map_batches(
-                lambda b: b.select(["node", "host"]).cast(node_schema),
-                batch_format="pyarrow"),
-            nodes_stage, lambda b: ex.key_part(b, ["node"], num_parts))
-        ex.write_exchange(
-            labels.map_batches(lambda b: b.cast(lab_schema),
-                               batch_format="pyarrow"),
-            lab_stage, lambda b: ex.key_part(b, ["node"], num_parts))
-
-        def decorate_part(nodes_t: pa.Table, lab_t: pa.Table) -> pa.Table:
-            return pa.Table.from_pandas(
-                decorate(nodes_t.to_pandas(), lab_t.to_pandas()),
-                schema=hl_schema, preserve_index=False)
-
-        hl = ex.map_parts([nodes_stage, lab_stage], num_parts,
-                          decorate_part, hl_schema,
-                          in_schemas=[node_schema, lab_schema])
-        # labels co-locate per part, so per-part min/size are exact
-        ex.write_exchange(hl, hl_stage,
-                          lambda b: ex.key_part(b, ["label"], num_parts))
-
-        def finish_part(hl_t: pa.Table) -> pa.Table:
-            return pa.Table.from_pandas(finish(hl_t.to_pandas()),
-                                        schema=out_schema,
-                                        preserve_index=False)
-
-        return ex.map_parts(hl_stage, num_parts, finish_part,
-                            out_schema)
+    # labels co-locate in the combine, so each call's min/size are exact
+    hl = ex.join_by_key(nodes, labels, ["node"], ["node"], sorted_labels,
+                        decorate, hl_schema, "hostlabel", num_parts)
+    return ex.combine_by_key(hl, ["label"], finish, out_schema, "hostlabel",
+                             num_parts)
 
 
 def _docs_outlinks(sf_dir: str):

@@ -1894,53 +1894,43 @@ def docs_domain_cap(sf_dir: str, cap: int = 3, num_parts: int = 32):
     runs and cluster shapes. Output (doc_id, domain).
 
     Scale shape: rank-within-domain needs every id of a domain in one
-    place, so this is inherently a co-partition op — there is no
-    bounded driver/broadcast variant to gate (unlike the stats/filter
-    pair above, whose exchanged rows are domain-bounded). Only
-    (doc_id) int64 rows travel: the domain string and the hash are
-    both pure functions of doc_id and recompute per part, keeping the
-    exchange ~8 bytes/row at any corpus size. Per-part kernel is one
-    factorize + lexsort + offset cumcount — no per-domain Python
-    loop."""
+    call, so the kernel runs through ``combine_by_key`` on an int64
+    domain hash: on the driver below ``ROUTES['key_rows']`` docs, per
+    domain-hash part beyond. Only (doc_id, hash) int64 rows travel: the
+    domain string and the sampling hash are pure functions of doc_id
+    and recompute in the kernel, keeping the exchange 16 bytes/row at
+    any corpus size. The kernel is one factorize + lexsort + offset
+    cumcount — no per-domain Python loop."""
     out_schema = pa.schema([("doc_id", pa.int64()), ("domain", pa.string())])
 
-    def check_ids(b: pa.Table) -> pa.Table:
+    def with_domain_hash(b: pa.Table) -> pa.Table:
         ids = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         if len(ids) and not ((ids >= 0).all() and ids.max() < (1 << 31)):
             raise ValueError("docs_domain_cap requires 0 <= doc_id < 2^31")
-        return pa.table({"doc_id": pa.array(ids, pa.int64())})
+        dom = _plant_domains(pd.Series(ids)).to_numpy(dtype=object)
+        return pa.table({
+            "doc_id": pa.array(ids, pa.int64()),
+            "dh": pa.array(pd.util.hash_array(dom).view(np.int64)),
+        })
 
-    def by_domain(b: pa.Table) -> np.ndarray:
-        dom = _plant_domains(
-            pd.Series(b["doc_id"].to_numpy(zero_copy_only=False)))
-        return ex.int_part([pd.util.hash_array(dom.to_numpy(dtype=object))],
-                           num_parts)
+    def keep(df: pd.DataFrame) -> pd.DataFrame:
+        ids = df["doc_id"].to_numpy(np.int64)
+        dom = _plant_domains(pd.Series(ids)).to_numpy(dtype=object)
+        h = (ids * 2654435761) % (1 << 31) % (1 << 20)
+        codes, _ = pd.factorize(dom, sort=False)
+        order = np.lexsort((ids, h, codes))
+        sorted_codes = codes[order]
+        starts = np.flatnonzero(
+            np.r_[True, sorted_codes[1:] != sorted_codes[:-1]])
+        sizes = np.diff(np.r_[starts, len(order)])
+        cum = np.arange(len(order)) - np.repeat(starts, sizes)
+        kept = order[cum < cap]
+        return pd.DataFrame({"doc_id": ids[kept], "domain": dom[kept]})
 
-    with ex.stage("nse_domcap_") as stage:
-        ex.write_exchange(
-            _docs(sf_dir, ["doc_id"]).map_batches(
-                check_ids, batch_format="pyarrow"),
-            stage, by_domain)
-
-        def keep_part(t: pa.Table) -> pa.Table:
-            ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-            dom = _plant_domains(pd.Series(ids)).to_numpy(dtype=object)
-            h = (ids * 2654435761) % (1 << 31) % (1 << 20)
-            codes, _ = pd.factorize(dom, sort=False)
-            order = np.lexsort((ids, h, codes))
-            sorted_codes = codes[order]
-            starts = np.flatnonzero(
-                np.r_[True, sorted_codes[1:] != sorted_codes[:-1]])
-            sizes = np.diff(np.r_[starts, len(order)])
-            cum = np.arange(len(order)) - np.repeat(starts, sizes)
-            keep = order[cum < cap]
-            return pa.table({
-                "doc_id": pa.array(ids[keep], pa.int64()),
-                "domain": pa.array(dom[keep], pa.string()),
-            })
-
-        return ex.map_parts(stage, num_parts, keep_part,
-                            out_schema)
+    return ex.combine_by_key(
+        _docs(sf_dir, ["doc_id"]).map_batches(
+            with_domain_hash, batch_format="pyarrow"),
+        ["dh"], keep, out_schema, "key_rows", num_parts)
 
 
 # -- Stratified deterministic sampling (per-group quotas) -------------------
@@ -2070,83 +2060,38 @@ def pack_shards(ds, key_col: str, weight_col: str, budget: int,
     budget`` (how LM training packs documents into fixed-token blocks;
     exactly a SQL window ``SUM() OVER (ORDER BY key)``).
 
-    Distributed as the classic two-phase scan — nothing corpus-sized
-    ever touches the driver:
-    1. range-partition rows by ``key_col`` through the filesystem
-       exchange (equal-width ranges over the observed [min, max]; a
-       skewed key space makes uneven parts, never wrong results);
-    2. per-part totals (ONE row per part) are driver-collected, the
-       exclusive prefix of the range-ordered totals is broadcast as a
-       (part_min_key -> offset) sorted array;
-    3. a second pass over the same exchange parts sorts locally,
-       adds the part offset to the local exclusive cumsum, and emits
-       ``shard``.
+    Distributed as ``ex.scan_by_range`` — nothing corpus-sized ever
+    touches the driver: a part's total is its weight sum, and each part
+    sorts locally and adds its offset to the local exclusive cumsum.
 
     Requires unique keys (ORDER BY would otherwise be ambiguous) and
     int64-representable cumulative weight."""
-    import ray
-    import ray.data as rd
-
-    from ..stages.broadcast import get_broadcast
-
     out_schema = pa.schema([
         (key_col, pa.int64()), (weight_col, pa.int64()),
         ("shard", pa.int64()),
     ])
-    gmin = ds.min(key_col)
-    if gmin is None:
-        return rd.from_arrow(out_schema.empty_table())
-    gmax = ds.max(key_col)
-    # single-division range partitioner: no int64 overflow for any key
-    # span (contrast (key-gmin)*P which overflows past 2^63/P)
-    chunk = max(1, -((gmin - gmax - 1) // num_parts))
 
-    def by_range(b: pa.Table) -> np.ndarray:
-        ids = b[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        return (ids - gmin) // chunk
+    def assign(t: pa.Table, offset: int) -> pa.Table:
+        k = t[key_col].to_numpy(zero_copy_only=False)
+        w = t[weight_col].to_numpy(zero_copy_only=False)
+        order = np.argsort(k, kind="stable")
+        k, w = k[order], w[order]
+        excl = offset + np.cumsum(w) - w
+        return pa.table({
+            key_col: pa.array(k, pa.int64()),
+            weight_col: pa.array(w, pa.int64()),
+            "shard": pa.array(excl // budget, pa.int64()),
+        })
 
-    tot_schema = pa.schema([("min_key", pa.int64()), ("total", pa.int64())])
-    with ex.stage("nse_pack_") as stage:
-        ex.write_exchange(
-            ds.map_batches(
-                lambda b: pa.table({
-                    key_col: pc.cast(b[key_col], pa.int64()),
-                    weight_col: pc.cast(b[weight_col], pa.int64()),
-                }),
-                batch_format="pyarrow"),
-            stage, by_range)
-
-        def part_total(t: pa.Table) -> pa.Table:
-            k = t[key_col].to_numpy(zero_copy_only=False)
-            w = t[weight_col].to_numpy(zero_copy_only=False)
-            return pa.table({
-                "min_key": pa.array([int(k.min())], pa.int64()),
-                "total": pa.array([int(w.sum())], pa.int64()),
-            })
-
-        totals = ex.map_parts(stage, num_parts, part_total,
-                              tot_schema).to_pandas()
-        totals = totals.sort_values("min_key", kind="stable")
-        mins = totals["min_key"].to_numpy(np.int64)
-        offs = np.concatenate([
-            [0], np.cumsum(totals["total"].to_numpy(np.int64))[:-1]])
-        ref = ray.put((mins, offs))
-
-        def assign(t: pa.Table) -> pa.Table:
-            m, o = get_broadcast(ref)
-            k = t[key_col].to_numpy(zero_copy_only=False)
-            w = t[weight_col].to_numpy(zero_copy_only=False)
-            order = np.argsort(k, kind="stable")
-            k, w = k[order], w[order]
-            excl = np.concatenate([[0], np.cumsum(w)[:-1]])
-            excl += o[np.searchsorted(m, k[0])]
-            return pa.table({
-                key_col: pa.array(k, pa.int64()),
-                weight_col: pa.array(w, pa.int64()),
-                "shard": pa.array(excl // budget, pa.int64()),
-            })
-
-        return ex.map_parts(stage, num_parts, assign, out_schema)
+    return ex.scan_by_range(
+        ds.map_batches(
+            lambda b: pa.table({
+                key_col: pc.cast(b[key_col], pa.int64()),
+                weight_col: pc.cast(b[weight_col], pa.int64()),
+            }),
+            batch_format="pyarrow"),
+        key_col, lambda t: pc.sum(t[weight_col]).as_py(), assign,
+        out_schema, num_parts)
 
 
 def docs_pack_shards(sf_dir: str, budget: int = 20000):
@@ -2172,126 +2117,75 @@ def pack_sequences(ds, key_col: str = "doc_id", text_col: str = "text",
     rows are the packed token windows themselves.
 
     Distributed with nothing corpus-sized on the driver:
-    1. range-partition ``(key, text)`` by ``key_col`` through the
-       filesystem exchange (keys unique => per-part local order is a
-       contiguous slice of the global order);
-    2. per-part token TOTALS (one row per part) driver-collect; the
-       exclusive prefix over range-ordered parts broadcasts as sorted
-       ``(part_min_key -> token_offset)`` arrays;
-    3. each part re-tokenizes locally, places every doc at its global
-       token offset and emits per-(seq_id, pos) FRAGMENT rows — a doc
-       spans at most ``ceil(n/seq_len)+1`` sequences, and a fragment
-       carries at most ``seq_len`` tokens;
-    4. fragments hash-partition on seq_id through a second exchange;
-       each part stitches its sequences by (seq_id, pos). Boundary
-       sequences receive fragments from adjacent ranges — the
-       co-partition makes the stitch local.
+    1. ``ex.scan_by_range`` over ``(key, text)``: a part's total is its
+       token count, and each part re-tokenizes locally, places every
+       doc at its global token offset and emits per-(seq_id, pos)
+       FRAGMENT rows — a doc spans at most ``ceil(n/seq_len)+1``
+       sequences, and a fragment carries at most ``seq_len`` tokens;
+    2. ``ex.combine_by_key`` on seq_id stitches each sequence's
+       fragments by pos. Boundary sequences receive fragments from
+       adjacent ranges; the key co-location makes the stitch exact.
 
-    Per-part memory is O(part tokens); the combine is a pandas groupby
+    Per-part memory is O(part tokens); the stitch is a pandas groupby
     over ~(part tokens / seq_len) groups each joining <= seq_len
     strings. Requires unique int64 keys (order would otherwise be
     ambiguous)."""
-    import ray
-    import ray.data as rd
-    from ray.data.aggregate import Max, Min
-
-    from ..stages.broadcast import get_broadcast
-
     out_schema = pa.schema([
         ("seq_id", pa.int64()), ("n_tokens", pa.int64()),
         ("seq_text", pa.string()),
     ])
-    mm = ds.aggregate(Min(key_col), Max(key_col))
-    gmin, gmax = mm[f"min({key_col})"], mm[f"max({key_col})"]
-    if gmin is None:
-        return rd.from_arrow(out_schema.empty_table())
-    chunk = max(1, -((gmin - gmax - 1) // num_parts))
-
-    def by_range(b: pa.Table) -> np.ndarray:
-        ids = b[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        return (ids - gmin) // chunk
-
-    tot_schema = pa.schema([("min_key", pa.int64()), ("total", pa.int64())])
     frag_schema = pa.schema([
         ("seq_id", pa.int64()), ("pos", pa.int64()), ("n", pa.int64()),
         ("frag", pa.string()),
     ])
-    with (ex.stage("nse_pseq_") as stage,
-          ex.stage("nse_pseq2_") as stage2):
-        ex.write_exchange(
-            ds.map_batches(
-                lambda b: pa.table({
-                    key_col: pc.cast(b[key_col], pa.int64()),
-                    text_col: pc.cast(b[text_col], pa.string()),
-                }),
-                batch_format="pyarrow"),
-            stage, by_range)
 
-        def part_total(t: pa.Table) -> pa.Table:
-            k = t[key_col].to_numpy(zero_copy_only=False)
-            # token count per doc = \S+ matches + 1 (the EOS marker);
-            # str.count('\S+') == len(findall('\S+')) exactly
-            n = (t[text_col].to_pandas().fillna("")
-                 .str.count(r"\S+").to_numpy(dtype=np.int64) + 1)
-            return pa.table({
-                "min_key": pa.array([int(k.min())], pa.int64()),
-                "total": pa.array([int(n.sum())], pa.int64()),
-            })
+    def n_tokens(t: pa.Table) -> int:
+        # token count per doc = \S+ matches + 1 (the EOS marker);
+        # str.count('\S+') == len(findall('\S+')) exactly
+        return int((t[text_col].to_pandas().fillna("")
+                    .str.count(r"\S+").to_numpy(dtype=np.int64) + 1).sum())
 
-        totals = ex.map_parts(stage, num_parts, part_total,
-                              tot_schema).to_pandas()
-        totals = totals.sort_values("min_key", kind="stable")
-        mins = totals["min_key"].to_numpy(np.int64)
-        offs = np.concatenate([
-            [0], np.cumsum(totals["total"].to_numpy(np.int64))[:-1]])
-        ref = ray.put((mins, offs))
+    def frags_of_part(t: pa.Table, off: int) -> pa.Table:
+        k = t[key_col].to_numpy(zero_copy_only=False)
+        txt = t[text_col].to_pylist()
+        seq_l, pos_l, n_l, frag_l = [], [], [], []
+        for i in np.argsort(k, kind="stable"):
+            toks = _PSEQ_TOK_RE.findall(txt[i] or "")
+            toks.append(eos)
+            n = len(toks)
+            for s in range(off // seq_len, (off + n - 1) // seq_len + 1):
+                lo = max(off, s * seq_len)
+                hi = min(off + n, (s + 1) * seq_len)
+                seq_l.append(s)
+                pos_l.append(lo)
+                n_l.append(hi - lo)
+                frag_l.append(" ".join(toks[lo - off:hi - off]))
+            off += n
+        return pa.table({
+            "seq_id": pa.array(seq_l, pa.int64()),
+            "pos": pa.array(pos_l, pa.int64()),
+            "n": pa.array(n_l, pa.int64()),
+            "frag": pa.array(frag_l, pa.string()),
+        })
 
-        def frags_of_part(t: pa.Table) -> pa.Table:
-            m, o = get_broadcast(ref)
-            k = t[key_col].to_numpy(zero_copy_only=False)
-            txt = t[text_col].to_pylist()
-            order = np.argsort(k, kind="stable")
-            off = int(o[np.searchsorted(m, int(k[order[0]]))])
-            seq_l, pos_l, n_l, frag_l = [], [], [], []
-            for i in order:
-                toks = _PSEQ_TOK_RE.findall(txt[i] or "")
-                toks.append(eos)
-                n = len(toks)
-                for s in range(off // seq_len, (off + n - 1) // seq_len + 1):
-                    lo = max(off, s * seq_len)
-                    hi = min(off + n, (s + 1) * seq_len)
-                    seq_l.append(s)
-                    pos_l.append(lo)
-                    n_l.append(hi - lo)
-                    frag_l.append(" ".join(toks[lo - off:hi - off]))
-                off += n
-            return pa.table({
-                "seq_id": pa.array(seq_l, pa.int64()),
-                "pos": pa.array(pos_l, pa.int64()),
-                "n": pa.array(n_l, pa.int64()),
-                "frag": pa.array(frag_l, pa.string()),
-            })
+    def stitch(dfp: pd.DataFrame) -> pd.DataFrame:
+        g = dfp.sort_values(["seq_id", "pos"], kind="stable").groupby(
+            "seq_id", sort=True)
+        return pd.DataFrame({
+            "n_tokens": g["n"].sum(),
+            "seq_text": g["frag"].agg(" ".join),
+        }).reset_index()
 
-        ex.write_exchange(
-            ex.map_parts(stage, num_parts, frags_of_part, frag_schema),
-            stage2,
-            lambda b: ex.int_part(
-                [b["seq_id"].to_numpy(zero_copy_only=False)], num_parts))
-
-        def stitch(t: pa.Table) -> pa.Table:
-            dfp = t.to_pandas().sort_values(
-                ["seq_id", "pos"], kind="stable")
-            g = dfp.groupby("seq_id", sort=True)
-            out = pd.DataFrame({
-                "n_tokens": g["n"].sum(),
-                "seq_text": g["frag"].agg(" ".join),
-            }).reset_index()
-            return pa.Table.from_pandas(
-                out[["seq_id", "n_tokens", "seq_text"]],
-                schema=out_schema, preserve_index=False)
-
-        return ex.map_parts(stage2, num_parts, stitch,
-                            out_schema)
+    frags = ex.scan_by_range(
+        ds.map_batches(
+            lambda b: pa.table({
+                key_col: pc.cast(b[key_col], pa.int64()),
+                text_col: pc.cast(b[text_col], pa.string()),
+            }),
+            batch_format="pyarrow"),
+        key_col, n_tokens, frags_of_part, frag_schema, num_parts)
+    return ex.combine_by_key(frags, ["seq_id"], stitch, out_schema,
+                             "key_rows", num_parts)
 
 
 def docs_pack_sequences(sf_dir: str, seq_len: int = 32):
@@ -2308,24 +2202,14 @@ def global_rank(ds, key_col: str, tie_col: str, descending: bool = False,
                 num_parts: int = 32):
     """Total-order global rank (``ROW_NUMBER() OVER (ORDER BY key
     [DESC], tie)``) without Ray Data's ``sort`` all-to-all (measured
-    scale-killer, BASELINE.md): the classic distributed sort —
-    1. range-partition rows on ``key_col`` through the filesystem
-       exchange (equal-width ranges; rows sharing a key value always
-       co-locate, so boundary ties are safe — skew makes uneven parts,
-       never wrong ranks);
-    2. per-part row counts (ONE row per part) driver-collect; the
-       exclusive prefix over range-ordered parts broadcasts as a
-       sorted (part_min_key -> offset) array pair;
-    3. each part sorts locally by (key, tie) and emits ``offset +
-       local_index + 1``.
+    scale-killer, BASELINE.md): the classic distributed sort as
+    ``ex.scan_by_range`` — a part's total is its row count, and each
+    part sorts locally by (key, tie) and emits ``offset + local_index +
+    1``. Rows sharing a key value always co-locate, so boundary ties
+    are safe.
     Requires int64 keys with ``|key| < 2^62`` (the descending negation
     must not overflow) and a unique ``tie_col`` for a deterministic
     total order. Output: (tie_col, key_col, rnk)."""
-    import ray
-    import ray.data as rd
-
-    from ..stages.broadcast import get_broadcast
-
     out_schema = pa.schema([
         (tie_col, pa.int64()), (key_col, pa.int64()), ("rnk", pa.int64()),
     ])
@@ -2342,54 +2226,20 @@ def global_rank(ds, key_col: str, tie_col: str, descending: bool = False,
             tie_col: pc.cast(b[tie_col], pa.int64()),
         })
 
-    from ray.data.aggregate import Max, Min
+    def rank_part(t: pa.Table, offset: int) -> pa.Table:
+        k = t["k"].to_numpy(zero_copy_only=False)
+        tie = t[tie_col].to_numpy(zero_copy_only=False)
+        order = np.lexsort((tie, k))
+        return pa.table({
+            tie_col: pa.array(tie[order], pa.int64()),
+            key_col: pa.array(sign * k[order], pa.int64()),
+            "rnk": pa.array(offset + 1 + np.arange(len(k), dtype=np.int64),
+                            pa.int64()),
+        })
 
-    kt = ds.map_batches(to_kt, batch_format="pyarrow")
-    mm = kt.aggregate(Min("k"), Max("k"))  # one stats pass, not two
-    gmin, gmax = mm["min(k)"], mm["max(k)"]
-    if gmin is None:
-        return rd.from_arrow(out_schema.empty_table())
-    chunk = max(1, -((gmin - gmax - 1) // num_parts))
-
-    def by_range(b: pa.Table) -> np.ndarray:
-        k = b["k"].to_numpy(zero_copy_only=False)
-        return (k - gmin) // chunk
-
-    cnt_schema = pa.schema([("min_k", pa.int64()), ("n", pa.int64())])
-    with ex.stage("nse_rank_") as stage:
-        ex.write_exchange(kt, stage, by_range)
-
-        def part_count(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "min_k": pa.array(
-                    [int(t["k"].to_numpy(zero_copy_only=False).min())],
-                    pa.int64()),
-                "n": pa.array([t.num_rows], pa.int64()),
-            })
-
-        counts = ex.map_parts(stage, num_parts, part_count,
-                              cnt_schema).to_pandas()
-        counts = counts.sort_values("min_k", kind="stable")
-        mins = counts["min_k"].to_numpy(np.int64)
-        offs = np.concatenate([
-            [0], np.cumsum(counts["n"].to_numpy(np.int64))[:-1]])
-        ref = ray.put((mins, offs))
-
-        def rank_part(t: pa.Table) -> pa.Table:
-            m, o = get_broadcast(ref)
-            k = t["k"].to_numpy(zero_copy_only=False)
-            tie = t[tie_col].to_numpy(zero_copy_only=False)
-            order = np.lexsort((tie, k))
-            base = o[np.searchsorted(m, k.min())]
-            return pa.table({
-                tie_col: pa.array(tie[order], pa.int64()),
-                key_col: pa.array(sign * k[order], pa.int64()),
-                "rnk": pa.array(base + 1 + np.arange(len(k), dtype=np.int64),
-                                pa.int64()),
-            })
-
-        return ex.map_parts(stage, num_parts, rank_part,
-                            out_schema)
+    return ex.scan_by_range(ds.map_batches(to_kt, batch_format="pyarrow"),
+                            "k", lambda t: t.num_rows, rank_part,
+                            out_schema, num_parts)
 
 
 def docs_rank_by_length(sf_dir: str):
@@ -2708,25 +2558,22 @@ def events_user_retention(sf_dir: str, num_parts: int = 32):
 
 def events_sessionize(sf_dir: str, gap_minutes: int = 30, num_parts: int = 32):
     """Per-user session assignment: a new session starts when the gap
-    since the previous event exceeds ``gap_minutes``. The user
-    co-location runs through the filesystem partition exchange
-    (stages/exchange.py — Ray's native groupby measured 50x slower
-    here); each part then sessionizes ALL its users in one vectorized
-    pandas pass (sort + shift/diff + per-user cumsum — no per-user
-    Python loop). Output (event_id, user_id, session_id,
-    session_start)."""
+    since the previous event exceeds ``gap_minutes``. The kernel runs
+    through ``combine_by_key`` on the user: on the driver below
+    ``ROUTES['key_rows']`` events, per user-hash part beyond (Ray's
+    native groupby measured 50x slower here); each call sessionizes ALL
+    its users in one vectorized pandas pass (sort + shift/diff +
+    per-user cumsum — no per-user Python loop). Output (event_id,
+    user_id, session_id, session_start)."""
     import ray.data as rd
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"]
-    )
-    empty = pa.schema([
+    out_schema = pa.schema([
         ("event_id", pa.int64()), ("user_id", pa.int64()),
         ("session_id", pa.int64()), ("session_start", pa.timestamp("us")),
     ])
 
-    def sessionize_part(table: pa.Table) -> pa.Table:
-        df = table.to_pandas().sort_values(
+    def sessionize(df: pd.DataFrame) -> pd.DataFrame:
+        df = df.sort_values(
             ["user_id", "ts", "event_id"], kind="stable"
         ).reset_index(drop=True)
         new_user = df["user_id"].ne(df["user_id"].shift())
@@ -2734,20 +2581,12 @@ def events_sessionize(sf_dir: str, gap_minutes: int = 30, num_parts: int = 32):
         df["session_id"] = brk.groupby(df["user_id"].to_numpy()).cumsum().astype("int64")
         df["session_start"] = df.groupby(["user_id", "session_id"], sort=False)[
             "ts"].transform("min")
-        out = df[["event_id", "user_id", "session_id", "session_start"]]
-        return pa.Table.from_pandas(out, preserve_index=False).cast(
-            pa.schema(empty))
+        return df[["event_id", "user_id", "session_id", "session_start"]]
 
-    with ex.stage("nse_sessions_") as stage:
-        ex.write_exchange(
-            ds, stage,
-            lambda b: ex.int_part(
-                [b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)],
-                num_parts,
-            ),
-        )
-        return ex.map_parts(stage, num_parts, sessionize_part,
-                            empty)
+    return ex.combine_by_key(
+        rd.read_parquet(f"{sf_dir}/events.parquet",
+                        columns=["event_id", "user_id", "ts"]),
+        ["user_id"], sessionize, out_schema, "key_rows", num_parts)
 
 
 def events_rolling_count(sf_dir: str, window_minutes: int = 60,
@@ -2756,8 +2595,8 @@ def events_rolling_count(sf_dir: str, window_minutes: int = 60,
     of the same user's events in the preceding ``window_minutes``
     (inclusive both bounds — exactly SQL ``RANGE BETWEEN INTERVAL w
     PRECEDING AND CURRENT ROW``, which also includes ts-tie peers).
-    Same partition-exchange user co-location as ``events_sessionize``;
-    each part computes all its users' windows with TWO vectorized
+    Same ``combine_by_key`` user co-location as ``events_sessionize``;
+    each call computes all its users' windows with TWO vectorized
     searchsorted calls over a composite (user-code * span + ts) key —
     measured 12.6x faster than the pandas groupby-rolling pass
     (100k real events, outputs identical), which
@@ -2766,65 +2605,53 @@ def events_rolling_count(sf_dir: str, window_minutes: int = 60,
     unit-tested). Output (event_id, user_id, ts, n_window)."""
     import ray.data as rd
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"]
-    )
-    empty = pa.schema([
+    out_schema = pa.schema([
         ("event_id", pa.int64()), ("user_id", pa.int64()),
         ("ts", pa.timestamp("us")), ("n_window", pa.int64()),
     ])
-    with ex.stage("nse_rolling_") as stage:
-        ex.write_exchange(
-            ds, stage,
-            lambda b: ex.int_part(
-                [b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)],
-                num_parts,
-            ),
-        )
 
-        def roll_part(table: pa.Table) -> pa.Table:
-            df = table.to_pandas().sort_values(
-                ["user_id", "ts", "event_id"], kind="stable"
-            ).reset_index(drop=True)
-            if not len(df):
-                return empty.empty_table()
-            w_us = np.int64(window_minutes) * 60_000_000
-            m = df["ts"].to_numpy().astype("datetime64[us]").view(np.int64)
-            codes, _ = pd.factorize(df["user_id"], sort=False)
-            u = codes.astype(np.int64)  # nondecreasing (sorted by user)
-            m0 = m.min()
-            span = (m.max() - m0) + w_us + 2
-            if span > 0 and int(u.max() + 1) < (1 << 62) // int(span):
-                # vectorized RANGE window: rows are sorted by (user, ts),
-                # so one composite key per row turns both window bounds
-                # into searchsorted calls. side='right' at (u, t)
-                # includes every ts-tie peer — exact SQL RANGE
-                # semantics, no per-group pass.
-                c = u * span + (m - m0)
-                upper = np.searchsorted(c, u * span + (m - m0), side="right")
-                lo_off = np.maximum(m - w_us - m0, 0)
-                lower = np.searchsorted(c, u * span + lo_off, side="left")
-                df["n_window"] = (upper - lower).astype(np.int64)
-            else:
-                # composite key would overflow int64 (pathological
-                # user-count x time-span): C-level pandas rolling +
-                # tie-group max lift (equivalence tested)
-                cnt = (
-                    df.set_index("ts")
-                    .groupby("user_id", sort=False)["event_id"]
-                    .rolling(f"{window_minutes}min", closed="both")
-                    .count()
-                    .to_numpy()
-                    .astype(np.int64)
-                )
-                df["n_window"] = cnt
-                df["n_window"] = df.groupby(
-                    ["user_id", "ts"], sort=False)["n_window"].transform("max")
-            out = df[["event_id", "user_id", "ts", "n_window"]]
-            return pa.Table.from_pandas(out, preserve_index=False).cast(
-                pa.schema(empty))
+    def roll(df: pd.DataFrame) -> pd.DataFrame:
+        df = df.sort_values(
+            ["user_id", "ts", "event_id"], kind="stable"
+        ).reset_index(drop=True)
+        w_us = np.int64(window_minutes) * 60_000_000
+        m = df["ts"].to_numpy().astype("datetime64[us]").view(np.int64)
+        codes, _ = pd.factorize(df["user_id"], sort=False)
+        u = codes.astype(np.int64)  # nondecreasing (sorted by user)
+        m0 = m.min()
+        span = (m.max() - m0) + w_us + 2
+        if span > 0 and int(u.max() + 1) < (1 << 62) // int(span):
+            # vectorized RANGE window: rows are sorted by (user, ts),
+            # so one composite key per row turns both window bounds
+            # into searchsorted calls. side='right' at (u, t)
+            # includes every ts-tie peer — exact SQL RANGE
+            # semantics, no per-group pass.
+            c = u * span + (m - m0)
+            upper = np.searchsorted(c, u * span + (m - m0), side="right")
+            lo_off = np.maximum(m - w_us - m0, 0)
+            lower = np.searchsorted(c, u * span + lo_off, side="left")
+            df["n_window"] = (upper - lower).astype(np.int64)
+        else:
+            # composite key would overflow int64 (pathological
+            # user-count x time-span): C-level pandas rolling +
+            # tie-group max lift (equivalence tested)
+            cnt = (
+                df.set_index("ts")
+                .groupby("user_id", sort=False)["event_id"]
+                .rolling(f"{window_minutes}min", closed="both")
+                .count()
+                .to_numpy()
+                .astype(np.int64)
+            )
+            df["n_window"] = cnt
+            df["n_window"] = df.groupby(
+                ["user_id", "ts"], sort=False)["n_window"].transform("max")
+        return df[["event_id", "user_id", "ts", "n_window"]]
 
-        return ex.map_parts(stage, num_parts, roll_part, empty)
+    return ex.combine_by_key(
+        rd.read_parquet(f"{sf_dir}/events.parquet",
+                        columns=["event_id", "user_id", "ts"]),
+        ["user_id"], roll, out_schema, "key_rows", num_parts)
 
 
 # -- As-of join: each event matched to the user's latest prior order --------
@@ -3958,11 +3785,11 @@ def events_user_running_total(sf_dir: str, num_parts: int = 32):
     events so far, ordered by (ts, event_id). The running sum is kept
     in integer cents (``floor(value * 100 + 0.5)`` — the same IEEE op
     sequence on both oracle sides) so the prefix sums are exact and
-    independent of accumulation order. Same user-hash partition
-    exchange as sessionize — no driver collect, no broadcast; each part
-    is one vectorized pass: lexsort, one int64 cumsum, a per-group base
-    subtraction at group starts (no per-user Python loop). Output
-    (event_id, user_id, ts, run_n, run_cents)."""
+    independent of accumulation order. Same ``combine_by_key`` user
+    co-location as sessionize; each call is one vectorized pass:
+    lexsort, one int64 cumsum, a per-group base subtraction at group
+    starts (no per-user Python loop). Output (event_id, user_id, ts,
+    run_n, run_cents)."""
     import ray.data as rd
 
     out_schema = pa.schema([
@@ -3970,39 +3797,30 @@ def events_user_running_total(sf_dir: str, num_parts: int = 32):
         ("ts", pa.timestamp("us")), ("run_n", pa.int64()),
         ("run_cents", pa.int64()),
     ])
-    with ex.stage("nse_runtot_") as stage:
-        ex.write_exchange(
-            rd.read_parquet(f"{sf_dir}/events.parquet",
-                            columns=["event_id", "user_id", "ts", "value"]),
-            stage,
-            lambda b: ex.int_part(
-                [b["user_id"].to_numpy(zero_copy_only=False)], num_parts))
 
-        def totals_of_part(t: pa.Table) -> pa.Table:
-            df = t.to_pandas().sort_values(
-                ["user_id", "ts", "event_id"], kind="stable"
-            ).reset_index(drop=True)
-            if not len(df):
-                return out_schema.empty_table()
-            u = df["user_id"].to_numpy().astype(np.int64)
-            cents = np.floor(
-                df["value"].to_numpy().astype(np.float64) * 100.0 + 0.5
-            ).astype(np.int64)
-            cs = np.cumsum(cents)
-            new_grp = np.ones(len(u), dtype=bool)
-            new_grp[1:] = u[1:] != u[:-1]
-            starts = np.flatnonzero(new_grp)
-            counts = np.diff(np.append(starts, len(u)))
-            base = np.where(starts > 0, cs[starts - 1], 0)
-            df["run_cents"] = cs - np.repeat(base, counts)
-            df["run_n"] = (np.arange(len(u), dtype=np.int64)
-                           - np.repeat(starts, counts) + 1)
-            return pa.Table.from_pandas(
-                df[["event_id", "user_id", "ts", "run_n", "run_cents"]],
-                preserve_index=False).cast(out_schema)
+    def running_totals(df: pd.DataFrame) -> pd.DataFrame:
+        df = df.sort_values(
+            ["user_id", "ts", "event_id"], kind="stable"
+        ).reset_index(drop=True)
+        u = df["user_id"].to_numpy().astype(np.int64)
+        cents = np.floor(
+            df["value"].to_numpy().astype(np.float64) * 100.0 + 0.5
+        ).astype(np.int64)
+        cs = np.cumsum(cents)
+        new_grp = np.ones(len(u), dtype=bool)
+        new_grp[1:] = u[1:] != u[:-1]
+        starts = np.flatnonzero(new_grp)
+        counts = np.diff(np.append(starts, len(u)))
+        base = np.where(starts > 0, cs[starts - 1], 0)
+        df["run_cents"] = cs - np.repeat(base, counts)
+        df["run_n"] = (np.arange(len(u), dtype=np.int64)
+                       - np.repeat(starts, counts) + 1)
+        return df[["event_id", "user_id", "ts", "run_n", "run_cents"]]
 
-        return ex.map_parts(stage, num_parts, totals_of_part,
-                            out_schema)
+    return ex.combine_by_key(
+        rd.read_parquet(f"{sf_dir}/events.parquet",
+                        columns=["event_id", "user_id", "ts", "value"]),
+        ["user_id"], running_totals, out_schema, "key_rows", num_parts)
 
 
 # -- Funnel analysis: ordered-stage conversion counts ------------------------
@@ -4018,13 +3836,14 @@ def events_funnel(sf_dir: str,
     earliest chain, which reaches stage k iff any chain does). The
     clickstream primitive behind signup/checkout conversion reports.
 
-    The stream is pruned to the stage types at the read, co-partitions
-    by user hash (a user's chain is decided wholly in its part), and
-    each part runs one vectorized pass per stage (``np.minimum.at``
-    scatter-min over factorized users — no per-user Python loop).
-    Only ``len(stages)``-row partial counts leave the parts, through
-    the gated ``grouped_sum_by_key`` combine. Output
-    (stage, n_users)."""
+    The stream is pruned to the stage types at the read, and the
+    kernel runs through ``combine_by_key`` on the user (a user's chain
+    is decided wholly in one call): on the driver below
+    ``ROUTES['key_rows']`` events, per user-hash part beyond. Each call
+    runs one vectorized pass per stage (``np.minimum.at`` scatter-min
+    over factorized users — no per-user Python loop). Only
+    ``len(stages)``-row partial counts leave each call, through the
+    gated ``grouped_sum_by_key`` combine. Output (stage, n_users)."""
     import ray.data as rd
 
     stage_list = list(stages)
@@ -4039,41 +3858,29 @@ def events_funnel(sf_dir: str,
                         value_set=pa.array(stage_list, pa.string()))
         return b.filter(keep).select(in_schema.names).cast(in_schema)
 
-    with ex.stage("nse_funnel_") as stage_dir:
-        ex.write_exchange(
-            rd.read_parquet(f"{sf_dir}/events.parquet",
-                            columns=["user_id", "ts", "event_type"])
-            .map_batches(prune, batch_format="pyarrow"),
-            stage_dir,
-            lambda b: ex.int_part(
-                [b["user_id"].to_numpy(zero_copy_only=False)], num_parts))
+    def stage_counts(df: pd.DataFrame) -> pd.DataFrame:
+        codes, uniques = pd.factorize(df["user_id"], sort=False)
+        t = df["ts"].to_numpy().astype("datetime64[us]").view(np.int64)
+        et = df["event_type"].to_numpy()
+        n_users = len(uniques)
+        inf = np.iinfo(np.int64).max
+        prev = np.full(n_users, np.iinfo(np.int64).min, dtype=np.int64)
+        counts = []
+        for s in stage_list:
+            cand = np.where((et == s) & (t > prev[codes]), t, inf)
+            cur = np.full(n_users, inf, dtype=np.int64)
+            np.minimum.at(cur, codes, cand)
+            counts.append(int((cur < inf).sum()))
+            prev = cur
+        return pd.DataFrame({"stage": stage_list, "n_users": counts})
 
-        def part_counts(tbl: pa.Table) -> pa.Table:
-            df = tbl.to_pandas()
-            if not len(df):
-                return out_schema.empty_table()
-            codes, uniques = pd.factorize(df["user_id"], sort=False)
-            t = df["ts"].to_numpy().astype("datetime64[us]").view(np.int64)
-            et = df["event_type"].to_numpy()
-            n_users = len(uniques)
-            inf = np.iinfo(np.int64).max
-            prev = np.full(n_users, np.iinfo(np.int64).min, dtype=np.int64)
-            counts = []
-            for s in stage_list:
-                cand = np.where((et == s) & (t > prev[codes]), t, inf)
-                cur = np.full(n_users, inf, dtype=np.int64)
-                np.minimum.at(cur, codes, cand)
-                counts.append(int((cur < inf).sum()))
-                prev = cur
-            return pa.table({
-                "stage": pa.array(stage_list, pa.string()),
-                "n_users": pa.array(counts, pa.int64()),
-            })
-
-        partials = ex.map_parts(stage_dir, num_parts, part_counts,
-                                out_schema)
-        return grouped_sum_by_key(partials, "stage", ["n_users"],
-                                  "agg_partials")
+    partials = ex.combine_by_key(
+        rd.read_parquet(f"{sf_dir}/events.parquet",
+                        columns=["user_id", "ts", "event_type"])
+        .map_batches(prune, batch_format="pyarrow"),
+        ["user_id"], stage_counts, out_schema, "key_rows", num_parts)
+    return grouped_sum_by_key(partials, "stage", ["n_users"],
+                              "agg_partials")
 
 
 # -- PMI collocations: phrase mining over corpus bigrams ---------------------

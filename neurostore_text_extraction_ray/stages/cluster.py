@@ -35,7 +35,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .similarity import topk_per_query, vector_matrix
+from .similarity import sample_matrix, topk_per_query, vector_matrix
 
 SEMDEDUP_CLUSTER_LIMIT = 8192
 """Max rows whose pairwise similarity is materialized at once inside
@@ -101,16 +101,6 @@ def fit_centroids(sample: np.ndarray, n_clusters: int,
     return cent
 
 
-def _sample_vectors(ds, vec_col: str, sample_rows: int) -> np.ndarray:
-    """Bounded driver-side sample for the centroid fit (same pattern as
-    ``knn_ivf``: the sample is small by construction, the corpus itself
-    is never collected)."""
-    return np.array(
-        [r[vec_col] for r in ds.limit(sample_rows).iter_rows()],
-        dtype=np.float64,
-    )
-
-
 def kmeans_assign(ds, n_clusters: int = 10, iters: int = 10,
                   id_col: str = "vec_id", vec_col: str = "embedding",
                   sample_rows: int = 2000):
@@ -120,7 +110,7 @@ def kmeans_assign(ds, n_clusters: int = 10, iters: int = 10,
     import ray
 
     cent = fit_centroids(
-        _sample_vectors(ds, vec_col, sample_rows), n_clusters, iters=iters)
+        sample_matrix(ds, vec_col, sample_rows), n_clusters, iters=iters)
     cent_ref = ray.put(cent)
 
     def assign(batch: pa.Table) -> pa.Table:
@@ -231,7 +221,7 @@ def semdedup(ds, n_clusters: int | None = 10, threshold: float = 0.99,
     # fit on UNIT-normalized samples — the assignment runs on the unit
     # sphere (argmin euclidean == argmax cosine there), so the fit must
     # see the same geometry
-    sample = _sample_vectors(ds, vec_col, sample_rows)
+    sample = sample_matrix(ds, vec_col, sample_rows)
     norms = np.linalg.norm(sample, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     cent = fit_centroids(sample / norms, n_clusters, iters=iters)

@@ -31,12 +31,12 @@ by an earlier run into the same dir is never read, and two batches
 with identical rows write one file that the list names twice. A stage
 has one writer: committing into a stage that already holds a list
 raises. This module is the one reader and writer of ``part=``
-fragment dirs: ``write_exchange`` runs phase A as a Ray Data map, and
-a caller that drives its own phase-A tasks (the flagship sink's
-parquet file tasks) calls the same ``write_fragments`` and
-``commit_fragments``.
+fragment dirs: ``write_exchange`` runs phase A as a Ray Data map, or
+as one plain task per block of a materialized Dataset, and a caller
+that drives its own phase-A tasks (the flagship sink's parquet file
+tasks) calls the same ``write_fragments`` and ``commit_fragments``.
 
-Operators compose three primitives on top of ``write_exchange`` /
+Operators compose four primitives on top of ``write_exchange`` /
 ``map_parts`` (eager: it returns after every part has run):
 
 - ``stage(prefix)``: the one stage-directory lifecycle. A ``with``
@@ -50,6 +50,9 @@ Operators compose three primitives on top of ``write_exchange`` /
   build-side row limit the prepared build side broadcasts to a map
   over the probe side, beyond it both sides co-partition on their keys
   and the same kernel runs per part.
+- ``scan_by_range``: the one range-ordered prefix scan — rows
+  range-partition on an int64 key, each part's total feeds a driver
+  exclusive prefix, and each part then runs with its offset.
 
 Every "collect below a row limit, exchange above it" decision reads one
 registry here: ``ROUTES`` (gate name -> row limit, asked through
@@ -183,6 +186,13 @@ ROUTES: dict[str, int] = {
     # representative/size aggregate and the decorate join run
     # label-co-partitioned instead of one driver groupby
     "hostlabel": 20_000_000,
+    # input rows of a per-key kernel that needs every row of a key in
+    # one call (sessionize, rolling count, running total, funnel,
+    # domain cap, the sequence-packing stitch); at or below, one driver
+    # call over the whole input; beyond, one call per key-hash part.
+    # Raw event/document rows, not partials: 5M rows of a few int64 /
+    # timestamp columns are ~0.2 GB as one pandas frame
+    "key_rows": 5_000_000,
 }
 
 # Hard ceilings. Scoring fundamentally broadcasts these tables (or, for
@@ -422,11 +432,20 @@ def commit_fragments(stage_dir: str, frags: pd.DataFrame) -> int:
 
 
 def write_exchange(ds, stage_dir: str, part_fn, batch_size: int = 8192) -> int:
-    """Phase A: stream ``ds`` through ``write_fragments`` (one call per
-    batch of ``batch_size`` rows, in a Ray Data map) and, after the
-    last batch, ``commit_fragments`` what the successful task attempts
-    wrote. Returns the number of rows exchanged. A stage that already
-    holds a commit list raises ``ValueError`` before any batch runs."""
+    """Phase A: write ``ds``'s rows through ``write_fragments`` and,
+    after the last write, ``commit_fragments`` what the successful task
+    attempts wrote, one ``write_fragments`` call per batch of
+    ``batch_size`` rows. A materialized Dataset's blocks are already in
+    the object store, so plain tasks (``part_tasks``, one per run of
+    blocks holding about ``batch_size`` rows) write them, cast to the
+    Dataset's Arrow schema where they differ from it, with no Ray Data
+    job; any other Dataset streams through a Ray Data map. Returns
+    the number of rows exchanged. A stage that already holds a commit
+    list raises ``ValueError`` before any batch runs."""
+    import ray
+    from ray.data.block import BlockAccessor
+    from ray.data.dataset import MaterializedDataset
+
     _assert_uncommitted(stage_dir)
     os.makedirs(stage_dir, exist_ok=True)
     # re-validate the single-node precondition at execution time: the
@@ -449,9 +468,43 @@ def write_exchange(ds, stage_dir: str, part_fn, batch_size: int = 8192) -> int:
             _NODE_CHECKED = True
         return write_fragments(batch, stage_dir, part_fn)
 
-    frags = ds.map_batches(
-        write, batch_format="pyarrow", batch_size=batch_size).to_pandas()
-    return commit_fragments(stage_dir, frags)
+    if not isinstance(ds, MaterializedDataset):
+        frags = ds.map_batches(
+            write, batch_format="pyarrow", batch_size=batch_size).to_pandas()
+        return commit_fragments(stage_dir, frags)
+    schema = arrow_schema_of(ds)
+
+    def write_blocks(i: int, groups: list) -> pa.Table:
+        tables = [BlockAccessor.for_block(b).to_arrow()
+                  for b in ray.get(groups[i])]
+        # metadata is kept where a block's schema equals the Dataset's
+        block = pa.concat_tables(
+            [t if t.schema.equals(schema) else _cast_to(schema)(t)
+             for t in tables])
+        return pa.concat_tables(
+            [write(block.slice(o, batch_size))
+             for o in range(0, block.num_rows, batch_size)]
+            or [write(block)])
+
+    # consecutive blocks group into tasks of about batch_size rows, as
+    # the Ray Data map batches them: a map_parts output's many small
+    # blocks must not each become a task with its own fragment set
+    groups, rows = [[]], 0
+    for bundle in ds.iter_internal_ref_bundles():
+        for ref, meta in bundle.blocks:
+            if rows >= batch_size:
+                groups.append([])
+                rows = 0
+            groups[-1].append(ref)
+            rows += meta.num_rows or 0
+    if not groups[0]:  # no blocks
+        return commit_fragments(stage_dir, pd.DataFrame())
+    refs = part_tasks(write_blocks, range(len(groups)), groups)
+    # every task has finished before a failure raises, so none still
+    # writes into a stage its caller is about to remove
+    ray.wait(refs, num_returns=len(refs), fetch_local=False)
+    return commit_fragments(
+        stage_dir, pa.concat_tables(ray.get(refs)).to_pandas())
 
 
 def part_tasks(fn, parts, *args) -> list:
@@ -578,9 +631,10 @@ def plain_parquet_files(ds, columns: list[str] = ()) -> list[str] | None:
     them as stored and keeps ``columns``; ``None`` for any other
     Dataset.
 
-    The flagship sink reads such files in its own phase-A tasks and
-    ``join_by_key`` reads such a build side on the driver, both to skip
-    a Ray Data job. It inspects Ray Data's logical plan, the package's
+    The flagship sink reads such files in its own phase-A tasks, and
+    ``join_by_key`` (its build side) and ``combine_by_key`` (its input)
+    read them on the driver below their gates, all to skip a Ray Data
+    job. It inspects Ray Data's logical plan, the package's
     one use of Ray Data internals: a single ``Read`` over a
     ``ParquetDatasource`` with no upstream op, no ``to_batches``
     arguments (a row ``filter=``), no ``_block_udf``, no
@@ -654,33 +708,56 @@ def _cast_to(schema: pa.Schema):
                       else schema.empty_table())
 
 
+def _collect_if_fits(ds, gate: str):
+    """``(table, ds, schema)``: ``ds``'s rows as one Arrow table cast to
+    its Arrow ``schema`` when their count fits gate ``gate``; beyond it
+    ``None`` and a Dataset of the same rows for ``write_exchange``. Any
+    Dataset is materialized to count it, except a bare local
+    ``read_parquet`` (see ``plain_parquet_files``): that read is counted
+    from its parquet footers and collected with ``pq.read_table`` on
+    the driver, with no Ray Data job, and beyond the gate it streams
+    into the exchange through a cast to ``schema``."""
+    import pyarrow.parquet as pq
+
+    files = plain_parquet_files(ds)
+    if files is None:
+        ds = ds.materialize()
+    schema = arrow_schema_of(ds)
+    if not fits(gate, ds.count()):
+        return None, (ds if files is None else ds.map_batches(
+            _cast_to(schema), batch_format="pyarrow")), schema
+    tables = ([pq.read_table(f, columns=schema.names) for f in files]
+              if files is not None else
+              ds.iter_batches(batch_format="pyarrow", batch_size=None))
+    tables = [_cast_to(schema)(t) for t in tables]
+    return (pa.concat_tables(tables) if tables else schema.empty_table(),
+            ds, schema)
+
+
 def combine_by_key(ds, key_cols: list[str], fn, out_schema: pa.Schema,
                    gate: str, num_parts: int = 32):
-    """The gated keyed combine. ``fn`` maps a pandas frame to a pandas
-    frame and must be exact on any subset that holds ALL rows of each
-    key it sees. Input rows that ``fits`` gate ``gate``: one driver call
-    ``fn(ds.to_pandas())``. Beyond: rows key-hash-partition on
-    ``key_cols`` through the exchange (cast to the input's Arrow
-    schema) and ``fn`` runs once per part. Both paths return a
-    materialized Dataset of ``out_schema`` (empty input: an empty
-    one)."""
+    """The gated keyed combine. ``fn`` maps a non-empty pandas frame to
+    a pandas frame and must be exact on any subset that holds ALL rows
+    of each key it sees. Input rows that ``fits`` gate ``gate``: one
+    driver call over the whole input (a bare local ``read_parquet`` is
+    counted and read without a Ray Data job, see ``_collect_if_fits``).
+    Beyond: rows key-hash-partition on ``key_cols`` through the exchange
+    (cast to the input's Arrow schema) and ``fn`` runs once per part.
+    Both paths return a materialized Dataset of ``out_schema`` (empty
+    input: an empty one)."""
     import ray.data as rd
 
     def to_out(df: pd.DataFrame) -> pa.Table:
         return pa.Table.from_pandas(df, schema=out_schema,
                                     preserve_index=False)
 
-    ds = ds.materialize()
-    if fits(gate, ds.count()):
-        pdf = ds.to_pandas()
-        if pdf.empty:
+    table, ds, _ = _collect_if_fits(ds, gate)
+    if table is not None:
+        if table.num_rows == 0:
             return rd.from_arrow(out_schema.empty_table())
-        return rd.from_arrow(to_out(fn(pdf)))
-    in_schema = arrow_schema_of(ds)
+        return rd.from_arrow(to_out(fn(table.to_pandas())))
     with stage("nse_combine_") as s:
-        write_exchange(ds.map_batches(_cast_to(in_schema),
-                                      batch_format="pyarrow"),
-                       s, lambda b: key_part(b, key_cols, num_parts))
+        write_exchange(ds, s, lambda b: key_part(b, key_cols, num_parts))
         return map_parts(s, num_parts, lambda t: to_out(fn(t.to_pandas())),
                          out_schema)
 
@@ -694,16 +771,14 @@ def join_by_key(probe, build, probe_keys: list[str], build_keys: list[str],
     pandas frame of ``out_schema`` whose rows all come from probe rows,
     and must be exact given ALL build rows of the keys its probe rows
     carry. Build rows that ``fits`` gate ``gate``: the build side is
-    collected once (a bare local ``read_parquet`` is counted from its
-    footers and read on the driver, see ``plain_parquet_files``),
-    ``prepare`` runs once on the driver, and its result broadcasts to a
-    lazy map of ``kernel`` over ``probe``. Beyond: both sides
-    key-hash-partition on their key columns through the exchange (each
-    cast to its own Arrow schema; the probe streams in, never
-    materialized) and ``kernel(probe_part, prepare(build_part))`` runs
-    once per part (materialized). A probe batch or part without rows
-    gives an empty ``out_schema`` table."""
-    import pyarrow.parquet as pq
+    collected once (a bare local ``read_parquet`` without a Ray Data
+    job, see ``_collect_if_fits``), ``prepare`` runs once on the driver,
+    and its result broadcasts to a lazy map of ``kernel`` over
+    ``probe``. Beyond: both sides key-hash-partition on their key
+    columns through the exchange (each cast to its own Arrow schema;
+    the probe streams in, never materialized) and ``kernel(probe_part,
+    prepare(build_part))`` runs once per part (materialized). A probe
+    batch or part without rows gives an empty ``out_schema`` table."""
     import ray
 
     from .broadcast import get_broadcast
@@ -717,28 +792,74 @@ def join_by_key(probe, build, probe_keys: list[str], build_keys: list[str],
                                         preserve_index=False)
         return out.select(out_schema.names).cast(out_schema)
 
-    # a bare parquet read needs no Ray Data job below the gate
-    files = plain_parquet_files(build)
-    if files is None:
-        build = build.materialize()
-    build_schema = arrow_schema_of(build)
-    if fits(gate, build.count()):
-        tables = ([pq.read_table(f, columns=build_schema.names)
-                   for f in files] if files is not None
-                  else ray.get(build.to_arrow_refs()))
-        ref = ray.put(prepare(pa.concat_tables(
-            [_cast_to(build_schema)(t) for t in tables]) if tables
-            else build_schema.empty_table()))
+    table, build, build_schema = _collect_if_fits(build, gate)
+    if table is not None:
+        ref = ray.put(prepare(table))
         return probe.map_batches(lambda b: run(b, get_broadcast(ref)),
                                  batch_format="pyarrow")
     # only the probe's schema is resolved up front (from its first block)
     probe_schema = arrow_schema_of(probe)
     with stage("nse_join_probe_") as ps, stage("nse_join_build_") as bs:
-        for ds, schema, keys, s in ((probe, probe_schema, probe_keys, ps),
-                                    (build, build_schema, build_keys, bs)):
-            write_exchange(
-                ds.map_batches(_cast_to(schema), batch_format="pyarrow"), s,
-                lambda b, keys=keys: key_part(b, keys, num_parts))
+        write_exchange(
+            probe.map_batches(_cast_to(probe_schema), batch_format="pyarrow"),
+            ps, lambda b: key_part(b, probe_keys, num_parts))
+        write_exchange(build, bs, lambda b: key_part(b, build_keys, num_parts))
         return map_parts([ps, bs], num_parts,
                          lambda p, b: run(p, prepare(b)), out_schema,
                          in_schemas=[probe_schema, build_schema])
+
+
+_TOTALS_SCHEMA = pa.schema([("min_key", pa.int64()), ("total", pa.int64())])
+
+
+def scan_by_range(ds, key_col: str, total, assign, out_schema: pa.Schema,
+                  num_parts: int = 32):
+    """The range-ordered prefix scan. ``ds``'s rows range-partition on
+    its int64 column ``key_col`` through the exchange: ``num_parts``
+    equal-width ranges over the key's [min, max] (one ``aggregate``
+    pass), so part order is key order and rows sharing a key co-locate.
+    A skewed key space makes uneven parts, never wrong results.
+    ``total(part_table) -> int`` sizes each non-empty part; the driver
+    takes the exclusive prefix of the totals in key order, and
+    ``assign(part_table, offset)`` then runs once per part, ``offset``
+    being the sum of the totals of every part before it, and returns a
+    pyarrow table of ``out_schema``. Returns a materialized Dataset
+    (empty input: an empty one)."""
+    import ray.data as rd
+    from ray.data.aggregate import Max, Min
+
+    mm = ds.aggregate(Min(key_col), Max(key_col))
+    gmin, gmax = mm[f"min({key_col})"], mm[f"max({key_col})"]
+    if gmin is None:
+        return rd.from_arrow(out_schema.empty_table())
+    # key - min taken in uint64 is the true offset for any int64 span
+    # (< 2^64), and one division by span // P + 1 keeps every part id
+    # below P; the cap and the clip only act at P = 1 over all of int64
+    base = np.uint64(int(gmin) % (1 << 64))
+    chunk = np.uint64(min((int(gmax) - int(gmin)) // num_parts + 1,
+                          (1 << 64) - 1))
+
+    def by_range(b: pa.Table) -> np.ndarray:
+        k = b[key_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        return np.minimum((k.view(np.uint64) - base) // chunk,
+                          np.uint64(num_parts - 1)).astype(np.int64)
+
+    def key_min(t: pa.Table) -> int:
+        return int(pc.min(t[key_col]).as_py())
+
+    with stage("nse_scan_") as s:
+        write_exchange(ds, s, by_range)
+        totals = map_parts(
+            s, num_parts,
+            lambda t: pa.table({"min_key": [key_min(t)], "total": [total(t)]},
+                               schema=_TOTALS_SCHEMA),
+            _TOTALS_SCHEMA).to_pandas().sort_values("min_key")
+        mins = totals["min_key"].to_numpy(np.int64)
+        sizes = totals["total"].to_numpy(np.int64)
+        offsets = np.cumsum(sizes) - sizes
+        return map_parts(
+            s, num_parts,
+            lambda t: assign(t, int(offsets[np.searchsorted(
+                mins, key_min(t))])),
+            out_schema)
+

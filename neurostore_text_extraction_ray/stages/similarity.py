@@ -37,6 +37,18 @@ def vector_matrix(col) -> np.ndarray:
         len(col), dim).astype(np.float64)
 
 
+def sample_matrix(ds, vec_col: str, n: int) -> np.ndarray:
+    """The ``vector_matrix`` of ``vec_col`` over ``ds``'s first ``n``
+    rows: the bounded driver-side sample a centroid fit reads (the
+    corpus itself is never collected)."""
+    cols = [t[vec_col] for t in ds.limit(n).iter_batches(
+        batch_format="pyarrow", batch_size=None) if t.num_rows]
+    if not cols:
+        return np.empty((0, 0))
+    return vector_matrix(pa.chunked_array(
+        [c for col in cols for c in col.chunks], cols[0].type))
+
+
 KNN_SCHEMA = pa.schema([
     ("query_id", pa.int64()), ("vec_id", pa.int64()), ("score", pa.float64()),
 ])
@@ -120,10 +132,8 @@ def knn_ivf(ds, queries: np.ndarray, query_ids: list[int], k: int = 10,
     among each query's ``n_probe`` nearest cells."""
     import ray
 
-    sample = np.array(
-        [r[vec_col] for r in ds.limit(sample_rows).iter_rows()], dtype=np.float64
-    )
-    cent = fit_coarse_centroids(sample, n_cells, seed=seed)
+    cent = fit_coarse_centroids(sample_matrix(ds, vec_col, sample_rows),
+                                n_cells, seed=seed)
 
     q = np.asarray(queries, dtype=np.float64)
     qn = np.linalg.norm(q, axis=1, keepdims=True)

@@ -287,3 +287,27 @@ def test_vector_matrix_matches_the_python_decode():
     assert got.tobytes() == want.tobytes()
     with pytest.raises(pa.ArrowInvalid):
         vector_matrix(pa.array([[1.0], [2.0, 3.0]], pa.list_(pa.float32())))
+
+
+@pytest.mark.parametrize("n", [1, 300, 10**6])
+def test_sample_matrix_matches_the_per_row_decode(ray_session, n):
+    """The centroid-fit sample of ``knn_ivf``, ``kmeans_assign`` and
+    ``semdedup`` (``sample_matrix``) equals the per-row decode it
+    replaced, over a union of several blocks (semdedup samples a
+    union, which ``limit(n).to_arrow_refs()`` cannot plan in Ray 2.49):
+    first rows, a limit that ends inside a block, and one beyond the
+    table."""
+    import numpy as np
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from neurostore_text_extraction_ray.stages.similarity import sample_matrix
+
+    t = pq.read_table("/root/testdata/sf0.001/embeddings.parquet")
+    ds = rd.from_arrow([t.slice(0, 200), t.slice(200, 200)]).union(
+        rd.from_arrow(t.slice(400)))
+    got = sample_matrix(ds, "embedding", n)
+    want = np.array([r["embedding"] for r in ds.limit(n).iter_rows()],
+                    dtype=np.float64)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got, want)

@@ -1,6 +1,7 @@
 """Exchange plumbing (stage lifecycle, commit list, multi-node guards),
-the gate registry, ``join_by_key`` on both paths, and
-driver-vs-forced-exchange equivalence tests.
+the gate registry, the list of hand-written exchanges, ``join_by_key``
+and ``combine_by_key`` on both paths, ``scan_by_range`` on edge key
+shapes, and driver-vs-forced-exchange equivalence tests.
 ``test_oracle_parity``'s forced cases check every query's exchange
 paths against the oracle; the equivalence tests here add what those
 cannot see (queries whose wrapper rounds floats, extra invariants,
@@ -264,6 +265,82 @@ def test_no_native_groupby():
     assert not offenders, offenders
 
 
+# Top-level package functions outside ``stages/`` that still drive an
+# exchange by hand (``ex.stage``, ``write_exchange`` or ``map_parts``),
+# each with the reason no primitive fits (ROADMAP item 3). Every other
+# wide step composes ``combine_by_key``, ``join_by_key``,
+# ``scan_by_range`` or ``keep_first``.
+_HAND_WRITTEN = {
+    # emits build-only rows ("added"), which a probe-driven kernel cannot
+    "steps.dataset_diff",
+    # partitions by bloom shard, not by key hash
+    "steps._docs_bloom_seen_exchanged",
+    # a one-stage self-join: one stage plays both join roles
+    "steps._events_range_join_exchanged",
+    # as two chained join_by_key calls it ran at 0.537 s against 0.432 s
+    "steps._pmi_scored_exchanged",
+    # sends halo rows to later range parts and has no prefix broadcast,
+    # so it is not the scan's shape
+    "steps.events_global_rolling_sum",
+    # iterative rounds with a convergence test between them
+    "extras._host_pagerank_exchanged",
+    # use a stage only as a scratch dir
+    "extras._warc_source_roundtrip",
+    "extras._warc_extract_text",
+    # the streaming flagship's url-hash dedup, until ROADMAP item 2
+    "flagship.dedup_pages_partitioned",
+    # the resumable sink: its stage lives in the run dir and its
+    # phase A may run as the sink's own parquet file tasks
+    "flagship.run_flagship_to_parquet",
+}
+
+# sites moved onto the primitives: none may come back to the plumbing
+_ON_PRIMITIVES = {
+    "steps.docs_domain_cap", "steps.events_sessionize",
+    "steps.events_rolling_count", "steps.events_user_running_total",
+    "steps.events_funnel", "steps.pack_shards", "steps.pack_sequences",
+    "steps.global_rank", "extras._host_components",
+}
+
+
+def _calls_by_function() -> dict[str, set[str]]:
+    """``module.function`` -> the names every top-level function of the
+    package outside ``stages/`` calls (``ex.stage(...)`` -> ``stage``)."""
+    import ast
+
+    import neurostore_text_extraction_ray as pkg
+
+    pkg_dir = os.path.dirname(pkg.__file__)
+    calls = {}
+    for path in glob.glob(f"{pkg_dir}/**/*.py", recursive=True):
+        if os.sep + "stages" + os.sep in path:
+            continue
+        mod = os.path.splitext(os.path.basename(path))[0]
+        for fn in ast.parse(open(path).read()).body:
+            if isinstance(fn, ast.FunctionDef):
+                calls[f"{mod}.{fn.name}"] = {
+                    getattr(n.func, "attr", getattr(n.func, "id", None))
+                    for n in ast.walk(fn) if isinstance(n, ast.Call)}
+    return calls
+
+
+def test_hand_written_exchanges_are_listed():
+    """Static invariant: the functions that open an exchange stage or
+    write or map its parts by hand are exactly ``_HAND_WRITTEN``, and
+    the sites moved onto the primitives use no stage, part map or
+    broadcast of their own (``ray.put`` / ``get_broadcast``)."""
+    calls = _calls_by_function()
+    plumbing = {"stage", "write_exchange", "map_parts"}
+    hand = {f for f, names in calls.items() if names & plumbing}
+    unlisted = sorted(hand - _HAND_WRITTEN)
+    assert not unlisted, f"not on a primitive: {unlisted}"
+    stale = sorted(_HAND_WRITTEN - hand)
+    assert not stale, f"listed but not hand-written: {stale}"
+    relapsed = {f: sorted(calls[f] & (plumbing | {"put", "get_broadcast"}))
+                for f in sorted(_ON_PRIMITIVES)}
+    assert not any(relapsed.values()), relapsed
+
+
 def test_gates_live_in_the_registry():
     """Static invariant: every driver-or-exchange limit is a key of
     ``exchange.ROUTES`` / ``exchange.BUDGETS``. No module defines its
@@ -381,32 +458,6 @@ def test_grouped_sum_null_keys_kept(ray_session, monkeypatch):
         assert int(df["n"].sum()) == 15 and len(df) == 3
 
 
-def test_lang_quantiles_exchange_equivalence(ray_session, monkeypatch):
-    """Grouped quantile_disc: beyond-the-gate lang-hash exchange path
-    equals the driver combine, and both equal an in-memory pandas
-    re-derivation of the ceil(q*n) rule."""
-    import math
-
-    from neurostore_text_extraction_ray.pipelines import steps
-
-    drv = _canon(steps.docs_lang_quantiles(SF).to_pandas())
-    force_routes(monkeypatch, "lang_quantiles")
-    exch = _canon(steps.docs_lang_quantiles(SF).to_pandas())
-    pd.testing.assert_frame_equal(drv, exch)
-    assert len(drv) > 0
-
-    docs = pd.read_parquet(f"{SF}/documents.parquet",
-                           columns=["lang", "n_chars"])
-    rows = []
-    for lang, g in docs.groupby("lang"):
-        v = np.sort(g["n_chars"].to_numpy())
-        for q in (0.25, 0.5, 0.75, 0.95):
-            rows.append({"lang": lang, "q": q,
-                         "value": int(v[max(1, math.ceil(q * len(v))) - 1])})
-    want = _canon(pd.DataFrame(rows))
-    pd.testing.assert_frame_equal(drv, want)
-
-
 def test_user_retention_exchange_equivalence(ray_session, monkeypatch):
     """Beyond-the-gate user-hash exchange path equals the driver
     kernel, and both equal an in-memory pandas re-derivation."""
@@ -472,11 +523,7 @@ def test_unlisted_fragment_is_not_read(ray_session, tmp_path):
     assert _rows_seen(str(stage)) == 20
 
 
-def test_phase_a_task_retry_commits_once(ray_session, tmp_path):
-    """A phase-A worker dies on the second batch of a four-batch task
-    (after the first batch wrote its fragments); Ray Data retries the
-    task. Every row reaches phase B exactly once and the commit list
-    has one entry per (batch, part)."""
+def _assert_retry_commits_once(tmp_path, lazy: bool):
     import ray.data as rd
 
     from neurostore_text_extraction_ray.stages import exchange as ex
@@ -492,14 +539,31 @@ def test_phase_a_task_retry_commits_once(ray_session, tmp_path):
         return v % 3
 
     stage = str(tmp_path / "stage")
-    assert ex.write_exchange(rd.from_arrow(t), stage, part_fn,
-                             batch_size=10) == 40
+    ds = rd.from_arrow(t)
+    if lazy:
+        ds = ds.map_batches(lambda b: b, batch_format="pyarrow")
+    assert ex.write_exchange(ds, stage, part_fn, batch_size=10) == 40
     assert os.path.exists(marker)  # the first attempt did die
     listing = pq.read_table(os.path.join(stage, ex.FRAGMENT_LIST))
     assert listing.num_rows == 4 * 3  # 4 batches x 3 parts each
     seen = ex.map_parts(stage, 3, lambda tb: tb,
                         pa.schema([("v", pa.int64())])).to_pandas()
     assert sorted(seen["v"]) == list(range(40))
+
+
+def test_phase_a_task_retry_commits_once(ray_session, tmp_path):
+    """A phase-A worker dies on the second batch of a four-batch task
+    (after the first batch wrote its fragments); Ray retries the task.
+    Every row reaches phase B exactly once and the commit list has one
+    entry per (batch, part). The input is materialized, so the write
+    is a plain task."""
+    _assert_retry_commits_once(tmp_path, lazy=False)
+
+
+def test_phase_a_map_retry_commits_once(ray_session, tmp_path):
+    """The same retry when the input is lazy and Ray Data's map writes
+    it."""
+    _assert_retry_commits_once(tmp_path, lazy=True)
 
 
 def test_a_stage_has_one_writer(ray_session, tmp_path):
@@ -854,3 +918,85 @@ def test_join_by_key_parquet_build_lazy_probe(ray_session, monkeypatch,
     got = sorted((tuple(r.values()) for r in out.take_all()), key=repr)
     assert got == _expected("inner", probe, build)
     assert all(d is not probe_ds for d in materialized)
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["driver", "exchange"])
+def test_combine_by_key_parquet_input(ray_session, monkeypatch, tmp_path,
+                                      forced):
+    """A bare ``read_parquet`` input is counted from its footers and,
+    below the gate, read on the driver: neither path materializes it,
+    and both give the exact per-key sums."""
+    import ray.data as rd
+
+    from neurostore_text_extraction_ray.stages import exchange as ex
+
+    t = pa.table({"k": pa.array([i % 7 for i in range(60)], pa.int64()),
+                  "v": pa.array(range(60), pa.int64())})
+    for i, piece in enumerate([t.slice(0, 25), t.slice(25)]):
+        pq.write_table(piece, str(tmp_path / f"in-{i}.parquet"))
+    ds = rd.read_parquet(str(tmp_path))
+    assert ex.plain_parquet_files(ds) is not None
+    materialized = []
+    real = rd.Dataset.materialize
+    monkeypatch.setattr(rd.Dataset, "materialize",
+                        lambda self: materialized.append(self) or real(self))
+    if forced:
+        force_routes(monkeypatch, "key_rows")
+    out = ex.combine_by_key(
+        ds, ["k"], lambda df: df.groupby("k", as_index=False)["v"].sum(),
+        pa.schema([("k", pa.int64()), ("v", pa.int64())]), "key_rows",
+        num_parts=4)
+    got = sorted((r["k"], r["v"]) for r in out.take_all())
+    want = t.to_pandas().groupby("k")["v"].sum()
+    assert got == list(zip(want.index, want))
+    assert all(d is not ds for d in materialized)
+
+
+# ---------------------------------------------------------------------------
+# ex.scan_by_range with the rank kernel (total = rows) on edge key shapes
+# ---------------------------------------------------------------------------
+
+_I64 = np.iinfo(np.int64)
+
+
+@pytest.mark.parametrize("keys,num_parts,n_parts", [
+    pytest.param([], 4, 0, id="empty"),
+    pytest.param([7] * 50, 4, 1, id="all_equal"),
+    pytest.param(list(range(-100, 0))[::-1], 4, 4, id="negative"),
+    pytest.param([-(1 << 62) + 1, -(1 << 62) + 2, 0, (1 << 62) - 2,
+                  (1 << 62) - 1], 4, 3, id="near_2_62"),
+    pytest.param([int(_I64.min), -1, 0, int(_I64.max)], 4, 4,
+                 id="int64_extremes"),
+    pytest.param([int(_I64.min), 0, int(_I64.max)], 1, 1,
+                 id="int64_extremes_one_part"),
+    pytest.param(list(range(10)) + list(range(1000, 1010)), 10, 2,
+                 id="empty_parts_between"),
+])
+def test_scan_by_range_edges(ray_session, keys, num_parts, n_parts):
+    """Every row gets its global rank in key order, each part's offset
+    is the row count of the parts before it, and rows land in the
+    expected number of non-empty parts (equal keys in one, empty parts
+    between non-empty ones skipped)."""
+    import ray.data as rd
+
+    from neurostore_text_extraction_ray.stages import exchange as ex
+
+    out_schema = pa.schema([("k", pa.int64()), ("rnk", pa.int64()),
+                            ("part_min", pa.int64())])
+
+    def rank(t: pa.Table, offset: int) -> pa.Table:
+        k = np.sort(t["k"].to_numpy(zero_copy_only=False))
+        return pa.table({
+            "k": pa.array(k, pa.int64()),
+            "rnk": pa.array(offset + 1 + np.arange(len(k)), pa.int64()),
+            "part_min": pa.array(np.full(len(k), k[0]), pa.int64())})
+
+    t = pa.table({"k": pa.array(keys, pa.int64())})
+    ds = rd.from_arrow([t.slice(0, len(keys) // 2), t.slice(len(keys) // 2)])
+    out = ex.scan_by_range(ds, "k", lambda p: p.num_rows, rank, out_schema,
+                           num_parts)
+    out = pd.DataFrame(out.take_all(), columns=out_schema.names).sort_values(
+        "rnk")
+    assert out["rnk"].tolist() == list(range(1, len(keys) + 1))
+    assert out["k"].tolist() == sorted(keys)
+    assert out["part_min"].nunique() == n_parts

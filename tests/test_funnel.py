@@ -60,10 +60,16 @@ def _canon(df):
     return df.sort_values(list(df.columns), kind="stable").reset_index(drop=True)
 
 
-def test_funnel_strict_order_semantics(ray_session, funnel_dir):
+@pytest.mark.parametrize("forced", [False, True], ids=["driver", "exchange"])
+def test_funnel_strict_order_semantics(ray_session, funnel_dir, monkeypatch,
+                                       forced):
+    """On the driver path (default gates) and on the user-hash
+    exchange path (``key_rows`` forced to 0)."""
     import __ray_entry__ as e
     from neurostore_text_extraction_ray.pipelines import steps
 
+    if forced:
+        force_routes(monkeypatch, "key_rows")
     mine = steps.events_funnel(funnel_dir, num_parts=3).to_pandas()
     got = dict(zip(mine["stage"], mine["n_users"]))
     # view: users 1..6 have a view; click-after-view: 1, 4, 5

@@ -12,6 +12,7 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
+from conftest import force_routes
 from neurostore_text_extraction_ray.pipelines.steps import pack_sequences
 
 
@@ -66,10 +67,15 @@ def test_giant_doc_spans_many_sequences(ray_session):
     assert (got["n_tokens"].iloc[:-1] == 8).all()
 
 
-def test_cross_part_boundary_stitch(ray_session):
+@pytest.mark.parametrize("forced", [False, True], ids=["driver", "exchange"])
+def test_cross_part_boundary_stitch(ray_session, monkeypatch, forced):
     # 64 docs x 3 tokens (2 words + EOS), seq_len=5: every range
     # partition boundary falls mid-sequence, so with num_parts=8 the
-    # stitch must merge fragments produced by different parts
+    # stitch must merge fragments produced by different parts, on the
+    # driver (default gates) and through the seq_id-hash exchange
+    # (``key_rows`` forced to 0)
+    if forced:
+        force_routes(monkeypatch, "key_rows")
     df = pd.DataFrame({
         "doc_id": np.arange(64, dtype=np.int64),
         "text": [f"w{i}a w{i}b" for i in range(64)],

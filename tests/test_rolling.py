@@ -12,6 +12,13 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from conftest import force_routes
+
+# each kernel test runs on the driver path (default gates) and on the
+# user-hash exchange path (``key_rows`` forced to 0)
+PATHS = pytest.mark.parametrize("forced", [False, True],
+                                ids=["driver", "exchange"])
+
 
 @pytest.fixture(scope="module")
 def events_dir(tmp_path_factory):
@@ -39,10 +46,14 @@ def events_dir(tmp_path_factory):
     return str(d)
 
 
-def test_rolling_matches_sql_on_ties_and_edges(ray_session, events_dir):
+@PATHS
+def test_rolling_matches_sql_on_ties_and_edges(ray_session, events_dir,
+                                               monkeypatch, forced):
     import __ray_entry__ as e
     from neurostore_text_extraction_ray.pipelines import steps
 
+    if forced:
+        force_routes(monkeypatch, "key_rows")
     mine = steps.events_rolling_count(events_dir, num_parts=2).to_pandas()
     con = duckdb.connect()
     con.execute(f"CREATE VIEW events AS SELECT * FROM read_parquet("
@@ -62,14 +73,19 @@ def test_rolling_matches_sql_on_ties_and_edges(ray_session, events_dir):
     assert len(a) == 10
 
 
-def test_rolling_fallback_path_matches_sql(ray_session, tmp_path):
+@PATHS
+def test_rolling_fallback_path_matches_sql(ray_session, tmp_path,
+                                           monkeypatch, forced):
     """A user-count x time-span big enough to overflow the composite
     key must route to the pandas-rolling fallback and still match the
     SQL oracle (700 users spanning 230 years: span ~7.3e15 us x 700
-    users > 2^62)."""
+    users > 2^62). The driver path runs every user in one call, so it
+    takes the fallback at any ``num_parts``."""
     import __ray_entry__ as e
     from neurostore_text_extraction_ray.pipelines import steps
 
+    if forced:
+        force_routes(monkeypatch, "key_rows")
     rows = []
     eid = 0
     lo = pd.Timestamp("1970-01-02")
@@ -84,7 +100,7 @@ def test_rolling_fallback_path_matches_sql(ray_session, tmp_path):
         ("ts", pa.timestamp("us")),
     ]))
     pq.write_table(tbl, os.path.join(str(tmp_path), "events.parquet"))
-    # num_parts=1 keeps all 700 users in one part: 700 x 7.3e15 us
+    # exchange path: num_parts=1 keeps all 700 users in one part: 700 x 7.3e15 us
     # exceeds 2^62, so the part MUST take the pandas fallback (with
     # more parts the per-part user count drops below the threshold
     # and the vectorized path would run instead)
@@ -98,8 +114,9 @@ def test_rolling_fallback_path_matches_sql(ray_session, tmp_path):
     b = gold.sort_values("event_id").reset_index(drop=True)
     assert (a["n_window"].to_numpy() == b["n_window"].to_numpy()).all()
     assert a["n_window"].max() == 2  # the +30min event sees its elder
-    # and the vectorized path (4 parts -> ~175 users/part, under the
-    # overflow threshold) agrees with the fallback row-for-row
+    # and on the exchange path the vectorized kernel (4 parts -> ~175
+    # users/part, under the overflow threshold) agrees with the
+    # fallback row-for-row
     vec = steps.events_rolling_count(
         str(tmp_path), num_parts=4).to_pandas().sort_values(
         "event_id").reset_index(drop=True)

@@ -195,6 +195,10 @@ def main():
     ex.ROUTES["domain"] = 0
     ex.ROUTES["bloom_seen_partials"] = 0
     ex.ROUTES["dupspans"] = 0
+    # the per-key kernels (sessionize, rolling count, running total,
+    # funnel, domain cap, the sequence-packing stitch) run on the
+    # driver below this gate, and N is below its limit
+    ex.ROUTES["key_rows"] = 0
 
     results = {}
     only = set(sys.argv[1:])  # optional: run only the named measurements
@@ -409,8 +413,8 @@ def main():
 
     run("events_range_join_exchange", _range_join_exchange)
 
-    # pure exchange (no broadcast/driver path exists): 2M events, one
-    # segmented int64 cumsum per user-hash part
+    # key_rows gate 0 (above): 2M events, one segmented int64 cumsum
+    # per user-hash part
     run("events_user_running_total",
         lambda: steps.events_user_running_total(OUT).materialize().count())
 
@@ -425,8 +429,9 @@ def main():
     run("part_name_fuzzy_pairs_exchange", _fuzzy_join_exchange)
 
     def _funnel_exchange():
-        # AGG gate 0: the 6-row-per-part stage counts combine through
-        # the key-hash exchange; the 2M-event stream crosses once
+        # key_rows gate 0 (above): the 2M-event stream crosses once by
+        # user hash; AGG gate 0: the 6-row-per-part stage counts combine
+        # through the key-hash exchange
         ex.ROUTES["agg_partials"] = 0
         return steps.events_funnel(
             OUT, stages=("view", "click", "buy")).materialize().count()
