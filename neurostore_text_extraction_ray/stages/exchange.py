@@ -31,10 +31,10 @@ by an earlier run into the same dir is never read, and two batches
 with identical rows write one file that the list names twice. A stage
 has one writer: committing into a stage that already holds a list
 raises. This module is the one reader and writer of ``part=``
-fragment dirs: ``write_exchange`` runs phase A as a Ray Data map, or
-as one plain task per block of a materialized Dataset, and a caller
-that drives its own phase-A tasks (the flagship sink's parquet file
-tasks) calls the same ``write_fragments`` and ``commit_fragments``.
+fragment dirs: ``write_exchange`` runs phase A as a Ray Data map, and
+a caller that drives its own phase-A tasks (the flagship sink's
+parquet file tasks) calls the same ``write_fragments`` and
+``commit_fragments``.
 
 Operators compose four primitives on top of ``write_exchange`` /
 ``map_parts`` (eager: it returns after every part has run):
@@ -188,10 +188,12 @@ ROUTES: dict[str, int] = {
     "hostlabel": 20_000_000,
     # input rows of a per-key kernel that needs every row of a key in
     # one call (sessionize, rolling count, running total, funnel,
-    # domain cap, the sequence-packing stitch); at or below, one driver
-    # call over the whole input; beyond, one call per key-hash part.
-    # Raw event/document rows, not partials: 5M rows of a few int64 /
-    # timestamp columns are ~0.2 GB as one pandas frame
+    # domain cap); at or below, one driver call over the whole input;
+    # beyond, one call per key-hash part. Raw event/document rows, not
+    # partials: 5M rows of a few int64 / timestamp columns (the funnel
+    # adds its short event-type string) are ~0.2 GB as one pandas frame.
+    # The sequence-packing stitch also passes here, with at most
+    # 2 x num_parts fragment rows whatever the corpus size
     "key_rows": 5_000_000,
 }
 
@@ -432,20 +434,11 @@ def commit_fragments(stage_dir: str, frags: pd.DataFrame) -> int:
 
 
 def write_exchange(ds, stage_dir: str, part_fn, batch_size: int = 8192) -> int:
-    """Phase A: write ``ds``'s rows through ``write_fragments`` and,
-    after the last write, ``commit_fragments`` what the successful task
-    attempts wrote, one ``write_fragments`` call per batch of
-    ``batch_size`` rows. A materialized Dataset's blocks are already in
-    the object store, so plain tasks (``part_tasks``, one per run of
-    blocks holding about ``batch_size`` rows) write them, cast to the
-    Dataset's Arrow schema where they differ from it, with no Ray Data
-    job; any other Dataset streams through a Ray Data map. Returns
-    the number of rows exchanged. A stage that already holds a commit
-    list raises ``ValueError`` before any batch runs."""
-    import ray
-    from ray.data.block import BlockAccessor
-    from ray.data.dataset import MaterializedDataset
-
+    """Phase A: stream ``ds`` through ``write_fragments`` (one call per
+    batch of ``batch_size`` rows, in a Ray Data map) and, after the
+    last batch, ``commit_fragments`` what the successful task attempts
+    wrote. Returns the number of rows exchanged. A stage that already
+    holds a commit list raises ``ValueError`` before any batch runs."""
     _assert_uncommitted(stage_dir)
     os.makedirs(stage_dir, exist_ok=True)
     # re-validate the single-node precondition at execution time: the
@@ -468,43 +461,9 @@ def write_exchange(ds, stage_dir: str, part_fn, batch_size: int = 8192) -> int:
             _NODE_CHECKED = True
         return write_fragments(batch, stage_dir, part_fn)
 
-    if not isinstance(ds, MaterializedDataset):
-        frags = ds.map_batches(
-            write, batch_format="pyarrow", batch_size=batch_size).to_pandas()
-        return commit_fragments(stage_dir, frags)
-    schema = arrow_schema_of(ds)
-
-    def write_blocks(i: int, groups: list) -> pa.Table:
-        tables = [BlockAccessor.for_block(b).to_arrow()
-                  for b in ray.get(groups[i])]
-        # metadata is kept where a block's schema equals the Dataset's
-        block = pa.concat_tables(
-            [t if t.schema.equals(schema) else _cast_to(schema)(t)
-             for t in tables])
-        return pa.concat_tables(
-            [write(block.slice(o, batch_size))
-             for o in range(0, block.num_rows, batch_size)]
-            or [write(block)])
-
-    # consecutive blocks group into tasks of about batch_size rows, as
-    # the Ray Data map batches them: a map_parts output's many small
-    # blocks must not each become a task with its own fragment set
-    groups, rows = [[]], 0
-    for bundle in ds.iter_internal_ref_bundles():
-        for ref, meta in bundle.blocks:
-            if rows >= batch_size:
-                groups.append([])
-                rows = 0
-            groups[-1].append(ref)
-            rows += meta.num_rows or 0
-    if not groups[0]:  # no blocks
-        return commit_fragments(stage_dir, pd.DataFrame())
-    refs = part_tasks(write_blocks, range(len(groups)), groups)
-    # every task has finished before a failure raises, so none still
-    # writes into a stage its caller is about to remove
-    ray.wait(refs, num_returns=len(refs), fetch_local=False)
-    return commit_fragments(
-        stage_dir, pa.concat_tables(ray.get(refs)).to_pandas())
+    frags = ds.map_batches(
+        write, batch_format="pyarrow", batch_size=batch_size).to_pandas()
+    return commit_fragments(stage_dir, frags)
 
 
 def part_tasks(fn, parts, *args) -> list:
@@ -711,21 +670,24 @@ def _cast_to(schema: pa.Schema):
 def _collect_if_fits(ds, gate: str):
     """``(table, ds, schema)``: ``ds``'s rows as one Arrow table cast to
     its Arrow ``schema`` when their count fits gate ``gate``; beyond it
-    ``None`` and a Dataset of the same rows for ``write_exchange``. Any
-    Dataset is materialized to count it, except a bare local
-    ``read_parquet`` (see ``plain_parquet_files``): that read is counted
-    from its parquet footers and collected with ``pq.read_table`` on
-    the driver, with no Ray Data job, and beyond the gate it streams
-    into the exchange through a cast to ``schema``."""
+    ``None`` and the same rows cast to ``schema``, for
+    ``write_exchange``. Any Dataset is materialized to count it, except
+    a bare local ``read_parquet`` (see ``plain_parquet_files``): that
+    read is counted from its parquet footers and collected with
+    ``pq.read_table`` on the driver, with no Ray Data job, and beyond
+    the gate it streams into the exchange unmaterialized."""
     import pyarrow.parquet as pq
 
     files = plain_parquet_files(ds)
     if files is None:
         ds = ds.materialize()
-    schema = arrow_schema_of(ds)
-    if not fits(gate, ds.count()):
-        return None, (ds if files is None else ds.map_batches(
-            _cast_to(schema), batch_format="pyarrow")), schema
+    n = ds.count()
+    # Ray drops the schema of a Dataset whose blocks hold no rows
+    schema = (arrow_schema_of(ds) if n or ds.schema() is not None
+              else pa.schema([]))
+    if not fits(gate, n):
+        return None, ds.map_batches(_cast_to(schema),
+                                    batch_format="pyarrow"), schema
     tables = ([pq.read_table(f, columns=schema.names) for f in files]
               if files is not None else
               ds.iter_batches(batch_format="pyarrow", batch_size=None))

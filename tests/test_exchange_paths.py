@@ -523,7 +523,11 @@ def test_unlisted_fragment_is_not_read(ray_session, tmp_path):
     assert _rows_seen(str(stage)) == 20
 
 
-def _assert_retry_commits_once(tmp_path, lazy: bool):
+def test_phase_a_task_retry_commits_once(ray_session, tmp_path):
+    """A phase-A worker dies on the second batch of a four-batch task
+    (after the first batch wrote its fragments); Ray Data retries the
+    task. Every row reaches phase B exactly once and the commit list
+    has one entry per (batch, part)."""
     import ray.data as rd
 
     from neurostore_text_extraction_ray.stages import exchange as ex
@@ -539,31 +543,14 @@ def _assert_retry_commits_once(tmp_path, lazy: bool):
         return v % 3
 
     stage = str(tmp_path / "stage")
-    ds = rd.from_arrow(t)
-    if lazy:
-        ds = ds.map_batches(lambda b: b, batch_format="pyarrow")
-    assert ex.write_exchange(ds, stage, part_fn, batch_size=10) == 40
+    assert ex.write_exchange(rd.from_arrow(t), stage, part_fn,
+                             batch_size=10) == 40
     assert os.path.exists(marker)  # the first attempt did die
     listing = pq.read_table(os.path.join(stage, ex.FRAGMENT_LIST))
     assert listing.num_rows == 4 * 3  # 4 batches x 3 parts each
     seen = ex.map_parts(stage, 3, lambda tb: tb,
                         pa.schema([("v", pa.int64())])).to_pandas()
     assert sorted(seen["v"]) == list(range(40))
-
-
-def test_phase_a_task_retry_commits_once(ray_session, tmp_path):
-    """A phase-A worker dies on the second batch of a four-batch task
-    (after the first batch wrote its fragments); Ray retries the task.
-    Every row reaches phase B exactly once and the commit list has one
-    entry per (batch, part). The input is materialized, so the write
-    is a plain task."""
-    _assert_retry_commits_once(tmp_path, lazy=False)
-
-
-def test_phase_a_map_retry_commits_once(ray_session, tmp_path):
-    """The same retry when the input is lazy and Ray Data's map writes
-    it."""
-    _assert_retry_commits_once(tmp_path, lazy=True)
 
 
 def test_a_stage_has_one_writer(ray_session, tmp_path):

@@ -67,22 +67,32 @@ def test_giant_doc_spans_many_sequences(ray_session):
     assert (got["n_tokens"].iloc[:-1] == 8).all()
 
 
-@pytest.mark.parametrize("forced", [False, True], ids=["driver", "exchange"])
-def test_cross_part_boundary_stitch(ray_session, monkeypatch, forced):
-    # 64 docs x 3 tokens (2 words + EOS), seq_len=5: every range
-    # partition boundary falls mid-sequence, so with num_parts=8 the
-    # stitch must merge fragments produced by different parts, on the
-    # driver (default gates) and through the seq_id-hash exchange
-    # (``key_rows`` forced to 0)
+@pytest.mark.parametrize("forced,seq_len", [
+    pytest.param(False, 5, id="driver"),
+    pytest.param(True, 5, id="exchange"),
+    pytest.param(False, 50, id="driver-long"),
+    pytest.param(True, 50, id="exchange-long"),
+])
+def test_cross_part_boundary_stitch(ray_session, monkeypatch, forced,
+                                    seq_len):
+    # 64 docs x 3 tokens (2 words + EOS) over num_parts=8 ranges of ~24
+    # tokens. seq_len=5: every range partition boundary falls
+    # mid-sequence, so the stitch must merge fragments produced by
+    # different parts. seq_len=50: most sequences take fragments from
+    # three parts, and a middle part's only sequence starts before it
+    # and ends after it. On the driver (default gates) and through the
+    # seq_id-hash exchange (``key_rows`` forced to 0)
     if forced:
         force_routes(monkeypatch, "key_rows")
     df = pd.DataFrame({
         "doc_id": np.arange(64, dtype=np.int64),
         "text": [f"w{i}a w{i}b" for i in range(64)],
     })
-    got = _run(df, 5, num_parts=8)
-    ref = _reference(df, 5)
+    got = _run(df, seq_len, num_parts=8)
+    ref = _reference(df, seq_len)
     pd.testing.assert_frame_equal(got, ref, check_dtype=False)
     # token conservation: 64 * 3 tokens, contiguous seq_ids
     assert got["n_tokens"].sum() == 192
-    assert got["seq_id"].tolist() == list(range((192 + 4) // 5))
+    assert got["seq_id"].tolist() == list(range((192 + seq_len - 1)
+                                                // seq_len))
+
