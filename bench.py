@@ -136,14 +136,9 @@ def _measure_once(pages_dir: str) -> tuple[dict, dict]:
     if os.environ.get("GRAFT_FLAGSHIP_ONLY"):
         return timings, meta
 
-    # streaming variant (broadcast-semijoin dedup, no sink)
+    # the same url-hash exchange and per-part dedup + extract, no sink
     t0 = time.time()
-    ds = flagship.flagship_dataset(
-        rd.read_parquet(pages_dir),
-        batch_size=512,
-        winners_ds=rd.read_parquet(pages_dir, columns=["url", "warc_ts"]),
-    )
-    ds.count()
+    flagship.flagship_dataset(rd.read_parquet(pages_dir)).count()
     timings["flagship_streaming"] = round(time.time() - t0, 3)
 
     # mixed-modality extraction: html + JATS + PDF pages auto-sniffed

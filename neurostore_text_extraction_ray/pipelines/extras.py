@@ -32,15 +32,12 @@ def _vec_hex(vec) -> str:
 
 
 def _flagship(sf_dir: str):
-    """pages synthesis -> broadcast url dedup -> extract tasks ->
-    (url, extracted_text) for cleanly extracted rows."""
+    """pages synthesis -> url-hash exchange -> per-part dedup + extract
+    -> (url, extracted_text) for cleanly extracted rows."""
     from . import flagship
     from ..sources import pages as pages_src
 
-    ds = flagship.flagship_dataset(
-        pages_src.read_pages(sf_dir),
-        winners_ds=pages_src.read_pages_keys(sf_dir),
-    )
+    ds = flagship.flagship_dataset(pages_src.read_pages(sf_dir))
 
     def ok_rows(batch: pa.Table) -> pa.Table:
         mask = pc.and_(
@@ -58,10 +55,7 @@ def _flagship_titles(sf_dir: str):
     from . import flagship
     from ..sources import pages as pages_src
 
-    ds = flagship.flagship_dataset(
-        pages_src.read_pages(sf_dir),
-        winners_ds=pages_src.read_pages_keys(sf_dir),
-    )
+    ds = flagship.flagship_dataset(pages_src.read_pages(sf_dir))
 
     def project(batch: pa.Table) -> pa.Table:
         mask = pc.and_(

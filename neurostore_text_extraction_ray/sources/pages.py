@@ -44,10 +44,7 @@ def url_for(doc_id: int) -> str:
 
 def revs_for(doc_id: int) -> tuple[int, ...]:
     """Fetch revisions synthesized for a doc — the SINGLE source of the
-    duplicate-fetch policy. ``pages_batch`` and ``pages_keys_batch``
-    must agree exactly: the streaming dedup semi-joins the keys
-    projection's winner (url, warc_ts) against the full pages stream,
-    and any divergence silently drops whole urls."""
+    duplicate-fetch policy (every page variant and the tests read it)."""
     return (0, 1) if doc_id % DUP_MOD == 0 else (0,)
 
 
@@ -117,31 +114,6 @@ def read_pages(sf_dir: str, parallelism: int = -1):
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"]
     )
     return ds.map_batches(pages_batch, batch_format="pyarrow", batch_size=256)
-
-
-def pages_keys_batch(batch: pa.Table) -> pa.Table:
-    """(url, warc_ts) projection of the synthesized pages — same rows
-    as ``pages_batch`` but never builds the html payload."""
-    doc_ids = batch["doc_id"].to_pylist()
-    urls, tss = [], []
-    for did in doc_ids:
-        for rev in revs_for(did):
-            urls.append(url_for(did))
-            tss.append(ts_for(did, rev))
-    return pa.table({
-        "url": pa.array(urls, pa.string()),
-        "warc_ts": pa.array(tss, pa.timestamp("us")),
-    })
-
-
-def read_pages_keys(sf_dir: str):
-    """Column-pruned winners projection for ``dedup_pages``: the dedup
-    winners aggregate runs over (url, warc_ts) only, so page synthesis
-    (and the html payload) never executes on that pass."""
-    import ray.data as rd
-
-    ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-    return ds.map_batches(pages_keys_batch, batch_format="pyarrow", batch_size=1024)
 
 
 # -- JATS variant (pages_xml): exercises the pubget path -------------------

@@ -18,8 +18,9 @@ LZ4 keeps the bytes on the tmpfs default root below parquet's
 (measurements in BASELINE.md, "Exchange fragments as LZ4 Arrow IPC").
 The content name fixes the order of a part's fragments in the sorted
 commit list, so a rerun over the same batches concatenates a part's
-rows in the same order and row-position tie-breaks (the sink's
-latest-per-url on equal warc_ts) pick the same row.
+rows in the same order. Content names decide no tie: the flagship's
+latest-per-url breaks equal warc_ts on the payload bytes, not on row
+position.
 
 Retry safety comes from a commit list, not from the directory: each
 phase-A batch returns the (part, fragment) pairs it wrote, and once
@@ -32,8 +33,8 @@ with identical rows write one file that the list names twice. A stage
 has one writer: committing into a stage that already holds a list
 raises. This module is the one reader and writer of ``part=``
 fragment dirs: ``write_exchange`` runs phase A as a Ray Data map, and
-a caller that drives its own phase-A tasks (the flagship sink's
-parquet file tasks) calls the same ``write_fragments`` and
+a caller that drives its own phase-A tasks (the flagship's parquet
+file tasks) calls the same ``write_fragments`` and
 ``commit_fragments``.
 
 Operators compose four primitives on top of ``write_exchange`` /
@@ -83,10 +84,6 @@ _MIX = np.uint64(0x9E3779B97F4A7C15)  # 64-bit golden-ratio mixer
 # -- gates: driver (or broadcast) at or below the limit, exchange above -----
 
 ROUTES: dict[str, int] = {
-    # dedup_pages' winner-partial rows; beyond, the broadcast-semijoin
-    # dedup auto-switches to the url-hash partitioned path (the driver
-    # would otherwise collect a corpus-sized winner table)
-    "winners": 50_000_000,
     # LSH band rows; beyond, the bucket combine leaves the driver for the
     # partition exchange
     "band_rows": 50_000_000,
@@ -466,16 +463,24 @@ def write_exchange(ds, stage_dir: str, part_fn, batch_size: int = 8192) -> int:
     return commit_fragments(stage_dir, frags)
 
 
-def part_tasks(fn, parts, *args) -> list:
+def part_tasks(fn, parts, *args, limit: int | None = None) -> list:
     """The fan-out over a known list of ids (phase B's part ids, or the
-    flagship sink's phase-A file pieces): one plain
+    flagship's phase-A file pieces): one plain
     ``ray.remote(num_cpus=1)`` task ``fn(p, *args)`` per int id, ``fn``
-    shipped once; returns the object refs in ``parts`` order."""
+    shipped once; returns the object refs in ``parts`` order. With a
+    ``limit``, at most that many tasks are in flight, and the call
+    returns once the last task is submitted."""
     import ray
 
     task = ray.remote(num_cpus=1)(_call_part)
     fn_ref = ray.put(fn)
-    return [task.remote(fn_ref, int(p), *args) for p in parts]
+    refs, running = [], []
+    for p in parts:
+        if limit and len(running) >= limit:
+            _, running = ray.wait(running, num_returns=1, fetch_local=False)
+        refs.append(task.remote(fn_ref, int(p), *args))
+        running.append(refs[-1])
+    return refs
 
 
 def _call_part(fn, p, *args):
@@ -590,7 +595,7 @@ def plain_parquet_files(ds, columns: list[str] = ()) -> list[str] | None:
     them as stored and keeps ``columns``; ``None`` for any other
     Dataset.
 
-    The flagship sink reads such files in its own phase-A tasks, and
+    The flagship's phase A reads such files in its own tasks, and
     ``join_by_key`` (its build side) and ``combine_by_key`` (its input)
     read them on the driver below their gates, all to skip a Ray Data
     job. It inspects Ray Data's logical plan, the package's

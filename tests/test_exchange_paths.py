@@ -287,11 +287,12 @@ _HAND_WRITTEN = {
     # use a stage only as a scratch dir
     "extras._warc_source_roundtrip",
     "extras._warc_extract_text",
-    # the streaming flagship's url-hash dedup, until ROADMAP item 2
-    "flagship.dedup_pages_partitioned",
-    # the resumable sink: its stage lives in the run dir and its
-    # phase A may run as the sink's own parquet file tasks
-    "flagship.run_flagship_to_parquet",
+    # the flagship's phase A and its two stage-owning callers: they run
+    # the sink's phase A as plain parquet file tasks, which no
+    # primitive runs
+    "flagship._exchange_pages",
+    "flagship.dedup_pages",
+    "flagship.flagship_dataset",
 }
 
 # sites moved onto the primitives: none may come back to the plumbing

@@ -1,7 +1,8 @@
 """The flagship extract stage runs as plain Ray tasks: no actor pool in
 its plans, every CPU free as soon as a consumed stream ends, the same
-rows as the resumable sink path for every ``concurrency`` form, and the
-``BYTE_BUDGET`` skew guard intact on the task path."""
+rows as the resumable sink path for every ``concurrency`` form, at most
+``concurrency`` part tasks in flight, and the ``BYTE_BUDGET`` skew
+guard intact on the task path."""
 
 import glob
 import os
@@ -109,12 +110,39 @@ def test_plans_have_no_actor_pool(ray_session, concurrency):
     )
 
     pages = rd.from_arrow(_blocks(_mixed_pages()))
-    for ds in (flagship.flagship_dataset(pages, concurrency=concurrency),
-               flagship.extract_pages(pages, concurrency=concurrency)):
-        ops = _physical_ops(ds)
-        assert not any(isinstance(op, ActorPoolMapOperator) for op in ops)
-        assert any(isinstance(op, TaskPoolMapOperator)
-                   and "ExtractActor" in op.name for op in ops)
+    ops = _physical_ops(flagship.extract_pages(pages, concurrency=concurrency))
+    assert not any(isinstance(op, ActorPoolMapOperator) for op in ops)
+    assert any(isinstance(op, TaskPoolMapOperator)
+               and "ExtractActor" in op.name for op in ops)
+
+
+def test_concurrency_one_runs_one_part_task_at_a_time(ray_session, tmp_path,
+                                                      monkeypatch):
+    """``flagship_dataset(concurrency=1)`` never has two part tasks in
+    flight, also when the fragments' size asks for a task per part:
+    each task records its start and end, and no two overlap."""
+    import json
+    import ray.data as rd
+
+    real = flagship._extract_part
+    record = str(tmp_path)
+
+    def recording_extract_part(i, *args):
+        t0 = time.time()
+        out = real(i, *args)
+        with open(os.path.join(record, f"{i}.json"), "w") as fh:
+            json.dump([t0, time.time()], fh)
+        return out
+
+    monkeypatch.setattr(flagship, "_extract_part", recording_extract_part)
+    monkeypatch.setattr(flagship, "STREAM_TASK_BYTES", 1)  # a task per part
+    ds = flagship.flagship_dataset(rd.from_arrow(_blocks(_mixed_pages())),
+                                   concurrency=1)
+    assert ds.count() == len(set(_mixed_pages()["url"].to_pylist()))
+    spans = sorted(json.load(open(os.path.join(record, f)))
+                   for f in os.listdir(record))
+    assert len(spans) > 4
+    assert all(b[0] >= a[1] for a, b in zip(spans, spans[1:])), spans
 
 
 @pytest.mark.skipif(not os.path.isdir(SF), reason="testdata unavailable")
@@ -136,8 +164,7 @@ def test_consumed_stream_frees_every_cpu(ray_session):
         time.sleep(0.1)
     assert free_cpus() == total, "precondition: an idle cluster"
 
-    ds = flagship.flagship_dataset(pages_src.read_pages(SF),
-                                   winners_ds=pages_src.read_pages_keys(SF))
+    ds = flagship.flagship_dataset(pages_src.read_pages(SF))
     out = ds.materialize()
     assert out.count() == 500
     deadline = time.time() + 2
@@ -178,3 +205,28 @@ def test_byte_budget_on_task_path(ray_session):
         fn, batch_format="pyarrow", batch_size=None).take_batch(
             pages.num_rows, batch_format="pyarrow")
     assert out.to_pylist() == extract.extract_batch(pages).to_pylist()
+
+
+@pytest.mark.parametrize("task_bytes", [1, 64 << 20], ids=["per_part", "per_slot"])
+def test_stream_packs_whole_parts_into_tasks(ray_session, sink_rows,
+                                             monkeypatch, task_bytes):
+    """Phase B packs whole url-hash parts into one task per slot, or
+    into more tasks when the fragments pass ``STREAM_TASK_BYTES``; the
+    rows are the sink's either way."""
+    import ray.data as rd
+
+    monkeypatch.setattr(flagship, "STREAM_TASK_BYTES", task_bytes)
+    calls = []
+    real = flagship.ex.part_tasks
+
+    def counting(fn, ids, *args, **kw):
+        calls.append(len(ids))
+        return real(fn, ids, *args, **kw)
+
+    monkeypatch.setattr(flagship.ex, "part_tasks", counting)
+    ds = flagship.flagship_dataset(rd.from_arrow(_blocks(_mixed_pages())),
+                                   concurrency=2)
+    assert _by_url(pa.concat_tables(list(
+        ds.iter_batches(batch_format="pyarrow", batch_size=None)))) == sink_rows
+    parts = flagship.STREAM_PARTS
+    assert calls[-1] == (2 if task_bytes > 1 else parts)

@@ -11,7 +11,6 @@ import shutil
 import pyarrow.parquet as pq
 import pytest
 
-from conftest import force_routes
 from neurostore_text_extraction_ray.sources import pages as pages_src
 from neurostore_text_extraction_ray.pipelines import flagship
 
@@ -33,6 +32,13 @@ def extracted(ray_session, tmp_path_factory):
 def _read_all(run_dir):
     files = sorted(glob.glob(os.path.join(run_dir, "parts", "part-*.parquet")))
     return pq.ParquetDataset(files).read()
+
+
+def _table(ds):
+    import pyarrow as pa
+
+    return pa.concat_tables(
+        list(ds.iter_batches(batch_format="pyarrow", batch_size=None)))
 
 
 def test_row_counts_and_dedup(extracted, ray_session):
@@ -121,7 +127,7 @@ def test_jats_pages_path(ray_session):
     """pages_xml variant through the same flagship stages."""
     ds = pages_src.read_pages_xml(SF)
     out = flagship.flagship_dataset(ds, payload_column="xml", mode="jats",
-                                    concurrency=2, batch_size=64)
+                                    concurrency=2)
     table = out.take_batch(50, batch_format="pyarrow")
     text0 = table["extracted_text"][0].as_py()
     assert "## Introduction \n  \n" in text0
@@ -160,11 +166,13 @@ def test_empty_parts_get_manifests(ray_session, tmp_path):
 def test_null_urls_not_collapsed():
     """Null urls must stay distinct rows in dedup, never merged."""
     import numpy as np
+    import pyarrow as pa
 
     idx = flagship._latest_per_url_indices(
         np.array(["a", None, None, "a"], dtype=object),
         np.array(["2024-01-01", "2024-01-01", "2024-01-02", "2024-01-03"],
                  dtype="datetime64[us]"),
+        pa.array([b"x", b"x", b"x", b"y"]),
     )
     assert len(idx) == 3  # latest 'a' + both nulls
 
@@ -256,32 +264,15 @@ def test_fragment_ids_distinguish_same_url_sets(ray_session, tmp_path):
     assert checked > 490
 
 
-def test_partitioned_dedup_matches_broadcast(ray_session):
-    """dedup_pages (broadcast semi-join) and dedup_pages_partitioned
-    (hash-part shuffle) agree row-for-row."""
-    ds1 = flagship.dedup_pages(pages_src.read_pages(SF))
-    ds2 = flagship.dedup_pages_partitioned(pages_src.read_pages(SF), num_parts=8)
-    a = ds1.to_pandas().sort_values("url").reset_index(drop=True)
-    b = ds2.to_pandas().sort_values("url").reset_index(drop=True)
-    assert len(a) == len(b) == 500
-    assert (a["url"] == b["url"]).all()
-    assert (a["warc_ts"] == b["warc_ts"]).all()
-
-
-def test_dedup_pages_auto_switch_past_broadcast_bound(ray_session, monkeypatch):
-    """Beyond the ``winners`` gate's winner-partial rows, dedup_pages
-    must auto-route to the partitioned path (not driver-collect a
-    corpus-sized winner table) and produce the identical result —
-    end-to-end through the extract stage (VERDICT r03 next-round #2)."""
-    from neurostore_text_extraction_ray.pipelines import extras
-
-    base = extras._flagship(SF).to_pandas().sort_values("url").reset_index(drop=True)
-    force_routes(monkeypatch, "winners")
-    switched = extras._flagship(SF).to_pandas().sort_values("url").reset_index(drop=True)
-    import pandas as pd
-
-    pd.testing.assert_frame_equal(base, switched)
-    assert len(base) > 0
+def test_dedup_pages_keeps_the_latest_fetch(ray_session):
+    """dedup_pages keeps one (url, warc_ts, html) row per url, the
+    latest fetch."""
+    out = _table(flagship.dedup_pages(pages_src.read_pages(SF), num_parts=8))
+    assert out.column_names == ["url", "warc_ts", "html"]
+    assert out.num_rows == len(set(out["url"].to_pylist())) == 500
+    for url, ts in zip(out["url"].to_pylist(), out["warc_ts"].to_pylist()):
+        did = int(url.rsplit("/", 1)[1])
+        assert ts == pages_src.ts_for(did, pages_src.revs_for(did)[-1])
 
 
 def _inline_pages(texts):
@@ -457,8 +448,9 @@ def test_sink_exchanges_only_what_phase_b_reads(ray_session, tmp_path, monkeypat
 
 def test_sink_breaks_timestamp_ties_the_same_on_every_run(ray_session, tmp_path):
     """Two fetches of a url with one warc_ts and different html, in
-    different phase-A batches, resolve to the same winner on every run:
-    two runs over the same input write byte-identical part files."""
+    different phase-A batches, resolve to the same winner on every run
+    and in either block order: the runs write byte-identical part
+    files."""
     import pyarrow as pa
     import ray.data as rd
 
@@ -490,3 +482,62 @@ def test_sink_breaks_timestamp_ties_the_same_on_every_run(ray_session, tmp_path)
     first = run("a")
     assert len(first) == 16  # 8 parts + 8 sidecars
     assert run("b") == first
+    blocks.reverse()  # the winner follows the data, not the block order
+    assert run("c") == first
+
+
+def _tied_block(payload):
+    import pyarrow as pa
+
+    return pa.table({
+        "url": pa.array([pages_src.url_for(1)], pa.string()),
+        "warc_ts": pa.array([pages_src.ts_for(1, 0)], pa.timestamp("us")),
+        "html": pa.array([payload], pa.binary()),
+    })
+
+
+TIES = {
+    "differ": [b"<p>one</p>", b"<p>two</p>"],
+    "identical": [b"<p>one</p>", b"<p>one</p>"],
+    "null_payload": [None, b"<p>one</p>"],
+}
+
+
+@pytest.mark.parametrize("case", list(TIES))
+def test_stream_and_sink_agree_on_tied_fetches(ray_session, tmp_path, case):
+    """Two fetches of one url with one warc_ts, in two one-row blocks:
+    ``flagship_dataset`` returns exactly one row, the sink's, whatever
+    the block order (the larger payload wins, NULL lowest)."""
+    import ray.data as rd
+
+    rows = []
+    for i, payloads in enumerate((TIES[case], TIES[case][::-1])):
+        blocks = [_tied_block(p) for p in payloads]
+        stream = _table(flagship.flagship_dataset(rd.from_arrow(blocks)))
+        assert stream.num_rows == 1
+        run_dir, _ = flagship.run_flagship_to_parquet(
+            rd.from_arrow(blocks), str(tmp_path / str(i)), num_parts=2)
+        sink = _read_all(run_dir)
+        cols = ["url", "extracted_text", "parse_failed", "empty"]
+        assert stream.select(cols).to_pylist() == sink.select(cols).to_pylist()
+        rows.append(stream.to_pylist())
+    assert rows[0] == rows[1]
+    assert rows[0][0]["extracted_text"] == ("two" if case == "differ" else "one")
+
+
+def test_pipeline_info_records_versions(ray_session, tmp_path):
+    """pipeline_info.json records the Python, pandas, pyarrow and Ray
+    versions; the run id does not depend on them."""
+    import platform
+
+    import pandas as pd
+    import pyarrow as pa
+    import ray
+
+    run_dir, _ = flagship.run_flagship_to_parquet(
+        _inline_pages(["alpha beta"]), str(tmp_path), num_parts=2)
+    info = json.load(open(os.path.join(run_dir, "pipeline_info.json")))
+    assert info["versions"] == {
+        "python": platform.python_version(), "pandas": pd.__version__,
+        "pyarrow": pa.__version__, "ray": ray.__version__}
+    assert "versions" not in info["config"]

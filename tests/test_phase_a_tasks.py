@@ -333,3 +333,38 @@ def test_sink_passes_a_non_timestamp_warc_ts_through(ray_session, tmp_path):
     tables = [t.set_column(1, "warc_ts", t["warc_ts"].cast(pa.date32()))
               for t in _pages()]
     assert _sink(rd.from_arrow(tables), tmp_path / "out")
+
+
+def test_sink_rejects_a_read_outside_input_path(ray_session, page_files,
+                                                tmp_path):
+    """A bare read of files that lie outside ``input_path`` raises before
+    anything is written: the run id would name one input and the rows
+    come from another."""
+    import ray.data as rd
+
+    d, files = page_files
+    other = tmp_path / "other"
+    other.mkdir()
+    with pytest.raises(ValueError, match="outside input_path"):
+        flagship.run_flagship_to_parquet(
+            rd.read_parquet(d), str(tmp_path / "out"), num_parts=4,
+            input_path=str(other))
+    with pytest.raises(ValueError, match="outside input_path"):
+        flagship.run_flagship_to_parquet(
+            rd.read_parquet(files[:2]), str(tmp_path / "out"), num_parts=4,
+            input_path=files[0])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("shape", ["dir", "file"])
+def test_sink_accepts_a_read_of_input_path(ray_session, page_files, tmp_path,
+                                           shape):
+    """The call shape of ``bench.py`` and perfbench, a ``read_parquet`` of
+    ``input_path`` itself, passes the input check."""
+    import ray.data as rd
+
+    d, files = page_files
+    src = d if shape == "dir" else files[0]
+    _, summary = flagship.run_flagship_to_parquet(
+        rd.read_parquet(src), str(tmp_path), num_parts=4, input_path=src)
+    assert int(summary["rows"].sum()) > 0
