@@ -1452,8 +1452,7 @@ def _host_pagerank(sf_dir: str, n_iter: int = 5, damping: float = 0.85):
         "host": nodes, "pagerank": np_.round(pr, 6)}))
 
 
-def _host_pagerank_exchanged(edges_ds, n_iter: int, damping: float,
-                             num_parts: int = 32):
+def _host_pagerank_exchanged(edges_ds, n_iter: int, damping: float):
     """Scale path for ``_host_pagerank``: the rank vector never lives
     on the driver. Per iteration, rank rows co-partition with the
     (src-hash-partitioned, written once) edge list — every src's edges
@@ -1502,6 +1501,7 @@ def _host_pagerank_exchanged(edges_ds, n_iter: int, damping: float,
     if n == 0:
         return rd.from_arrow(OUT_SCHEMA.empty_table())
 
+    num_parts = ex.NUM_PARTS
     by_src = lambda b: ex.key_part(b, ["src"], num_parts)  # noqa: E731
     by_host = lambda b: ex.key_part(b, ["host"], num_parts)  # noqa: E731
     with (ex.stage("nse_pr_edges_") as edges_stage,
@@ -1577,7 +1577,7 @@ def _host_pagerank_exchanged(edges_ds, n_iter: int, damping: float,
                     rank_stage, by_host)
                 contrib_ds = grouped_sum_by_key(
                     ex.map_parts(
-                        [edges_stage, rank_stage], num_parts, contrib_part,
+                        [edges_stage, rank_stage], contrib_part,
                         CONTRIB_SCHEMA, in_schemas=[EDGE_SCHEMA, RANK_SCHEMA]
                     ),
                     "dst", ["contrib"], "agg_partials")
@@ -1592,7 +1592,7 @@ def _host_pagerank_exchanged(edges_ds, n_iter: int, damping: float,
                 c_schema = pa.schema([("host", pa.string()),
                                       ("contrib", pa.float64())])
                 rank_ds = ex.map_parts(
-                    [nodes_stage, contrib_stage], num_parts,
+                    [nodes_stage, contrib_stage],
                     lambda nt, ct: new_rank_part(nt, ct, dang),
                     FULL_SCHEMA, in_schemas=[NODE_SCHEMA, c_schema]
                 )
@@ -1630,7 +1630,7 @@ def _components_driver(edf: pd.DataFrame) -> pd.DataFrame:
     return pd.DataFrame({"node": nodes, "label": nodes[lab]})
 
 
-def _host_components(sf_dir: str, num_parts: int = 32):
+def _host_components(sf_dir: str):
     """Connected components of the host link graph — the site-cluster
     operator behind host-level dedup, mirror detection and spam-farm
     grouping; the undirected complement of ``host_pagerank``. Edges
@@ -1695,7 +1695,7 @@ def _host_components(sf_dir: str, num_parts: int = 32):
     if ex.fits("component_edges", edges_int.count()):
         labels = rd.from_pandas(_components_driver(edges_int.to_pandas()))
     else:
-        labels = label_components_exchanged(edges_int, num_parts=num_parts)
+        labels = label_components_exchanged(edges_int)
 
     def node_partial(df: pd.DataFrame) -> pd.DataFrame:
         hosts = pd.concat([df["src"], df["dst"]],
@@ -1746,9 +1746,8 @@ def _host_components(sf_dir: str, num_parts: int = 32):
 
     # labels co-locate in the combine, so each call's min/size are exact
     hl = ex.join_by_key(nodes, labels, ["node"], ["node"], sorted_labels,
-                        decorate, hl_schema, "hostlabel", num_parts)
-    return ex.combine_by_key(hl, ["label"], finish, out_schema, "hostlabel",
-                             num_parts)
+                        decorate, hl_schema, "hostlabel")
+    return ex.combine_by_key(hl, ["label"], finish, out_schema, "hostlabel")
 
 
 def _docs_outlinks(sf_dir: str):

@@ -16,11 +16,11 @@ Both entry points are one engine: one url-hash exchange through
       map_batches(dedup_batch)               # project, partial dedup,
                                              #   drop parts already done
       -> write_exchange(hash(url) % num_parts)  # fragments + commit list
-    phase B: one Ray task per part           # read its fragments, exact
-                                             #   latest-per-url dedup
-                                             #   sorted by url, extract
-      run_flagship_to_parquet                #   + md5 sidecar, atomic
-                                             #   part + manifest
+    phase B: one Ray task per ex.pack_parts  # read its parts' fragments,
+      group of whole parts                   #   exact latest-per-url
+                                             #   dedup by url, extract
+      run_flagship_to_parquet                #   per part: + md5 sidecar,
+                                             #   atomic part + manifest
       flagship_dataset                       #   -> the extracted rows
 
 A url's fetches all land in one part, and "latest" is one total order
@@ -269,15 +269,15 @@ def _dedup_part(files: list[str], payload_column: str) -> tuple[int, pa.Table]:
     return group.num_rows, group.take(pa.array(keep))
 
 
-def dedup_pages(ds, num_parts: int = 64, payload_column: str = "html"):
+def dedup_pages(ds, payload_column: str = "html"):
     """Exact groupby-url dedup: one row per url of ``ds``'s (url,
     warc_ts, payload) columns under ``_latest_per_url_indices``' order.
-    Phase A (``_exchange_pages``) into a fresh exchange stage, then
-    ``partial_dedup_batch`` over each url-hash part, which holds every
-    fetch of its urls. Eager: returns a materialized Dataset."""
+    Phase A (``_exchange_pages``) into a fresh ``ex.NUM_PARTS``-part
+    stage, then ``partial_dedup_batch`` over each url-hash part, which
+    holds every fetch of its urls. Eager: returns a materialized Dataset."""
     with ex.stage("nse_dedup_pages_") as stage:
-        _exchange_pages(ds, stage, num_parts, payload_column)
-        return ex.map_parts(stage, num_parts, partial_dedup_batch,
+        _exchange_pages(ds, stage, ex.NUM_PARTS, payload_column)
+        return ex.map_parts(stage, partial_dedup_batch,
                             _pages_schema(payload_column))
 
 
@@ -309,23 +309,17 @@ def extract_pages(
     )
 
 
-# flagship_dataset's url-hash parts, and the fragment bytes (LZ4 Arrow
-# IPC, as written) above which its phase B runs more tasks than it has
-# slots: whole parts are packed into one task per slot, or into
-# ceil(bytes / STREAM_TASK_BYTES) tasks (a single part over it is still
-# one task). Each task costs fixed time: a stream_mixed job (seed 3,
-# 2 Ray CPUs) took 0.41 s at a cap of 1 and 0.29 s uncapped as one task
-# per part, 0.31 and 0.24 s packed; 64 parts packed took 0.36 / 0.27 s.
-STREAM_PARTS = 16
-STREAM_TASK_BYTES = 64 << 20
+# The url-hash part count of the stream and the sink's default layout
+# (not a task count: phase B packs whole parts with ``ex.pack_parts``)
+URL_PARTS = 16
 
 
-def _extract_part(i: int, groups: list, payload_column: str,
+def _extract_part(group: list[int], files: dict, payload_column: str,
                   mode: str) -> pa.Table:
-    """flagship_dataset's phase B: the kept rows of the fragments
-    ``groups[i]`` (whole parts, so every fetch of their urls),
-    extracted."""
-    _, deduped = _dedup_part(groups[i], payload_column)
+    """flagship_dataset's phase B: the kept rows of the whole parts
+    ``group`` (so every fetch of their urls), extracted."""
+    _, deduped = _dedup_part([f for p in group for f in files[p]],
+                             payload_column)
     return extract_batch(deduped, payload_column=payload_column, mode=mode,
                          keep_columns=("url", "warc_ts"))
 
@@ -341,31 +335,28 @@ def flagship_dataset(pages_ds, mode: str = "auto", payload_column: str = "html",
     (``_exchange_pages``) writes the (url, warc_ts, payload) columns
     into a url-hash exchange stage under ``ex.exchange_root()``
     (``NSE_EXCHANGE_ROOT``; a stream larger than tmpfs needs it on
-    disk), and plain Ray tasks over whole parts dedup exactly and
-    extract (``_extract_part``). So it returns the rows the sink
-    writes, and ``warc_ts`` is ``timestamp[us]`` as in the sink.
+    disk), and plain Ray tasks over ``ex.pack_parts`` groups of whole
+    parts dedup exactly and extract (``_extract_part``). So it returns
+    the rows the sink writes, and ``warc_ts`` is ``timestamp[us]`` as
+    in the sink.
 
     ``concurrency`` caps the tasks in flight: an int, or the max of a
-    ``(min, max)`` tuple; ``None`` sets no cap, and the cluster's CPUs
-    are the slots. ``winners_ds`` is accepted and ignored, because the
-    benchmark's stream job still passes it: the exchange needs no
-    second projection of the corpus."""
+    ``(min, max)`` tuple; ``None`` sets no cap. ``winners_ds`` is
+    accepted and ignored, because the benchmark's stream job still
+    passes it: the exchange needs no second projection of the
+    corpus."""
     import ray
 
     if isinstance(concurrency, tuple):
         concurrency = concurrency[1]
-    slots = concurrency or int(ray.cluster_resources().get("CPU", 1))
     schema = extract_batch(_pages_schema(payload_column).empty_table(),
                            payload_column=payload_column, mode=mode).schema
     with ex.stage("nse_flagship_") as stage:
-        _exchange_pages(pages_ds, stage, STREAM_PARTS, payload_column)
+        _exchange_pages(pages_ds, stage, URL_PARTS, payload_column)
         files = ex.part_files(stage)
-        parts = sorted(files)
-        nbytes = sum(os.path.getsize(f) for fs in files.values() for f in fs)
-        n = min(len(parts), max(slots, -(-nbytes // STREAM_TASK_BYTES)))
-        groups = [[f for p in parts[k::n] for f in files[p]] for k in range(n)]
-        refs = ex.part_tasks(_extract_part, range(n), ray.put(groups),
-                             payload_column, mode, limit=concurrency)
+        refs = ex.part_tasks(_extract_part, ex.pack_parts(sorted(files), files),
+                             ray.put(files), payload_column, mode,
+                             limit=concurrency)
         return ex.tables_dataset(refs, schema)
 
 
@@ -503,10 +494,10 @@ def _process_part(
     }
 
 
-def _run_part(part: int, files: dict, *args):
+def _run_parts(group: list[int], files: dict, *args) -> list[dict]:
     # resolve _process_part through the module attribute at call time,
     # so a wrapper installed on it in the worker process sees every part
-    return _process_part(part, files.get(part, []), *args)
+    return [_process_part(p, files.get(p, []), *args) for p in group]
 
 
 def _check_input(pages_ds, input_path: str) -> None:
@@ -529,7 +520,7 @@ def _check_input(pages_ds, input_path: str) -> None:
 def run_flagship_to_parquet(
     pages_ds,
     out_dir: str,
-    num_parts: int = 16,
+    num_parts: int = URL_PARTS,
     payload_column: str = "html",
     mode: str = "auto",
     input_path: str = "<inline>",
@@ -546,16 +537,20 @@ def run_flagship_to_parquet(
     and perfbench pass; it must read files under ``input_path`` when
     that is a real path) and as a Ray Data map for any other Dataset.
     The driver then reads the stage's commit list once, and phase B
-    runs one plain Ray task per part (``exchange.part_tasks``) — read
-    the fragments the list names for it, exact url-dedup, extract,
-    atomic part+manifest write — and the summary has one int64 row per
-    part it ran (none when every part was done). A stage left by a
-    crashed run is removed before phase A. On shared storage this is
-    the standard external-shuffle layout and every phase is
-    embarrassingly parallel; Ray Data's native groupby shuffle is
-    avoided on the heavy payloads (measured ~50x slower in this
-    environment). A re-run with the same config skips completed parts
-    (manifest anti-join).
+    runs ``_process_part`` per part not yet done, in plain Ray tasks
+    over ``ex.pack_parts`` groups (``num_parts`` is the output layout,
+    not a task count) — read the fragments the list names for it, exact
+    url-dedup, extract, atomic part+manifest write — and the summary
+    has one int64 row per part it ran, in part order (none when every
+    part was done). A stage left by a crashed run is removed before
+    phase A. On shared storage this is the standard external-shuffle
+    layout and every phase is embarrassingly parallel; Ray Data's
+    native groupby shuffle is avoided on the heavy payloads (measured
+    ~50x slower in this environment). A re-run with the same config
+    skips completed parts (manifest anti-join). A Ray retry of a
+    phase-B task reruns every part of its group, finished ones too:
+    they rewrite the same bytes, and in incremental mode their summary
+    rows read as reused.
     """
     import platform
     import shutil
@@ -600,13 +595,16 @@ def run_flagship_to_parquet(
     _exchange_pages(pages_ds, stage_dir, num_parts, payload_column, done,
                     in_run_dir=True)
 
-    # phase B: one plain Ray task per remaining part, handed its
+    # phase B: tasks over groups of the remaining parts, handed the
     # fragment files from one read of the commit list
-    files = ray.put(ex.part_files(stage_dir))
+    files = ex.part_files(stage_dir)
     todo = [p for p in range(num_parts) if p not in done]
-    refs = ex.part_tasks(_run_part, todo, files, run_dir, input_path,
+    refs = ex.part_tasks(_run_parts, ex.pack_parts(todo, files),
+                         ray.put(files), run_dir, input_path,
                          payload_column, mode, incremental)
-    sdf = pd.DataFrame(ray.get(refs), columns=[
+    rows = sorted((r for rs in ray.get(refs) for r in rs),
+                  key=lambda r: r["partition_id"])
+    sdf = pd.DataFrame(rows, columns=[
         "partition_id", "rows", "n_parse_failed", "n_empty", "n_extracted",
         "n_reused"]).astype("int64")
     # drop the exchange fragments once every part has a manifest

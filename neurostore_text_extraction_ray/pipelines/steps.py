@@ -453,7 +453,7 @@ def _topk_rows(df: pd.DataFrame, k: int, by: str | None) -> pd.DataFrame:
     return s.groupby(by, sort=False, dropna=False).head(k)
 
 
-def _topk_combine(partials_ds, local_topk, gate, num_parts=32):
+def _topk_combine(partials_ds, local_topk, gate):
     """Shared gated merge for partial top-k streams: ``local_topk``
     (pd.DataFrame -> pd.DataFrame) must be idempotent and associative
     under row-union (true for 'k best under a total order, optionally
@@ -465,7 +465,7 @@ def _topk_combine(partials_ds, local_topk, gate, num_parts=32):
     partials_ds = partials_ds.materialize()
     schema = ex.arrow_schema_of(partials_ds)
     cand = ex.combine_by_key(partials_ds, ["doc_id"], local_topk, schema,
-                             gate, num_parts).to_pandas()
+                             gate).to_pandas()
     if cand.empty:  # zero-row datasets drop their columns
         return schema.empty_table().to_pandas()
     return local_topk(cand).reset_index(drop=True)
@@ -636,8 +636,7 @@ def docs_nchars_quantiles_sampled(sf_dir: str, qs=(0.25, 0.5, 0.75, 0.95),
     }))
 
 
-def docs_lang_quantiles(sf_dir: str, qs=(0.25, 0.5, 0.75, 0.95),
-                        num_parts: int = 32):
+def docs_lang_quantiles(sf_dir: str, qs=(0.25, 0.5, 0.75, 0.95)):
     """Exact PER-GROUP discrete quantiles of an integer column without
     any sort — the grouped form of ``docs_nchars_quantiles`` (DuckDB
     ``quantile_disc GROUP BY`` semantics: per group, the smallest value
@@ -688,7 +687,7 @@ def docs_lang_quantiles(sf_dir: str, qs=(0.25, 0.5, 0.75, 0.95),
         .map_batches(partial, batch_format="pyarrow")
     )
     return ex.combine_by_key(partials, ["lang"], select, out_schema,
-                             "lang_quantiles", num_parts)
+                             "lang_quantiles")
 
 
 # -- Quantile-bucket assignment (two-phase stats -> broadcast) ---------------
@@ -745,7 +744,7 @@ def top_terms(sf_dir: str, k: int = 20):
     part combines + takes its local top-k under the SAME total order
     (every term's rows co-locate, so per-part sums are exact totals and
     the global top-k is a subset of the per-part top-k union), and the
-    driver merges ``num_parts * k`` rows. Output (term, n)."""
+    driver merges ``ex.NUM_PARTS * k`` rows. Output (term, n)."""
     import ray.data as rd
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -1233,7 +1232,7 @@ def _domain_partials(sf_dir: str):
 
 
 def grouped_sum_by_key(partials_ds, key_col, sum_cols: list[str],
-                       gate: str, num_parts: int = 32):
+                       gate: str):
     """Exact per-key sums over a stream of PARTIAL aggregate rows —
     the shared combine behind the domain-stats, host-indegree,
     lineitem-pricing and hourly-window aggregates. ``key_col`` is one
@@ -1256,11 +1255,10 @@ def grouped_sum_by_key(partials_ds, key_col, sum_cols: list[str],
                 .sum().reset_index())
 
     return ex.combine_by_key(partials_ds, key_cols, combine, schema,
-                             gate, num_parts)
+                             gate)
 
 
-def hll_distinct_by_key(pre_ds, key_col: str, val_col: str, p: int = 12,
-                        num_parts: int = 32):
+def hll_distinct_by_key(pre_ds, key_col: str, val_col: str, p: int = 12):
     """Approximate ``COUNT(DISTINCT val_col) GROUP BY key_col`` — the
     sketch-PER-KEY merge primitive (one HLL register array per key;
     registers combine by elementwise max, which is idempotent and
@@ -1326,7 +1324,7 @@ def hll_distinct_by_key(pre_ds, key_col: str, val_col: str, p: int = 12,
     out_schema = pa.schema([pa.field(key_col, key_type),
                             pa.field("n_distinct_est", pa.int64())])
     return ex.combine_by_key(partials, [key_col], combine, out_schema,
-                             "hll_group_partials", num_parts)
+                             "hll_group_partials")
 
 
 def events_user_hll_hourly(sf_dir: str, p: int = 12):
@@ -1483,8 +1481,7 @@ def _bp_domain_partials(ds):
 
 
 def _bp_boilerplate_keys(line_counts, dom_counts, ratio_num: int,
-                         ratio_den: int, min_docs: int,
-                         num_parts: int = 32):
+                         ratio_den: int, min_docs: int):
     """(domain, line_key) rows whose doc count n satisfies
     ``n >= min_docs AND n * ratio_den >= n_docs(domain) * ratio_num``
     — integer-exact on both sides (no float ratio), mirrored verbatim
@@ -1513,7 +1510,7 @@ def _bp_boilerplate_keys(line_counts, dom_counts, ratio_num: int,
         dom_counts, ["domain"], ["domain"],
         lambda t: _sorted_by(t, "domain", "n_docs"), mark,
         pa.schema([("domain", pa.string()), ("line_key", pa.int64())]),
-        "domain", num_parts)
+        "domain")
 
 
 def _bp_strip_frame(df: pd.DataFrame,
@@ -1547,7 +1544,7 @@ def _bp_strip_frame(df: pd.DataFrame,
 
 
 def strip_boilerplate(ds, ratio_num: int = 1, ratio_den: int = 2,
-                      min_docs: int = 3, num_parts: int = 32):
+                      min_docs: int = 3):
     """Domain-level boilerplate line removal (the CCNet / RefinedWeb /
     OSCAR cleaning step): a non-blank line is boilerplate for a
     registered domain when it appears in >= ``min_docs`` distinct
@@ -1572,7 +1569,7 @@ def strip_boilerplate(ds, ratio_num: int = 1, ratio_den: int = 2,
         _bp_domain_partials(ds), "domain", ["n_docs"],
         "domain")
     bp = _bp_boilerplate_keys(line_counts, dom_counts, ratio_num,
-                              ratio_den, min_docs, num_parts)
+                              ratio_den, min_docs)
     return ex.join_by_key(
         ds, bp, ["domain"], ["domain"],
         lambda t: _sorted_by(t, "line_key")[0],
@@ -1580,7 +1577,7 @@ def strip_boilerplate(ds, ratio_num: int = 1, ratio_den: int = 2,
         pa.schema([("doc_id", pa.int64()), ("domain", pa.string()),
                    ("n_lines", pa.int64()), ("n_removed", pa.int64()),
                    ("clean_text", pa.string())]),
-        "boilerplate_keys", num_parts)
+        "boilerplate_keys")
 
 
 def docs_boilerplate_strip(sf_dir: str):
@@ -1645,8 +1642,7 @@ def _pctl_kept_frame(df: pd.DataFrame, p: float) -> pd.DataFrame:
                          "pr": pr[keep]})
 
 
-def docs_domain_percentile_filter(sf_dir: str, p: float = 0.5,
-                                  num_parts: int = 32):
+def docs_domain_percentile_filter(sf_dir: str, p: float = 0.5):
     """Per-domain percentile quality filter (quality-stratified corpus
     triage): keep documents whose ``n_chars`` sits at or above the
     ``p`` percent-rank WITHIN their registered domain — SQL
@@ -1680,7 +1676,7 @@ def docs_domain_percentile_filter(sf_dir: str, p: float = 0.5,
     kept_ds = ex.combine_by_key(
         docs.map_batches(partial, batch_format="pandas"), ["domain"],
         lambda df: _pctl_kept_frame(df, p), _PCTL_KEPT_SCHEMA,
-        "terms", num_parts)
+        "terms")
     return ex.join_by_key(
         docs.map_batches(_domain_rows, batch_format="pandas"), kept_ds,
         ["domain", "n_chars"], ["domain", "v"], lambda t: t,
@@ -1689,7 +1685,7 @@ def docs_domain_percentile_filter(sf_dir: str, p: float = 0.5,
                                join_type="inner"),
         pa.schema([("doc_id", pa.int64()), ("domain", pa.string()),
                    ("n_chars", pa.int64()), ("pr", pa.float64())]),
-        "pctl_kept", num_parts)
+        "pctl_kept")
 
 
 # -- Dataset diff / reconciliation -------------------------------------------
@@ -1722,8 +1718,7 @@ def _diff_sig_partials(ds, key_col: str, val_cols: list[str]):
     return ds.map_batches(sig, batch_format="pandas")
 
 
-def dataset_diff(a, b, key_col: str, val_cols: list[str],
-                 num_parts: int = 32):
+def dataset_diff(a, b, key_col: str, val_cols: list[str]):
     """Distributed reconciliation of two keyed datasets — the
     primitive behind validating an incremental run against a
     from-scratch one: emits (key, status) with status ``added`` (key
@@ -1834,6 +1829,7 @@ def dataset_diff(a, b, key_col: str, val_cols: list[str],
         return res.union(added_ds)
 
     pair_schema = pa.schema([("key", pa.int64()), ("sig", pa.int64())])
+    num_parts = ex.NUM_PARTS
     by_key = lambda t: ex.int_part(  # noqa: E731
         [t["key"].to_numpy(zero_copy_only=False)], num_parts)
     with (ex.stage("nse_diff_a_") as a_stage,
@@ -1850,7 +1846,7 @@ def dataset_diff(a, b, key_col: str, val_cols: list[str],
             return pa.Table.from_pandas(out, schema=out_schema,
                                         preserve_index=False)
 
-        return ex.map_parts([a_stage, b_stage], num_parts, part,
+        return ex.map_parts([a_stage, b_stage], part,
                             out_schema,
                             in_schemas=[pair_schema, pair_schema])
 
@@ -1886,7 +1882,7 @@ def docs_diff_planted(sf_dir: str):
     return dataset_diff(a, b, "doc_id", ["text"])
 
 
-def docs_domain_cap(sf_dir: str, cap: int = 3, num_parts: int = 32):
+def docs_domain_cap(sf_dir: str, cap: int = 3):
     """Per-domain document CAP (RefinedWeb-style domain quota): keep at
     most ``cap`` documents per registered domain, chosen by the house
     sampling hash then doc_id — a deterministic, input-order-free
@@ -1930,7 +1926,7 @@ def docs_domain_cap(sf_dir: str, cap: int = 3, num_parts: int = 32):
     return ex.combine_by_key(
         _docs(sf_dir, ["doc_id"]).map_batches(
             with_domain_hash, batch_format="pyarrow"),
-        ["dh"], keep, out_schema, "key_rows", num_parts)
+        ["dh"], keep, out_schema, "key_rows")
 
 
 # -- Stratified deterministic sampling (per-group quotas) -------------------
@@ -2051,8 +2047,7 @@ def docs_lang_temperature_sample(sf_dir: str, rate_pct: int = 40):
 # -- Token-budget shard packing (distributed ordered prefix sum) ------------
 
 
-def pack_shards(ds, key_col: str, weight_col: str, budget: int,
-                num_parts: int = 32):
+def pack_shards(ds, key_col: str, weight_col: str, budget: int):
     """Concatenate-and-chunk packing: rows ordered by ``key_col`` are
     conceptually concatenated and split into shards of ``budget``
     weight; each row's shard is the chunk containing its START offset —
@@ -2091,7 +2086,7 @@ def pack_shards(ds, key_col: str, weight_col: str, budget: int,
             }),
             batch_format="pyarrow"),
         key_col, lambda t: pc.sum(t[weight_col]).as_py(), assign,
-        out_schema, num_parts)
+        out_schema)
 
 
 def docs_pack_shards(sf_dir: str, budget: int = 20000):
@@ -2105,8 +2100,7 @@ _PSEQ_TOK_RE = re.compile(r"\S+")
 
 
 def pack_sequences(ds, key_col: str = "doc_id", text_col: str = "text",
-                   seq_len: int = 32, eos: str = "<eos>",
-                   num_parts: int = 32):
+                   seq_len: int = 32, eos: str = "<eos>"):
     """GPT-style concat-and-chunk sequence packing: each row's ``\\S+``
     tokens plus one ``eos`` marker are conceptually concatenated in
     ``key_col`` order and re-emitted as fixed-``seq_len`` training
@@ -2124,7 +2118,7 @@ def pack_sequences(ds, key_col: str = "doc_id", text_col: str = "text",
        final; one that crosses the part's first or last token offset
        is a FRAGMENT (at most two per part);
     2. ``ex.combine_by_key`` on seq_id stitches the fragments by pos.
-       Only the fragments travel, at most ``2 * num_parts`` rows of at
+       Only the fragments travel, at most ``2 * ex.NUM_PARTS`` rows of at
        most ``seq_len`` tokens whatever the corpus size; the final rows
        skip the stitch.
 
@@ -2187,16 +2181,11 @@ def pack_sequences(ds, key_col: str = "doc_id", text_col: str = "text",
                 text_col: pc.cast(b[text_col], pa.string()),
             }),
             batch_format="pyarrow"),
-        key_col, n_tokens, seqs_of_part, seq_schema, num_parts)
-    # batches of 8192 rows bundle the scan's one-block-per-part output
-    # into a few tasks: with one task per part block these two maps
-    # made docs_pack_sequences about 0.5 s slower at sf0.1 on 2 CPUs
+        key_col, n_tokens, seqs_of_part, seq_schema)
     stitched = ex.combine_by_key(
-        seqs.map_batches(lambda t: rows(t, True), batch_format="pyarrow",
-                         batch_size=8192),
-        ["seq_id"], stitch, out_schema, "key_rows", num_parts)
-    return seqs.map_batches(final, batch_format="pyarrow",
-                            batch_size=8192).union(stitched)
+        seqs.map_batches(lambda t: rows(t, True), batch_format="pyarrow"),
+        ["seq_id"], stitch, out_schema, "key_rows")
+    return seqs.map_batches(final, batch_format="pyarrow").union(stitched)
 
 
 def docs_pack_sequences(sf_dir: str, seq_len: int = 32):
@@ -2209,8 +2198,7 @@ def docs_pack_sequences(sf_dir: str, seq_len: int = 32):
 # -- Distributed global sort / rank ------------------------------------------
 
 
-def global_rank(ds, key_col: str, tie_col: str, descending: bool = False,
-                num_parts: int = 32):
+def global_rank(ds, key_col: str, tie_col: str, descending: bool = False):
     """Total-order global rank (``ROW_NUMBER() OVER (ORDER BY key
     [DESC], tie)``) without Ray Data's ``sort`` all-to-all (measured
     scale-killer, BASELINE.md): the classic distributed sort as
@@ -2250,7 +2238,7 @@ def global_rank(ds, key_col: str, tie_col: str, descending: bool = False,
 
     return ex.scan_by_range(ds.map_batches(to_kt, batch_format="pyarrow"),
                             "k", lambda t: t.num_rows, rank_part,
-                            out_schema, num_parts)
+                            out_schema)
 
 
 def docs_rank_by_length(sf_dir: str):
@@ -2482,7 +2470,7 @@ def events_hourly(sf_dir: str):
         "agg_partials")
 
 
-def events_hourly_top(sf_dir: str, num_parts: int = 32):
+def events_hourly_top(sf_dir: str):
     """Windowed top-1: the busiest event type per tumbling hour
     (count desc, type asc tie-break) — the windowed-argmax composition
     over ``events_hourly``'s combined counts. The combined (type,
@@ -2502,10 +2490,10 @@ def events_hourly_top(sf_dir: str, num_parts: int = 32):
 
     return ex.combine_by_key(
         events_hourly(sf_dir).select_columns(out_schema.names), ["hour"],
-        argmax, out_schema, "agg_partials", num_parts)
+        argmax, out_schema, "agg_partials")
 
 
-def events_user_retention(sf_dir: str, num_parts: int = 32):
+def events_user_retention(sf_dir: str):
     """Day-over-day retention: for every active day, the count of
     distinct active users and how many of them return the NEXT day —
     the cohort-retention primitive behind DAU/stickiness reports.
@@ -2558,7 +2546,7 @@ def events_user_retention(sf_dir: str, num_parts: int = 32):
         pair_ds, ["user_id"], retention,
         pa.schema([("day", pa.timestamp("us")), ("n_active", pa.int64()),
                    ("n_retained_next", pa.int64())]),
-        "user_days", num_parts)
+        "user_days")
     return grouped_sum_by_key(
         partials, "day", ["n_active", "n_retained_next"],
         "agg_partials")
@@ -2567,7 +2555,7 @@ def events_user_retention(sf_dir: str, num_parts: int = 32):
 # -- Streaming-shaped: session windows (gap-based) --------------------------
 
 
-def events_sessionize(sf_dir: str, gap_minutes: int = 30, num_parts: int = 32):
+def events_sessionize(sf_dir: str, gap_minutes: int = 30):
     """Per-user session assignment: a new session starts when the gap
     since the previous event exceeds ``gap_minutes``. The kernel runs
     through ``combine_by_key`` on the user: on the driver below
@@ -2597,11 +2585,10 @@ def events_sessionize(sf_dir: str, gap_minutes: int = 30, num_parts: int = 32):
     return ex.combine_by_key(
         rd.read_parquet(f"{sf_dir}/events.parquet",
                         columns=["event_id", "user_id", "ts"]),
-        ["user_id"], sessionize, out_schema, "key_rows", num_parts)
+        ["user_id"], sessionize, out_schema, "key_rows")
 
 
-def events_rolling_count(sf_dir: str, window_minutes: int = 60,
-                         num_parts: int = 32):
+def events_rolling_count(sf_dir: str, window_minutes: int = 60):
     """Sliding event-time window per user: for every event, the number
     of the same user's events in the preceding ``window_minutes``
     (inclusive both bounds — exactly SQL ``RANGE BETWEEN INTERVAL w
@@ -2662,7 +2649,7 @@ def events_rolling_count(sf_dir: str, window_minutes: int = 60,
     return ex.combine_by_key(
         rd.read_parquet(f"{sf_dir}/events.parquet",
                         columns=["event_id", "user_id", "ts"]),
-        ["user_id"], roll, out_schema, "key_rows", num_parts)
+        ["user_id"], roll, out_schema, "key_rows")
 
 
 # -- As-of join: each event matched to the user's latest prior order --------
@@ -2706,7 +2693,7 @@ def _asof_lookup(df: pd.DataFrame, comp_s, okey_s, odate_s) -> pd.DataFrame:
     return out[hit]
 
 
-def events_asof_orders(sf_dir: str, num_parts: int = 32):
+def events_asof_orders(sf_dir: str):
     """Backward as-of join events -> orders on (user_id = o_custkey,
     o_orderdate <= ts) — the composition the Dataset API lacks natively
     (custom operator per SURVEY guidance). One order per (custkey,
@@ -2734,7 +2721,7 @@ def events_asof_orders(sf_dir: str, num_parts: int = 32):
         pa.schema([("event_id", pa.int64()), ("user_id", pa.int64()),
                    ("ts", pa.timestamp("us")), ("o_orderkey", pa.int64()),
                    ("o_orderdate", pa.timestamp("us"))]),
-        "orders", num_parts)
+        "orders")
 
 
 # -- Similarity search over the embeddings table ----------------------------
@@ -2972,8 +2959,7 @@ def revenue_by_nation(sf_dir: str):
 
 
 def customer_order_counts(sf_dir: str,
-                          min_totalprice: float = 450_000.0,
-                          num_parts: int = 32):
+                          min_totalprice: float = 450_000.0):
     """LEFT OUTER enrich with zero-fill: every customer with the count
     and total value of their big orders (``o_totalprice >
     min_totalprice``) — customers with NONE keep their row with 0/0.0,
@@ -3019,7 +3005,7 @@ def customer_order_counts(sf_dir: str,
         left_join,
         pa.schema([("c_custkey", pa.int64()), ("c_name", pa.string()),
                    ("n_orders", pa.int64()), ("total_spent", pa.float64())]),
-        "order_counts", num_parts)
+        "order_counts")
 
 
 # -- Set op: distinct values (partial-unique + combine) ---------------------
@@ -3431,7 +3417,7 @@ def _docs_bloom_seen_exchanged(sf_dir: str, m_shard: int, k_hashes: int,
             return pa.table({"doc_id": pt["doc_id"],
                              "maybe_seen": pa.array(seen, pa.bool_())})
 
-        return ex.map_parts([b_stage, p_stage], shards, part_fn, out_schema,
+        return ex.map_parts([b_stage, p_stage], part_fn, out_schema,
                             in_schemas=[b_schema, p_schema])
 
 
@@ -3697,8 +3683,7 @@ def _range_probe(df: pd.DataFrame, state, window_us: int) -> pd.DataFrame:
                          "user_id": u[rep][keep]})
 
 
-def events_range_join(sf_dir: str, window_minutes: int = 10,
-                      num_parts: int = 32):
+def events_range_join(sf_dir: str, window_minutes: int = 10):
     """Range (interval) self-join over the events stream: every pair of
     same-user events ``(a, b)`` with ``a.ts <= b.ts < a.ts + window``
     and ``b != a`` — the co-occurrence / attribution primitive SQL
@@ -3714,8 +3699,8 @@ def events_range_join(sf_dir: str, window_minutes: int = 10,
     either bound, BOTH roles co-partition by user hash through the
     filesystem exchange and the identical kernel runs per part —
     per-part user ranks shrink the composite, so at scale you raise
-    ``num_parts`` instead of overflowing (a part that still overflows
-    raises with that hint). Output (a_id, b_id, user_id)."""
+    ``ex.NUM_PARTS`` instead of overflowing (a part that still
+    overflows raises with that hint). Output (a_id, b_id, user_id)."""
     import duckdb
     import ray
     import ray.data as rd
@@ -3738,7 +3723,7 @@ def events_range_join(sf_dir: str, window_minutes: int = 10,
             state = _range_build_state(build, window_us)
     con.close()
     if state is None:
-        return _events_range_join_exchanged(sf_dir, window_us, num_parts)
+        return _events_range_join_exchanged(sf_dir, window_us)
     ref = ray.put(state)
 
     def probe(df: pd.DataFrame) -> pd.DataFrame:
@@ -3751,8 +3736,7 @@ def events_range_join(sf_dir: str, window_minutes: int = 10,
     ).map_batches(probe, batch_format="pandas")
 
 
-def _events_range_join_exchanged(sf_dir: str, window_us: int,
-                                 num_parts: int):
+def _events_range_join_exchanged(sf_dir: str, window_us: int):
     """Scale path: events co-partition by hash(user_id); each part is
     both build and probe side (a user's full event set lands in one
     part, so per-part pairs equal the global ones)."""
@@ -3762,6 +3746,7 @@ def _events_range_join_exchanged(sf_dir: str, window_us: int,
         ("event_id", pa.int64()), ("user_id", pa.int64()),
         ("ts", pa.timestamp("us")),
     ])
+    num_parts = ex.NUM_PARTS
     with ex.stage("nse_rjoin_") as stage:
         ex.write_exchange(
             rd.read_parquet(f"{sf_dir}/events.parquet",
@@ -3777,20 +3762,20 @@ def _events_range_join_exchanged(sf_dir: str, window_us: int,
             if state is None:
                 raise ValueError(
                     "events_range_join: per-part users x time-span "
-                    "overflows the int64 composite key; raise num_parts "
+                    "overflows the int64 composite key; raise ex.NUM_PARTS "
                     f"(currently {num_parts}) so parts hold fewer users")
             return pa.Table.from_pandas(
                 _range_probe(df, state, window_us),
                 preserve_index=False).cast(_RANGE_PAIRS_SCHEMA)
 
-        return ex.map_parts(stage, num_parts, pairs_of_part,
+        return ex.map_parts(stage, pairs_of_part,
                             _RANGE_PAIRS_SCHEMA)
 
 
 # -- Cumulative window: per-user running totals ------------------------------
 
 
-def events_user_running_total(sf_dir: str, num_parts: int = 32):
+def events_user_running_total(sf_dir: str):
     """Per-user cumulative window (SQL ``ROWS UNBOUNDED PRECEDING``):
     for every event, the count and value total of the same user's
     events so far, ordered by (ts, event_id). The running sum is kept
@@ -3831,15 +3816,14 @@ def events_user_running_total(sf_dir: str, num_parts: int = 32):
     return ex.combine_by_key(
         rd.read_parquet(f"{sf_dir}/events.parquet",
                         columns=["event_id", "user_id", "ts", "value"]),
-        ["user_id"], running_totals, out_schema, "key_rows", num_parts)
+        ["user_id"], running_totals, out_schema, "key_rows")
 
 
 # -- Funnel analysis: ordered-stage conversion counts ------------------------
 
 
 def events_funnel(sf_dir: str,
-                  stages: tuple = ("view", "click", "purchase"),
-                  num_parts: int = 32):
+                  stages: tuple = ("view", "click", "purchase")):
     """Funnel conversion over the event stream: for every stage k, the
     number of users with a strictly-increasing timestamp chain
     ``t_1 < t_2 < ... < t_k`` where ``t_i`` is an event of stage-i's
@@ -3889,7 +3873,7 @@ def events_funnel(sf_dir: str,
         rd.read_parquet(f"{sf_dir}/events.parquet",
                         columns=["user_id", "ts", "event_type"])
         .map_batches(prune, batch_format="pyarrow"),
-        ["user_id"], stage_counts, out_schema, "key_rows", num_parts)
+        ["user_id"], stage_counts, out_schema, "key_rows")
     return grouped_sum_by_key(partials, "stage", ["n_users"],
                               "agg_partials")
 
@@ -3911,8 +3895,7 @@ def _pmi_value(nab, na, nb, tot_t: float, tot_b: float) -> np.ndarray:
            * (nb.astype(np.float64) / tot_t))), 6)
 
 
-def docs_pmi_bigrams(sf_dir: str, k: int = 20, min_count: int = 5,
-                     num_parts: int = 32):
+def docs_pmi_bigrams(sf_dir: str, k: int = 20, min_count: int = 5):
     """Top-``k`` corpus bigram collocations by pointwise mutual
     information (phrase mining — the multi-word-expression signal a
     tokenizer/vocabulary pipeline wants before merging phrases).
@@ -3933,7 +3916,7 @@ def docs_pmi_bigrams(sf_dir: str, k: int = 20, min_count: int = 5,
     the verify_pairs attach shape), each part taking its local top-k
     under the same total order (a bigram's score lands in exactly one
     part, so the global top-k is a subset of the per-part union) and
-    the driver merging ``num_parts * k`` rows. The token stream never
+    the driver merging ``ex.NUM_PARTS * k`` rows. The token stream never
     leaves the tokenize pass. Output (bigram, n, pmi)."""
     import ray.data as rd
 
@@ -3998,12 +3981,11 @@ def docs_pmi_bigrams(sf_dir: str, k: int = 20, min_count: int = 5,
             "bigram": big["gram"].to_numpy(dtype=object),
             "n": big["n"].to_numpy(),
             "pmi": big["pmi"].to_numpy()}))
-    return _pmi_scored_exchanged(combined, k, min_count, tot_t, tot_b,
-                                 num_parts)
+    return _pmi_scored_exchanged(combined, k, min_count, tot_t, tot_b)
 
 
 def _pmi_scored_exchanged(combined, k: int, min_count: int,
-                          tot_t: float, tot_b: float, num_parts: int):
+                          tot_t: float, tot_b: float):
     """Scale path for the PMI scoring join: unigram rows partition by
     hash(word); bigram rows attach word-1's count in word-1's part,
     re-exchange to word-2's part for the second count, score, and take
@@ -4036,6 +4018,7 @@ def _pmi_scored_exchanged(combined, k: int, min_count: int,
                              "w1": w[0].to_numpy(dtype=object),
                              "w2": w[1].to_numpy(dtype=object)})
 
+    num_parts = ex.NUM_PARTS
     by_col = lambda c: lambda b: ex.key_part(b, [c], num_parts)  # noqa: E731
     with (ex.stage("nse_pmi_uni_") as uni_stage,
           ex.stage("nse_pmi_b1_") as b1_stage,
@@ -4057,7 +4040,7 @@ def _pmi_scored_exchanged(combined, k: int, min_count: int,
                 bdf[["bigram", "n", "w2", "na"]],
                 preserve_index=False).cast(b2_schema)
 
-        mid = ex.map_parts([b1_stage, uni_stage], num_parts, attach_a,
+        mid = ex.map_parts([b1_stage, uni_stage], attach_a,
                            b2_schema, in_schemas=[b1_schema, uni_schema])
         ex.write_exchange(mid, b2_stage, by_col("w2"))
 
@@ -4076,7 +4059,7 @@ def _pmi_scored_exchanged(combined, k: int, min_count: int,
                 top[["bigram", "n", "pmi"]],
                 preserve_index=False).cast(_PMI_SCHEMA)
 
-        cand = ex.map_parts([b2_stage, uni_stage], num_parts,
+        cand = ex.map_parts([b2_stage, uni_stage],
                             attach_b_score, _PMI_SCHEMA,
                             in_schemas=[b2_schema, uni_schema]).to_pandas()
     out = cand.sort_values(["pmi", "bigram"], ascending=[False, True],
@@ -4123,7 +4106,7 @@ def docs_nchars_quantiles_cont(sf_dir: str, qs=(0.25, 0.5, 0.75, 0.95)):
 # -- Grouped correlation (distributed covariance from exact int sums) --------
 
 
-def docs_lang_corr(sf_dir: str, num_parts: int = 32):
+def docs_lang_corr(sf_dir: str):
     """Per-language Pearson correlation between document length
     (n_chars) and token count — the distributed covariance/correlation
     aggregate, computed EXACTLY: per-batch integer moment partials
@@ -4160,7 +4143,7 @@ def docs_lang_corr(sf_dir: str, num_parts: int = 32):
         _docs(sf_dir, ["doc_id", "lang", "n_chars", "text"])
         .map_batches(partial, batch_format="pandas").materialize(),
         "lang", ["n", "sx", "sy", "sxx", "syy", "sxy"],
-        "agg_partials", num_parts=num_parts)
+        "agg_partials")
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         moments = df[["n", "sx", "sy", "sxx", "syy", "sxy"]].to_numpy()
@@ -4190,8 +4173,7 @@ def docs_lang_corr(sf_dir: str, num_parts: int = 32):
 # -- Global event-time sliding window (range partition + halo) ---------------
 
 
-def events_global_rolling_sum(sf_dir: str, window_minutes: int = 60,
-                              num_parts: int = 32):
+def events_global_rolling_sum(sf_dir: str, window_minutes: int = 60):
     """GLOBAL event-time sliding window: for every event, the count and
     integer-cents value total of ALL events (any user) in the trailing
     ``window_minutes`` — SQL ``ORDER BY ts RANGE BETWEEN w PRECEDING
@@ -4204,7 +4186,7 @@ def events_global_rolling_sum(sf_dir: str, window_minutes: int = 60,
     its home part. The effective part count is floored so a part span
     is at least the window width (halo ≈ one part ahead; a degenerate
     ts-range collapses to one part instead of duplicating rows
-    num_parts times). Each part is one vectorized pass: sort by ts,
+    ``ex.NUM_PARTS`` times). Each part is one vectorized pass: sort by ts,
     one int64 prefix sum, two searchsorted calls (RANGE semantics:
     ts-ties are frame peers on both bounds). Output
     (event_id, ts, win_n, win_cents)."""
@@ -4228,7 +4210,7 @@ def events_global_rolling_sum(sf_dir: str, window_minutes: int = 60,
     gmin = int(pd.Timestamp(mm["min(ts)"]).value) // 1000
     gmax = int(pd.Timestamp(mm["max(ts)"]).value) // 1000
     span = gmax - gmin + 1
-    eff_parts = max(1, min(num_parts, span // max(w_us, 1) + 1))
+    eff_parts = max(1, min(ex.NUM_PARTS, span // max(w_us, 1) + 1))
     chunk = -(-span // eff_parts)
     halo_k = math.ceil(w_us / chunk)  # how many parts a window reaches back
 
@@ -4287,14 +4269,13 @@ def events_global_rolling_sum(sf_dir: str, window_minutes: int = 60,
                                       pa.int64()),
             })
 
-        return ex.map_parts(stage, eff_parts, roll_part,
-                            out_schema)
+        return ex.map_parts(stage, roll_part, out_schema)
 
 
 # -- Grouped mode: most frequent value per key --------------------------------
 
 
-def events_user_top_type(sf_dir: str, num_parts: int = 32):
+def events_user_top_type(sf_dir: str):
     """Grouped mode: each user's most frequent event type (count desc,
     type asc tie-break) — SQL's ``mode() WITHIN GROUP`` /
     ``row_number() OVER (PARTITION BY user ORDER BY n DESC)`` shape.
@@ -4319,7 +4300,7 @@ def events_user_top_type(sf_dir: str, num_parts: int = 32):
                         columns=["user_id", "event_type"])
         .map_batches(partial, batch_format="pandas").materialize(),
         ["user_id", "event_type"], ["n_events"],
-        "agg_partials", num_parts=num_parts)
+        "agg_partials")
 
     out_schema = pa.schema([
         ("user_id", pa.int64()), ("event_type", pa.string()),
@@ -4331,13 +4312,13 @@ def events_user_top_type(sf_dir: str, num_parts: int = 32):
         return df.groupby("user_id", sort=False).head(1)
 
     return ex.combine_by_key(combined, ["user_id"], argmax, out_schema,
-                             "agg_partials", num_parts)
+                             "agg_partials")
 
 
 # -- Pivot / crosstab: lang x length-quartile counts, wide --------------------
 
 
-def docs_lang_bucket_pivot(sf_dir: str, num_parts: int = 32):
+def docs_lang_bucket_pivot(sf_dir: str):
     """PIVOT / crosstab: one row per language with a column per corpus
     length quartile (the conditional-aggregation surface —
     ``count(*) FILTER (bucket = k)`` — that mix reports render wide).
@@ -4378,4 +4359,4 @@ def docs_lang_bucket_pivot(sf_dir: str, num_parts: int = 32):
     return grouped_sum_by_key(
         _docs(sf_dir, ["doc_id", "lang", "n_chars"])
         .map_batches(partial, batch_format="pandas").materialize(),
-        "lang", cols, "agg_partials", num_parts=num_parts)
+        "lang", cols, "agg_partials")

@@ -112,8 +112,7 @@ def _bpe_driver(words, counts, n_merges: int) -> pd.DataFrame:
                         columns=["rank", "left", "right", "pair_count"])
 
 
-def _bpe_distributed(vocab_ds, n_merges: int,
-                     num_parts: int = 16) -> pd.DataFrame:
+def _bpe_distributed(vocab_ds, n_merges: int) -> pd.DataFrame:
     """Scale path: vocabulary hash-partitioned once; each iteration is
     a stateless pair-count pass over the exchange parts with the
     merges-so-far broadcast. Only per-block argmax winners (and the
@@ -128,6 +127,7 @@ def _bpe_distributed(vocab_ds, n_merges: int,
         ("left", pa.string()), ("right", pa.string()), ("cnt", pa.int64()),
     ])
     rows = []
+    num_parts = ex.NUM_PARTS
     with ex.stage("nse_bpe_") as stage:
         ex.write_exchange(
             vocab_ds.map_batches(
@@ -160,7 +160,7 @@ def _bpe_distributed(vocab_ds, n_merges: int,
                 })
 
             gs = grouped_sum_by_key(
-                ex.map_parts(stage, num_parts, pair_partials,
+                ex.map_parts(stage, pair_partials,
                              partial_schema),
                 ["left", "right"], ["cnt"], "bpe_pairs")
 

@@ -187,8 +187,7 @@ def _semdedup_cluster(ids: np.ndarray, unit: np.ndarray,
 
 def semdedup(ds, n_clusters: int | None = 10, threshold: float = 0.99,
              id_col: str = "vec_id", vec_col: str = "embedding",
-             iters: int = 10, sample_rows: int = 2000,
-             num_parts: int = 32):
+             iters: int = 10, sample_rows: int = 2000):
     """SemDeDup over an embedding column. Returns a Dataset
     ``(vec_id, cluster_id, keep, dup_of, max_sim)``; ``dup_of`` is -1
     for kept rows, ``max_sim`` the cosine to the closest
@@ -257,6 +256,7 @@ def semdedup(ds, n_clusters: int | None = 10, threshold: float = 0.99,
             pd.concat(outs, ignore_index=True), preserve_index=False
         ).cast(SEMDEDUP_SCHEMA)
 
+    num_parts = ex.NUM_PARTS
     with ex.stage("nse_semdedup_") as stage:
         payload = ds.map_batches(assign_payload, batch_format="pyarrow")
 
@@ -267,7 +267,7 @@ def semdedup(ds, n_clusters: int | None = 10, threshold: float = 0.99,
 
         ex.write_exchange(payload, stage, part_fn)
         return ex.map_parts(
-            stage, num_parts, dedup_part, SEMDEDUP_SCHEMA)
+            stage, dedup_part, SEMDEDUP_SCHEMA)
 
 
 def knn_lsh(ds, queries: np.ndarray, query_ids: list[int], k: int = 10,

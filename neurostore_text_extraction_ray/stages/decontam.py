@@ -65,7 +65,6 @@ def decontaminate(
     id_col: str = "doc_id",
     text_col: str = "text",
     k_shingle: int = 5,
-    num_parts: int = 32,
 ):
     """Returns a Dataset with one row per corpus document:
     ``(doc_id, n_hits, contaminated)`` where ``n_hits`` is the number
@@ -86,7 +85,7 @@ def decontaminate(
         return _decontaminate_broadcast(
             corpus, partials, id_col, text_col, k_shingle)
     return _decontaminate_exchanged(
-        corpus, partials, id_col, text_col, k_shingle, num_parts)
+        corpus, partials, id_col, text_col, k_shingle)
 
 
 def _decontaminate_broadcast(corpus, partials, id_col, text_col, k_shingle):
@@ -120,12 +119,13 @@ def _decontaminate_broadcast(corpus, partials, id_col, text_col, k_shingle):
 
 
 def _decontaminate_exchanged(corpus, partials, id_col, text_col,
-                             k_shingle, num_parts):
+                             k_shingle):
     """Pure-exchange path: co-partition benchmark hashes and corpus
     (doc_id, shingle-hash) rows by hash, count per-part distinct
     matches (hash determines part, so per-part counts sum without
     double counting), then co-partition the per-part hit partials with
     the corpus id rows by doc_id for the final left join."""
+    num_parts = ex.NUM_PARTS
     by_hash = lambda b: ex.int_part(  # noqa: E731
         [b["h"].to_numpy(zero_copy_only=False).view(np.int64)], num_parts)
     by_id = lambda b: ex.int_part(  # noqa: E731
@@ -178,7 +178,7 @@ def _decontaminate_exchanged(corpus, partials, id_col, text_col,
                 "n_hits": pa.array(counts.astype(np.int64), pa.int64()),
             })
 
-        hits_ds = ex.map_parts([rows_stage, bench_stage], num_parts,
+        hits_ds = ex.map_parts([rows_stage, bench_stage],
                                hits_of_part, _HITS_SCHEMA,
                                in_schemas=[_ROW_SCHEMA, _HASH_SCHEMA])
         ex.write_exchange(hits_ds, hits_stage, by_id)
@@ -207,6 +207,6 @@ def _decontaminate_exchanged(corpus, partials, id_col, text_col,
                 "contaminated": pa.array(total > 0),
             })
 
-        return ex.map_parts([ids_stage, hits_stage], num_parts, join_part,
+        return ex.map_parts([ids_stage, hits_stage], join_part,
                             OUT_SCHEMA,
                             in_schemas=[_ID_SCHEMA, _HITS_SCHEMA])

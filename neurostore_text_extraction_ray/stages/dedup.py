@@ -95,8 +95,7 @@ def _label_with_map(ds, id_col: str, out_id_name: str, comp: dict[int, int],
     return ds.map_batches(label, batch_format="pyarrow")
 
 
-def _label_edges(ds, id_col: str, out_id_name: str, edges, max_pairs: int,
-                 num_parts: int):
+def _label_edges(ds, id_col: str, out_id_name: str, edges, max_pairs: int):
     """Route verified edges to driver union-find or the distributed
     labeler by size. ``edges``: list[(a, b)] or a pairs Dataset."""
     if isinstance(edges, list):
@@ -110,20 +109,21 @@ def _label_edges(ds, id_col: str, out_id_name: str, edges, max_pairs: int,
         df = edges.to_pandas()
         comp = _components(list(zip(df["a"].tolist(), df["b"].tolist())))
         return _label_with_map(ds, id_col, out_id_name, comp)
-    labels = P.label_components_exchanged(edges, num_parts)
-    return P.label_ids(ds, labels, id_col, out_id_name, num_parts)
+    labels = P.label_components_exchanged(edges)
+    return P.label_ids(ds, labels, id_col, out_id_name)
 
 
-def _bucket_pairs_exchanged(mat, num_parts: int):
+def _bucket_pairs_exchanged(mat):
     """Scale path for the bucket combine: (band, key)-hash partition
-    exchange through shared storage (stages/exchange.py — Ray-native
-    groupby measured 50x slower here, BASELINE.md), then one parallel
-    task per part emits its buckets' pairs. Every bucket lands wholly
-    in one part, so the result equals the driver-side combine. Returns
-    a MATERIALIZED pairs Dataset; the same (a, b) surfaced by buckets
-    in different parts may repeat — consumers dedup (the driver path
-    with ``drop_duplicates``, the exchange path inside
+    exchange over max(``ex.NUM_PARTS``, 64) parts through shared storage
+    (stages/exchange.py — Ray-native groupby measured 50x slower here,
+    BASELINE.md), then each part emits its buckets' pairs. Every bucket
+    lands wholly in one part, so the result equals the driver-side
+    combine. Returns a MATERIALIZED pairs Dataset; the same (a, b)
+    surfaced by buckets in different parts may repeat — consumers dedup
+    (the driver path with ``drop_duplicates``, the exchange path inside
     ``pairs.verify_pairs``'s a-side part)."""
+    num_parts = max(ex.NUM_PARTS, 64)
     with ex.stage("nse_bands_") as stage:
         def part_fn(batch: pa.Table) -> np.ndarray:
             return ex.int_part(
@@ -143,11 +143,10 @@ def _bucket_pairs_exchanged(mat, num_parts: int):
             return pa.Table.from_pandas(res, preserve_index=False).cast(
                 P.PAIR_SCHEMA)
 
-        return ex.map_parts(stage, num_parts, pairs_of_part,
-                            P.PAIR_SCHEMA)
+        return ex.map_parts(stage, pairs_of_part, P.PAIR_SCHEMA)
 
 
-def _bucket_pairs(band_rows_ds, num_parts: int = 64):
+def _bucket_pairs(band_rows_ds):
     """(doc_id, band, key) rows -> candidate pairs. Band rows are tiny
     (ids + 8-byte keys, never text), so below a size guard they combine
     on the driver with one vectorized pandas groupby (returning a
@@ -159,7 +158,7 @@ def _bucket_pairs(band_rows_ds, num_parts: int = 64):
     the sketch stage never recomputes."""
     mat = band_rows_ds.materialize()
     if not ex.fits("band_rows", mat.count()):
-        return _bucket_pairs_exchanged(mat, num_parts)
+        return _bucket_pairs_exchanged(mat)
     return _pairs_from_band_rows(mat.to_pandas())
 
 
@@ -273,7 +272,6 @@ def minhash_near_dup(
     threshold: float = 0.8,
     k_shingle: int = 5,
     max_pairs: int = 2_000_000,
-    num_parts: int = 32,
 ):
     """Returns a Dataset (doc_id, dup_group) where dup_group is the min
     doc_id of the near-duplicate component (singleton -> itself).
@@ -328,7 +326,7 @@ def minhash_near_dup(
             "payload": b.filter(pa.compute.equal(b["band"], -1))["payload"],
         }),
         batch_format="pyarrow")
-    pairs = _bucket_pairs(band_rows, max(num_parts, 64))
+    pairs = _bucket_pairs(band_rows)
     n_pairs = _pairs_count(pairs)
     if n_pairs == 0:
         return _identity_labels(ds, id_col, "doc_id")
@@ -363,7 +361,7 @@ def minhash_near_dup(
         frac = (sigs[np.searchsorted(sid, a)] == sigs[np.searchsorted(sid, b)]).mean(axis=1)
         keep = frac >= threshold
         verified = list(zip(a[keep].tolist(), b[keep].tolist()))
-        return _label_edges(ds, id_col, "doc_id", verified, max_pairs, num_parts)
+        return _label_edges(ds, id_col, "doc_id", verified, max_pairs)
 
     # distributed path: the CARRIED signatures go through the payload
     # exchange (the join per part selects only the ids its pairs need;
@@ -380,8 +378,8 @@ def minhash_near_dup(
         })
 
     verified_ds = P.verify_pairs(_pairs_as_ds(pairs), payload_all, mh_verify,
-                                 P.PAIR_SCHEMA, num_parts)
-    return _label_edges(ds, id_col, "doc_id", verified_ds, max_pairs, num_parts)
+                                 P.PAIR_SCHEMA)
+    return _label_edges(ds, id_col, "doc_id", verified_ds, max_pairs)
 
 
 def simhash_near_dup(
@@ -391,7 +389,6 @@ def simhash_near_dup(
     hamming_threshold: int = 3,
     bands: int = 4,
     max_pairs: int = 2_000_000,
-    num_parts: int = 32,
 ):
     """SimHash near-dup: 64-bit fingerprints, bucketed on each 16-bit
     band (a pair within hamming distance 3 shares at least one of 4
@@ -432,7 +429,7 @@ def simhash_near_dup(
             "payload": b.filter(pa.compute.equal(b["band"], -1))["payload"],
         }),
         batch_format="pyarrow")
-    pairs = _bucket_pairs(band_rows, max(num_parts, 64))
+    pairs = _bucket_pairs(band_rows)
     n_pairs = _pairs_count(pairs)
     if n_pairs == 0:
         return _identity_labels(ds, id_col, "doc_id")
@@ -468,7 +465,7 @@ def simhash_near_dup(
         keep = _ham_keep(hvals[np.searchsorted(hid, a)],
                          hvals[np.searchsorted(hid, b)])
         verified = list(zip(a[keep].tolist(), b[keep].tolist()))
-        return _label_edges(ds, id_col, "doc_id", verified, max_pairs, num_parts)
+        return _label_edges(ds, id_col, "doc_id", verified, max_pairs)
 
     def sh_verify(m: pd.DataFrame) -> pa.Table:
         if m.empty:
@@ -484,8 +481,8 @@ def simhash_near_dup(
         })
 
     verified_ds = P.verify_pairs(_pairs_as_ds(pairs), payload_all, sh_verify,
-                                 P.PAIR_SCHEMA, num_parts)
-    return _label_edges(ds, id_col, "doc_id", verified_ds, max_pairs, num_parts)
+                                 P.PAIR_SCHEMA)
+    return _label_edges(ds, id_col, "doc_id", verified_ds, max_pairs)
 
 
 def ngram_jaccard_pairs(
@@ -496,7 +493,6 @@ def ngram_jaccard_pairs(
     threshold: float = 0.5,
     bands: int = 32,
     num_perm: int = 128,
-    num_parts: int = 32,
 ):
     """Candidate generation via MinHash-LSH (high recall: many bands),
     then EXACT n-gram Jaccard verification. Returns (a, b, jaccard).
@@ -530,8 +526,7 @@ def ngram_jaccard_pairs(
     out_schema = pa.schema([
         ("a", pa.int64()), ("b", pa.int64()), ("jaccard", pa.float64()),
     ])
-    pairs = _bucket_pairs(ds.map_batches(sketch, batch_format="pyarrow"),
-                          max(num_parts, 64))
+    pairs = _bucket_pairs(ds.map_batches(sketch, batch_format="pyarrow"))
     if _pairs_count(pairs) == 0:
         import ray.data as rd
 
@@ -564,7 +559,7 @@ def ngram_jaccard_pairs(
 
     payload = ds.map_batches(shingle_payload, batch_format="pyarrow")
     return P.verify_pairs(_pairs_as_ds(pairs), payload, jac_verify,
-                          out_schema, num_parts)
+                          out_schema)
 
 
 def embedding_cosine_dup(
@@ -576,7 +571,6 @@ def embedding_cosine_dup(
     n_tables: int = 4,
     seed: int = 42,
     max_pairs: int = 2_000_000,
-    num_parts: int = 32,
 ):
     """Near-dup via embedding cosine: sign-LSH (random hyperplanes)
     bucket candidates, exact cosine verify. Returns (vec_id, dup_group).
@@ -611,8 +605,7 @@ def embedding_cosine_dup(
             "key": pa.array(bkey, pa.int64()),
         })
 
-    pairs = _bucket_pairs(ds.map_batches(sketch, batch_format="pyarrow"),
-                          max(num_parts, 64))
+    pairs = _bucket_pairs(ds.map_batches(sketch, batch_format="pyarrow"))
     if _pairs_count(pairs) == 0:
         return _identity_labels(ds, id_col, "vec_id")
 
@@ -636,5 +629,5 @@ def embedding_cosine_dup(
 
     payload = ds.map_batches(vec_payload, batch_format="pyarrow")
     verified_ds = P.verify_pairs(_pairs_as_ds(pairs), payload, cos_verify,
-                                 P.PAIR_SCHEMA, num_parts)
-    return _label_edges(ds, id_col, "vec_id", verified_ds, max_pairs, num_parts)
+                                 P.PAIR_SCHEMA)
+    return _label_edges(ds, id_col, "vec_id", verified_ds, max_pairs)

@@ -89,18 +89,18 @@ def _write_part_file(path: str, table: pa.Table) -> None:
     os.replace(tmp, path)
 
 
-def _for_parts(num_parts: int, fn, out_schema: pa.Schema):
-    """Run ``fn(p) -> pa.Table | None`` once per part id, one task each
-    (``ex.part_tasks``), over part IDS — a part with no exchange
-    fragments still runs, which the diff needs to detect fully-removed
-    parts. Eager, like ``ex.map_parts``."""
-    def run(p: int) -> pa.Table:
-        out = fn(p)
-        if out is None or not out.num_rows:
-            return out_schema.empty_table()
-        return out
+def _for_parts(num_parts: int, fn, out_schema: pa.Schema, *files):
+    """Run ``fn(p) -> pa.Table | None`` once per part id of the
+    persisted ``num_parts`` layout, in the tasks of ``ex.pack_parts``
+    (sized by ``files``, ``ex.part_files`` maps) — a part with no
+    exchange fragments still runs, which the diff needs to detect
+    fully-removed parts. Eager, like ``ex.map_parts``."""
+    def run(group: list[int]) -> pa.Table:
+        outs = [t for t in map(fn, group) if t is not None and t.num_rows]
+        return pa.concat_tables(outs) if outs else out_schema.empty_table()
 
-    return ex.tables_dataset(ex.part_tasks(run, range(num_parts)), out_schema)
+    return ex.tables_dataset(
+        ex.part_tasks(run, ex.pack_parts(range(num_parts), *files)), out_schema)
 
 
 def _content_hashes(texts: list) -> tuple[np.ndarray, np.ndarray]:
@@ -127,7 +127,6 @@ def minhash_near_dup_incremental(
     threshold: float = 0.8,
     k_shingle: int = 5,
     max_pairs: int = 2_000_000,
-    num_parts: int = 32,
     state_parts: int = 32,
     method: str = "minhash",
     hamming_threshold: int = 3,
@@ -257,7 +256,8 @@ def minhash_near_dup_incremental(
 
         if have_state:
             # rerun: the diff output is bounded by the CHANGE RATE
-            diff = _for_parts(state_parts, diff_part, _DIFF_SCHEMA).to_pandas()
+            diff = _for_parts(state_parts, diff_part, _DIFF_SCHEMA,
+                              cur_files).to_pandas()
             changed_ids = np.sort(
                 diff["doc_id"][~diff["removed"]].to_numpy(np.int64))
             removed_ids = np.sort(
@@ -271,7 +271,7 @@ def minhash_near_dup_incremental(
                     _part_file(staging, "sidecar", p),
                     ex.read_files(cur_files.get(p, []), _SIDECAR_SCHEMA))
                     or None),
-                _DIFF_SCHEMA).count()
+                _DIFF_SCHEMA, cur_files).count()
             changed_ids = None  # sentinel: all docs
             removed_ids = np.array([], dtype=np.int64)
 
@@ -368,7 +368,8 @@ def minhash_near_dup_incremental(
             return pa.Table.from_pandas(kdf, preserve_index=False).cast(
                 key_schema)
 
-        affected = _for_parts(state_parts, update_part, key_schema).to_pandas()
+        affected = _for_parts(state_parts, update_part, key_schema,
+                              new_files).to_pandas()
     affected = affected.drop_duplicates()
 
     # ---- phase 4: candidate pairs from affected buckets ----
@@ -459,7 +460,7 @@ def minhash_near_dup_incremental(
 
         verified_edges = P.verify_pairs(
             P.pairs_to_ds(pairs_df), _sigs_ds(), pair_verify,
-            P.PAIR_SCHEMA, num_parts).to_pandas()
+            P.PAIR_SCHEMA).to_pandas()
 
     # ---- phase 6: merge with surviving stored edges ----
     old_edges_path = os.path.join(state_dir, "edges.parquet")
@@ -494,8 +495,7 @@ def minhash_near_dup_incremental(
 
     # ---- labels over the CURRENT corpus ----
     edge_list = list(zip(edges["a"].tolist(), edges["b"].tolist()))
-    labels = D._label_edges(ds, id_col, "doc_id", edge_list, max_pairs,
-                            num_parts)
+    labels = D._label_edges(ds, id_col, "doc_id", edge_list, max_pairs)
     stats = {
         "n_docs": int(n_docs),
         "n_sketched": int(n_sketched),

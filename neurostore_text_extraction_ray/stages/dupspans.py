@@ -150,7 +150,6 @@ def dup_spans(
     k: int = 5,
     id_col: str = "doc_id",
     text_col: str = "text",
-    num_parts: int = 32,
 ):
     """Returns a Dataset with one row per corpus document:
     ``(doc_id, n_windows, n_dup_windows, dup_nchars, dup_spans)``
@@ -164,5 +163,4 @@ def dup_spans(
                 json.dumps(spans, separators=(",", ":")))
 
     return keep_first(corpus, lambda b: _windows(b, k), _ITEM_SCHEMA,
-                      doc_row, OUT_SCHEMA, "dupspans", id_col, text_col,
-                      num_parts)
+                      doc_row, OUT_SCHEMA, "dupspans", id_col, text_col)

@@ -4,7 +4,8 @@ Ray Data's native ``groupby``/``sort`` all-to-all measured 46-104 s for
 a 237 MB exchange in this environment (BASELINE.md), so wide operators
 here exchange through shared storage instead: phase A streams the
 input and writes each batch's rows into per-part fragments; phase B
-runs one plain Ray task per part over its fragments (``part_tasks``).
+runs plain Ray tasks over whole parts (``pack_parts``: one task per
+Ray CPU, not per part, since a task costs about 10 ms at 2 Ray CPUs).
 On a cluster this is the standard external-shuffle layout — every
 phase is embarrassingly parallel and the exchange is bounded by
 storage bandwidth, not an in-memory all-to-all.
@@ -80,6 +81,12 @@ from ..exceptions import BudgetError
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # 64-bit golden-ratio mixer
 
+# The part count of every keyed or ranged exchange, read as
+# ``ex.NUM_PARTS`` on the driver at call time (like ``ROUTES``), and the
+# fragment bytes per phase-B task beyond which ``pack_parts`` adds tasks
+NUM_PARTS = 32
+TASK_BYTES = 64 << 20
+
 
 # -- gates: driver (or broadcast) at or below the limit, exchange above -----
 
@@ -114,7 +121,7 @@ ROUTES: dict[str, int] = {
     # partial top-k rows; beyond, a two-level combine: doc-hash
     # exchange, per-part top-k under the SAME total order (top-k of a
     # union equals the top-k of per-part top-ks), then a driver merge of
-    # at most num_parts x k x groups rows. Partial top-k streams are
+    # at most NUM_PARTS x k x groups rows. Partial top-k streams are
     # k x groups x BATCHES sized, no longer driver-sized at 10^6+ blocks
     "topk_partials": 5_000_000,
     # grouped-quantile histogram partials, (group x distinct-value x
@@ -190,7 +197,7 @@ ROUTES: dict[str, int] = {
     # partials: 5M rows of a few int64 / timestamp columns (the funnel
     # adds its short event-type string) are ~0.2 GB as one pandas frame.
     # The sequence-packing stitch also passes here, with at most
-    # 2 x num_parts fragment rows whatever the corpus size
+    # 2 x NUM_PARTS fragment rows whatever the corpus size
     "key_rows": 5_000_000,
 }
 
@@ -463,11 +470,11 @@ def write_exchange(ds, stage_dir: str, part_fn, batch_size: int = 8192) -> int:
     return commit_fragments(stage_dir, frags)
 
 
-def part_tasks(fn, parts, *args, limit: int | None = None) -> list:
-    """The fan-out over a known list of ids (phase B's part ids, or the
-    flagship's phase-A file pieces): one plain
-    ``ray.remote(num_cpus=1)`` task ``fn(p, *args)`` per int id, ``fn``
-    shipped once; returns the object refs in ``parts`` order. With a
+def part_tasks(fn, ids, *args, limit: int | None = None) -> list:
+    """The fan-out over a known list of ids (phase B's ``pack_parts``
+    groups, or the flagship's phase-A file pieces): one plain
+    ``ray.remote(num_cpus=1)`` task ``fn(i, *args)`` per id, ``fn``
+    shipped once; returns the object refs in ``ids`` order. With a
     ``limit``, at most that many tasks are in flight, and the call
     returns once the last task is submitted."""
     import ray
@@ -475,16 +482,32 @@ def part_tasks(fn, parts, *args, limit: int | None = None) -> list:
     task = ray.remote(num_cpus=1)(_call_part)
     fn_ref = ray.put(fn)
     refs, running = [], []
-    for p in parts:
+    for i in ids:
         if limit and len(running) >= limit:
             _, running = ray.wait(running, num_returns=1, fetch_local=False)
-        refs.append(task.remote(fn_ref, int(p), *args))
+        refs.append(task.remote(fn_ref, i, *args))
         running.append(refs[-1])
     return refs
 
 
-def _call_part(fn, p, *args):
-    return fn(p, *args)
+def _call_part(fn, i, *args):
+    return fn(i, *args)
+
+
+def pack_parts(parts, *files: dict[int, list[str]]) -> list[list[int]]:
+    """The one grouping of parts into phase-B tasks: ``parts`` dealt
+    round-robin into one group per Ray CPU, or ceil(bytes /
+    ``TASK_BYTES``) groups when that is more (bytes: the fragments that
+    the ``part_files`` maps ``files`` name for them), never an empty
+    group."""
+    import ray
+
+    parts = list(parts)
+    nbytes = sum(os.path.getsize(f)
+                 for fs in files for p in parts for f in fs.get(p, ()))
+    slots = int(ray.cluster_resources().get("CPU", 1))
+    n = min(len(parts), max(slots, 1, -(-nbytes // TASK_BYTES)))
+    return [parts[k::n] for k in range(n)]
 
 
 def tables_dataset(refs: list, empty_schema: pa.Schema):
@@ -531,18 +554,19 @@ def read_files(files: list[str], schema: pa.Schema) -> pa.Table:
     return pa.concat_tables(tables)
 
 
-def map_parts(stage_dir, num_parts: int, fn, empty_schema: pa.Schema,
+def map_parts(stage_dir, fn, empty_schema: pa.Schema,
               in_schemas: list[pa.Schema] | None = None):
-    """Phase B: one task per part with fragments; ``fn(table) -> table``
-    runs over the part's concatenated fragments. Eager: every task has
-    finished when this returns a materialized Dataset of the per-part
-    outputs (no part with fragments: an empty one of ``empty_schema``).
+    """Phase B: ``fn(table) -> table`` once per part with fragments,
+    over its concatenated fragments, in ``pack_parts`` tasks that each
+    return one table. Eager: every task has finished when this returns
+    a materialized Dataset of them (no part with fragments: an empty
+    one of ``empty_schema``).
 
-    ``stage_dir`` may also be a LIST of stage dirs partitioned with the
-    same ``num_parts``/key space (a co-partitioned join): the task for
-    part ``p`` then calls ``fn(t0, t1, ...)`` with part ``p``'s table
-    from each dir. ``in_schemas`` (required in list mode) supplies the
-    empty table for a dir with no fragments in that part."""
+    ``stage_dir`` may also be a LIST of stage dirs partitioned over the
+    same key space (a co-partitioned join): ``fn(t0, t1, ...)`` then
+    gets part ``p``'s table from each dir. ``in_schemas`` (required in
+    list mode) supplies the empty table for a dir with no fragments in
+    that part."""
     multi = isinstance(stage_dir, (list, tuple))
     dirs = list(stage_dir) if multi else [stage_dir]
     if multi and (in_schemas is None or len(in_schemas) != len(dirs)):
@@ -550,15 +574,15 @@ def map_parts(stage_dir, num_parts: int, fn, empty_schema: pa.Schema,
     files = [part_files(d) for d in dirs]
     schemas = in_schemas or [None]
 
-    def run_part(p: int) -> pa.Table:
-        tables = [read_files(fs.get(p, []), s)
-                  for fs, s in zip(files, schemas)]
-        if multi and all(t.num_rows == 0 for t in tables):
-            return empty_schema.empty_table()
-        return fn(*tables)
+    def run_group(group: list[int]) -> pa.Table:
+        return pa.concat_tables(
+            [fn(*[read_files(fs.get(p, []), s)
+                  for fs, s in zip(files, schemas)]) for p in group],
+            promote_options="default")
 
-    parts = sorted(p for p in set().union(*files) if 0 <= p < num_parts)
-    return tables_dataset(part_tasks(run_part, parts), empty_schema)
+    return tables_dataset(part_tasks(
+        run_group, pack_parts(sorted(set().union(*files)), *files)),
+        empty_schema)
 
 
 def key_part(batch: pa.Table, key_cols: list[str],
@@ -702,7 +726,7 @@ def _collect_if_fits(ds, gate: str):
 
 
 def combine_by_key(ds, key_cols: list[str], fn, out_schema: pa.Schema,
-                   gate: str, num_parts: int = 32):
+                   gate: str):
     """The gated keyed combine. ``fn`` maps a non-empty pandas frame to
     a pandas frame and must be exact on any subset that holds ALL rows
     of each key it sees. Input rows that ``fits`` gate ``gate``: one
@@ -723,15 +747,14 @@ def combine_by_key(ds, key_cols: list[str], fn, out_schema: pa.Schema,
         if table.num_rows == 0:
             return rd.from_arrow(out_schema.empty_table())
         return rd.from_arrow(to_out(fn(table.to_pandas())))
+    num_parts = NUM_PARTS
     with stage("nse_combine_") as s:
         write_exchange(ds, s, lambda b: key_part(b, key_cols, num_parts))
-        return map_parts(s, num_parts, lambda t: to_out(fn(t.to_pandas())),
-                         out_schema)
+        return map_parts(s, lambda t: to_out(fn(t.to_pandas())), out_schema)
 
 
 def join_by_key(probe, build, probe_keys: list[str], build_keys: list[str],
-                prepare, kernel, out_schema: pa.Schema, gate: str,
-                num_parts: int = 32):
+                prepare, kernel, out_schema: pa.Schema, gate: str):
     """The gated probe-driven join. ``prepare(build_table) -> state``
     builds the lookup state (sorted numpy arrays, never big python
     dicts); ``kernel(probe_table, state)`` returns a pyarrow table or
@@ -766,23 +789,22 @@ def join_by_key(probe, build, probe_keys: list[str], build_keys: list[str],
                                  batch_format="pyarrow")
     # only the probe's schema is resolved up front (from its first block)
     probe_schema = arrow_schema_of(probe)
+    num_parts = NUM_PARTS
     with stage("nse_join_probe_") as ps, stage("nse_join_build_") as bs:
         write_exchange(
             probe.map_batches(_cast_to(probe_schema), batch_format="pyarrow"),
             ps, lambda b: key_part(b, probe_keys, num_parts))
         write_exchange(build, bs, lambda b: key_part(b, build_keys, num_parts))
-        return map_parts([ps, bs], num_parts,
-                         lambda p, b: run(p, prepare(b)), out_schema,
-                         in_schemas=[probe_schema, build_schema])
+        return map_parts([ps, bs], lambda p, b: run(p, prepare(b)),
+                         out_schema, in_schemas=[probe_schema, build_schema])
 
 
 _TOTALS_SCHEMA = pa.schema([("min_key", pa.int64()), ("total", pa.int64())])
 
 
-def scan_by_range(ds, key_col: str, total, assign, out_schema: pa.Schema,
-                  num_parts: int = 32):
+def scan_by_range(ds, key_col: str, total, assign, out_schema: pa.Schema):
     """The range-ordered prefix scan. ``ds``'s rows range-partition on
-    its int64 column ``key_col`` through the exchange: ``num_parts``
+    its int64 column ``key_col`` through the exchange: ``NUM_PARTS``
     equal-width ranges over the key's [min, max] (one ``aggregate``
     pass), so part order is key order and rows sharing a key co-locate.
     A skewed key space makes uneven parts, never wrong results.
@@ -799,6 +821,7 @@ def scan_by_range(ds, key_col: str, total, assign, out_schema: pa.Schema,
     gmin, gmax = mm[f"min({key_col})"], mm[f"max({key_col})"]
     if gmin is None:
         return rd.from_arrow(out_schema.empty_table())
+    num_parts = NUM_PARTS
     # key - min taken in uint64 is the true offset for any int64 span
     # (< 2^64), and one division by span // P + 1 keeps every part id
     # below P; the cap and the clip only act at P = 1 over all of int64
@@ -817,16 +840,14 @@ def scan_by_range(ds, key_col: str, total, assign, out_schema: pa.Schema,
     with stage("nse_scan_") as s:
         write_exchange(ds, s, by_range)
         totals = map_parts(
-            s, num_parts,
-            lambda t: pa.table({"min_key": [key_min(t)], "total": [total(t)]},
-                               schema=_TOTALS_SCHEMA),
+            s, lambda t: pa.table({"min_key": [key_min(t)], "total": [total(t)]},
+                                  schema=_TOTALS_SCHEMA),
             _TOTALS_SCHEMA).to_pandas().sort_values("min_key")
         mins = totals["min_key"].to_numpy(np.int64)
         sizes = totals["total"].to_numpy(np.int64)
         offsets = np.cumsum(sizes) - sizes
         return map_parts(
-            s, num_parts,
-            lambda t: assign(t, int(offsets[np.searchsorted(
+            s, lambda t: assign(t, int(offsets[np.searchsorted(
                 mins, key_min(t))])),
             out_schema)
 

@@ -125,7 +125,7 @@ def _candidate_names(sf_dir: str):
     ).map_batches(cands, batch_format="pandas")
 
 
-def part_name_fuzzy_pairs(sf_dir: str, num_parts: int = 32):
+def part_name_fuzzy_pairs(sf_dir: str):
     """All unordered pairs of distinct part-name strings within edit
     distance 1. Output (nm_a, nm_b), nm_a < nm_b, globally deduped."""
     import ray.data as rd
@@ -159,17 +159,17 @@ def part_name_fuzzy_pairs(sf_dir: str, num_parts: int = 32):
         return rd.from_arrow(
             pa.Table.from_pandas(out, preserve_index=False).cast(_OUT_SCHEMA))
 
-    return _fuzzy_pairs_exchanged(blocks_ds, num_parts, dd, pr, max_pairs)
+    return _fuzzy_pairs_exchanged(blocks_ds, dd, pr, max_pairs)
 
 
-def _fuzzy_pairs_exchanged(blocks_ds, num_parts: int, dd, pr,
-                           max_pairs: int):
+def _fuzzy_pairs_exchanged(blocks_ds, dd, pr, max_pairs: int):
     """Scale path: block rows hash-partition on the block hash (buckets
     co-locate, per-part duplicate rows collapse before pairing);
     payloads (id -> string) dedupe in their id-part; the verify runs
     through the co-partitioned two-round payload join."""
     blk_schema = pa.schema([
         ("bh", pa.int64()), ("id", pa.int64()), ("nm", pa.string())])
+    num_parts = ex.NUM_PARTS
     with ex.stage("nse_fz_blk_") as blk_stage:
         ex.write_exchange(
             blocks_ds.map_batches(lambda b: b.cast(blk_schema),
@@ -189,7 +189,7 @@ def _fuzzy_pairs_exchanged(blocks_ds, num_parts: int, dd, pr,
             return pa.Table.from_pandas(
                 p, preserve_index=False).cast(pr.PAIR_SCHEMA)
 
-        pairs_ds = ex.map_parts(blk_stage, num_parts, pairs_of_part,
+        pairs_ds = ex.map_parts(blk_stage, pairs_of_part,
                                 pr.PAIR_SCHEMA)
 
         def payloads(t: pa.Table) -> pa.Table:
@@ -202,7 +202,7 @@ def _fuzzy_pairs_exchanged(blocks_ds, num_parts: int, dd, pr,
 
         # one row per id (verify_pairs contract): dedupe inside the
         # id-part where all copies of an id co-locate
-        payload_ds = ex.map_parts(blk_stage, num_parts, payloads,
+        payload_ds = ex.map_parts(blk_stage, payloads,
                                   pr.PAYLOAD_SCHEMA)
         with ex.stage("nse_fz_pay_") as pay_stage:
             ex.write_exchange(
@@ -210,7 +210,7 @@ def _fuzzy_pairs_exchanged(blocks_ds, num_parts: int, dd, pr,
                 lambda b: ex.int_part(
                     [b["id"].to_numpy(zero_copy_only=False)], num_parts))
             payload_uniq = ex.map_parts(
-                pay_stage, num_parts,
+                pay_stage,
                 lambda t: pa.Table.from_pandas(
                     t.to_pandas().drop_duplicates("id"),
                     preserve_index=False).cast(pr.PAYLOAD_SCHEMA),
@@ -224,5 +224,4 @@ def _fuzzy_pairs_exchanged(blocks_ds, num_parts: int, dd, pr,
         return pa.Table.from_pandas(
             _verify_frame(cand), preserve_index=False).cast(_OUT_SCHEMA)
 
-    return pr.verify_pairs(pairs_ds, payload_uniq, verify, _OUT_SCHEMA,
-                           num_parts=num_parts)
+    return pr.verify_pairs(pairs_ds, payload_uniq, verify, _OUT_SCHEMA)

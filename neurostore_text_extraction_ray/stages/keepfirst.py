@@ -87,7 +87,7 @@ def _rows(docs: pa.Table, losers: pa.Table, doc_row,
 
 def keep_first(corpus, items, item_schema: pa.Schema, doc_row,
                out_schema: pa.Schema, gate: str, id_col: str = "doc_id",
-               text_col: str = "text", num_parts: int = 32):
+               text_col: str = "text"):
     """One ``out_schema`` row per corpus document under the keep-first
     rule above. ``items(batch)`` maps a ``(doc_id, text)`` batch to its
     items as arrays ``(doc_id, h, *attrs)`` in ``item_schema``;
@@ -130,6 +130,7 @@ def keep_first(corpus, items, item_schema: pa.Schema, doc_row,
 
         return docs.map_batches(mark, batch_format="pyarrow")
 
+    num_parts = ex.NUM_PARTS
     by_hash = lambda b: ex.int_part(  # noqa: E731
         [b["h"].to_numpy(zero_copy_only=False).view(np.int64)], num_parts)
     by_id = lambda b: ex.int_part(  # noqa: E731
@@ -145,11 +146,11 @@ def keep_first(corpus, items, item_schema: pa.Schema, doc_row,
           ex.stage("nse_kf_docs_") as doc_stage):
         ex.write_exchange(docs.map_batches(item_table, batch_format="pyarrow"),
                           items_stage, by_hash)
-        ex.write_exchange(ex.map_parts(items_stage, num_parts,
+        ex.write_exchange(ex.map_parts(items_stage,
                                        losers_of_part, loser_schema),
                           loser_stage, by_id)
         ex.write_exchange(docs, doc_stage, by_id)
         return ex.map_parts(
-            [doc_stage, loser_stage], num_parts,
+            [doc_stage, loser_stage],
             lambda d, losers: _rows(d, losers, doc_row, out_schema),
             out_schema, in_schemas=[_DOC_SCHEMA, loser_schema])

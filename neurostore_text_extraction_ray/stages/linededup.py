@@ -83,10 +83,9 @@ def line_dedup(
     corpus,
     id_col: str = "doc_id",
     text_col: str = "text",
-    num_parts: int = 32,
 ):
     """Returns a Dataset with one row per corpus document:
     ``(doc_id, n_lines, n_removed, text_dedup)`` under the keep-first
     (min doc_id wins) line-dedup rule above."""
     return keep_first(corpus, _lines, _ITEM_SCHEMA, _doc_row, OUT_SCHEMA,
-                      "linededup", id_col, text_col, num_parts)
+                      "linededup", id_col, text_col)

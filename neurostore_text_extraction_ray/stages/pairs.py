@@ -51,8 +51,11 @@ LAST_LABEL_ROUNDS = 0
 # count (propagation provably converges within diameter < n rounds)
 
 
-def _by(col: str, num_parts: int):
-    """Partition function on one int64 column."""
+def _by(col: str):
+    """Partition function on one int64 column, over ``ex.NUM_PARTS``
+    parts as the driver reads it now."""
+    num_parts = ex.NUM_PARTS
+
     def f(b: pa.Table) -> np.ndarray:
         return ex.int_part(
             [b[col].to_numpy(zero_copy_only=False).astype(np.int64)], num_parts
@@ -73,8 +76,7 @@ def pairs_to_ds(pairs: pd.DataFrame):
     }))
 
 
-def verify_pairs(pairs_ds, payload_ds, verify_fn, out_schema: pa.Schema,
-                 num_parts: int = 32):
+def verify_pairs(pairs_ds, payload_ds, verify_fn, out_schema: pa.Schema):
     """Attach both endpoints' payloads to every candidate pair and
     verify per part; returns a MATERIALIZED Dataset of ``out_schema``.
 
@@ -91,8 +93,8 @@ def verify_pairs(pairs_ds, payload_ds, verify_fn, out_schema: pa.Schema,
     with (ex.stage("nse_vp_pay_") as pay_stage,
           ex.stage("nse_vp_a_") as a_stage,
           ex.stage("nse_vp_b_") as b_stage):
-        ex.write_exchange(payload_ds, pay_stage, _by("id", num_parts))
-        ex.write_exchange(pairs_ds, a_stage, _by("a", num_parts))
+        ex.write_exchange(payload_ds, pay_stage, _by("id"))
+        ex.write_exchange(pairs_ds, a_stage, _by("a"))
 
         def attach_a(pairs_t: pa.Table, pay_t: pa.Table) -> pa.Table:
             pdf = pairs_t.to_pandas().drop_duplicates(["a", "b"])
@@ -103,9 +105,9 @@ def verify_pairs(pairs_ds, payload_ds, verify_fn, out_schema: pa.Schema,
                 m[["a", "b", "payload_a"]], schema=mid_schema,
                 preserve_index=False)
 
-        mid = ex.map_parts([a_stage, pay_stage], num_parts, attach_a,
+        mid = ex.map_parts([a_stage, pay_stage], attach_a,
                            mid_schema, in_schemas=[PAIR_SCHEMA, PAYLOAD_SCHEMA])
-        ex.write_exchange(mid, b_stage, _by("b", num_parts))
+        ex.write_exchange(mid, b_stage, _by("b"))
 
         def attach_b_verify(mid_t: pa.Table, pay_t: pa.Table) -> pa.Table:
             mdf = mid_t.to_pandas()
@@ -115,11 +117,11 @@ def verify_pairs(pairs_ds, payload_ds, verify_fn, out_schema: pa.Schema,
             return verify_fn(m)
 
         return ex.map_parts(
-            [b_stage, pay_stage], num_parts, attach_b_verify, out_schema,
+            [b_stage, pay_stage], attach_b_verify, out_schema,
             in_schemas=[mid_schema, PAYLOAD_SCHEMA])
 
 
-def label_components_exchanged(edges_ds, num_parts: int = 32):
+def label_components_exchanged(edges_ds):
     """Verified edges (a, b) -> MATERIALIZED Dataset (node, label) with
     label = min id of the node's connected component. Nodes not in any
     edge are absent (callers default them to themselves via
@@ -208,8 +210,8 @@ def label_components_exchanged(edges_ds, num_parts: int = 32):
     with ex.stage("nse_cc_edges_") as edges_stage:
         ex.write_exchange(
             edges_ds.map_batches(to_directed, batch_format="pyarrow"),
-            edges_stage, _by("src", num_parts))
-        labels_ds = ex.map_parts(edges_stage, num_parts, init_labels,
+            edges_stage, _by("src"))
+        labels_ds = ex.map_parts(edges_stage, init_labels,
                                  LABEL_SCHEMA)
         it = 0
         while True:
@@ -217,9 +219,9 @@ def label_components_exchanged(edges_ds, num_parts: int = 32):
             with (ex.stage("nse_cc_lab_") as labels_stage,
                   ex.stage("nse_cc_msg_") as msg_stage):
                 ex.write_exchange(labels_ds, labels_stage,
-                                  _by("node", num_parts))
-                msgs = ex.map_parts([labels_stage, edges_stage], num_parts,
-                                    emit, msg_schema,
+                                  _by("node"))
+                msgs = ex.map_parts([labels_stage, edges_stage], emit,
+                                    msg_schema,
                                     in_schemas=[LABEL_SCHEMA, dir_schema])
 
                 # pointer-jumping shortcut: also message label[label[n]]
@@ -234,18 +236,17 @@ def label_components_exchanged(edges_ds, num_parts: int = 32):
                 if it > 1:
                     with ex.stage("nse_cc_bylab_") as bylab_stage:
                         ex.write_exchange(labels_ds, bylab_stage,
-                                          _by("label", num_parts))
+                                          _by("label"))
                         sc = ex.map_parts(
-                            [bylab_stage, labels_stage], num_parts,
-                            shortcut, msg_schema,
+                            [bylab_stage, labels_stage], shortcut, msg_schema,
                             in_schemas=[LABEL_SCHEMA, LABEL_SCHEMA])
                     # one msg stage: update() min-combines edge +
                     # shortcut candidates in one pass
                     msgs = msgs.union(sc)
-                ex.write_exchange(msgs, msg_stage, _by("node", num_parts))
+                ex.write_exchange(msgs, msg_stage, _by("node"))
 
-                upd = ex.map_parts([labels_stage, msg_stage], num_parts,
-                                   update, upd_schema,
+                upd = ex.map_parts([labels_stage, msg_stage], update,
+                                   upd_schema,
                                    in_schemas=[LABEL_SCHEMA, msg_schema])
             n_nodes = upd.count()
             n_changed = upd.sum("changed") if n_nodes else 0
@@ -263,7 +264,7 @@ def label_components_exchanged(edges_ds, num_parts: int = 32):
 
 
 def label_ids(ids_ds, labels_ds, id_col: str, out_id_name: str,
-              num_parts: int = 32, label_name: str = "dup_group"):
+              label_name: str = "dup_group"):
     """Co-partitioned left join: every id gets its component label,
     defaulting to itself (singletons). Returns a MATERIALIZED Dataset
     (out_id_name, label_name)."""
@@ -274,8 +275,8 @@ def label_ids(ids_ds, labels_ds, id_col: str, out_id_name: str,
         ex.write_exchange(
             ids_ds.map_batches(lambda b: b.select([id_col]),
                                batch_format="pyarrow"),
-            ids_stage, _by(id_col, num_parts))
-        ex.write_exchange(labels_ds, lab_stage, _by("node", num_parts))
+            ids_stage, _by(id_col))
+        ex.write_exchange(labels_ds, lab_stage, _by("node"))
 
         def join(ids_t: pa.Table, lab_t: pa.Table) -> pa.Table:
             # pure-int64 searchsorted join with identity fallback — a
@@ -297,6 +298,6 @@ def label_ids(ids_ds, labels_ds, id_col: str, out_id_name: str,
                 label_name: pa.array(out, pa.int64()),
             })
 
-        return ex.map_parts([ids_stage, lab_stage], num_parts, join,
+        return ex.map_parts([ids_stage, lab_stage], join,
                             out_schema,
                             in_schemas=[ids_schema, LABEL_SCHEMA])

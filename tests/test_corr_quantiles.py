@@ -14,6 +14,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from conftest import force_routes
+from neurostore_text_extraction_ray.stages import exchange as ex
 
 SF = "/root/testdata/sf0.001"
 
@@ -57,7 +58,8 @@ def test_lang_corr_gate_equivalence(ray_session, monkeypatch):
 
     drv = canon(steps.docs_lang_corr(SF).to_pandas())
     force_routes(monkeypatch, "agg_partials")
-    exch = canon(steps.docs_lang_corr(SF, num_parts=5).to_pandas())
+    monkeypatch.setattr(ex, "NUM_PARTS", 5)
+    exch = canon(steps.docs_lang_corr(SF).to_pandas())
     pd.testing.assert_frame_equal(drv, exch)
     assert len(drv) > 0
 
@@ -108,5 +110,6 @@ def test_lang_bucket_pivot_matches_sql_and_gate(ray_session, monkeypatch):
     assert (drv[["n_b0", "n_b1", "n_b2", "n_b3"]].sum(axis=1)
             == drv["n_total"]).all()
     force_routes(monkeypatch, "agg_partials")
-    exch = canon(steps.docs_lang_bucket_pivot(SF, num_parts=5).to_pandas())
+    monkeypatch.setattr(ex, "NUM_PARTS", 5)
+    exch = canon(steps.docs_lang_bucket_pivot(SF).to_pandas())
     pd.testing.assert_frame_equal(exch, canon(gold))

@@ -234,7 +234,7 @@ def test_exchange_utility_roundtrip(ray_session, tmp_path):
             "s": pa.array(df["sum"], pa.int64()),
         })
 
-    out = ex.map_parts(stage, 16, agg, empty).to_pandas().sort_values("k")
+    out = ex.map_parts(stage, agg, empty).to_pandas().sort_values("k")
     # groups never split across parts -> one output row per key
     assert len(out) == 37
     assert int(out["n"].sum()) == n
@@ -263,7 +263,7 @@ def test_exchange_idempotent_rewrite(ray_session, tmp_path):
     assert ex.commit_fragments(stage, retry.to_pandas()) == 1000
     empty = pa.schema([("n", pa.int64())])
     out = ex.map_parts(
-        stage, 4, lambda t: pa.table({"n": pa.array([t.num_rows], pa.int64())}),
+        stage, lambda t: pa.table({"n": pa.array([t.num_rows], pa.int64())}),
         empty).to_pandas()
     assert int(out["n"].sum()) == 1000  # not 2000
 

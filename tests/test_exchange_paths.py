@@ -18,6 +18,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from conftest import force_budget, force_routes
+from neurostore_text_extraction_ray.stages import exchange as ex
 
 SF = "/root/testdata/sf0.001"
 
@@ -375,7 +376,43 @@ def test_gates_live_in_the_registry():
     assert not offenders, offenders
 
 
-def test_docs_domain_cap_semantics(ray_session):
+# The functions for which a part count is data: the sink's output
+# layout and run id, its url-hash exchange, the hash moduli, and the
+# persisted layout of the incremental dedup state.
+_TAKE_NUM_PARTS = {
+    "flagship.run_flagship_to_parquet", "flagship._exchange_pages",
+    "exchange.int_part", "exchange.key_part", "dedup_incremental._for_parts",
+}
+
+
+def test_one_part_count():
+    """Static invariant: a part is the unit of partitioning and
+    ``ex.NUM_PARTS`` the one part count. No package function outside
+    ``_TAKE_NUM_PARTS`` takes a ``num_parts`` parameter, and no module
+    imports ``NUM_PARTS`` by name: the imported name would not see a
+    test's ``monkeypatch.setattr(ex, "NUM_PARTS", n)``."""
+    import ast
+
+    import neurostore_text_extraction_ray as pkg
+
+    pkg_dir = os.path.dirname(pkg.__file__)
+    takers, imports = set(), []
+    for path in glob.glob(f"{pkg_dir}/**/*.py", recursive=True):
+        mod = os.path.splitext(os.path.basename(path))[0]
+        for node in ast.walk(ast.parse(open(path).read())):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                a = node.args
+                if "num_parts" in [x.arg for x in
+                                   a.posonlyargs + a.args + a.kwonlyargs]:
+                    takers.add(f"{mod}.{getattr(node, 'name', 'lambda')}")
+            if isinstance(node, ast.ImportFrom) and any(
+                    n.name == "NUM_PARTS" for n in node.names):
+                imports.append(f"{path}:{node.lineno}")
+    assert takers == _TAKE_NUM_PARTS, sorted(takers ^ _TAKE_NUM_PARTS)
+    assert not imports, imports
+
+
+def test_docs_domain_cap_semantics(ray_session, monkeypatch):
     """Per-domain cap: at most `cap` docs per domain, chosen by the
     sampling hash then doc_id; kept set invariant to the part count."""
     from neurostore_text_extraction_ray.pipelines import steps
@@ -390,7 +427,8 @@ def test_docs_domain_cap_semantics(ray_session):
     tails = per_dom[per_dom.index.str.startswith("tail")]
     assert (tails == 1).all()
     # deterministic + independent of partitioning
-    out1 = _canon(steps.docs_domain_cap(SF, cap=3, num_parts=1).to_pandas())
+    monkeypatch.setattr(ex, "NUM_PARTS", 1)
+    out1 = _canon(steps.docs_domain_cap(SF, cap=3).to_pandas())
     pd.testing.assert_frame_equal(out, out1)
     # the chosen ids are the hash-minimal ones per domain (spot-check)
     docs = pd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id"])
@@ -481,11 +519,11 @@ def test_user_retention_exchange_equivalence(ray_session, monkeypatch):
     pd.testing.assert_frame_equal(drv, _canon(want))
 
 
-def _rows_seen(stage, num_parts=4) -> int:
+def _rows_seen(stage) -> int:
     from neurostore_text_extraction_ray.stages import exchange as ex
 
     out = ex.map_parts(
-        stage, num_parts,
+        stage,
         lambda t: pa.table({"n": pa.array([t.num_rows], pa.int64())}),
         pa.schema([("n", pa.int64())])).to_pandas()
     return int(out["n"].sum())
@@ -549,7 +587,7 @@ def test_phase_a_task_retry_commits_once(ray_session, tmp_path):
     assert os.path.exists(marker)  # the first attempt did die
     listing = pq.read_table(os.path.join(stage, ex.FRAGMENT_LIST))
     assert listing.num_rows == 4 * 3  # 4 batches x 3 parts each
-    seen = ex.map_parts(stage, 3, lambda tb: tb,
+    seen = ex.map_parts(stage, lambda tb: tb,
                         pa.schema([("v", pa.int64())])).to_pandas()
     assert sorted(seen["v"]) == list(range(40))
 
@@ -619,7 +657,7 @@ def test_fragments_keep_the_input_schema(ray_session, tmp_path):
     part0 = ex.read_files(ex.part_files(stage).get(0, []), t.schema)
     assert part0.to_pylist() == t.take([0, 2, 4, 6, 8]).to_pylist()
     out = ex.map_parts(
-        stage, 3,
+        stage,
         lambda tb: pa.table({
             "ok": [tb.schema.equals(t.schema, check_metadata=True)],
             "n": [tb.num_rows]}),
@@ -740,9 +778,11 @@ def _run_join(monkeypatch, path, probe_tables, build, kernel, out_schema,
 
     if _JOIN_PATHS[path] is not None:
         force_routes(monkeypatch, "join", limit=_JOIN_PATHS[path])
-    out = ex.join_by_key(rd.from_arrow(probe_tables), rd.from_arrow(build),
-                         ["k"], ["bk"], prepare, kernel, out_schema, "join",
-                         num_parts=num_parts)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ex, "NUM_PARTS", num_parts)
+        out = ex.join_by_key(rd.from_arrow(probe_tables),
+                             rd.from_arrow(build), ["k"], ["bk"], prepare,
+                             kernel, out_schema, "join")
     rows = [t for t in out.iter_batches(batch_format="pyarrow")]
     table = (pa.concat_tables(rows) if rows else out_schema.empty_table())
     assert table.schema.equals(out_schema)
@@ -901,8 +941,9 @@ def test_join_by_key_parquet_build_lazy_probe(ray_session, monkeypatch,
                         lambda self: materialized.append(self) or real(self))
     if _JOIN_PATHS[path] is not None:
         force_routes(monkeypatch, "join", limit=_JOIN_PATHS[path])
+    monkeypatch.setattr(ex, "NUM_PARTS", 4)
     out = ex.join_by_key(probe_ds, parquet_build, ["k"], ["bk"],
-                         _sorted_state, _inner, _WITH_B, "join", num_parts=4)
+                         _sorted_state, _inner, _WITH_B, "join")
     got = sorted((tuple(r.values()) for r in out.take_all()), key=repr)
     assert got == _expected("inner", probe, build)
     assert all(d is not probe_ds for d in materialized)
@@ -930,10 +971,10 @@ def test_combine_by_key_parquet_input(ray_session, monkeypatch, tmp_path,
                         lambda self: materialized.append(self) or real(self))
     if forced:
         force_routes(monkeypatch, "key_rows")
+    monkeypatch.setattr(ex, "NUM_PARTS", 4)
     out = ex.combine_by_key(
         ds, ["k"], lambda df: df.groupby("k", as_index=False)["v"].sum(),
-        pa.schema([("k", pa.int64()), ("v", pa.int64())]), "key_rows",
-        num_parts=4)
+        pa.schema([("k", pa.int64()), ("v", pa.int64())]), "key_rows")
     got = sorted((r["k"], r["v"]) for r in out.take_all())
     want = t.to_pandas().groupby("k")["v"].sum()
     assert got == list(zip(want.index, want))
@@ -960,7 +1001,8 @@ _I64 = np.iinfo(np.int64)
     pytest.param(list(range(10)) + list(range(1000, 1010)), 10, 2,
                  id="empty_parts_between"),
 ])
-def test_scan_by_range_edges(ray_session, keys, num_parts, n_parts):
+def test_scan_by_range_edges(ray_session, monkeypatch, keys, num_parts,
+                             n_parts):
     """Every row gets its global rank in key order, each part's offset
     is the row count of the parts before it, and rows land in the
     expected number of non-empty parts (equal keys in one, empty parts
@@ -981,8 +1023,8 @@ def test_scan_by_range_edges(ray_session, keys, num_parts, n_parts):
 
     t = pa.table({"k": pa.array(keys, pa.int64())})
     ds = rd.from_arrow([t.slice(0, len(keys) // 2), t.slice(len(keys) // 2)])
-    out = ex.scan_by_range(ds, "k", lambda p: p.num_rows, rank, out_schema,
-                           num_parts)
+    monkeypatch.setattr(ex, "NUM_PARTS", num_parts)
+    out = ex.scan_by_range(ds, "k", lambda p: p.num_rows, rank, out_schema)
     out = pd.DataFrame(out.take_all(), columns=out_schema.names).sort_values(
         "rnk")
     assert out["rnk"].tolist() == list(range(1, len(keys) + 1))

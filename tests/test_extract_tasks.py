@@ -127,15 +127,15 @@ def test_concurrency_one_runs_one_part_task_at_a_time(ray_session, tmp_path,
     real = flagship._extract_part
     record = str(tmp_path)
 
-    def recording_extract_part(i, *args):
+    def recording_extract_part(group, *args):
         t0 = time.time()
-        out = real(i, *args)
-        with open(os.path.join(record, f"{i}.json"), "w") as fh:
+        out = real(group, *args)
+        with open(os.path.join(record, f"{group[0]}.json"), "w") as fh:
             json.dump([t0, time.time()], fh)
         return out
 
     monkeypatch.setattr(flagship, "_extract_part", recording_extract_part)
-    monkeypatch.setattr(flagship, "STREAM_TASK_BYTES", 1)  # a task per part
+    monkeypatch.setattr(flagship.ex, "TASK_BYTES", 1)  # a task per part
     ds = flagship.flagship_dataset(rd.from_arrow(_blocks(_mixed_pages())),
                                    concurrency=1)
     assert ds.count() == len(set(_mixed_pages()["url"].to_pylist()))
@@ -210,12 +210,12 @@ def test_byte_budget_on_task_path(ray_session):
 @pytest.mark.parametrize("task_bytes", [1, 64 << 20], ids=["per_part", "per_slot"])
 def test_stream_packs_whole_parts_into_tasks(ray_session, sink_rows,
                                              monkeypatch, task_bytes):
-    """Phase B packs whole url-hash parts into one task per slot, or
-    into more tasks when the fragments pass ``STREAM_TASK_BYTES``; the
-    rows are the sink's either way."""
+    """Phase B packs whole url-hash parts into one task per Ray CPU, or
+    into more tasks when the fragments pass ``ex.TASK_BYTES``; the rows
+    are the sink's either way."""
     import ray.data as rd
 
-    monkeypatch.setattr(flagship, "STREAM_TASK_BYTES", task_bytes)
+    monkeypatch.setattr(flagship.ex, "TASK_BYTES", task_bytes)
     calls = []
     real = flagship.ex.part_tasks
 
@@ -228,5 +228,6 @@ def test_stream_packs_whole_parts_into_tasks(ray_session, sink_rows,
                                    concurrency=2)
     assert _by_url(pa.concat_tables(list(
         ds.iter_batches(batch_format="pyarrow", batch_size=None)))) == sink_rows
-    parts = flagship.STREAM_PARTS
-    assert calls[-1] == (2 if task_bytes > 1 else parts)
+    cpus = int(ray_session.cluster_resources()["CPU"])
+    parts = flagship.URL_PARTS
+    assert calls[-1] == (cpus if task_bytes > 1 else parts)

@@ -13,6 +13,7 @@ import pytest
 
 from neurostore_text_extraction_ray.sources import pages as pages_src
 from neurostore_text_extraction_ray.pipelines import flagship
+from neurostore_text_extraction_ray.stages import exchange as ex
 
 SF = "/root/testdata/sf0.001"
 
@@ -264,10 +265,11 @@ def test_fragment_ids_distinguish_same_url_sets(ray_session, tmp_path):
     assert checked > 490
 
 
-def test_dedup_pages_keeps_the_latest_fetch(ray_session):
+def test_dedup_pages_keeps_the_latest_fetch(ray_session, monkeypatch):
     """dedup_pages keeps one (url, warc_ts, html) row per url, the
     latest fetch."""
-    out = _table(flagship.dedup_pages(pages_src.read_pages(SF), num_parts=8))
+    monkeypatch.setattr(ex, "NUM_PARTS", 8)
+    out = _table(flagship.dedup_pages(pages_src.read_pages(SF)))
     assert out.column_names == ["url", "warc_ts", "html"]
     assert out.num_rows == len(set(out["url"].to_pylist())) == 500
     for url, ts in zip(out["url"].to_pylist(), out["warc_ts"].to_pylist()):

@@ -13,6 +13,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from conftest import force_routes
+from neurostore_text_extraction_ray.stages import exchange as ex
 
 SF = "/root/testdata/sf0.001"
 
@@ -70,7 +71,8 @@ def test_funnel_strict_order_semantics(ray_session, funnel_dir, monkeypatch,
 
     if forced:
         force_routes(monkeypatch, "key_rows")
-    mine = steps.events_funnel(funnel_dir, num_parts=3).to_pandas()
+    monkeypatch.setattr(ex, "NUM_PARTS", 3)
+    mine = steps.events_funnel(funnel_dir).to_pandas()
     got = dict(zip(mine["stage"], mine["n_users"]))
     # view: users 1..6 have a view; click-after-view: 1, 4, 5
     # (user 2's click precedes its view; user 3's is an exact tie;
@@ -90,7 +92,8 @@ def test_funnel_combine_gate_equivalence(ray_session, monkeypatch):
 
     drv = _canon(steps.events_funnel(SF).to_pandas())
     force_routes(monkeypatch, "agg_partials")
-    exch = _canon(steps.events_funnel(SF, num_parts=5).to_pandas())
+    monkeypatch.setattr(ex, "NUM_PARTS", 5)
+    exch = _canon(steps.events_funnel(SF).to_pandas())
     pd.testing.assert_frame_equal(drv, exch)
     assert drv["n_users"].sum() > 0
 
@@ -112,5 +115,6 @@ def test_user_top_type_matches_sql_and_gates(ray_session, monkeypatch):
     pd.testing.assert_frame_equal(drv, gold)
     assert len(drv) > 0
     force_routes(monkeypatch, "agg_partials")
-    exch = _canon(steps.events_user_top_type(SF, num_parts=5).to_pandas())
+    monkeypatch.setattr(ex, "NUM_PARTS", 5)
+    exch = _canon(steps.events_user_top_type(SF).to_pandas())
     pd.testing.assert_frame_equal(exch, gold)

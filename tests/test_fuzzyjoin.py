@@ -9,6 +9,7 @@ import pandas as pd
 import pytest
 
 from conftest import force_budget, force_routes
+from neurostore_text_extraction_ray.stages import exchange as ex
 
 SF = "/root/testdata/sf0.001"
 
@@ -98,7 +99,8 @@ def test_fuzzy_pairs_matches_oracle_and_exchange_path(ray_session,
     pd.testing.assert_frame_equal(drv, gold)
     assert len(drv) > 0
     force_routes(monkeypatch, "fuzzy_blocks")
-    exch = _canon(fuzzyjoin.part_name_fuzzy_pairs(SF, num_parts=7).to_pandas())
+    monkeypatch.setattr(ex, "NUM_PARTS", 7)
+    exch = _canon(fuzzyjoin.part_name_fuzzy_pairs(SF).to_pandas())
     pd.testing.assert_frame_equal(exch, gold)
 
 

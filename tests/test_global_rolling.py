@@ -12,6 +12,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from neurostore_text_extraction_ray.stages import exchange as ex
+
 SF = "/root/testdata/sf0.001"
 
 
@@ -67,7 +69,8 @@ def test_global_rolling_ties_and_edges(ray_session, tmp_path):
     pd.testing.assert_frame_equal(_canon(out), _canon(_gold(d)))
 
 
-def test_global_rolling_halo_across_parts(ray_session, tmp_path):
+def test_global_rolling_halo_across_parts(ray_session, tmp_path,
+                                          monkeypatch):
     """An event whose window reaches into the previous range partition
     must still count those rows (the halo duplication); verified by
     forcing many tiny parts relative to the window."""
@@ -76,8 +79,9 @@ def test_global_rolling_halo_across_parts(ray_session, tmp_path):
     base = pd.Timestamp("2025-01-01 00:00:00")
     rows = [(i, base + pd.Timedelta(minutes=i), 1.0) for i in range(200)]
     d = _write(tmp_path, rows)
+    monkeypatch.setattr(ex, "NUM_PARTS", 32)
     out = steps.events_global_rolling_sum(
-        d, window_minutes=60, num_parts=32).to_pandas()
+        d, window_minutes=60).to_pandas()
     got = out.set_index("event_id")["win_n"]
     # event i sees min(i, 60) + 1 rows (1-minute spacing, inclusive)
     for i in (0, 1, 59, 60, 61, 120, 199):
@@ -85,15 +89,17 @@ def test_global_rolling_halo_across_parts(ray_session, tmp_path):
     pd.testing.assert_frame_equal(_canon(out), _canon(_gold(d)))
 
 
-def test_global_rolling_matches_sql_on_testdata(ray_session):
+def test_global_rolling_matches_sql_on_testdata(ray_session, monkeypatch):
     from neurostore_text_extraction_ray.pipelines import steps
 
-    out = steps.events_global_rolling_sum(SF, num_parts=7).to_pandas()
+    monkeypatch.setattr(ex, "NUM_PARTS", 7)
+    out = steps.events_global_rolling_sum(SF).to_pandas()
     pd.testing.assert_frame_equal(_canon(out), _canon(_gold(SF)))
     assert len(out) == 1000
 
 
-def test_global_rolling_degenerate_span_single_part(ray_session, tmp_path):
+def test_global_rolling_degenerate_span_single_part(ray_session, tmp_path,
+                                                   monkeypatch):
     """All events inside one window width: the effective part count
     collapses instead of duplicating every row num_parts times."""
     from neurostore_text_extraction_ray.pipelines import steps
@@ -101,8 +107,9 @@ def test_global_rolling_degenerate_span_single_part(ray_session, tmp_path):
     base = pd.Timestamp("2025-01-01 00:00:00")
     rows = [(i, base + pd.Timedelta(seconds=i), 1.0) for i in range(10)]
     d = _write(tmp_path, rows)
+    monkeypatch.setattr(ex, "NUM_PARTS", 32)
     out = steps.events_global_rolling_sum(
-        d, window_minutes=60, num_parts=32).to_pandas()
+        d, window_minutes=60).to_pandas()
     assert (out.sort_values("event_id")["win_n"].to_numpy()
             == np.arange(1, 11)).all()
     pd.testing.assert_frame_equal(_canon(out), _canon(_gold(d)))

@@ -9,6 +9,7 @@ import pyarrow as pa
 import pytest
 
 from conftest import force_routes
+from neurostore_text_extraction_ray.stages import exchange as ex
 
 
 def _ds(rows):
@@ -42,7 +43,9 @@ EXPECT = {
 
 
 def _run(mod, corpus):
-    out = mod.line_dedup(_ds(corpus), num_parts=4).to_pandas()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ex, "NUM_PARTS", 4)
+        out = mod.line_dedup(_ds(corpus)).to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
 
 

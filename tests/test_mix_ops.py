@@ -13,6 +13,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from conftest import force_routes
+from neurostore_text_extraction_ray.stages import exchange as ex
 
 
 @pytest.fixture(scope="module")
@@ -188,7 +189,7 @@ def _pack_expected(ids, weights, budget):
 
 
 @pytest.mark.parametrize("num_parts", [1, 3, 32])
-def test_pack_shards_sparse_huge_keys(ray_session, num_parts):
+def test_pack_shards_sparse_huge_keys(ray_session, num_parts, monkeypatch):
     """Range partitioning must stay correct under an extremely skewed
     key space (three keys spanning 2^40) and any part count — and the
     result must be independent of num_parts."""
@@ -202,8 +203,8 @@ def test_pack_shards_sparse_huge_keys(ray_session, num_parts):
         "doc_id": pa.array(ids, pa.int64()),
         "n_chars": pa.array(w, pa.int64()),
     }))
-    got = (pack_shards(ds, "doc_id", "n_chars", budget=10,
-                       num_parts=num_parts)
+    monkeypatch.setattr(ex, "NUM_PARTS", num_parts)
+    got = (pack_shards(ds, "doc_id", "n_chars", budget=10)
            .to_pandas().sort_values("doc_id").reset_index(drop=True))
     exp = _pack_expected(ids, w, 10).astype(got.dtypes.to_dict())
     pd.testing.assert_frame_equal(got, exp)

@@ -14,6 +14,7 @@ import ray.data as rd
 
 from conftest import force_routes
 from neurostore_text_extraction_ray.pipelines.steps import pack_sequences
+from neurostore_text_extraction_ray.stages import exchange as ex
 
 
 def _reference(df, seq_len, eos="<eos>"):
@@ -84,11 +85,12 @@ def test_cross_part_boundary_stitch(ray_session, monkeypatch, forced,
     # seq_id-hash exchange (``key_rows`` forced to 0)
     if forced:
         force_routes(monkeypatch, "key_rows")
+    monkeypatch.setattr(ex, "NUM_PARTS", 8)
     df = pd.DataFrame({
         "doc_id": np.arange(64, dtype=np.int64),
         "text": [f"w{i}a w{i}b" for i in range(64)],
     })
-    got = _run(df, seq_len, num_parts=8)
+    got = _run(df, seq_len)
     ref = _reference(df, seq_len)
     pd.testing.assert_frame_equal(got, ref, check_dtype=False)
     # token conservation: 64 * 3 tokens, contiguous seq_ids

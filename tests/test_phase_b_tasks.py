@@ -1,7 +1,8 @@
-"""Exchange phase B runs as plain Ray tasks, one per part: parts run
-side by side even on a 2-CPU cluster, ``map_parts`` is eager (empty
-stage, one-sided parts in list mode, errors inside ``with stage()``),
-and the sink's per-part summary keeps its six int64 columns."""
+"""Exchange phase B runs as plain Ray tasks over ``ex.pack_parts``
+groups of whole parts: parts run side by side even on a 2-CPU cluster,
+a task runs several parts, ``map_parts`` is eager (empty stage,
+one-sided parts in list mode, errors inside ``with stage()``), and the
+sink's per-part summary keeps its six int64 columns in part order."""
 
 import json
 import os
@@ -46,8 +47,8 @@ schema = pa.schema([("pid", pa.int64()), ("t0", pa.float64()),
 with ex.stage("nse_overlap_") as s:
     ex.write_exchange(ray.data.from_items([{"k": i} for i in range(16)]), s,
                       lambda b: b["k"].to_numpy())
-    ex.map_parts(s, 16, lambda t: schema.empty_table(), schema)
-    out = ex.map_parts(s, 16, busy, schema).to_pandas()
+    ex.map_parts(s, lambda t: schema.empty_table(), schema)
+    out = ex.map_parts(s, busy, schema).to_pandas()
 ray.shutdown()
 print(json.dumps(out.to_dict("records")))
 """
@@ -92,7 +93,7 @@ def test_map_parts_empty_stage(ray_session):
         raise AssertionError("no part has fragments")
 
     with ex.stage("nse_test_") as s:
-        out = ex.map_parts(s, 4, never, schema)
+        out = ex.map_parts(s, never, schema)
     assert out.count() == 0
     assert ex.arrow_schema_of(out) == schema
 
@@ -114,7 +115,7 @@ def test_map_parts_list_mode_one_sided_part(ray_session):
     with ex.stage("nse_test_a_") as sa, ex.stage("nse_test_b_") as sb:
         _write_stage(sa, pa.table({"k": [0, 0, 1]}, schema=a_schema))
         _write_stage(sb, pa.table({"k": [1], "w": ["x"]}, schema=b_schema))
-        out = ex.map_parts([sa, sb], 4, join, out_schema,
+        out = ex.map_parts([sa, sb], join, out_schema,
                            in_schemas=[a_schema, b_schema]).to_pandas()
     rows = out.sort_values("k").to_dict("records")
     assert rows == [
@@ -134,7 +135,7 @@ def test_map_parts_error_surfaces_and_stage_is_removed(ray_session):
     with pytest.raises(ValueError, match="part two failed"):
         with ex.stage("nse_test_") as s:
             _write_stage(s, pa.table({"k": range(4)}, schema=schema))
-            ex.map_parts(s, 4, boom, schema)
+            ex.map_parts(s, boom, schema)
     assert not os.path.exists(s)
 
 
@@ -170,3 +171,62 @@ def test_sink_summary_columns(ray_session, tmp_path, incremental):
     if incremental:
         assert int(rerun["n_reused"].sum()) == 12
         assert int(rerun["n_extracted"].sum()) == 0
+
+
+def _count_tasks(monkeypatch) -> list:
+    """Record the number of tasks of every ``ex.part_tasks`` call."""
+    calls = []
+    real = ex.part_tasks
+
+    def counting(fn, ids, *args, **kw):
+        ids = list(ids)
+        calls.append(len(ids))
+        return real(fn, ids, *args, **kw)
+
+    monkeypatch.setattr(ex, "part_tasks", counting)
+    return calls
+
+
+def test_sink_packs_parts_into_one_task_per_cpu(ray_session, tmp_path,
+                                                monkeypatch):
+    """At 4 Ray CPUs a 16-part sink runs phase B as 4 tasks, and still
+    writes a part file, a manifest and an input sidecar per part, with
+    the summary in part order."""
+    from neurostore_text_extraction_ray.state import manifest as mf
+
+    assert ray_session.cluster_resources()["CPU"] == 4
+    calls = _count_tasks(monkeypatch)
+    texts = [f"packed page {i} body words" for i in range(64)]
+    run_dir, sdf = flagship.run_flagship_to_parquet(
+        _pages(texts), str(tmp_path), num_parts=16)
+    assert calls == [4]  # phase A is a Ray Data map over from_arrow
+    _assert_summary(sdf, 16)
+    assert sdf["partition_id"].tolist() == list(range(16))
+    assert int(sdf["rows"].sum()) == 64
+    assert sorted(mf.completed_parts(run_dir)) == list(range(16))
+    for p in range(16):
+        data_path, man_path = mf.part_paths(run_dir, p)
+        assert os.path.exists(data_path) and os.path.exists(man_path)
+        assert os.path.exists(mf.inputs_sidecar_path(run_dir, p))
+
+
+def test_map_parts_packs_parts_per_cpu(ray_session, monkeypatch):
+    """``map_parts`` runs min(parts, Ray CPUs) tasks, each over several
+    whole parts, and gives the rows of one task per part
+    (``ex.TASK_BYTES = 1``)."""
+    schema = pa.schema([("k", pa.int64()), ("n", pa.int64())])
+
+    def count(t: pa.Table) -> pa.Table:
+        return pa.table({"k": [t["k"][0].as_py()], "n": [t.num_rows]},
+                        schema=schema)
+
+    calls = _count_tasks(monkeypatch)
+    with ex.stage("nse_test_") as s:
+        _write_stage(s, pa.table({"k": pa.array(
+            [i % 10 for i in range(100)], pa.int64())}))
+        packed = ex.map_parts(s, count, schema).to_pandas()
+        monkeypatch.setattr(ex, "TASK_BYTES", 1)
+        per_part = ex.map_parts(s, count, schema).to_pandas()
+    assert calls == [4, 10]
+    assert sorted(packed.itertuples(index=False)) == sorted(
+        per_part.itertuples(index=False)) == [(k, 10) for k in range(10)]

@@ -12,6 +12,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from conftest import force_routes
+from neurostore_text_extraction_ray.stages import exchange as ex
 
 SF = "/root/testdata/sf0.001"
 
@@ -75,8 +76,10 @@ def test_pmi_gate_equivalence(ray_session, monkeypatch):
     drv = _canon(steps.docs_pmi_bigrams(SF).to_pandas())
     assert len(drv) == 20
     force_routes(monkeypatch, "pmi_score")
-    exch = _canon(steps.docs_pmi_bigrams(SF, num_parts=5).to_pandas())
+    monkeypatch.setattr(ex, "NUM_PARTS", 5)
+    exch = _canon(steps.docs_pmi_bigrams(SF).to_pandas())
     pd.testing.assert_frame_equal(drv, exch)
     force_routes(monkeypatch, "terms")
-    both = _canon(steps.docs_pmi_bigrams(SF, num_parts=5).to_pandas())
+    monkeypatch.setattr(ex, "NUM_PARTS", 5)
+    both = _canon(steps.docs_pmi_bigrams(SF).to_pandas())
     pd.testing.assert_frame_equal(drv, both)

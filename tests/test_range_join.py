@@ -15,6 +15,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from conftest import force_routes
+from neurostore_text_extraction_ray.stages import exchange as ex
 
 SF = "/root/testdata/sf0.001"
 
@@ -61,10 +62,12 @@ def _gold(events_dir: str, name: str) -> pd.DataFrame:
     return gold
 
 
-def test_range_join_ties_edges_and_user_isolation(ray_session, events_dir):
+def test_range_join_ties_edges_and_user_isolation(ray_session, events_dir,
+                                                  monkeypatch):
     from neurostore_text_extraction_ray.pipelines import steps
 
-    mine = steps.events_range_join(events_dir, num_parts=2).to_pandas()
+    monkeypatch.setattr(ex, "NUM_PARTS", 2)
+    mine = steps.events_range_join(events_dir).to_pandas()
     pd.testing.assert_frame_equal(
         _canon(mine), _canon(_gold(events_dir, "events_range_join")))
     got = set(zip(mine["a_id"], mine["b_id"]))
@@ -81,13 +84,14 @@ def test_range_join_exchange_equivalence(ray_session, monkeypatch):
 
     drv = _canon(steps.events_range_join(SF).to_pandas())
     force_routes(monkeypatch, "range_events")
-    exch = _canon(steps.events_range_join(SF, num_parts=7).to_pandas())
+    monkeypatch.setattr(ex, "NUM_PARTS", 7)
+    exch = _canon(steps.events_range_join(SF).to_pandas())
     pd.testing.assert_frame_equal(drv, exch)
     assert len(drv) > 0
 
 
 def test_range_join_overflow_routes_to_exchange(ray_session, events_dir,
-                                                tmp_path):
+                                                tmp_path, monkeypatch):
     """A pathological users x time-span that overflows the int64
     composite on the GLOBAL build must fall through to the exchange
     path (where per-part spans still fit) and stay correct."""
@@ -113,7 +117,8 @@ def test_range_join_overflow_routes_to_exchange(ray_session, events_dir,
     window_us = 10 * 60_000_000
     state = steps._range_build_state(df, window_us)
     assert state is None  # the fixture really does overflow globally
-    mine = _canon(steps.events_range_join(d, num_parts=8).to_pandas())
+    monkeypatch.setattr(ex, "NUM_PARTS", 8)
+    mine = _canon(steps.events_range_join(d).to_pandas())
     pd.testing.assert_frame_equal(mine, _canon(_gold(d, "events_range_join")))
     assert len(mine) == 1000  # 1000 users x 1 forward pair each
 
@@ -134,10 +139,11 @@ def test_range_join_empty_and_single_row(ray_session, tmp_path):
 
 
 def test_running_total_matches_sql_and_part_invariant(ray_session,
-                                                      events_dir):
+                                                      events_dir, monkeypatch):
     from neurostore_text_extraction_ray.pipelines import steps
 
-    mine = steps.events_user_running_total(events_dir, num_parts=2).to_pandas()
+    monkeypatch.setattr(ex, "NUM_PARTS", 2)
+    mine = steps.events_user_running_total(events_dir).to_pandas()
     pd.testing.assert_frame_equal(
         _canon(mine), _canon(_gold(events_dir, "events_user_running_total")))
     # tie rows order by event_id: event 1 (10.00) before event 2 (20.00)
@@ -145,6 +151,7 @@ def test_running_total_matches_sql_and_part_invariant(ray_session,
     assert m.loc[1, "run_cents"] == 1000 and m.loc[1, "run_n"] == 1
     assert m.loc[2, "run_cents"] == 3000 and m.loc[2, "run_n"] == 2
     assert m.loc[5, "run_cents"] == 750 and m.loc[5, "run_n"] == 1
+    monkeypatch.setattr(ex, "NUM_PARTS", 1)
     one = _canon(steps.events_user_running_total(
-        events_dir, num_parts=1).to_pandas())
+        events_dir).to_pandas())
     pd.testing.assert_frame_equal(one, _canon(mine))

@@ -7,6 +7,8 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
+from neurostore_text_extraction_ray.stages import exchange as ex
+
 SF = "/root/testdata/sf0.001"
 
 
@@ -23,8 +25,10 @@ def _run(df, descending, num_parts=8):
     from neurostore_text_extraction_ray.pipelines import steps
 
     ds = rd.from_arrow(pa.Table.from_pandas(df)).repartition(4)
-    got = steps.global_rank(ds, "k", "i", descending=descending,
-                            num_parts=num_parts).to_pandas()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ex, "NUM_PARTS", num_parts)
+        got = steps.global_rank(ds, "k", "i",
+                                descending=descending).to_pandas()
     return got.sort_values("rnk", kind="stable").reset_index(drop=True)
 
 

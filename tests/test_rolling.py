@@ -13,6 +13,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from conftest import force_routes
+from neurostore_text_extraction_ray.stages import exchange as ex
 
 # each kernel test runs on the driver path (default gates) and on the
 # user-hash exchange path (``key_rows`` forced to 0)
@@ -54,7 +55,8 @@ def test_rolling_matches_sql_on_ties_and_edges(ray_session, events_dir,
 
     if forced:
         force_routes(monkeypatch, "key_rows")
-    mine = steps.events_rolling_count(events_dir, num_parts=2).to_pandas()
+    monkeypatch.setattr(ex, "NUM_PARTS", 2)
+    mine = steps.events_rolling_count(events_dir).to_pandas()
     con = duckdb.connect()
     con.execute(f"CREATE VIEW events AS SELECT * FROM read_parquet("
                 f"'{events_dir}/events.parquet')")
@@ -104,7 +106,8 @@ def test_rolling_fallback_path_matches_sql(ray_session, tmp_path,
     # exceeds 2^62, so the part MUST take the pandas fallback (with
     # more parts the per-part user count drops below the threshold
     # and the vectorized path would run instead)
-    mine = steps.events_rolling_count(str(tmp_path), num_parts=1).to_pandas()
+    monkeypatch.setattr(ex, "NUM_PARTS", 1)
+    mine = steps.events_rolling_count(str(tmp_path)).to_pandas()
     con = duckdb.connect()
     con.execute(f"CREATE VIEW events AS SELECT * FROM read_parquet("
                 f"'{tmp_path}/events.parquet')")
@@ -117,7 +120,8 @@ def test_rolling_fallback_path_matches_sql(ray_session, tmp_path,
     # and on the exchange path the vectorized kernel (4 parts -> ~175
     # users/part, under the overflow threshold) agrees with the
     # fallback row-for-row
+    monkeypatch.setattr(ex, "NUM_PARTS", 4)
     vec = steps.events_rolling_count(
-        str(tmp_path), num_parts=4).to_pandas().sort_values(
+        str(tmp_path)).to_pandas().sort_values(
         "event_id").reset_index(drop=True)
     assert (vec["n_window"].to_numpy() == a["n_window"].to_numpy()).all()
